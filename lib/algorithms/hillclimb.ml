@@ -5,7 +5,7 @@ let make ~name ~short_name ~cached =
     (fun ~budget ~delta workload oracle ->
       let n = Table.attribute_count (Workload.table workload) in
       let cache =
-        if cached then Some (Vp_parallel.Cost_cache.create ()) else None
+        if cached then Some (Vp_parallel.Cost_cache.memo ()) else None
       in
       let start = Partitioning.groups (Partitioning.column n) in
       Merge_search.climb ?cache ?delta ~budget ~n oracle start)

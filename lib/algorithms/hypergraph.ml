@@ -47,13 +47,13 @@ let search ~budget ~delta workload oracle =
   let n = Table.attribute_count (Workload.table workload) in
   let queries = Workload.queries workload in
   let atoms = sort_blocks (Workload.primary_partitions workload) in
-  let cache = Vp_parallel.Cost_cache.create () in
+  let cache = Vp_parallel.Cost_cache.memo () in
   let cost_of =
     match delta with
-    | None -> Vp_parallel.Cost_cache.counted cache ~fingerprint:"" oracle
+    | None -> Vp_parallel.Cost_cache.counted cache oracle
     | Some s ->
         fun p ->
-          Vp_parallel.Cost_cache.counted_via cache ~fingerprint:"" oracle
+          Vp_parallel.Cost_cache.counted_via cache oracle
             ~compute:(fun () -> s.Partitioner.Delta.goto p)
             p
   in
@@ -64,14 +64,17 @@ let search ~budget ~delta workload oracle =
   let best = ref (Partitioning.of_groups ~n !blocks) in
   let best_cost = ref (cost_of !best) in
   let commits = ref 0 in
-  let try_candidate groups =
+  (* [!best] is always the partitioning of [!blocks], so candidates are
+     built from it by merge/split; [blocks] stays in mask order, which
+     fixes the search order below. *)
+  let try_candidate candidate =
     Vp_robust.Budget.tick budget;
-    let candidate = Partitioning.of_groups ~n (sort_blocks groups) in
+    let candidate = candidate !best in
     let cost = cost_of candidate in
     if cost < !best_cost then begin
       best := candidate;
       best_cost := cost;
-      blocks := sort_blocks groups;
+      blocks := sort_blocks (Partitioning.groups candidate);
       incr commits;
       true
     end
@@ -107,12 +110,8 @@ let search ~budget ~delta workload oracle =
       (try
          List.iter
            (fun (_, i, j) ->
-             let merged = Attr_set.union bs.(i) bs.(j) in
-             let rest =
-               Array.to_list bs
-               |> List.filteri (fun idx _ -> idx <> i && idx <> j)
-             in
-             if try_candidate (merged :: rest) then raise Exit)
+             let merge p = Partitioning.merge_groups p bs.(i) bs.(j) in
+             if try_candidate merge then raise Exit)
            pairs
        with Exit ->
          improved := true;
@@ -138,14 +137,15 @@ let search ~budget ~delta workload oracle =
                  Array.iteri
                    (fun j dst ->
                      if j <> i && edge_weight queries atom dst > 0.0 then begin
-                       let src' = Attr_set.diff src atom in
-                       let groups =
-                         Attr_set.union dst atom
-                         :: (if Attr_set.is_empty src' then [] else [ src' ])
-                         @ (Array.to_list bs
-                           |> List.filteri (fun idx _ -> idx <> i && idx <> j))
+                       let move p =
+                         if Attr_set.equal atom src then
+                           Partitioning.merge_groups p src dst
+                         else
+                           Partitioning.merge_groups
+                             (Partitioning.split_group p src atom)
+                             atom dst
                        in
-                       if try_candidate groups then raise Exit
+                       if try_candidate move then raise Exit
                      end)
                    bs)
                (List.filter (fun a -> Attr_set.subset a src) atoms))

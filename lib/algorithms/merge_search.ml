@@ -7,19 +7,18 @@ type merge = {
   group_b : Attr_set.t;
 }
 
-(* Candidate evaluation, optionally memoized through a per-run cost cache.
-   The fingerprint is constant ("") because a per-run cache only ever sees
-   one (workload, disk) instance — the oracle it wraps. With a delta
-   session, the number comes from [session.goto] (rebasing the session at
-   [p]) through [Counted.probe] / [counted_via], so budgets, statistics,
-   fault indices and cache hit/miss sequences are exactly those of the
-   full-cost path. *)
+(* Candidate evaluation, optionally memoized through a per-run search
+   memo, which only ever sees one (workload, disk) instance — the oracle
+   it wraps. With a delta session, the number comes from [session.goto]
+   (rebasing the session at [p]) through [Counted.probe] / [counted_via],
+   so budgets, statistics, fault indices and memo hit/miss sequences are
+   exactly those of the full-cost path. *)
 let evaluator ?cache ?delta oracle =
   match delta with
   | None -> (
       match cache with
       | None -> Partitioner.Counted.cost oracle
-      | Some c -> Vp_parallel.Cost_cache.counted c ~fingerprint:"" oracle)
+      | Some c -> Vp_parallel.Cost_cache.counted c oracle)
   | Some s -> (
       let compute p () = s.Partitioner.Delta.goto p in
       match cache with
@@ -27,7 +26,7 @@ let evaluator ?cache ?delta oracle =
           fun p -> Partitioner.Counted.probe oracle (compute p)
       | Some c ->
           fun p ->
-            Vp_parallel.Cost_cache.counted_via c ~fingerprint:"" oracle
+            Vp_parallel.Cost_cache.counted_via c oracle
               ~compute:(compute p) p)
 
 let best_pair_merge ?(allowed = fun _ _ -> true) ?cache ?delta
@@ -39,9 +38,9 @@ let best_pair_merge ?(allowed = fun _ _ -> true) ?cache ?delta
     (* Rebase the session at the scanned partitioning first: a cache hit
        on an earlier evaluation may have skipped [goto], leaving the
        session based elsewhere. Rebasing to the current base is free. *)
+    let base = Partitioning.of_groups ~n groups in
     (match delta with
-    | Some s ->
-        ignore (s.Partitioner.Delta.goto (Partitioning.of_groups ~n groups))
+    | Some s -> ignore (s.Partitioner.Delta.goto base)
     | None -> ());
     let pair_cost =
       match delta with
@@ -55,7 +54,7 @@ let best_pair_merge ?(allowed = fun _ _ -> true) ?cache ?delta
               fun _ i j -> Partitioner.Counted.probe oracle (compute i j)
           | Some c ->
               fun candidate i j ->
-                Vp_parallel.Cost_cache.counted_via c ~fingerprint:"" oracle
+                Vp_parallel.Cost_cache.counted_via c oracle
                   ~compute:(compute i j) candidate)
     in
     let best = ref None in
@@ -63,11 +62,7 @@ let best_pair_merge ?(allowed = fun _ _ -> true) ?cache ?delta
       for j = i + 1 to k - 1 do
         if allowed arr.(i) arr.(j) then begin
           Vp_robust.Budget.tick budget;
-          let candidate_groups =
-            Attr_set.union arr.(i) arr.(j)
-            :: (Array.to_list arr |> List.filteri (fun x _ -> x <> i && x <> j))
-          in
-          let candidate = Partitioning.of_groups ~n candidate_groups in
+          let candidate = Partitioning.merge_groups base arr.(i) arr.(j) in
           let cost = pair_cost candidate i j in
           match !best with
           | Some m when m.merged_cost <= cost -> ()

@@ -13,7 +13,7 @@ type merge = {
 
 val best_pair_merge :
   ?allowed:(Attr_set.t -> Attr_set.t -> bool) ->
-  ?cache:Vp_parallel.Cost_cache.t ->
+  ?cache:Vp_parallel.Cost_cache.memo ->
   ?delta:Partitioner.Delta.session ->
   ?budget:Vp_robust.Budget.t ->
   n:int ->
@@ -26,19 +26,22 @@ val best_pair_merge :
     restrict merging within a subgraph). Ties go to the earliest pair in
     canonical group order.
 
-    When [cache] is given, candidate costs are memoized through it (hits
-    are counted as candidates, not cost calls). Successive climb iterations
-    re-evaluate almost the whole neighbourhood — only pairs involving the
-    freshly merged group are new — so a per-run cache turns the k²/2
-    evaluations per iteration into O(k) cost-model calls.
+    Each candidate is [Partitioning.merge_groups] of the scanned
+    partitioning, built in O(k). When [cache] is given, candidate costs
+    are memoized through it, keyed on the candidate partitioning (hits
+    are counted as candidates, not cost calls). Successive climb
+    iterations re-evaluate almost the whole neighbourhood — only pairs
+    involving the freshly merged group are new — so a per-run memo turns
+    the k²/2 evaluations per iteration into O(k) cost-model calls.
 
     When [delta] is given, the scan first rebases the session at the
     scanned partitioning, then prices each pair with
     [Delta.session.cost_merge] instead of a full re-cost — through
-    {!Partitioner.Counted.probe} (and {!Vp_parallel.Cost_cache.counted_via}
-    when [cache] is also given), so ticks, counters, fault indices and
-    cache traffic are byte-identical to the full path, and so are the
-    costs (the delta oracle's contract).
+    {!Partitioner.Counted.probe}, or {!Vp_parallel.Cost_cache.counted_via}
+    when [cache] is also given, which looks the candidate up in the memo
+    first and runs the probe only on a miss. Ticks, counters, fault
+    indices and memo traffic are therefore byte-identical to the full
+    path, and so are the costs (the delta oracle's contract).
 
     Each allowed pair ticks [budget] (default
     {!Vp_robust.Budget.unlimited}) before evaluation, so exhaustion
@@ -46,7 +49,7 @@ val best_pair_merge :
 
 val climb :
   ?allowed:(Attr_set.t -> Attr_set.t -> bool) ->
-  ?cache:Vp_parallel.Cost_cache.t ->
+  ?cache:Vp_parallel.Cost_cache.memo ->
   ?delta:Partitioner.Delta.session ->
   ?budget:Vp_robust.Budget.t ->
   n:int ->

@@ -26,7 +26,16 @@ let remove i s =
 
 let mem i s = i >= 0 && i < max_attributes && s land (1 lsl i) <> 0
 
-let rec popcount n = if n = 0 then 0 else 1 + popcount (n land (n - 1))
+(* SWAR population count. Masks are non-negative, so bit 62 (the sign
+   bit of a 63-bit int) is always clear and the 62-bit constants below
+   cover every member bit. The per-byte sums are at most 8, so the final
+   multiply gathers their total (at most 62) in bits 56..62 without
+   carries between bytes. *)
+let popcount n =
+  let n = n - ((n lsr 1) land 0x1555555555555555) in
+  let n = (n land 0x3333333333333333) + ((n lsr 2) land 0x3333333333333333) in
+  let n = (n + (n lsr 4)) land 0x0F0F0F0F0F0F0F0F in
+  (n * 0x0101010101010101) lsr 56
 
 let cardinal s = popcount s
 
@@ -55,20 +64,24 @@ let full n =
     invalid_arg (Printf.sprintf "Attr_set.full: %d out of range" n);
   if n = 0 then 0 else (1 lsl n) - 1
 
-(* Index of the lowest set bit; [s] must be non-zero. *)
-let lowest_bit_index s =
-  let rec go i s = if s land 1 = 1 then i else go (i + 1) (s lsr 1) in
-  go 0 s
+(* Index of the lowest set bit; [s] must be non-zero. Isolating the bit
+   ([s land (-s)]) and counting the ones below it keeps this branch-free. *)
+let lowest_bit_index s = popcount ((s land (-s)) - 1)
 
 let min_elt s = if s = 0 then raise Not_found else lowest_bit_index s
 
+(* Smear the highest set bit into every lower position; the count of ones
+   is then one more than its index. *)
 let max_elt s =
   if s = 0 then raise Not_found
   else
-    let rec go i best s =
-      if s = 0 then best else go (i + 1) (if s land 1 = 1 then i else best) (s lsr 1)
-    in
-    go 0 (-1) s
+    let s = s lor (s lsr 1) in
+    let s = s lor (s lsr 2) in
+    let s = s lor (s lsr 4) in
+    let s = s lor (s lsr 8) in
+    let s = s lor (s lsr 16) in
+    let s = s lor (s lsr 32) in
+    popcount s - 1
 
 let choose = min_elt
 

@@ -2,10 +2,13 @@ type t = { n : int; groups : Attr_set.t array }
 (* Invariants: groups are non-empty, pairwise disjoint, union = full n,
    sorted by minimum element. *)
 
-let canonicalize groups =
-  let arr = Array.of_list groups in
-  Array.sort (fun a b -> compare (Attr_set.min_elt a) (Attr_set.min_elt b)) arr;
-  arr
+(* The isolated lowest bit orders groups exactly as their minimum
+   elements do: member bits stop at 61, so it is always positive. *)
+let lowest_bit g =
+  let m = Attr_set.to_mask g in
+  m land (-m)
+
+let by_min_elt a b = Int.compare (lowest_bit a) (lowest_bit b)
 
 let of_groups ~n groups =
   if n <= 0 || n > Attr_set.max_attributes then
@@ -15,16 +18,18 @@ let of_groups ~n groups =
       if Attr_set.is_empty g then
         invalid_arg "Partitioning.of_groups: empty group")
     groups;
-  let union, sum =
-    List.fold_left
-      (fun (u, s) g -> (Attr_set.union u g, s + Attr_set.cardinal g))
-      (Attr_set.empty, 0) groups
-  in
-  let full = Attr_set.full n in
-  if not (Attr_set.equal union full) || sum <> n then
+  let union = ref Attr_set.empty and sum = ref 0 in
+  List.iter
+    (fun g ->
+      union := Attr_set.union !union g;
+      sum := !sum + Attr_set.cardinal g)
+    groups;
+  if not (Attr_set.equal !union (Attr_set.full n)) || !sum <> n then
     invalid_arg
       "Partitioning.of_groups: groups must form a disjoint cover of 0..n-1";
-  { n; groups = canonicalize groups }
+  let arr = Array.of_list groups in
+  Array.sort by_min_elt arr;
+  { n; groups = arr }
 
 let of_assignment assignment =
   let n = Array.length assignment in
@@ -104,14 +109,24 @@ let find_group_index p g =
   in
   go 0
 
+(* [merge_groups] and [split_group] start from validated groups, so the
+   result is a disjoint cover by construction; both only need to keep
+   the array in canonical order. *)
+
 let merge_groups p g1 g2 =
   let i1 = find_group_index p g1 and i2 = find_group_index p g2 in
   if i1 = i2 then invalid_arg "Partitioning.merge_groups: same group";
-  let rest =
-    Array.to_list p.groups
-    |> List.filteri (fun i _ -> i <> i1 && i <> i2)
+  (* The union takes the earlier slot: its minimum is the earlier
+     group's. Everything after the later slot shifts down by one. *)
+  let lo = min i1 i2 and hi = max i1 i2 in
+  let k = Array.length p.groups in
+  let groups =
+    Array.init (k - 1) (fun i ->
+        if i = lo then Attr_set.union g1 g2
+        else if i < hi then p.groups.(i)
+        else p.groups.(i + 1))
   in
-  of_groups ~n:p.n (Attr_set.union g1 g2 :: rest)
+  { p with groups }
 
 let split_group p g sub =
   let gi = find_group_index p g in
@@ -121,8 +136,37 @@ let split_group p g sub =
     invalid_arg "Partitioning.split_group: not a subset of the group";
   if Attr_set.equal sub g then
     invalid_arg "Partitioning.split_group: subset equals the group";
-  let rest = Array.to_list p.groups |> List.filteri (fun i _ -> i <> gi) in
-  of_groups ~n:p.n (sub :: Attr_set.diff g sub :: rest)
+  (* The part holding [g]'s minimum keeps slot [gi]; the other part
+     goes in front of the first later group with a larger minimum. *)
+  let rest = Attr_set.diff g sub in
+  let stay, moved =
+    if by_min_elt sub rest < 0 then (sub, rest) else (rest, sub)
+  in
+  let k = Array.length p.groups in
+  let at = ref (gi + 1) in
+  while !at < k && by_min_elt p.groups.(!at) moved < 0 do
+    incr at
+  done;
+  let at = !at in
+  let groups =
+    Array.init (k + 1) (fun i ->
+        if i = gi then stay
+        else if i < at then p.groups.(i)
+        else if i = at then moved
+        else p.groups.(i - 1))
+  in
+  { p with groups }
+
+(* Mixes every group mask (a multiply-xorshift step per group), so
+   partitionings that differ in any group, however late, hash apart;
+   [Hashtbl.hash] would stop after ten groups. *)
+let hash p =
+  let h = ref p.n in
+  for i = 0 to Array.length p.groups - 1 do
+    let x = (!h lxor Attr_set.to_mask p.groups.(i)) * 0x2545F4914F6CDD1D in
+    h := x lxor (x lsr 29)
+  done;
+  !h land max_int
 
 let equal a b =
   a.n = b.n

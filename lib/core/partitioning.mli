@@ -70,6 +70,10 @@ val equal : t -> t -> bool
 
 val compare : t -> t -> int
 
+val hash : t -> int
+(** A non-negative hash consistent with {!equal} that mixes every group
+    mask, for hash tables keyed on partitionings. *)
+
 val is_refinement : t -> t -> bool
 (** [is_refinement fine coarse] is [true] iff every group of [fine] is
     contained in some group of [coarse]. *)

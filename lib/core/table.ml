@@ -50,13 +50,16 @@ let row_size t =
   Array.fold_left (fun acc a -> acc + Attribute.width a) 0 t.attributes
 
 let subset_size t set =
-  (match Attr_set.to_list set with
-  | [] -> ()
-  | l ->
-      let top = List.fold_left max 0 l in
-      if top >= Array.length t.attributes then
-        invalid_arg "Table.subset_size: attribute position out of bounds");
-  Attr_set.fold (fun i acc -> acc + width t i) set 0
+  let m = Attr_set.to_mask set in
+  if m lsr Array.length t.attributes <> 0 then
+    invalid_arg "Table.subset_size: attribute position out of bounds";
+  let rec go m acc =
+    if m = 0 then acc
+    else
+      let i = Attr_set.min_elt (Attr_set.of_mask m) in
+      go (m land (m - 1)) (acc + Attribute.width t.attributes.(i))
+  in
+  go m 0
 
 let all_attributes t = Attr_set.full (Array.length t.attributes)
 

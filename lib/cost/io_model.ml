@@ -162,8 +162,8 @@ module Incremental = struct
     qcost : float array;  (* unweighted query costs under [base] *)
     scratch : float array;  (* peeked costs, valid where stamp.(i) = gen *)
     stamp : int array;
-    memo : (int list, float) Hashtbl.t;
-        (* referenced-group masks -> unweighted query cost *)
+    memo : (Attr_set.t list, float) Hashtbl.t;
+        (* referenced groups -> unweighted query cost *)
     mutable gen : int;
     mutable base : Partitioning.t;
     mutable valid : bool;  (* false until the first (re)base costing *)
@@ -205,7 +205,7 @@ module Incremental = struct
       qcost = Array.make q 0.0;
       scratch = Array.make q 0.0;
       stamp = Array.make q (-1);
-      memo = Hashtbl.create 1024;
+      memo = Hashtbl.create 64;
       gen = 0;
       base = Partitioning.row (max 1 n);
       valid = false;
@@ -213,7 +213,7 @@ module Incremental = struct
     }
 
   (* Per-query cost of reading [refs], memoized on the referenced-group
-     masks. [query_cost_groups] is a pure function of (disk, table, refs)
+     list itself. [query_cost_groups] is a pure function of (disk, table, refs)
      and both are fixed for the session's lifetime, so a hit returns the
      bit-identical float the cost model produced the first time; only
      misses run the model (and increment cost.query_costs). Search loops
@@ -221,12 +221,11 @@ module Incremental = struct
      iterations, which is where most of the delta path's counter savings
      come from. *)
   let memo_query_cost t refs =
-    let key = List.map Attr_set.to_mask refs in
-    match Hashtbl.find_opt t.memo key with
+    match Hashtbl.find_opt t.memo refs with
     | Some c -> c
     | None ->
         let c = query_cost_groups t.disk t.table refs in
-        Hashtbl.add t.memo key c;
+        Hashtbl.add t.memo refs c;
         c
 
   (* The weighted total, re-summed over every query left to right exactly

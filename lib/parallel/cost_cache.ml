@@ -92,37 +92,46 @@ let lookup t key on_miss =
       Mutex.unlock t.mutex;
       `Miss v
 
-let key_of ~fingerprint p = fingerprint ^ "|" ^ Partitioning.to_string p
-
 let memoize t ~fingerprint f =
   fun p ->
     if not (Atomic.get enabled) then f p
     else
-      match lookup t (key_of ~fingerprint p) (fun () -> f p) with
-      | `Hit v | `Miss v -> v
+      let key = fingerprint ^ "|" ^ Partitioning.to_string p in
+      match lookup t key (fun () -> f p) with `Hit v | `Miss v -> v
 
-let counted t ~fingerprint oracle p =
+(* The per-run search memo. One run prices candidates of one (workload,
+   disk) instance on one domain, so the partitioning alone is the key
+   and no lock is needed. *)
+module Memo = Hashtbl.Make (Partitioning)
+
+type memo = float Memo.t
+
+let memo () = Memo.create 64
+
+(* A hit only notes a candidate; a miss prices through [miss], which
+   counts the cost call. *)
+let memo_lookup memo oracle p miss =
+  match Memo.find_opt memo p with
+  | Some v ->
+      if Vp_observe.Switch.stats_on () then Vp_observe.Stats.incr c_hits;
+      Partitioner.Counted.note_candidate oracle;
+      v
+  | None ->
+      if Vp_observe.Switch.stats_on () then Vp_observe.Stats.incr c_misses;
+      let v = miss () in
+      Memo.add memo p v;
+      v
+
+let counted memo oracle p =
   if not (Atomic.get enabled) then Partitioner.Counted.cost oracle p
   else
-    match
-      lookup t (key_of ~fingerprint p) (fun () ->
-          Partitioner.Counted.cost oracle p)
-    with
-    | `Hit v ->
-        Partitioner.Counted.note_candidate oracle;
-        v
-    | `Miss v -> v
+    memo_lookup memo oracle p (fun () -> Partitioner.Counted.cost oracle p)
 
-let counted_via t ~fingerprint oracle ~compute p =
+let counted_via memo oracle ~compute p =
   if not (Atomic.get enabled) then Partitioner.Counted.probe oracle compute
   else
-    match lookup t (key_of ~fingerprint p) (fun () ->
-              Partitioner.Counted.probe oracle compute)
-    with
-    | `Hit v ->
-        Partitioner.Counted.note_candidate oracle;
-        v
-    | `Miss v -> v
+    memo_lookup memo oracle p (fun () ->
+        Partitioner.Counted.probe oracle compute)
 
 let oracle ?(cache = global) disk workload =
   let fp = fingerprint disk workload in

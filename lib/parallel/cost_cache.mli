@@ -11,7 +11,12 @@
 
     Caching never changes a result: a cached entry is exactly the float the
     cost model returned, so searches take identical trajectories with the
-    cache on or off — only faster. All operations are domain-safe.
+    cache on or off — only faster. All operations on [t] are domain-safe.
+
+    A search run memoizes its own candidates in a {!memo} instead: keyed
+    on the partitioning itself, with no fingerprint string to build and
+    no lock, because one run only ever prices one instance on one
+    domain.
 
     A process-wide kill switch ({!set_caching_enabled}) turns every cache
     into a transparent pass-through; the benchmark harness uses it to time
@@ -58,21 +63,28 @@ val memoize :
 (** [memoize cache ~fingerprint f] returns [f] memoized under
     [(fingerprint, partitioning)] keys. *)
 
+type memo
+(** A per-run search memo: candidate costs keyed on the partitioning
+    itself. One search run owns it, on one domain; it is not
+    domain-safe and is never shared between runs. *)
+
+val memo : unit -> memo
+(** A fresh, empty memo. *)
+
 val counted :
-  t ->
-  fingerprint:string ->
+  memo ->
   Vp_core.Partitioner.Counted.oracle ->
   Vp_core.Partitioning.t ->
   float
-(** Like {!memoize} but for the counted oracles algorithm bodies use: a
-    miss evaluates through {!Vp_core.Partitioner.Counted.cost} (counting a
-    cost call), a hit only notes a candidate — so
-    [stats.candidates - stats.cost_calls] of a run is its cache-hit
-    count. *)
+(** Memoizes the counted oracles algorithm bodies use: a miss evaluates
+    through {!Vp_core.Partitioner.Counted.cost} (counting a cost call),
+    a hit only notes a candidate — so [stats.candidates -
+    stats.cost_calls] of a run is its memo-hit count. Hits and misses
+    move the process-wide [cache.hits] / [cache.misses] counters; the
+    kill switch turns the memo into a pass-through. *)
 
 val counted_via :
-  t ->
-  fingerprint:string ->
+  memo ->
   Vp_core.Partitioner.Counted.oracle ->
   compute:(unit -> float) ->
   Vp_core.Partitioning.t ->
@@ -81,7 +93,7 @@ val counted_via :
     incremental {!Vp_core.Partitioner.Delta.session} probe — through
     {!Vp_core.Partitioner.Counted.probe}, instead of re-pricing [p] with
     the wrapped full oracle. [compute] must return exactly what the full
-    oracle would for [p] (the delta oracle's contract), so cache
+    oracle would for [p] (the delta oracle's contract), so memo
     contents, hit/miss sequences and counters stay byte-identical
     between the delta and full paths. *)
 

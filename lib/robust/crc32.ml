@@ -2,18 +2,20 @@
    Small and dependency-free; the journal needs integrity checks, not
    cryptography. *)
 
+(* Built eagerly at module initialisation: forcing a [lazy] from two
+   domains at once raises [CamlinternalLazy.Undefined], and daemon
+   connections on different domains can make their first journal append
+   together. *)
 let table =
-  lazy
-    (Array.init 256 (fun n ->
-         let c = ref n in
-         for _ = 0 to 7 do
-           if !c land 1 = 1 then c := 0xEDB88320 lxor (!c lsr 1)
-           else c := !c lsr 1
-         done;
-         !c))
+  Array.init 256 (fun n ->
+      let c = ref n in
+      for _ = 0 to 7 do
+        if !c land 1 = 1 then c := 0xEDB88320 lxor (!c lsr 1)
+        else c := !c lsr 1
+      done;
+      !c)
 
 let update crc s =
-  let table = Lazy.force table in
   let crc = ref (crc lxor 0xFFFFFFFF) in
   String.iter
     (fun ch ->

@@ -126,8 +126,10 @@ type stream = {
                                   that the query projects *)
   in_group : bool;  (** group has attributes beyond the projected ones or
                         more than one column (stride decoding) *)
-  mutable buffered : Value.t array array;  (** decoded rows of the buffer *)
+  mutable buffered : Value.t array array;
+      (** decoded rows of one block of the buffered window *)
   mutable buffered_first : int;
+  mutable window_end : int;  (** first row past the buffered window *)
   mutable next_block : int;
 }
 
@@ -179,6 +181,7 @@ let make_streams db refs =
       in_group = List.length group_positions > 1;
       buffered = [||];
       buffered_first = 0;
+      window_end = 0;
       next_block = 0;
     }
   in
@@ -192,15 +195,30 @@ let window_rows pfile ~from_row ~last_block =
     Pfile.row_count pfile - from_row
   else Pfile.first_row_of_block pfile (last_block + 1) - from_row
 
-(* The materialized executor: decode every buffered window, reconstruct
-   tuples row rank by row rank, checksum the projected values. *)
+(* Decode the rows of [from_row]'s block that lie in the buffered
+   window. Decoding a block at a time, rather than the whole window at
+   refill, bounds the decoded rows held per stream by one block while
+   the device and CPU accounting stay per window. *)
+let decode_block s ~from_row =
+  let b = Pfile.block_of_row s.pfile from_row in
+  let block_end =
+    Pfile.first_row_of_block s.pfile b + Pfile.rows_in_block s.pfile b
+  in
+  s.buffered <-
+    Pfile.read_rows s.pfile ~first_row:from_row
+      ~count:(min s.window_end block_end - from_row);
+  s.buffered_first <- from_row
+
+(* The materialized executor: read every buffered window, decode it a
+   block at a time, reconstruct tuples row rank by row rank, checksum the
+   projected values. *)
 let run_query_materialized db streams rows =
   let device = Device.create db.disk in
   let cpu_ns = ref 0.0 in
   let values_decoded = ref 0 in
   let checksum = ref 0 in
-  (* Refill a stream's sub-buffer: read the next window of blocks and
-     decode the rows they cover, starting at [from_row]. *)
+  (* Refill a stream's sub-buffer: read the next window of blocks, which
+     covers the rows from [from_row], and account their decode. *)
   let refill s ~from_row =
     let total_blocks = Pfile.block_count s.pfile in
     if s.next_block < total_blocks then begin
@@ -208,23 +226,24 @@ let run_query_materialized db streams rows =
       Device.read device ~file:s.file_id ~first_block:s.next_block ~count;
       let last_block = s.next_block + count - 1 in
       let rows_covered = window_rows s.pfile ~from_row ~last_block in
-      s.buffered <- Pfile.read_rows s.pfile ~first_row:from_row ~count:rows_covered;
-      s.buffered_first <- from_row;
+      s.window_end <- from_row + rows_covered;
       s.next_block <- s.next_block + count;
       (* decode CPU for everything buffered *)
       let cols = Array.length s.refs_in_group in
       let kind = Codec.kind (Pfile.codec s.pfile) in
       let per_value = Codec.decode_ns_per_value kind ~in_group:s.in_group in
-      cpu_ns := !cpu_ns +. (per_value *. float_of_int (Array.length s.buffered * cols));
-      values_decoded := !values_decoded + (Array.length s.buffered * cols)
-    end
+      cpu_ns := !cpu_ns +. (per_value *. float_of_int (rows_covered * cols));
+      values_decoded := !values_decoded + (rows_covered * cols)
+    end;
+    decode_block s ~from_row
   in
   let partitions_read = List.length streams in
   for r = 0 to rows - 1 do
     List.iter
       (fun s ->
         if r >= s.buffered_first + Array.length s.buffered then
-          refill s ~from_row:r;
+          if r >= s.window_end then refill s ~from_row:r
+          else decode_block s ~from_row:r;
         let row = s.buffered.(r - s.buffered_first) in
         Array.iter
           (fun c -> checksum := checksum_value !checksum row.(c))

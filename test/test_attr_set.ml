@@ -100,8 +100,106 @@ let test_pp () =
 
 (* --- properties --- *)
 
+(* Masks over every position [0 .. max_attributes - 1]: dense random
+   bits, sparse sets of random positions, and the edge masks (empty,
+   lone top bit, both ends, everything). *)
+let top = Attr_set.max_attributes - 1
+
+let all_positions = Attr_set.to_mask (Attr_set.full Attr_set.max_attributes)
+
 let gen_set =
-  QCheck2.Gen.(map (fun m -> Attr_set.of_mask (abs m land 0xFFFFF)) int)
+  let open QCheck2.Gen in
+  frequency
+    [
+      (4, map (fun m -> Attr_set.of_mask (m land all_positions)) int);
+      (4, map Attr_set.of_list (list_size (int_range 0 6) (int_range 0 top)));
+      ( 1,
+        oneofl
+          [
+            Attr_set.empty;
+            Attr_set.singleton top;
+            Attr_set.of_list [ 0; top ];
+            Attr_set.full Attr_set.max_attributes;
+          ] );
+    ]
+
+(* Each model property is checked on the drawn set and on the same set
+   with the top position added, so bit 61 is exercised on every case. *)
+let with_top s = [ s; Attr_set.add top s ]
+
+(* The naive reference: probe every position one by one. *)
+let model s =
+  List.filter (fun i -> Attr_set.mem i s)
+    (List.init Attr_set.max_attributes Fun.id)
+
+let prop_model_cardinal =
+  QCheck2.Test.make ~name:"cardinal matches model" ~count:500 gen_set (fun s ->
+      List.for_all
+        (fun s -> Attr_set.cardinal s = List.length (model s))
+        (with_top s))
+
+let prop_model_min_max =
+  QCheck2.Test.make ~name:"min_elt/max_elt match model" ~count:500 gen_set
+    (fun s ->
+      List.for_all
+        (fun s ->
+          match model s with
+          | [] -> (
+              (match Attr_set.min_elt s with
+              | _ -> false
+              | exception Not_found -> true)
+              &&
+              match Attr_set.max_elt s with
+              | _ -> false
+              | exception Not_found -> true)
+          | l ->
+              Attr_set.min_elt s = List.hd l
+              && Attr_set.max_elt s = List.nth l (List.length l - 1))
+        (with_top s))
+
+let prop_model_order =
+  QCheck2.Test.make ~name:"iter/fold/to_list order match model" ~count:500
+    gen_set (fun s ->
+      List.for_all
+        (fun s ->
+          let m = model s in
+          let seen = ref [] in
+          Attr_set.iter (fun i -> seen := i :: !seen) s;
+          List.rev !seen = m
+          && Attr_set.fold (fun i acc -> i :: acc) s [] = List.rev m
+          && Attr_set.to_list s = m)
+        (with_top s))
+
+(* A table of [n] attributes with assorted widths. *)
+let table_of n =
+  let types =
+    [| Attribute.Int32; Attribute.Decimal; Attribute.Char 3; Attribute.Varchar 17 |]
+  in
+  Table.make ~name:"t"
+    ~attributes:
+      (List.init n (fun i ->
+           Attribute.make (Printf.sprintf "a%d" i) types.(i mod Array.length types)))
+    ~row_count:1
+
+let prop_model_subset_size =
+  QCheck2.Test.make ~name:"Table.subset_size matches model" ~count:500
+    QCheck2.Gen.(pair (int_range 1 Attr_set.max_attributes) gen_set)
+    (fun (n, s) ->
+      let t = table_of n in
+      List.for_all
+        (fun s ->
+          let m = model s in
+          match Table.subset_size t s with
+          | size ->
+              List.for_all (fun i -> i < n) m
+              && size
+                 = List.fold_left
+                     (fun acc i -> acc + Attribute.width (Table.attribute t i))
+                     0 m
+          | exception Invalid_argument msg ->
+              msg = "Table.subset_size: attribute position out of bounds"
+              && List.exists (fun i -> i >= n) m)
+        (with_top s))
 
 let prop_union_commutative =
   QCheck2.Test.make ~name:"union commutative" ~count:200
@@ -155,4 +253,8 @@ let suite =
     Testutil.qtest prop_diff_disjoint;
     Testutil.qtest prop_cardinal_inclusion_exclusion;
     Testutil.qtest prop_to_list_sorted;
+    Testutil.qtest prop_model_cardinal;
+    Testutil.qtest prop_model_min_max;
+    Testutil.qtest prop_model_order;
+    Testutil.qtest prop_model_subset_size;
   ]

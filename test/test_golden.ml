@@ -464,6 +464,59 @@ let test_bench_report_schema_roundtrip () =
           Alcotest.(check bool) "mistyped schema_version reported" true
             (mentions "schema_version"))
 
+(* --- optimizer stats golden ---
+
+   Every offline entrant of the repo benchmark, on TPC-H lineitem and on
+   the 48-attribute synthetic table, under the benchmark's 2,500-step
+   budget with the full and incremental oracles. The cost bit pattern,
+   the layout and the search counters are frozen, so a change to the
+   search bookkeeping (attribute sets, partitioning construction, the
+   per-run memo) that alters any answer or any counter fails here. *)
+
+let stats_step_budget = 2_500
+
+let stats_entrants =
+  Vp_algorithms.Registry.six
+  @ [
+      Vp_algorithms.Brute_force.make
+        ~lower_bound:(Vp_cost.Bounds.io_brute_force disk)
+        ();
+      Vp_algorithms.Ilp.with_bound disk;
+      Vp_algorithms.Hypergraph.algorithm;
+    ]
+
+let stats_heuristics =
+  Vp_algorithms.Registry.six @ [ Vp_algorithms.Hypergraph.algorithm ]
+
+(* The wide table of the benchmark's offline workload at seed 1. *)
+let stats_wide () =
+  Vp_benchmarks.Synthetic.workload
+    ~seed:(Vp_robust.Mix.mix64 (Int64.add 7919L 1L))
+    ~attributes:48 ~clusters:8 ~queries:60 ~scatter:0.2 ()
+
+let stats_line key w (a : Partitioner.t) =
+  let cost = Vp_cost.Io_model.oracle disk w in
+  let delta = Vp_cost.Io_model.Incremental.factory disk w in
+  let budget = Vp_robust.Budget.create ~max_steps:stats_step_budget () in
+  let r =
+    Partitioner.exec a (Partitioner.Request.make ~budget ~delta ~cost w)
+  in
+  let s = r.Partitioner.Response.stats in
+  Printf.sprintf "%s %s cost=%h cost_calls=%d candidates=%d iterations=%d %s\n"
+    key a.Partitioner.name r.Partitioner.Response.cost s.Partitioner.cost_calls
+    s.Partitioner.candidates s.Partitioner.iterations
+    (Partitioning.to_string r.Partitioner.Response.partitioning)
+
+let test_optimizer_stats_golden () =
+  let lineitem = Vp_benchmarks.Tpch.workload ~sf:10.0 "lineitem" in
+  let wide = stats_wide () in
+  let actual =
+    String.concat ""
+      (List.map (stats_line "tpch/lineitem" lineitem) stats_entrants
+      @ List.map (stats_line "wide" wide) stats_heuristics)
+  in
+  check_golden "optimizer stats" "golden/optimizer_stats.golden.txt" actual
+
 let suite =
   [
     Alcotest.test_case "HillClimb customer" `Quick test_hillclimb_customer;
@@ -483,4 +536,5 @@ let suite =
     Alcotest.test_case "bench report schema" `Quick test_bench_report_golden;
     Alcotest.test_case "bench report round-trip" `Quick
       test_bench_report_schema_roundtrip;
+    Alcotest.test_case "optimizer stats" `Quick test_optimizer_stats_golden;
   ]

@@ -1,9 +1,11 @@
 (* Test entry point: one alcotest suite per module area. *)
 
-(* The cluster tests spawn shard daemons by re-execing this very
-   binary; the worker sentinel must be checked before alcotest ever
-   sees argv. *)
+(* The cluster tests spawn shard daemons, and the CRC-32 race test a
+   fresh process, by re-execing this very binary; their sentinels must
+   be checked before alcotest ever sees argv. *)
 let () = Vp_router.Worker.maybe_run ()
+
+let () = Test_robust.maybe_run_crc32_race ()
 
 let () =
   Alcotest.run "vertpart"

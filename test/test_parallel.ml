@@ -264,15 +264,48 @@ let test_fingerprint_sensitivity () =
 let test_counted_cache () =
   let w = Testutil.partsupp_workload in
   let oracle = Partitioner.Counted.make (Vp_cost.Io_model.oracle disk w) in
-  let cache = Vp_parallel.Cost_cache.create () in
-  let cost_of = Vp_parallel.Cost_cache.counted cache ~fingerprint:"t" oracle in
+  let memo = Vp_parallel.Cost_cache.memo () in
+  let cost_of = Vp_parallel.Cost_cache.counted memo oracle in
   let p = Partitioning.column 5 in
   let first = cost_of p in
   Alcotest.(check int) "miss counts a call" 1 (Partitioner.Counted.calls oracle);
   Alcotest.(check (float 0.)) "hit returns the same float" first (cost_of p);
   Alcotest.(check int) "hit does not call" 1 (Partitioner.Counted.calls oracle);
   Alcotest.(check int) "hit notes a candidate" 2
-    (Partitioner.Counted.candidates oracle)
+    (Partitioner.Counted.candidates oracle);
+  (* An equal partitioning built another way is the same key. *)
+  let p' = Partitioning.of_groups ~n:5 (List.rev (Partitioning.groups p)) in
+  Alcotest.(check (float 0.)) "equal partitioning hits" first (cost_of p');
+  Alcotest.(check int) "equal partitioning does not call" 1
+    (Partitioner.Counted.calls oracle)
+
+(* Two 12-group partitionings that differ only in their 11th and 12th
+   groups. [Hashtbl.hash] stops after ten meaningful words, so a memo
+   hashing with it would chain every such neighbour of a wide table
+   into one bucket; the memo's hash mixes every group. *)
+let test_counted_cache_late_groups () =
+  let head = List.init 10 Attr_set.singleton in
+  let p1 =
+    Partitioning.of_groups ~n:13
+      (head @ [ Attr_set.of_list [ 10; 11 ]; Attr_set.singleton 12 ])
+  and p2 =
+    Partitioning.of_groups ~n:13
+      (head @ [ Attr_set.singleton 10; Attr_set.of_list [ 11; 12 ] ])
+  in
+  Alcotest.(check bool) "hashes differ" true
+    (Partitioning.hash p1 <> Partitioning.hash p2);
+  let oracle =
+    Partitioner.Counted.make (fun p ->
+        float_of_int (Attr_set.cardinal (Partitioning.group_of p 10)))
+  in
+  let cost_of = Vp_parallel.Cost_cache.counted (Vp_parallel.Cost_cache.memo ()) oracle in
+  Alcotest.(check (float 0.)) "first" 2.0 (cost_of p1);
+  Alcotest.(check (float 0.)) "second is not served the first's entry" 1.0
+    (cost_of p2);
+  Alcotest.(check int) "two misses" 2 (Partitioner.Counted.calls oracle);
+  Alcotest.(check (float 0.)) "first hits" 2.0 (cost_of p1);
+  Alcotest.(check (float 0.)) "second hits" 1.0 (cost_of p2);
+  Alcotest.(check int) "no further calls" 2 (Partitioner.Counted.calls oracle)
 
 (* --- Runner --- *)
 
@@ -314,5 +347,7 @@ let suite =
     Alcotest.test_case "cache kill switch" `Quick test_cache_kill_switch;
     Alcotest.test_case "fingerprint sensitivity" `Quick test_fingerprint_sensitivity;
     Alcotest.test_case "counted cache" `Quick test_counted_cache;
+    Alcotest.test_case "counted cache late groups" `Quick
+      test_counted_cache_late_groups;
     Alcotest.test_case "runner ordering" `Quick test_runner_ordering;
   ]

@@ -88,6 +88,33 @@ let test_split () =
         (Partitioning.split_group p (Attr_set.of_list [ 3; 4 ])
            (Attr_set.of_list [ 3; 4 ])))
 
+let test_merge_split_errors () =
+  let p = p_of [ [ 0; 1; 2 ]; [ 3; 4 ] ] in
+  let g = Attr_set.of_list [ 0; 1; 2 ] and h = Attr_set.of_list [ 3; 4 ] in
+  let not_group = Attr_set.of_list [ 0; 1 ] in
+  Alcotest.check_raises "merge: not a group"
+    (Invalid_argument "Partitioning: {0,1} is not a group") (fun () ->
+      ignore (Partitioning.merge_groups p not_group h));
+  Alcotest.check_raises "merge: second not a group"
+    (Invalid_argument "Partitioning: {0,1} is not a group") (fun () ->
+      ignore (Partitioning.merge_groups p h not_group));
+  Alcotest.check_raises "merge: same group"
+    (Invalid_argument "Partitioning.merge_groups: same group") (fun () ->
+      ignore (Partitioning.merge_groups p h h));
+  Alcotest.check_raises "split: not a group"
+    (Invalid_argument "Partitioning: {0,1} is not a group") (fun () ->
+      ignore (Partitioning.split_group p not_group (Attr_set.singleton 0)));
+  Alcotest.check_raises "split: empty subset"
+    (Invalid_argument "Partitioning.split_group: empty subset") (fun () ->
+      ignore (Partitioning.split_group p g Attr_set.empty));
+  Alcotest.check_raises "split: not a subset"
+    (Invalid_argument "Partitioning.split_group: not a subset of the group")
+    (fun () ->
+      ignore (Partitioning.split_group p g (Attr_set.of_list [ 0; 3 ])));
+  Alcotest.check_raises "split: subset equals the group"
+    (Invalid_argument "Partitioning.split_group: subset equals the group")
+    (fun () -> ignore (Partitioning.split_group p g g))
+
 let test_refinement () =
   let fine = Partitioning.column 5 in
   let coarse = p_of [ [ 0; 1; 2 ]; [ 3; 4 ] ] in
@@ -150,6 +177,75 @@ let prop_column_refines_everything =
       Partitioning.is_refinement (Partitioning.column n) p
       && Partitioning.is_refinement p (Partitioning.row n))
 
+(* [merge_groups] and [split_group] build their result directly; it
+   must be indistinguishable from validating the same group multiset
+   through [of_groups]. Partitionings of up to 62 attributes come from
+   random labellings, so group counts range from one to n. *)
+let gen_labelled =
+  QCheck2.Gen.(
+    pair (int_range 2 Attr_set.max_attributes) int
+    |> map (fun (n, seed) ->
+           let state = Random.State.make [| seed |] in
+           let labels = 1 + Random.State.int state n in
+           let p =
+             Partitioning.of_assignment
+               (Array.init n (fun _ -> Random.State.int state labels))
+           in
+           (p, state)))
+
+let same_as_of_groups built groups =
+  let expected =
+    Partitioning.of_groups ~n:(Partitioning.attribute_count built) groups
+  in
+  Partitioning.equal built expected
+  && Partitioning.compare built expected = 0
+  && Partitioning.to_string built = Partitioning.to_string expected
+  && List.equal Attr_set.equal (Partitioning.groups built)
+       (Partitioning.groups expected)
+  && Partitioning.hash built = Partitioning.hash expected
+
+let prop_merge_matches_of_groups =
+  QCheck2.Test.make ~name:"merge_groups = of_groups of the same groups"
+    ~count:300 gen_labelled (fun (p, state) ->
+      let gs = Partitioning.group_array p in
+      let k = Array.length gs in
+      if k < 2 then QCheck2.assume_fail ()
+      else
+        let i = Random.State.int state k in
+        let j = (i + 1 + Random.State.int state (k - 1)) mod k in
+        let rest =
+          List.filteri (fun x _ -> x <> i && x <> j) (Array.to_list gs)
+        in
+        same_as_of_groups
+          (Partitioning.merge_groups p gs.(i) gs.(j))
+          (List.rev (Attr_set.union gs.(i) gs.(j) :: rest)))
+
+let prop_split_matches_of_groups =
+  QCheck2.Test.make ~name:"split_group = of_groups of the same groups"
+    ~count:300 gen_labelled (fun (p, state) ->
+      match
+        List.filter
+          (fun g -> Attr_set.cardinal g >= 2)
+          (Partitioning.groups p)
+      with
+      | [] -> QCheck2.assume_fail ()
+      | splittable ->
+          let g =
+            List.nth splittable (Random.State.int state (List.length splittable))
+          in
+          let sub = Attr_set.filter (fun _ -> Random.State.bool state) g in
+          let sub =
+            if Attr_set.is_empty sub || Attr_set.equal sub g then
+              Attr_set.singleton (Attr_set.max_elt g)
+            else sub
+          in
+          let rest =
+            List.filter (fun h -> not (Attr_set.equal h g)) (Partitioning.groups p)
+          in
+          same_as_of_groups
+            (Partitioning.split_group p g sub)
+            (Attr_set.diff g sub :: rest @ [ sub ]))
+
 let suite =
   [
     Alcotest.test_case "row/column" `Quick test_row_column;
@@ -160,10 +256,13 @@ let suite =
     Alcotest.test_case "referenced groups" `Quick test_referenced_groups;
     Alcotest.test_case "merge" `Quick test_merge;
     Alcotest.test_case "split" `Quick test_split;
+    Alcotest.test_case "merge/split errors" `Quick test_merge_split_errors;
     Alcotest.test_case "refinement" `Quick test_refinement;
     Alcotest.test_case "of_names" `Quick test_of_names;
     Alcotest.test_case "pp_named" `Quick test_pp_named;
     Testutil.qtest prop_random_partitioning_valid;
     Testutil.qtest prop_merge_reduces_group_count;
     Testutil.qtest prop_column_refines_everything;
+    Testutil.qtest prop_merge_matches_of_groups;
+    Testutil.qtest prop_split_matches_of_groups;
   ]

@@ -550,6 +550,49 @@ let test_sweep_degradation () =
         (String.length c.Vp_experiments.Sweep.output > 0))
     timeouts
 
+(* --- CRC-32 first use from several domains ---
+
+   The race only shows on the very first checksum of a process, so the
+   check runs in a fresh copy of this binary: [crc32_race_sentinel] as
+   the first argument makes it release four domains from a spin barrier
+   straight into their first [Crc32.string] and exit with status 0 iff
+   every one returned the standard check value. *)
+
+let crc32_race_sentinel = "--vp-crc32-race"
+
+let crc32_race_child () =
+  let domains = 4 in
+  let ready = Atomic.make 0 in
+  let first_use () =
+    Atomic.incr ready;
+    while Atomic.get ready < domains do
+      Domain.cpu_relax ()
+    done;
+    match Vp_robust.Crc32.string "123456789" with
+    | c -> c = 0xCBF43926
+    | exception e ->
+        prerr_endline (Printexc.to_string e);
+        false
+  in
+  let ds = List.init domains (fun _ -> Domain.spawn first_use) in
+  exit (if List.for_all Domain.join ds then 0 else 1)
+
+let maybe_run_crc32_race () =
+  if Array.length Sys.argv > 1 && Sys.argv.(1) = crc32_race_sentinel then
+    crc32_race_child ()
+
+let test_crc32_first_use_from_domains () =
+  for attempt = 1 to 10 do
+    let pid =
+      Unix.create_process Sys.executable_name
+        [| Sys.executable_name; crc32_race_sentinel |]
+        Unix.stdin Unix.stdout Unix.stderr
+    in
+    match Unix.waitpid [] pid with
+    | _, Unix.WEXITED 0 -> ()
+    | _ -> Alcotest.failf "attempt %d: concurrent first use failed" attempt
+  done
+
 let suite =
   [
     Alcotest.test_case "budget semantics" `Quick test_budget_semantics;
@@ -557,6 +600,8 @@ let suite =
     Alcotest.test_case "retry determinism" `Quick test_retry_determinism;
     Alcotest.test_case "retry policies" `Quick test_retry_policies;
     Alcotest.test_case "journal roundtrip" `Quick test_journal_roundtrip;
+    Alcotest.test_case "crc32 first use from 4 domains" `Quick
+      test_crc32_first_use_from_domains;
     Alcotest.test_case "journal recover truncation" `Quick
       test_journal_recover;
     Alcotest.test_case "fault decisions" `Quick test_fault_decide;
