@@ -2,7 +2,7 @@
    paper's evaluation (Section 6 + appendix) in order, runs a Bechamel
    microbenchmark of the algorithms' optimization times — one grouped test
    per TPC-H table, one case per algorithm — and benchmarks the parallel
-   runner + cost cache against the plain sequential, uncached execution.
+   runner against the plain sequential execution.
 
    Usage:
      bench/main.exe [--mode all|experiments|bechamel|parallel|budget|online|server|oracle|recovery|cluster|portfolio|scale|json]
@@ -12,10 +12,10 @@
      all          (default) experiments then bechamel, as always.
      experiments  just the experiment catalogue, sequentially.
      bechamel     just the microbenchmarks.
-     parallel     the experiment fan-out twice — sequential with cost
-                  caching disabled, then on N domains with the memoized
-                  cost cache — reporting speedup, byte-equality of the two
-                  outputs, and cost-cache hit rates.
+     parallel     the experiment fan-out twice — sequentially with every
+                  experiment cold, then on N domains sharing one TPC-H
+                  sweep — reporting speedup, byte-equality of the two
+                  outputs, and per-algorithm search-memo hit rates.
      budget       the graceful-degradation demo under step budgets.
      online       the online layout service replaying a synthetic drift
                   stream and the Lineitem query order: re-opts triggered,
@@ -178,7 +178,7 @@ let bechamel_section () =
       flush stdout)
     tests
 
-(* --- Parallel runner + cost cache benchmark. ---
+(* --- Parallel runner benchmark. ---
 
    The fan-out re-runs a fixed slice of the experiment catalogue: the
    quality/size/sweet-spot experiments whose outputs are pure functions of
@@ -200,26 +200,42 @@ let time f =
   let v = f () in
   (v, Unix.gettimeofday () -. t0)
 
-(* Cost-cache hit rate of one algorithm run over the TPC-H line-up: a
-   fresh query-grained cache observes every cost-model lookup the
-   algorithm's own searches make. *)
-let algorithm_hit_rate (a : Partitioner.t) =
+let counter_now name =
+  Vp_observe.Stats.counter_value (Vp_observe.Stats.snapshot ()) name
+
+(* [f ()] with counters on, paired with the per-run search-memo hits and
+   misses it recorded: the [cache.hits] / [cache.misses] counter deltas
+   around it. *)
+let with_memo_counts f =
+  Vp_observe.Switch.(raise_to Stats);
+  let hits0 = counter_now "cache.hits" and misses0 = counter_now "cache.misses" in
+  let v = f () in
+  (v, counter_now "cache.hits" - hits0, counter_now "cache.misses" - misses0)
+
+(* The default pricing path: the plain I/O oracle plus delta sessions. *)
+let default_request disk w =
+  Partitioner.Request.make
+    ~delta:(Vp_cost.Io_model.Incremental.factory disk w)
+    ~cost:(Vp_cost.Io_model.oracle disk w) w
+
+(* Search-memo hits and misses of one algorithm over the TPC-H line-up. *)
+let algorithm_memo_counts (a : Partitioner.t) =
   let disk = Vp_experiments.Common.disk in
-  let cache = Vp_parallel.Cost_cache.create () in
-  List.iter
-    (fun w ->
-      let oracle = Vp_parallel.Cost_cache.query_oracle ~cache disk w in
-      ignore (Partitioner.exec a (Partitioner.Request.make ~cost:oracle w)))
-    (Vp_benchmarks.Tpch.workloads ~sf:Vp_experiments.Common.sf);
-  Vp_parallel.Cost_cache.stats cache
+  let (), hits, misses =
+    with_memo_counts (fun () ->
+        List.iter
+          (fun w -> ignore (Partitioner.exec a (default_request disk w)))
+          (Vp_benchmarks.Tpch.workloads ~sf:Vp_experiments.Common.sf))
+  in
+  (hits, misses)
 
 let parallel_section jobs =
   let domains = Vp_parallel.Pool.effective_jobs ~jobs in
   print_string
     (Vp_experiments.Common.heading
        (Printf.sprintf
-          "Parallel runner + cost cache: %d experiments, --jobs %d (%d \
-           domain(s) after clamping to this machine)"
+          "Parallel runner: %d experiments, --jobs %d (%d domain(s) after \
+           clamping to this machine)"
           (List.length fanout_ids) jobs domains));
   let experiments = fanout_experiments () in
   let tasks =
@@ -228,12 +244,10 @@ let parallel_section jobs =
         Vp_parallel.Runner.task ~label:e.id e.run)
       experiments
   in
-  (* Baseline: --jobs 1, each experiment cold — caches dropped before
-     every run and cost caching off, so each experiment computes its
-     shared inputs once and every candidate evaluation goes through the
-     I/O cost model, exactly as when running each id as its own
+  (* Baseline: --jobs 1, each experiment cold — the shared TPC-H sweep
+     dropped before every run, so each experiment computes its shared
+     inputs itself, exactly as when running each id as its own
      process. *)
-  Vp_parallel.Cost_cache.set_caching_enabled false;
   let cold_tasks =
     List.map
       (fun (e : Vp_experiments.Registry.experiment) ->
@@ -245,9 +259,8 @@ let parallel_section jobs =
   let sequential, t_seq =
     time (fun () -> Vp_parallel.Runner.run ~jobs:1 cold_tasks)
   in
-  (* Same tasks fanned over the pool with the memoized caches, cold. *)
+  (* Same tasks fanned over the pool, sharing one cold TPC-H sweep. *)
   Vp_experiments.Common.reset_caches ();
-  Vp_parallel.Cost_cache.set_caching_enabled true;
   let outcomes, t_par =
     time (fun () -> Vp_parallel.Runner.run ~jobs tasks)
   in
@@ -258,9 +271,8 @@ let parallel_section jobs =
         if a.value = b.value then None else Some a.label)
       (List.combine sequential outcomes)
   in
-  let cache_stats = Vp_parallel.Cost_cache.(stats global) in
   Printf.printf "  --jobs 1, cold runs        : %8.3f s\n" t_seq;
-  Printf.printf "  --jobs %d, shared memo      : %8.3f s\n" jobs t_par;
+  Printf.printf "  --jobs %d, shared sweep     : %8.3f s\n" jobs t_par;
   Printf.printf "  speedup                    : %8.2fx\n"
     (if t_par > 0.0 then t_seq /. t_par else Float.infinity);
   Printf.printf "  outputs byte-identical     : %s\n"
@@ -269,31 +281,18 @@ let parallel_section jobs =
     | ids ->
         Printf.sprintf "NO — DETERMINISM VIOLATION in %s"
           (String.concat ", " ids));
-  Printf.printf
-    "  global cost cache          : %d hits, %d misses, %d entries (%.1f%% \
-     hit rate)\n"
-    cache_stats.Vp_parallel.Cost_cache.hits
-    cache_stats.Vp_parallel.Cost_cache.misses
-    cache_stats.Vp_parallel.Cost_cache.entries
-    (100.0 *. Vp_parallel.Cost_cache.(hit_rate global));
-  (* Per-algorithm cache hit rates over the TPC-H line-up, each measured
-     with its own cold cache. *)
+  (* Per-algorithm search-memo hit rates over the TPC-H line-up. *)
   List.iter
     (fun name ->
       let a = Vp_algorithms.Registry.find name in
-      let s = algorithm_hit_rate a in
-      let lookups =
-        s.Vp_parallel.Cost_cache.hits + s.Vp_parallel.Cost_cache.misses
-      in
+      let hits, misses = algorithm_memo_counts a in
+      let lookups = hits + misses in
       Printf.printf
-        "  %-10s cost-cache hit rate: %5.1f%% (%d of %d query-cost lookups)\n"
+        "  %-10s search-memo hit rate: %5.1f%% (%d of %d candidate lookups)\n"
         name
         (if lookups = 0 then 0.0
-         else
-           100.0
-           *. float_of_int s.Vp_parallel.Cost_cache.hits
-           /. float_of_int lookups)
-        s.Vp_parallel.Cost_cache.hits lookups)
+         else 100.0 *. float_of_int hits /. float_of_int lookups)
+        hits lookups)
     [ "HillClimb"; "AutoPart"; "HYRISE" ];
   flush stdout;
   if mismatches <> [] then exit 1
@@ -704,9 +703,6 @@ let server_section () =
                      15-attribute run must not be slower; exits 1
                      otherwise. --- *)
 
-let counter_now name =
-  Vp_observe.Stats.counter_value (Vp_observe.Stats.snapshot ()) name
-
 let per_sec count seconds =
   if seconds > 0.0 then float_of_int count /. seconds else 0.0
 
@@ -782,13 +778,16 @@ let sweep_rounds = 3
 let oracle_sweep () =
   let disk = Vp_experiments.Common.disk in
   let workloads = Vp_benchmarks.Tpch.workloads ~sf:Vp_experiments.Common.sf in
-  let run_sweep () =
-    (* One session per workload, shared by all rounds of this path. *)
+  let run_sweep ~enabled =
+    (* One session per workload, shared by all rounds of the delta path;
+       the full path re-costs every probe through the oracle. *)
     let prepared =
       List.map
         (fun w ->
-          let s = Vp_cost.Io_model.Incremental.create disk w in
-          (w, fun () -> Vp_cost.Io_model.Incremental.session s))
+          if enabled then
+            let s = Vp_cost.Io_model.Incremental.create disk w in
+            (w, Some (fun () -> Vp_cost.Io_model.Incremental.session s))
+          else (w, None))
         workloads
     in
     let qc0 = counter_now "cost.query_costs" in
@@ -801,7 +800,7 @@ let oracle_sweep () =
                   let oracle = Vp_cost.Io_model.oracle disk w in
                   let r =
                     Partitioner.exec Vp_algorithms.Hillclimb.algorithm
-                      (Partitioner.Request.make ~delta ~cost:oracle w)
+                      (Partitioner.Request.make ?delta ~cost:oracle w)
                   in
                   ( Partitioning.to_string r.Partitioner.Response.partitioning,
                     Int64.bits_of_float r.Partitioner.Response.cost,
@@ -811,13 +810,8 @@ let oracle_sweep () =
     in
     (outcomes, wall, counter_now "cost.query_costs" - qc0)
   in
-  let full, t_full, full_qc =
-    Partitioner.Delta.set_enabled false;
-    Fun.protect
-      ~finally:(fun () -> Partitioner.Delta.set_enabled true)
-      run_sweep
-  in
-  let delta, t_delta, delta_qc = run_sweep () in
+  let full, t_full, full_qc = run_sweep ~enabled:false in
+  let delta, t_delta, delta_qc = run_sweep ~enabled:true in
   let mismatches =
     List.filter_map
       (fun ((p1, c1, _), (p2, c2, _)) ->
@@ -866,19 +860,17 @@ let oracle_bruteforce () =
   let disk = Vp_experiments.Common.disk in
   let algo = Vp_algorithms.Brute_force.make () in
   let run ~enabled w =
-    Partitioner.Delta.set_enabled enabled;
-    Fun.protect
-      ~finally:(fun () -> Partitioner.Delta.set_enabled true)
-      (fun () ->
-        let qc0 = counter_now "cost.query_costs" in
-        let oracle = Vp_cost.Io_model.oracle disk w in
-        let delta = Vp_cost.Io_model.Incremental.factory disk w in
-        let r, wall =
-          time (fun () ->
-              Partitioner.exec algo
-                (Partitioner.Request.make ~delta ~cost:oracle w))
-        in
-        (r, wall, counter_now "cost.query_costs" - qc0))
+    let qc0 = counter_now "cost.query_costs" in
+    let oracle = Vp_cost.Io_model.oracle disk w in
+    let delta =
+      if enabled then Some (Vp_cost.Io_model.Incremental.factory disk w)
+      else None
+    in
+    let r, wall =
+      time (fun () ->
+          Partitioner.exec algo (Partitioner.Request.make ?delta ~cost:oracle w))
+    in
+    (r, wall, counter_now "cost.query_costs" - qc0)
   in
   let w12 =
     Vp_benchmarks.Synthetic.workload ~seed:1L ~rows:100_000 ~attributes:12
@@ -1538,7 +1530,7 @@ let portfolio_steps = 20_000
 
 let portfolio_run algo w =
   let disk = Vp_experiments.Common.disk in
-  let oracle = Vp_experiments.Common.cached_oracle disk w in
+  let oracle = Vp_cost.Io_model.oracle disk w in
   let delta = Vp_cost.Io_model.Incremental.factory disk w in
   let budget = Vp_robust.Budget.create ~max_steps:portfolio_steps () in
   Partitioner.exec algo
@@ -1920,10 +1912,11 @@ let scale_section () =
   entries
 
 (* --- machine-readable bench report (--json): every algorithm over the
-   TPC-H line-up with counters on, each with a fresh query-grained cache
-   so its hit rate is its own. The counter snapshot merges everything the
-   whole bench process recorded — including the sections that ran before
-   this one — which is exactly what a trajectory point should capture. --- *)
+   TPC-H line-up with counters on; its cache hits/misses are the
+   search-memo counter deltas around its own runs. The counter snapshot
+   merges everything the whole bench process recorded — including the
+   sections that ran before this one — which is exactly what a trajectory
+   point should capture. --- *)
 
 let mode_name = function
   | `All -> "all"
@@ -1948,31 +1941,24 @@ let json_section ~mode ~jobs ~online ~server ~oracle ~recovery ~cluster
   let entries =
     List.map
       (fun (a : Partitioner.t) ->
-        let cache = Vp_parallel.Cost_cache.create () in
-        let (opt, cost), wall =
-          time (fun () ->
-              List.fold_left
-                (fun (opt, cost) w ->
-                  let oracle =
-                    Vp_parallel.Cost_cache.query_oracle ~cache disk w
-                  in
-                  let delta = Vp_cost.Io_model.Incremental.factory disk w in
-                  let r =
-                    Partitioner.exec a
-                      (Partitioner.Request.make ~delta ~cost:oracle w)
-                  in
-                  ( opt +. r.Partitioner.Response.stats.Partitioner.elapsed_seconds,
-                    cost +. r.Partitioner.Response.cost ))
-                (0.0, 0.0) workloads)
+        let ((opt, cost), wall), hits, misses =
+          with_memo_counts (fun () ->
+              time (fun () ->
+                  List.fold_left
+                    (fun (opt, cost) w ->
+                      let r = Partitioner.exec a (default_request disk w) in
+                      ( opt
+                        +. r.Partitioner.Response.stats.Partitioner.elapsed_seconds,
+                        cost +. r.Partitioner.Response.cost ))
+                    (0.0, 0.0) workloads))
         in
-        let s = Vp_parallel.Cost_cache.stats cache in
         {
           Vp_observe.Bench_report.algorithm = a.Partitioner.name;
           wall_seconds = wall;
           optimization_seconds = opt;
           workload_cost = cost;
-          cache_hits = s.Vp_parallel.Cost_cache.hits;
-          cache_misses = s.Vp_parallel.Cost_cache.misses;
+          cache_hits = hits;
+          cache_misses = misses;
         })
       (Vp_experiments.Common.algorithms_with_baselines disk)
   in

@@ -102,10 +102,17 @@ let jobs_of = function
   | Some n -> n
   | None -> Vp_parallel.Pool.default_jobs ()
 
-let oracle_of model disk w =
+(* The HDD model prices like [vp partition]: the plain I/O oracle plus
+   incremental delta sessions for neighbour probes. *)
+let request_of model disk w =
   match model with
-  | `Hdd -> Vp_parallel.Cost_cache.oracle disk w
-  | `Mm -> Vp_cost.Memory_model.oracle Vp_cost.Memory_model.default w
+  | `Hdd ->
+      Partitioner.Request.make
+        ~delta:(Vp_cost.Io_model.Incremental.factory disk w)
+        ~cost:(Vp_cost.Io_model.oracle disk w) w
+  | `Mm ->
+      Partitioner.Request.make
+        ~cost:(Vp_cost.Memory_model.oracle Vp_cost.Memory_model.default w) w
 
 let table_arg =
   Arg.(
@@ -227,10 +234,10 @@ let compare_cmd =
           let per_table =
             List.map
               (fun workload ->
-                let oracle = oracle_of model disk workload in
                 {
                   Vp_experiments.Common.workload;
-                  result = Partitioner.exec algo (Partitioner.Request.make ~cost:oracle workload);
+                  result =
+                    Partitioner.exec algo (request_of model disk workload);
                 })
               workloads
           in
@@ -415,9 +422,9 @@ let experiment_cmd =
       value & flag
       & info [ "stats" ]
           ~doc:
-            "Record counters (cost-oracle calls, cache hits/misses, pool \
-             tasks, budget steps) and print the merged snapshot after the \
-             report. Same as running with \\$(b,VP_STATS=1).")
+            "Record counters (cost-oracle calls, search-memo hits/misses, \
+             pool tasks, budget steps) and print the merged snapshot after \
+             the report. Same as running with \\$(b,VP_STATS=1).")
   in
   let trace_arg =
     Arg.(

@@ -7,12 +7,15 @@
     all column-group costs, which grows to gigabytes for wide tables, and
     that dropping the dictionary dramatically improves the runtime. The
     default {!algorithm} keeps the spirit of the improved version but
-    memoizes candidate costs in a per-run {!Vp_parallel.Cost_cache}:
-    successive climb iterations re-evaluate almost the same neighbourhood,
-    so repeated candidates are served from the cache (counted as candidates,
-    not cost calls) without the gigabyte-scale precomputation of the
-    original. {!without_cache} evaluates every candidate afresh, for the
-    ablation benchmark. *)
+    memoizes candidate costs in a per-run {!Vp_parallel.Cost_cache.memo}
+    (a repeated candidate counts as a candidate, not a cost call) without
+    the gigabyte-scale precomputation of the original. A merge-only climb
+    never proposes the same layout twice — every candidate of an
+    iteration has one group fewer than the last iteration's — so that
+    memo misses on every lookup; the work successive iterations do
+    repeat is per-query, and the request's delta session reuses it.
+    {!without_cache} evaluates every candidate afresh, for the ablation
+    benchmark. *)
 
 val algorithm : Vp_core.Partitioner.t
 (** HillClimb with per-run cost memoization (the default). *)

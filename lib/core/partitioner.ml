@@ -19,17 +19,6 @@ module Delta = struct
   }
 
   type factory = unit -> session
-
-  let disabled_by_env () =
-    match Sys.getenv_opt "VP_NO_DELTA" with
-    | Some ("1" | "true" | "yes") -> true
-    | Some _ | None -> false
-
-  let flag = Atomic.make (not (disabled_by_env ()))
-
-  let enabled () = Atomic.get flag
-
-  let set_enabled b = Atomic.set flag b
 end
 
 module Request = struct
@@ -47,7 +36,7 @@ module Request = struct
 
   let workload r = r.workload
 
-  let delta r = if Delta.enabled () then r.delta else None
+  let delta r = r.delta
 
   let cancel r = r.cancel
 

@@ -5,9 +5,9 @@
     optional budget and an optional instrumentation label — and return a
     {!Response.t}: a {!Partitioning.t} with run statistics, a degradation
     status and provenance. The cost oracle abstracts the cost model (disk
-    I/O, main-memory, cached or not), so the same algorithm code runs
-    under every model — the paper's "unified setting" — and the oracle a
-    caller constructs is where disk profile and cache policy are chosen. *)
+    I/O or main-memory), so the same algorithm code runs under every
+    model — the paper's "unified setting" — and the oracle a caller
+    constructs is where the disk profile is chosen. *)
 
 type cost_fn = Partitioning.t -> float
 (** Estimated workload cost of a candidate partitioning. Lower is better.
@@ -65,14 +65,6 @@ module Delta : sig
   type factory = unit -> session
   (** Sessions are single-threaded scratch state; a factory lets each
       worker domain (or each algorithm run) build its own. *)
-
-  val enabled : unit -> bool
-  (** The process-wide kill switch. Initialized from [VP_NO_DELTA]
-      ("1"/"true"/"yes" disables the delta path at startup). *)
-
-  val set_enabled : bool -> unit
-  (** Flip the kill switch at runtime (used by tests and the oracle
-      bench to compare both paths in one process). *)
 end
 
 (** What a partitioner is asked to do: one record instead of the
@@ -82,7 +74,7 @@ end
 module Request : sig
   type t = {
     workload : Workload.t;
-    cost : cost_fn;  (** The cost oracle (encodes disk + cache policy). *)
+    cost : cost_fn;  (** The cost oracle (encodes the disk profile). *)
     budget : Vp_robust.Budget.t option;
         (** [None] means the ambient {!Vp_robust.Budget.current}. *)
     label : string option;
@@ -91,8 +83,9 @@ module Request : sig
     delta : Delta.factory option;
         (** Optional incremental-oracle factory. Must price exactly the
             same cost model as [cost]; algorithms built with
-            {!timed_run_delta} use it for neighbor probes when present
-            and the kill switch is on. *)
+            {!timed_run_delta} use it for neighbor probes when present;
+            without one they re-cost every probe in full through
+            [cost]. *)
     cancel : bool Atomic.t option;
         (** Optional shared cancellation signal. It is attached to the
             effective budget ({!Vp_robust.Budget.with_cancel}), so it is
@@ -114,8 +107,7 @@ module Request : sig
   val workload : t -> Workload.t
 
   val delta : t -> Delta.factory option
-  (** The request's delta factory, or [None] when absent or globally
-      disabled via {!Delta.set_enabled} / [VP_NO_DELTA]. *)
+  (** The request's delta factory, if any. *)
 
   val cancel : t -> bool Atomic.t option
 
@@ -247,7 +239,7 @@ val timed_run_delta :
   t
 (** Like {!timed_run_budgeted}, but the body additionally receives a
     fresh delta session built from the request's factory — [None] when
-    the request has no factory or the {!Delta} kill switch is off, in
-    which case the body must fall back to full re-costing through the
-    counted oracle. Delta probes must go through {!Counted.probe} so the
-    two paths stay observationally identical. *)
+    the request has no factory, in which case the body must fall back to
+    full re-costing through the counted oracle. Delta probes must go
+    through {!Counted.probe} so the two paths stay observationally
+    identical. *)

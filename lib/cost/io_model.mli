@@ -46,8 +46,8 @@ val query_breakdown :
 val query_cost_groups : Disk.t -> Table.t -> Attr_set.t list -> float
 (** [seek_cost + scan_cost] of reading exactly the given partitions. The
     cost of a query is fully determined by the set of partitions it
-    touches; this is the memoization unit of
-    {!Vp_parallel.Cost_cache.query_oracle}. *)
+    touches; this is the unit {!Incremental} sessions re-cost and
+    memoize. *)
 
 val query_cost_sized : Disk.t -> rows:int -> int list -> float
 (** [seek_cost + scan_cost] of concurrently reading one partition per
@@ -80,9 +80,8 @@ val oracle : Disk.t -> Workload.t -> Partitioner.cost_fn
     delta is exactly the difference of two such full costs: search
     trajectories, and hence layouts, match the full-cost path byte for
     byte. Sessions are single-threaded; build one per domain via
-    {!Incremental.factory}. The [VP_NO_DELTA] kill switch
-    ({!Vp_core.Partitioner.Delta.set_enabled}) routes algorithms back to
-    full re-costing. *)
+    {!Incremental.factory}. A request built without a factory routes
+    algorithms back to full re-costing. *)
 module Incremental : sig
   type t
   (** A mutable delta session: base partitioning + cached per-query

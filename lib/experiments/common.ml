@@ -24,20 +24,13 @@ type algo_run = {
   optimization_time : float;
 }
 
-(* All experiment-layer cost evaluations funnel through the global cost
-   cache at query granularity: search loops repeat (query, referenced
-   partitions) instances across candidates, and the workload-size sweeps
-   re-pose the same queries run after run. *)
-let cached_oracle profile workload =
-  Vp_parallel.Cost_cache.query_oracle profile workload
-
 let run_algorithms_on profile workloads algos =
   List.map
     (fun (algo : Partitioner.t) ->
       let per_table =
         List.map
           (fun workload ->
-            let oracle = cached_oracle profile workload in
+            let oracle = Vp_cost.Io_model.oracle profile workload in
             let delta = Vp_cost.Io_model.Incremental.factory profile workload in
             {
               workload;
@@ -70,8 +63,7 @@ let tpch_runs_cache =
 let tpch_runs () = Vp_parallel.Once.get tpch_runs_cache
 
 let reset_caches () =
-  Vp_parallel.Once.reset tpch_runs_cache;
-  Vp_parallel.Cost_cache.(clear global)
+  Vp_parallel.Once.reset tpch_runs_cache
 
 let find_run name =
   List.find

@@ -34,18 +34,14 @@ type algo_run = {
   optimization_time : float;  (** Sum of per-table optimization times. *)
 }
 
-val cached_oracle : Vp_cost.Disk.t -> Workload.t -> Partitioner.cost_fn
-(** An {!Vp_cost.Io_model.oracle} memoized through the global
-    {!Vp_parallel.Cost_cache} — the oracle every experiment should use. *)
-
 val tpch_runs : unit -> algo_run list
 (** Every algorithm (including baselines) on every TPC-H table under the
     default setting. Computed once and cached; safe to call from several
     domains at once. *)
 
 val reset_caches : unit -> unit
-(** Drops the memoized TPC-H sweep and clears the global cost cache, so the
-    next computation starts cold (benchmark harness only). *)
+(** Drops the memoized TPC-H sweep, so the next computation starts cold
+    (benchmark harness only). *)
 
 val run_algorithms_on :
   Vp_cost.Disk.t -> Workload.t list -> Partitioner.t list -> algo_run list

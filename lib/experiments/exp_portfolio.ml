@@ -23,7 +23,7 @@ let singles () =
   @ Vp_algorithms.Registry.baselines
 
 let run_budgeted (algo : Partitioner.t) workload =
-  let oracle = Common.cached_oracle Common.disk workload in
+  let oracle = Vp_cost.Io_model.oracle Common.disk workload in
   let delta = Vp_cost.Io_model.Incremental.factory Common.disk workload in
   let budget = Vp_robust.Budget.create ~max_steps:steps () in
   Partitioner.exec algo

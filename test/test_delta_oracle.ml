@@ -327,28 +327,6 @@ let test_session_closures () =
           [ Attr_set.singleton 0; Attr_set.of_list [ 1; 2; 3 ]; Attr_set.singleton 4 ]))
     (s.Partitioner.Delta.cost_move ~attr:1 ~dst:(Attr_set.of_list [ 2; 3 ]))
 
-(* The kill switch gates [Request.delta], not the sessions themselves. *)
-let test_kill_switch () =
-  let w = Testutil.partsupp_workload in
-  let delta = Vp_cost.Io_model.Incremental.factory disk w in
-  let r =
-    Partitioner.Request.make ~delta
-      ~cost:(Vp_cost.Io_model.oracle disk w)
-      w
-  in
-  let was = Partitioner.Delta.enabled () in
-  Fun.protect
-    ~finally:(fun () -> Partitioner.Delta.set_enabled was)
-    (fun () ->
-      Partitioner.Delta.set_enabled true;
-      Alcotest.(check bool)
-        "factory visible when enabled" true
-        (Option.is_some (Partitioner.Request.delta r));
-      Partitioner.Delta.set_enabled false;
-      Alcotest.(check bool)
-        "factory hidden when disabled" true
-        (Option.is_none (Partitioner.Request.delta r)))
-
 (* --- qcheck: random workloads, random bases, random moves ------------ *)
 
 let prop_random_workloads =
@@ -387,7 +365,5 @@ let suite =
       test_random_walk;
     Alcotest.test_case "session closures mirror the module" `Quick
       test_session_closures;
-    Alcotest.test_case "kill switch gates Request.delta" `Quick
-      test_kill_switch;
     Testutil.qtest prop_random_workloads;
   ]

@@ -100,13 +100,13 @@ let prop_traced_algorithms_identical =
           n1 = n2 && Int64.equal c1 c2 && Vp_core.Partitioning.equal p1 p2)
         off on)
 
-(* The incremental delta oracle must be invisible end to end: with the
-   kill switch off (the VP_NO_DELTA path, full re-costing) and on, every
+(* The incremental delta oracle must be invisible end to end: with and
+   without a delta factory on the request (full re-costing), every
    registered algorithm produces byte-identical layouts, cost bits,
    status and provenance over the TPC-H line-up — through the parallel
    runner at 1 and 4 jobs, traced and untraced. *)
 
-let render_lineup ~jobs () =
+let render_lineup ~delta ~jobs () =
   let open Vp_core in
   let disk = Vp_experiments.Common.disk in
   let workloads = Vp_benchmarks.Tpch.workloads ~sf:1.0 in
@@ -114,10 +114,13 @@ let render_lineup ~jobs () =
     workloads
     |> List.map (fun w ->
            let oracle = Vp_cost.Io_model.oracle disk w in
-           let delta = Vp_cost.Io_model.Incremental.factory disk w in
+           let delta =
+             if delta then Some (Vp_cost.Io_model.Incremental.factory disk w)
+             else None
+           in
            let r =
              Partitioner.exec a
-               (Partitioner.Request.make ~label:"determinism" ~delta
+               (Partitioner.Request.make ~label:"determinism" ?delta
                   ~cost:oracle w)
            in
            let p = r.Partitioner.Response.provenance in
@@ -146,24 +149,19 @@ let render_lineup ~jobs () =
   |> String.concat "\n"
 
 let test_delta_on_off_byte_identical () =
-  let was = Vp_core.Partitioner.Delta.enabled () in
-  Fun.protect
-    ~finally:(fun () -> Vp_core.Partitioner.Delta.set_enabled was)
-    (fun () ->
+  List.iter
+    (fun jobs ->
       List.iter
-        (fun jobs ->
-          List.iter
-            (fun (level_name, level) ->
-              let run enabled =
-                Vp_core.Partitioner.Delta.set_enabled enabled;
-                Vp_observe.Switch.with_level level (render_lineup ~jobs)
-              in
-              let with_delta = run true and without = run false in
-              Alcotest.(check string)
-                (Printf.sprintf "delta = full, jobs=%d, %s" jobs level_name)
-                without with_delta)
-            [ ("untraced", Vp_observe.Switch.Off); ("traced", Vp_observe.Switch.Trace) ])
-        [ 1; 4 ])
+        (fun (level_name, level) ->
+          let run delta =
+            Vp_observe.Switch.with_level level (render_lineup ~delta ~jobs)
+          in
+          let with_delta = run true and without = run false in
+          Alcotest.(check string)
+            (Printf.sprintf "delta = full, jobs=%d, %s" jobs level_name)
+            without with_delta)
+        [ ("untraced", Vp_observe.Switch.Off); ("traced", Vp_observe.Switch.Trace) ])
+    [ 1; 4 ]
 
 let suite =
   [

@@ -78,29 +78,6 @@ let test_algorithms_return_valid_partitionings () =
       lineup
   done
 
-let test_cached_cost_equals_uncached () =
-  let root = Vp_datagen.Prng.create 0xCAFEL in
-  for i = 0 to pair_count - 1 do
-    let w = random_workload root i in
-    let oracle = Vp_cost.Io_model.oracle disk w in
-    let cache = Vp_parallel.Cost_cache.create () in
-    let cached = Vp_parallel.Cost_cache.oracle ~cache disk w in
-    let qcached = Vp_parallel.Cost_cache.query_oracle ~cache disk w in
-    List.iter
-      (fun (a : Partitioner.t) ->
-        let ctx = Printf.sprintf "%s on pair %d" a.Partitioner.name i in
-        let p = (Partitioner.exec a (Partitioner.Request.make ~cost:oracle w)).Partitioner.Response.partitioning in
-        let uncached = Vp_cost.Io_model.workload_cost disk w p in
-        (* Twice each: the second evaluation is a cache hit. *)
-        Alcotest.(check (float 0.)) (ctx ^ ": cached miss") uncached (cached p);
-        Alcotest.(check (float 0.)) (ctx ^ ": cached hit") uncached (cached p);
-        Alcotest.(check (float 0.)) (ctx ^ ": query-cached miss") uncached
-          (qcached p);
-        Alcotest.(check (float 0.)) (ctx ^ ": query-cached hit") uncached
-          (qcached p))
-      lineup
-  done
-
 (* The degradation contract (DESIGN.md): a budgeted run always returns a
    valid partitioning, its status is consistent with the budget's state,
    and growing the budget never yields a more expensive layout — each
@@ -174,49 +151,47 @@ let test_budget_monotonicity () =
    diverge. *)
 let test_budget_delta_parity () =
   let root = Vp_datagen.Prng.create 0xDE17AL in
-  let was = Partitioner.Delta.enabled () in
-  Fun.protect
-    ~finally:(fun () -> Partitioner.Delta.set_enabled was)
-    (fun () ->
-      for i = 0 to 14 do
-        let w = random_workload root i in
+  for i = 0 to 14 do
+    let w = random_workload root i in
+    List.iter
+      (fun (a : Partitioner.t) ->
         List.iter
-          (fun (a : Partitioner.t) ->
-            List.iter
-              (fun max_steps ->
-                let run enabled =
-                  Partitioner.Delta.set_enabled enabled;
-                  let budget = Vp_robust.Budget.create ~max_steps () in
-                  let oracle = Vp_cost.Io_model.oracle disk w in
-                  let delta = Vp_cost.Io_model.Incremental.factory disk w in
-                  let r =
-                    Partitioner.exec a
-                      (Partitioner.Request.make ~budget ~delta ~cost:oracle w)
-                  in
-                  Printf.sprintf "%s cost=%Lx status=%s calls=%d candidates=%d"
-                    (Partitioning.to_string r.Partitioner.Response.partitioning)
-                    (Int64.bits_of_float r.Partitioner.Response.cost)
-                    (match r.Partitioner.Response.status with
-                    | Partitioner.Complete -> "complete"
-                    | Partitioner.Timed_out { steps; _ } ->
-                        Printf.sprintf "timed_out:%d" steps)
-                    r.Partitioner.Response.stats.Partitioner.cost_calls
-                    r.Partitioner.Response.stats.Partitioner.candidates
-                in
-                let full = run false in
-                let with_delta = run true in
-                Alcotest.(check string)
-                  (Printf.sprintf "%s on pair %d, %d steps: delta = full"
-                     a.Partitioner.name i max_steps)
-                  full with_delta)
-              budget_ladder)
-          (Vp_algorithms.Registry.six
+          (fun max_steps ->
+            let run enabled =
+              let budget = Vp_robust.Budget.create ~max_steps () in
+              let oracle = Vp_cost.Io_model.oracle disk w in
+              let delta =
+                if enabled then Some (Vp_cost.Io_model.Incremental.factory disk w)
+                else None
+              in
+              let r =
+                Partitioner.exec a
+                  (Partitioner.Request.make ~budget ?delta ~cost:oracle w)
+              in
+              Printf.sprintf "%s cost=%Lx status=%s calls=%d candidates=%d"
+                (Partitioning.to_string r.Partitioner.Response.partitioning)
+                (Int64.bits_of_float r.Partitioner.Response.cost)
+                (match r.Partitioner.Response.status with
+                | Partitioner.Complete -> "complete"
+                | Partitioner.Timed_out { steps; _ } ->
+                    Printf.sprintf "timed_out:%d" steps)
+                r.Partitioner.Response.stats.Partitioner.cost_calls
+                r.Partitioner.Response.stats.Partitioner.candidates
+            in
+            let full = run false in
+            let with_delta = run true in
+            Alcotest.(check string)
+              (Printf.sprintf "%s on pair %d, %d steps: delta = full"
+                 a.Partitioner.name i max_steps)
+              full with_delta)
+          budget_ladder)
+      (Vp_algorithms.Registry.six
       @ [
           Vp_experiments.Common.brute_force disk;
           Vp_algorithms.Ilp.with_bound disk;
           Vp_algorithms.Hypergraph.algorithm;
         ])
-      done)
+  done
 
 let test_algorithm_registry_errors () =
   Alcotest.(check bool) "find_opt unknown" true
@@ -242,8 +217,6 @@ let suite =
   [
     Alcotest.test_case "algorithms return valid partitionings" `Quick
       test_algorithms_return_valid_partitionings;
-    Alcotest.test_case "cached cost equals uncached" `Quick
-      test_cached_cost_equals_uncached;
     Alcotest.test_case "algorithm registry errors" `Quick
       test_algorithm_registry_errors;
     Alcotest.test_case "budget monotonicity" `Quick test_budget_monotonicity;

@@ -168,98 +168,7 @@ let test_once_exception_retries () =
       ignore (Vp_parallel.Once.get o));
   Alcotest.(check int) "retry succeeds" 2 (Vp_parallel.Once.get o)
 
-(* --- Cost_cache --- *)
-
-let some_partitionings n =
-  let state = Random.State.make [| 42 |] in
-  Partitioning.row n :: Partitioning.column n
-  :: List.init 10 (fun _ ->
-         Enumeration.random_partitioning (Random.State.int state) n)
-
-let test_cache_matches_io_model () =
-  let w = Testutil.partsupp_workload in
-  let n = Table.attribute_count (Workload.table w) in
-  let cache = Vp_parallel.Cost_cache.create () in
-  let cached = Vp_parallel.Cost_cache.oracle ~cache disk w in
-  let qcache = Vp_parallel.Cost_cache.create () in
-  let qcached = Vp_parallel.Cost_cache.query_oracle ~cache:qcache disk w in
-  (* Two passes: the second one is served from the cache and must return
-     bit-identical floats. *)
-  for pass = 1 to 2 do
-    List.iter
-      (fun p ->
-        let expect = Vp_cost.Io_model.workload_cost disk w p in
-        Alcotest.(check (float 0.))
-          (Printf.sprintf "whole-partitioning cache, pass %d" pass)
-          expect (cached p);
-        Alcotest.(check (float 0.))
-          (Printf.sprintf "query-grained cache, pass %d" pass)
-          expect (qcached p))
-      (some_partitionings n)
-  done;
-  let s = Vp_parallel.Cost_cache.stats cache in
-  Alcotest.(check bool) "whole-partitioning cache hits" true
-    (s.Vp_parallel.Cost_cache.hits > 0);
-  Alcotest.(check bool) "query cache hits" true
-    (Vp_parallel.Cost_cache.hit_rate qcache > 0.0)
-
-let test_cache_stats_and_clear () =
-  let w = Testutil.partsupp_workload in
-  let cache = Vp_parallel.Cost_cache.create () in
-  let cached = Vp_parallel.Cost_cache.oracle ~cache disk w in
-  let p = Partitioning.column 5 in
-  ignore (cached p);
-  ignore (cached p);
-  let s = Vp_parallel.Cost_cache.stats cache in
-  Alcotest.(check int) "one miss" 1 s.Vp_parallel.Cost_cache.misses;
-  Alcotest.(check int) "one hit" 1 s.Vp_parallel.Cost_cache.hits;
-  Alcotest.(check int) "one entry" 1 s.Vp_parallel.Cost_cache.entries;
-  Alcotest.(check (float 1e-9)) "hit rate" 0.5
-    (Vp_parallel.Cost_cache.hit_rate cache);
-  Vp_parallel.Cost_cache.clear cache;
-  let s = Vp_parallel.Cost_cache.stats cache in
-  Alcotest.(check int) "cleared entries" 0 s.Vp_parallel.Cost_cache.entries;
-  Alcotest.(check int) "cleared hits" 0 s.Vp_parallel.Cost_cache.hits
-
-let test_cache_kill_switch () =
-  let w = Testutil.partsupp_workload in
-  let cache = Vp_parallel.Cost_cache.create () in
-  let cached = Vp_parallel.Cost_cache.oracle ~cache disk w in
-  let p = Partitioning.row 5 in
-  Fun.protect
-    ~finally:(fun () -> Vp_parallel.Cost_cache.set_caching_enabled true)
-    (fun () ->
-      Vp_parallel.Cost_cache.set_caching_enabled false;
-      Alcotest.(check bool) "reports disabled" false
-        (Vp_parallel.Cost_cache.caching_enabled ());
-      Alcotest.(check (float 0.)) "pass-through value"
-        (Vp_cost.Io_model.workload_cost disk w p)
-        (cached p);
-      let s = Vp_parallel.Cost_cache.stats cache in
-      Alcotest.(check int) "no lookups recorded" 0
-        (s.Vp_parallel.Cost_cache.hits + s.Vp_parallel.Cost_cache.misses))
-
-let test_fingerprint_sensitivity () =
-  let w = Testutil.partsupp_workload in
-  let fp = Vp_parallel.Cost_cache.fingerprint disk w in
-  Alcotest.(check string) "deterministic" fp
-    (Vp_parallel.Cost_cache.fingerprint disk w);
-  let bigger_buffer =
-    Vp_cost.Disk.with_buffer_size disk (2 * disk.Vp_cost.Disk.buffer_size)
-  in
-  Alcotest.(check bool) "disk profile changes it" true
-    (fp <> Vp_parallel.Cost_cache.fingerprint bigger_buffer w);
-  let reweighted =
-    Workload.make (Workload.table w)
-      [
-        Query.make ~name:"Q1" ~weight:2.0
-          ~references:(Query.references Testutil.partsupp_q1)
-          ();
-        Testutil.partsupp_q2;
-      ]
-  in
-  Alcotest.(check bool) "query weight changes it" true
-    (fp <> Vp_parallel.Cost_cache.fingerprint disk reweighted)
+(* --- Cost_cache: the per-run search memo --- *)
 
 let test_counted_cache () =
   let w = Testutil.partsupp_workload in
@@ -307,6 +216,47 @@ let test_counted_cache_late_groups () =
   Alcotest.(check (float 0.)) "second hits" 1.0 (cost_of p2);
   Alcotest.(check int) "no further calls" 2 (Partitioner.Counted.calls oracle)
 
+(* The bench report's cache_hits / cache_misses are the [cache.hits] /
+   [cache.misses] counter deltas around an algorithm's runs. HillClimb,
+   AutoPart and HYRISE price every candidate through their memo, so a
+   memo miss is exactly a cost call and a memo hit exactly a candidate
+   without one: the counter deltas must equal those. A merge-only climb
+   never meets a candidate twice (each step has one group fewer), so
+   HillClimb and AutoPart miss every time; HYRISE's second phase
+   re-prices its first phase's neighbourhood through the same memo, so
+   it must hit. *)
+let test_memo_counters () =
+  let w = Vp_benchmarks.Tpch.workload ~sf:1.0 "partsupp" in
+  let counts () =
+    let s = Vp_observe.Stats.snapshot () in
+    ( Vp_observe.Stats.counter_value s "cache.hits",
+      Vp_observe.Stats.counter_value s "cache.misses" )
+  in
+  let hits_of (a : Partitioner.t) =
+    let hits0, misses0 = counts () in
+    let r =
+      Partitioner.exec a
+        (Partitioner.Request.make
+           ~delta:(Vp_cost.Io_model.Incremental.factory disk w)
+           ~cost:(Vp_cost.Io_model.oracle disk w) w)
+    in
+    let hits1, misses1 = counts () in
+    let s = r.Partitioner.Response.stats in
+    Alcotest.(check int)
+      (a.Partitioner.name ^ ": misses = cost calls")
+      s.Partitioner.cost_calls (misses1 - misses0);
+    Alcotest.(check int)
+      (a.Partitioner.name ^ ": hits = candidates - cost calls")
+      (s.Partitioner.candidates - s.Partitioner.cost_calls)
+      (hits1 - hits0);
+    hits1 - hits0
+  in
+  Vp_observe.Switch.with_level Vp_observe.Switch.Stats (fun () ->
+      ignore (hits_of Vp_algorithms.Hillclimb.algorithm);
+      ignore (hits_of Vp_algorithms.Autopart.algorithm);
+      Alcotest.(check bool) "HYRISE hits its memo" true
+        (hits_of Vp_algorithms.Hyrise.algorithm > 0))
+
 (* --- Runner --- *)
 
 let test_runner_ordering () =
@@ -342,12 +292,10 @@ let suite =
       test_with_pool_survives_worker_death;
     Alcotest.test_case "once" `Quick test_once;
     Alcotest.test_case "once exception retries" `Quick test_once_exception_retries;
-    Alcotest.test_case "cache matches io model" `Quick test_cache_matches_io_model;
-    Alcotest.test_case "cache stats + clear" `Quick test_cache_stats_and_clear;
-    Alcotest.test_case "cache kill switch" `Quick test_cache_kill_switch;
-    Alcotest.test_case "fingerprint sensitivity" `Quick test_fingerprint_sensitivity;
     Alcotest.test_case "counted cache" `Quick test_counted_cache;
     Alcotest.test_case "counted cache late groups" `Quick
       test_counted_cache_late_groups;
+    Alcotest.test_case "memo counters match the memo" `Quick
+      test_memo_counters;
     Alcotest.test_case "runner ordering" `Quick test_runner_ordering;
   ]
