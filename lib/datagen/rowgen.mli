@@ -6,7 +6,9 @@ open Vp_core
     a private PRNG stream from (seed, table name, i) — so any subset of a
     table can be produced in any order, which the storage simulator uses to
     build partition files column group by column group without holding the
-    whole table in memory. *)
+    whole table in memory. Each column's generator (with the table's
+    stream and the attribute salts) is resolved once per {!chunk} or
+    {!row} call, not per value. *)
 
 type t
 

@@ -21,57 +21,48 @@ let columns c = Array.to_list c.cols
 
 (* --- byte helpers --- *)
 
-let put_fixed_int buf v width =
+(* Little-endian unsigned code of 1-4 bytes (dictionary codes). *)
+let set_code b pos v width =
   for k = 0 to width - 1 do
-    Buffer.add_char buf (Char.chr ((v lsr (8 * k)) land 0xFF))
+    Bytes.set b (pos + k) (Char.unsafe_chr ((v lsr (8 * k)) land 0xFF))
   done
 
-let get_fixed_int b pos width =
+let get_code b pos width =
   let v = ref 0 in
   for k = width - 1 downto 0 do
     v := (!v lsl 8) lor Char.code (Bytes.get b (pos + k))
   done;
   !v
 
-let put_padded buf s width =
-  let len = min (String.length s) width in
-  Buffer.add_substring buf s 0 len;
-  for _ = len + 1 to width do
-    Buffer.add_char buf '\000'
-  done
+(* The wire format of an int column is the value's low 32 bits;
+   reading sign-extends them. *)
+let get_int32 b pos = Int32.to_int (Bytes.get_int32_le b pos)
 
+let get_float b pos = Int64.float_of_bits (Bytes.get_int64_le b pos)
+
+(* A padded string ends at its first NUL. *)
 let get_padded b pos width =
-  let raw = Bytes.sub_string b pos width in
-  match String.index_opt raw '\000' with
-  | Some cut -> String.sub raw 0 cut
-  | None -> raw
-
-let put_float buf f =
-  let bits = Int64.bits_of_float f in
-  for k = 0 to 7 do
-    Buffer.add_char buf
-      (Char.chr (Int64.to_int (Int64.shift_right_logical bits (8 * k)) land 0xFF))
-  done
-
-let get_float b pos =
-  let bits = ref 0L in
-  for k = 7 downto 0 do
-    bits := Int64.logor (Int64.shift_left !bits 8)
-        (Int64.of_int (Char.code (Bytes.get b (pos + k))))
+  let cut = ref 0 in
+  while !cut < width && Bytes.get b (pos + !cut) <> '\000' do
+    incr cut
   done;
-  Int64.float_of_bits !bits
+  Bytes.sub_string b pos !cut
 
 (* Zig-zag varint (values can be any int). *)
-let put_varint buf v =
-  let z = (v lsl 1) lxor (v asr 62) in
-  let rec go z =
-    if z land lnot 0x7F = 0 then Buffer.add_char buf (Char.chr z)
+let zigzag v = (v lsl 1) lxor (v asr 62)
+
+let set_varint b pos v =
+  let rec go pos z =
+    if z land lnot 0x7F = 0 then begin
+      Bytes.set b pos (Char.unsafe_chr z);
+      pos + 1
+    end
     else begin
-      Buffer.add_char buf (Char.chr (0x80 lor (z land 0x7F)));
-      go (z lsr 7)
+      Bytes.set b pos (Char.unsafe_chr (0x80 lor (z land 0x7F)));
+      go (pos + 1) (z lsr 7)
     end
   in
-  go z
+  go pos (zigzag v)
 
 let get_varint b pos =
   let rec go pos shift acc =
@@ -82,6 +73,10 @@ let get_varint b pos =
   in
   let z, pos' = go pos 0 0 in
   ((z lsr 1) lxor (-(z land 1)), pos')
+
+let varint_len v =
+  let rec go z n = if z land lnot 0x7F = 0 then n else go (z lsr 7) (n + 1) in
+  go (zigzag v) 1
 
 (* --- training --- *)
 
@@ -159,11 +154,12 @@ module Train = struct
       seen = Array.map (fun _ -> Hashtbl.create 64) t_attrs;
     }
 
-  let feed b row =
-    if Array.length row <> Array.length b.t_attrs then
+  let feed b ~positions row =
+    if Array.length positions <> Array.length b.t_attrs then
       invalid_arg "Codec.Train.feed: arity mismatch";
     Array.iteri
-      (fun c v ->
+      (fun c p ->
+        let v = row.(p) in
         if not (Value.matches (Attribute.datatype b.t_attrs.(c)) v) then
           invalid_arg
             (Printf.sprintf "Codec.train: value/type mismatch in column %s"
@@ -172,7 +168,7 @@ module Train = struct
         | Dictionary, Value.Str s ->
             if not (Hashtbl.mem b.seen.(c) s) then Hashtbl.add b.seen.(c) s ()
         | _, (Value.Int _ | Value.Num _ | Value.Str _) -> ())
-      row
+      positions
 
   let finish b =
     let dict c =
@@ -204,68 +200,76 @@ let dict_code col s =
     invalid_arg (Printf.sprintf "Codec: value %S not in dictionary" s);
   !found
 
+let mismatch () = invalid_arg "Codec.encode: value/type mismatch"
+
+(* The one write-side encoder: group column [c] is [row.(positions.(c))],
+   written at [pos]; returns the position after the row. *)
+let encode_into codec ~positions row b ~pos =
+  let pos = ref pos in
+  for c = 0 to Array.length codec.cols - 1 do
+    let col = codec.cols.(c) in
+    pos :=
+      match (codec.kind, Attribute.datatype col.attr, row.(positions.(c))) with
+      | (Plain | Dictionary), (Attribute.Int32 | Attribute.Date), Value.Int i
+        ->
+          Bytes.set_int32_le b !pos (Int32.of_int i);
+          !pos + 4
+      | (Plain | Dictionary | Varlen), Attribute.Decimal, Value.Num f ->
+          Bytes.set_int64_le b !pos (Int64.bits_of_float f);
+          !pos + 8
+      | Plain, (Attribute.Char w | Attribute.Varchar w), Value.Str s ->
+          let len = min (String.length s) w in
+          Bytes.blit_string s 0 b !pos len;
+          Bytes.fill b (!pos + len) (w - len) '\000';
+          !pos + w
+      | Dictionary, (Attribute.Char _ | Attribute.Varchar _), Value.Str s ->
+          set_code b !pos (dict_code col s) col.code_width;
+          !pos + col.code_width
+      | Varlen, (Attribute.Int32 | Attribute.Date), Value.Int i ->
+          set_varint b !pos i
+      | Varlen, (Attribute.Char _ | Attribute.Varchar _), Value.Str s ->
+          let p = set_varint b !pos (String.length s) in
+          Bytes.blit_string s 0 b p (String.length s);
+          p + String.length s
+      | _, _, (Value.Int _ | Value.Num _ | Value.Str _) -> mismatch ()
+  done;
+  !pos
+
+(* A fixed-stride row's width is the sum of its column widths. *)
+let fixed_row_width codec =
+  match codec.kind with
+  | Varlen -> None
+  | Plain | Dictionary ->
+      Some (Array.fold_left (fun acc col -> acc + col.code_width) 0 codec.cols)
+
+(* A Varlen row's width is summed per value (validating types). *)
+let encoded_width codec ~positions row =
+  match fixed_row_width codec with
+  | Some w -> w
+  | None ->
+      let total = ref 0 in
+      for c = 0 to Array.length codec.cols - 1 do
+        total :=
+          !total
+          +
+          match
+            (Attribute.datatype codec.cols.(c).attr, row.(positions.(c)))
+          with
+          | (Attribute.Int32 | Attribute.Date), Value.Int i -> varint_len i
+          | Attribute.Decimal, Value.Num _ -> 8
+          | (Attribute.Char _ | Attribute.Varchar _), Value.Str s ->
+              varint_len (String.length s) + String.length s
+          | _, (Value.Int _ | Value.Num _ | Value.Str _) -> mismatch ()
+      done;
+      !total
+
 let encode_row codec row =
   if Array.length row <> Array.length codec.cols then
     invalid_arg "Codec.encode_row: arity mismatch";
-  let buf = Buffer.create 64 in
-  Array.iteri
-    (fun c v ->
-      let col = codec.cols.(c) in
-      match (codec.kind, Attribute.datatype col.attr, v) with
-      | (Plain | Dictionary), (Attribute.Int32 | Attribute.Date), Value.Int i ->
-          put_fixed_int buf i 4
-      | (Plain | Dictionary), Attribute.Decimal, Value.Num f -> put_float buf f
-      | Plain, (Attribute.Char w | Attribute.Varchar w), Value.Str s ->
-          put_padded buf s w
-      | Dictionary, (Attribute.Char _ | Attribute.Varchar _), Value.Str s ->
-          put_fixed_int buf (dict_code col s) col.code_width
-      | Varlen, (Attribute.Int32 | Attribute.Date), Value.Int i ->
-          put_varint buf i
-      | Varlen, Attribute.Decimal, Value.Num f -> put_float buf f
-      | Varlen, (Attribute.Char _ | Attribute.Varchar _), Value.Str s ->
-          put_varint buf (String.length s);
-          Buffer.add_string buf s
-      | _, _, (Value.Int _ | Value.Num _ | Value.Str _) ->
-          invalid_arg "Codec.encode_row: value/type mismatch")
-    row;
-  Buffer.to_bytes buf
-
-let varint_len v =
-  let z = (v lsl 1) lxor (v asr 62) in
-  let rec go z n = if z land lnot 0x7F = 0 then n else go (z lsr 7) (n + 1) in
-  go z 1
-
-(* Byte length [encode_row] would produce, without allocating — the
-   accounting-only path of the streaming builders. Validates like
-   [encode_row]. *)
-let encoded_width codec row =
-  if Array.length row <> Array.length codec.cols then
-    invalid_arg "Codec.encode_row: arity mismatch";
-  let total = ref 0 in
-  Array.iteri
-    (fun c v ->
-      let col = codec.cols.(c) in
-      let w =
-        match (codec.kind, Attribute.datatype col.attr, v) with
-        | (Plain | Dictionary), (Attribute.Int32 | Attribute.Date), Value.Int _
-          ->
-            4
-        | (Plain | Dictionary), Attribute.Decimal, Value.Num _ -> 8
-        | Plain, (Attribute.Char w | Attribute.Varchar w), Value.Str _ -> w
-        | Dictionary, (Attribute.Char _ | Attribute.Varchar _), Value.Str s ->
-            ignore (dict_code col s);
-            col.code_width
-        | Varlen, (Attribute.Int32 | Attribute.Date), Value.Int i ->
-            varint_len i
-        | Varlen, Attribute.Decimal, Value.Num _ -> 8
-        | Varlen, (Attribute.Char _ | Attribute.Varchar _), Value.Str s ->
-            varint_len (String.length s) + String.length s
-        | _, _, (Value.Int _ | Value.Num _ | Value.Str _) ->
-            invalid_arg "Codec.encode_row: value/type mismatch"
-      in
-      total := !total + w)
-    row;
-  !total
+  let positions = Array.init (Array.length row) Fun.id in
+  let b = Bytes.create (encoded_width codec ~positions row) in
+  ignore (encode_into codec ~positions row b ~pos:0);
+  b
 
 let decode_row codec b ~pos =
   let n = Array.length codec.cols in
@@ -273,55 +277,114 @@ let decode_row codec b ~pos =
   let pos = ref pos in
   for c = 0 to n - 1 do
     let col = codec.cols.(c) in
-    (match (codec.kind, Attribute.datatype col.attr) with
+    match (codec.kind, Attribute.datatype col.attr) with
     | (Plain | Dictionary), (Attribute.Int32 | Attribute.Date) ->
-        (* Sign-extend: the wire format is the value's low 32 bits. *)
-        let raw = get_fixed_int b !pos 4 in
-        let v = if raw land 0x80000000 <> 0 then raw - (1 lsl 32) else raw in
-        out.(c) <- Value.Int v;
+        out.(c) <- Value.Int (get_int32 b !pos);
         pos := !pos + 4
-    | (Plain | Dictionary), Attribute.Decimal ->
+    | (Plain | Dictionary | Varlen), Attribute.Decimal ->
         out.(c) <- Value.Num (get_float b !pos);
         pos := !pos + 8
     | Plain, (Attribute.Char w | Attribute.Varchar w) ->
         out.(c) <- Value.Str (get_padded b !pos w);
         pos := !pos + w
     | Dictionary, (Attribute.Char _ | Attribute.Varchar _) ->
-        let code = get_fixed_int b !pos col.code_width in
-        out.(c) <- Value.Str col.dictionary.(code);
+        out.(c) <- Value.Str col.dictionary.(get_code b !pos col.code_width);
         pos := !pos + col.code_width
     | Varlen, (Attribute.Int32 | Attribute.Date) ->
         let v, p = get_varint b !pos in
         out.(c) <- Value.Int v;
         pos := p
-    | Varlen, Attribute.Decimal ->
-        out.(c) <- Value.Num (get_float b !pos);
-        pos := !pos + 8
     | Varlen, (Attribute.Char _ | Attribute.Varchar _) ->
         let len, p = get_varint b !pos in
         out.(c) <- Value.Str (Bytes.sub_string b p len);
-        pos := p + len);
-    ()
+        pos := p + len
   done;
   (out, !pos)
 
-let fixed_row_width codec =
-  match codec.kind with
-  | Varlen -> None
+(* --- projected digests ---
+
+   The executor's checksum is a commutative sum of per-value hashes over
+   the projected columns. A projection compiles, once per scan, where
+   each projected column sits in a fixed-stride row and, for dictionary
+   columns, the hash of every dictionary entry; digesting then reads the
+   projected values straight from the block bytes, column by column,
+   without building rows or boxing values. *)
+
+let int_hash (i : int) = Hashtbl.hash i
+
+let num_hash f = Hashtbl.hash (Float.round (f *. 100.0))
+
+let str_hash (s : string) = Hashtbl.hash s
+
+type projection = {
+  p_codec : t;
+  p_stride : int;
+  p_cols : int array;  (** projected group columns *)
+  p_offsets : int array;  (** byte offset in a fixed-stride row *)
+  p_hashes : int array array;  (** dictionary entry hashes, per column *)
+}
+
+let project codec cols =
+  let offsets = Array.make (Array.length codec.cols) 0 in
+  for c = 1 to Array.length codec.cols - 1 do
+    offsets.(c) <- offsets.(c - 1) + codec.cols.(c - 1).code_width
+  done;
+  {
+    p_codec = codec;
+    p_stride = Option.value (fixed_row_width codec) ~default:0;
+    p_cols = cols;
+    p_offsets = Array.map (fun c -> offsets.(c)) cols;
+    p_hashes =
+      Array.map
+        (fun c ->
+          match (codec.kind, Attribute.datatype codec.cols.(c).attr) with
+          | Dictionary, (Attribute.Char _ | Attribute.Varchar _) ->
+              Array.map str_hash codec.cols.(c).dictionary
+          | _ -> [||])
+        cols;
+  }
+
+let value_hash = function
+  | Value.Int i -> int_hash i
+  | Value.Num f -> num_hash f
+  | Value.Str s -> str_hash s
+
+let digest p b ~pos ~skip ~count =
+  let codec = p.p_codec in
+  let acc = ref 0 in
+  (match codec.kind with
+  | Varlen ->
+      let pos = ref pos in
+      for k = 0 to skip + count - 1 do
+        let row, next = decode_row codec b ~pos:!pos in
+        if k >= skip then
+          Array.iter (fun c -> acc := !acc + value_hash row.(c)) p.p_cols;
+        pos := next
+      done
   | Plain | Dictionary ->
-      Some
-        (Array.fold_left
-           (fun acc col ->
-             acc
-             +
-             match Attribute.datatype col.attr with
-             | Attribute.Int32 | Attribute.Date -> 4
-             | Attribute.Decimal -> 8
-             | Attribute.Char w | Attribute.Varchar w -> (
-                 match codec.kind with
-                 | Dictionary -> col.code_width
-                 | Plain | Varlen -> w))
-           0 codec.cols)
+      let stride = p.p_stride in
+      Array.iteri
+        (fun i c ->
+          let col = codec.cols.(c) in
+          let offset = pos + p.p_offsets.(i) in
+          (* column [c] of row [k] sits at [pos + k*stride + offset c] *)
+          let each hash =
+            for k = skip to skip + count - 1 do
+              acc := !acc + hash (offset + (k * stride))
+            done
+          in
+          match (codec.kind, Attribute.datatype col.attr) with
+          | _, (Attribute.Int32 | Attribute.Date) ->
+              each (fun at -> int_hash (get_int32 b at))
+          | _, Attribute.Decimal -> each (fun at -> num_hash (get_float b at))
+          | Plain, (Attribute.Char w | Attribute.Varchar w) ->
+              each (fun at -> str_hash (get_padded b at w))
+          | Dictionary, (Attribute.Char _ | Attribute.Varchar _) ->
+              let hashes = p.p_hashes.(i) and width = col.code_width in
+              each (fun at -> hashes.(get_code b at width))
+          | Varlen, _ -> assert false)
+        p.p_cols);
+  !acc
 
 let avg_row_width codec =
   if codec.avg_row_width > 0.0 then codec.avg_row_width

@@ -45,8 +45,8 @@ module Train : sig
 
   val create : kind -> Attribute.t list -> builder
 
-  val feed : builder -> Value.t array -> unit
-  (** One row, values in group column order.
+  val feed : builder -> positions:int array -> Value.t array -> unit
+  (** One full-table row; group column [k] is [row.(positions.(k))].
       @raise Invalid_argument on arity or value/type mismatch. *)
 
   val finish : builder -> t
@@ -61,19 +61,38 @@ val kind : t -> kind
 
 val columns : t -> column list
 
-val encode_row : t -> Value.t array -> Bytes.t
-(** Encodes one row (values in group column order). *)
+val encode_into :
+  t -> positions:int array -> Value.t array -> Bytes.t -> pos:int -> int
+(** [encode_into c ~positions row b ~pos] writes group column [k] =
+    [row.(positions.(k))] of a full-table row straight into [b] at [pos]
+    ({!encoded_width} bytes) and returns the position after the row.
+    @raise Invalid_argument on a value/type mismatch. *)
 
-val encoded_width : t -> Value.t array -> int
-(** [Bytes.length (encode_row c row)] without allocating the bytes — the
-    accounting-only path of the streaming storage builders. Validates
-    like {!encode_row}. *)
+val encoded_width : t -> positions:int array -> Value.t array -> int
+(** Bytes {!encode_into} writes: the stride of a fixed-stride codec, the
+    per-value sum (validating types) for [Varlen]. *)
+
+val encode_row : t -> Value.t array -> Bytes.t
+(** One row (values in group column order) into fresh bytes. *)
 
 val decode_row : t -> Bytes.t -> pos:int -> Value.t array * int
 (** [decode_row c b ~pos] decodes the row starting at [pos], returning the
     values and the position after the row. Decoding is exact for
     [Plain]/[Dictionary]/[Varlen] except that [Plain] and [Dictionary]
     truncate strings longer than the declared width. *)
+
+type projection
+(** A reader for some group columns: their offsets in a fixed-stride row
+    and, for dictionary columns, the hash of every entry. *)
+
+val project : t -> int array -> projection
+
+val digest : projection -> Bytes.t -> pos:int -> skip:int -> count:int -> int
+(** The executor's checksum of rows [skip .. skip+count-1] of the rows
+    encoded from [pos]: a commutative sum of [Hashtbl.hash] over the
+    projected values (decimals rounded to cents). Fixed-stride codecs
+    read column [c] of row [k] at [pos + k*stride + offset c]; [Varlen]
+    walks the rows with {!decode_row}. *)
 
 val fixed_row_width : t -> int option
 (** [Some w] for the fixed-stride codecs, [None] for [Varlen]. *)

@@ -33,34 +33,35 @@ let transform ~disk table source partitioning =
         (fun acc f -> acc + Table.subset_size table (Pfile.group f))
         0 targets
   in
-  let stream_requests ~row_size ~blocks =
-    if blocks = 0 then []
-    else begin
+  (* Issue one stream's requests, each [(first, count)] as it is
+     generated, so the schedule needs no storage however many requests
+     it has. *)
+  let stream_requests ~row_size ~blocks issue =
+    if blocks > 0 then begin
       let share = disk.Vp_cost.Disk.buffer_size * row_size / total_s in
       let per_request = max 1 (share / disk.Vp_cost.Disk.block_size) in
-      let rec go first acc =
-        if first >= blocks then List.rev acc
-        else
+      let rec go first =
+        if first < blocks then begin
           let count = min per_request (blocks - first) in
-          go (first + count) ((first, count) :: acc)
+          issue first count;
+          go (first + count)
+        end
       in
-      go 0 []
+      go 0
     end
   in
   (* Issue the read refills of the source and the write flushes of every
      target; with the per-request seek rule the interleaving order does not
      change the accounted time. *)
-  List.iter
-    (fun (first, count) -> Device.read device ~file:0 ~first_block:first ~count)
-    (stream_requests ~row_size:row_s ~blocks:(Pfile.block_count source_file));
+  stream_requests ~row_size:row_s ~blocks:(Pfile.block_count source_file)
+    (fun first count -> Device.read device ~file:0 ~first_block:first ~count);
   List.iteri
     (fun i f ->
-      List.iter
-        (fun (first, count) ->
-          Device.write device ~file:(i + 1) ~first_block:first ~count)
-        (stream_requests
-           ~row_size:(Table.subset_size table (Pfile.group f))
-           ~blocks:(Pfile.block_count f)))
+      stream_requests
+        ~row_size:(Table.subset_size table (Pfile.group f))
+        ~blocks:(Pfile.block_count f)
+        (fun first count ->
+          Device.write device ~file:(i + 1) ~first_block:first ~count))
     targets;
   {
     io = Device.stats device;

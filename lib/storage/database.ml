@@ -26,40 +26,7 @@ let build ?device ?(retain = true) ~disk ~codec ?formats table source
   in
   let rows = Vp_stream.Source.row_count source in
   (* Pass 1 (only when some group is dictionary-coded): train codecs. *)
-  let trainers =
-    List.map2
-      (fun group kind ->
-        let positions = Array.of_list (Attr_set.to_list group) in
-        let attrs =
-          Array.to_list (Array.map (Table.attribute table) positions)
-        in
-        match kind with
-        | Codec.Plain | Codec.Varlen ->
-            `Trained
-              (Codec.train kind attrs (Array.map (fun _ -> [||]) positions))
-        | Codec.Dictionary ->
-            `Training (positions, Codec.Train.create kind attrs))
-      groups kinds
-  in
-  if List.exists (function `Training _ -> true | _ -> false) trainers then
-    Vp_stream.Source.iter source (fun ~first_row:_ chunk ->
-        List.iter
-          (function
-            | `Trained _ -> ()
-            | `Training (positions, tb) ->
-                Array.iter
-                  (fun row ->
-                    Codec.Train.feed tb
-                      (Array.map (fun p -> row.(p)) positions))
-                  chunk)
-          trainers);
-  let codecs =
-    List.map
-      (function
-        | `Trained c -> c
-        | `Training (_, tb) -> Codec.Train.finish tb)
-      trainers
-  in
+  let codecs = Pfile.train table source groups kinds in
   (* Pass 2: one streaming pass feeds every builder that needs rows. *)
   let builders =
     List.map2
@@ -126,20 +93,9 @@ type stream = {
                                   that the query projects *)
   in_group : bool;  (** group has attributes beyond the projected ones or
                         more than one column (stride decoding) *)
-  mutable buffered : Value.t array array;
-      (** decoded rows of one block of the buffered window *)
-  mutable buffered_first : int;
   mutable window_end : int;  (** first row past the buffered window *)
   mutable next_block : int;
 }
-
-(* Commutative (order-independent) digest: layouts deliver projected values
-   in partition order, which differs per layout, so the digest must not
-   depend on it. *)
-let checksum_value acc = function
-  | Value.Int i -> acc + Hashtbl.hash i
-  | Value.Num f -> acc + Hashtbl.hash (Float.round (f *. 100.0))
-  | Value.Str s -> acc + Hashtbl.hash s
 
 let make_streams db refs =
   let streams =
@@ -179,8 +135,6 @@ let make_streams db refs =
       sub_buffer_blocks;
       refs_in_group;
       in_group = List.length group_positions > 1;
-      buffered = [||];
-      buffered_first = 0;
       window_end = 0;
       next_block = 0;
     }
@@ -195,31 +149,28 @@ let window_rows pfile ~from_row ~last_block =
     Pfile.row_count pfile - from_row
   else Pfile.first_row_of_block pfile (last_block + 1) - from_row
 
-(* Decode the rows of [from_row]'s block that lie in the buffered
-   window. Decoding a block at a time, rather than the whole window at
-   refill, bounds the decoded rows held per stream by one block while
-   the device and CPU accounting stay per window. *)
-let decode_block s ~from_row =
-  let b = Pfile.block_of_row s.pfile from_row in
-  let block_end =
-    Pfile.first_row_of_block s.pfile b + Pfile.rows_in_block s.pfile b
-  in
-  s.buffered <-
-    Pfile.read_rows s.pfile ~first_row:from_row
-      ~count:(min s.window_end block_end - from_row);
-  s.buffered_first <- from_row
-
-(* The materialized executor: read every buffered window, decode it a
-   block at a time, reconstruct tuples row rank by row rank, checksum the
-   projected values. *)
+(* The materialized executor. Tuple-by-tuple reconstruction lives in the
+   accounting: row rank by row rank, every stream whose window is
+   exhausted refills (streams in partition order) and each tuple pays
+   the join CPU — the same float order as decoding rows would give. The
+   checksum is a commutative sum, so each refill digests its window's
+   projected values straight from the block bytes instead of building
+   rows. *)
 let run_query_materialized db streams rows =
   let device = Device.create db.disk in
   let cpu_ns = ref 0.0 in
   let values_decoded = ref 0 in
   let checksum = ref 0 in
+  let streams = Array.of_list streams in
+  let projections =
+    Array.map
+      (fun s -> Codec.project (Pfile.codec s.pfile) s.refs_in_group)
+      streams
+  in
   (* Refill a stream's sub-buffer: read the next window of blocks, which
-     covers the rows from [from_row], and account their decode. *)
-  let refill s ~from_row =
+     covers the rows from [from_row], account their decode and digest
+     them. *)
+  let refill i s ~from_row =
     let total_blocks = Pfile.block_count s.pfile in
     if s.next_block < total_blocks then begin
       let count = min s.sub_buffer_blocks (total_blocks - s.next_block) in
@@ -233,22 +184,23 @@ let run_query_materialized db streams rows =
       let kind = Codec.kind (Pfile.codec s.pfile) in
       let per_value = Codec.decode_ns_per_value kind ~in_group:s.in_group in
       cpu_ns := !cpu_ns +. (per_value *. float_of_int (rows_covered * cols));
-      values_decoded := !values_decoded + (rows_covered * cols)
-    end;
-    decode_block s ~from_row
+      values_decoded := !values_decoded + (rows_covered * cols);
+      checksum :=
+        !checksum
+        + Pfile.digest_rows s.pfile projections.(i) ~first_row:from_row
+            ~count:rows_covered
+    end
   in
-  let partitions_read = List.length streams in
+  let partitions_read = Array.length streams in
+  (* the first row at which some stream refills *)
+  let next_refill = ref 0 in
   for r = 0 to rows - 1 do
-    List.iter
-      (fun s ->
-        if r >= s.buffered_first + Array.length s.buffered then
-          if r >= s.window_end then refill s ~from_row:r
-          else decode_block s ~from_row:r;
-        let row = s.buffered.(r - s.buffered_first) in
-        Array.iter
-          (fun c -> checksum := checksum_value !checksum row.(c))
-          s.refs_in_group)
-      streams;
+    if r >= !next_refill then begin
+      Array.iteri (fun i s -> if r >= s.window_end then refill i s ~from_row:r)
+        streams;
+      next_refill :=
+        Array.fold_left (fun acc s -> min acc s.window_end) max_int streams
+    end;
     if partitions_read > 1 then
       cpu_ns := !cpu_ns +. (join_ns_per_tuple *. float_of_int (partitions_read - 1))
   done;

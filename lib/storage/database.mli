@@ -7,9 +7,11 @@ open Vp_core
     The executor mirrors the paper's query processing assumptions: all
     partitions referenced by a query are scanned concurrently through one
     shared I/O buffer, split among them in proportion to their (average)
-    row sizes; every sub-buffer refill pays a seek; tuples are
-    reconstructed row-rank by row-rank and handed to the (simulated) query
-    executor tuple by tuple. *)
+    row sizes; every sub-buffer refill pays a seek. Tuple-by-tuple
+    reconstruction is simulated in the accounting (refills and join CPU
+    row rank by row rank); the retained path builds no rows, but digests
+    each refilled window's projected values straight from the block
+    bytes. *)
 
 type t
 

@@ -74,12 +74,13 @@ let blocks_spanning f ~first_row ~count =
 
 (* --- building ---
 
-   One builder per target file; rows arrive as full-table chunks and are
-   projected onto the group. [retain:true] packs actual encoded bytes —
-   byte-identical to the historic materialized build. [retain:false]
-   tracks only block geometry (encoded widths, block boundaries); and
-   when the codec has a fixed stride the geometry is value-independent,
-   so feeding rows becomes unnecessary altogether ([needs_rows = false])
+   One builder per target file; rows arrive as full-table chunks and
+   {!Codec.encode_into} writes each row's group columns straight into
+   the open block. [retain:true] packs actual encoded bytes — byte-
+   identical to the historic materialized build. [retain:false] tracks
+   only block geometry (encoded widths, block boundaries); and when the
+   codec has a fixed stride the geometry is value-independent, so
+   feeding rows becomes unnecessary altogether ([needs_rows = false])
    and [finish] computes the file analytically — the fast path that
    makes SF100-class simulation O(1) per file. The streamed identity
    tests pin all three paths to the same block counts and payload. *)
@@ -95,7 +96,7 @@ type builder = {
   b_fixed : int option;  (** fixed encoded width, when the codec has one *)
   mutable fed : int;
   (* current (open) block *)
-  buf : Buffer.t;
+  mutable cur_block : Bytes.t;  (** the open block's image when retained *)
   mutable cur_len : int;
   mutable cur_first : int;
   mutable cur_count : int;
@@ -120,7 +121,7 @@ let builder ~block_size ~codec ~retain ~rows table ~group =
     b_arity = Table.attribute_count table;
     b_fixed = Codec.fixed_row_width codec;
     fed = 0;
-    buf = Buffer.create (if retain then block_size else 0);
+    cur_block = Bytes.empty;
     cur_len = 0;
     cur_first = 0;
     cur_count = 0;
@@ -135,12 +136,7 @@ let needs_rows b = b.b_retain || b.b_fixed = None
 
 let flush b =
   if b.cur_count > 0 then begin
-    if b.b_retain then begin
-      let blk = Bytes.make b.b_block_size '\000' in
-      Bytes.blit_string (Buffer.contents b.buf) 0 blk 0 (Buffer.length b.buf);
-      b.blocks_rev <- blk :: b.blocks_rev;
-      Buffer.clear b.buf
-    end;
+    if b.b_retain then b.blocks_rev <- b.cur_block :: b.blocks_rev;
     b.first_rev <- b.cur_first :: b.first_rev;
     b.rows_rev <- b.cur_count :: b.rows_rev;
     b.n_blocks <- b.n_blocks + 1;
@@ -154,33 +150,25 @@ let feed b chunk =
       (fun row ->
         if Array.length row <> b.b_arity then
           invalid_arg "Pfile.build: row arity mismatch";
-        let projected = Array.map (fun p -> row.(p)) b.b_positions in
         let len =
-          if b.b_retain then begin
-            let encoded = Codec.encode_row b.b_codec projected in
-            let len = Bytes.length encoded in
-            if len > b.b_block_size then
-              invalid_arg
-                (Printf.sprintf
-                   "Pfile.build: row of %d bytes exceeds the %d-byte block"
-                   len b.b_block_size);
-            if b.cur_len + len > b.b_block_size then flush b;
-            if b.cur_count = 0 then b.cur_first <- b.fed;
-            Buffer.add_bytes b.buf encoded;
-            len
-          end
-          else begin
-            let len = Codec.encoded_width b.b_codec projected in
-            if len > b.b_block_size then
-              invalid_arg
-                (Printf.sprintf
-                   "Pfile.build: row of %d bytes exceeds the %d-byte block"
-                   len b.b_block_size);
-            if b.cur_len + len > b.b_block_size then flush b;
-            if b.cur_count = 0 then b.cur_first <- b.fed;
-            len
-          end
+          match b.b_fixed with
+          | Some w -> w
+          | None -> Codec.encoded_width b.b_codec ~positions:b.b_positions row
         in
+        if len > b.b_block_size then
+          invalid_arg
+            (Printf.sprintf
+               "Pfile.build: row of %d bytes exceeds the %d-byte block" len
+               b.b_block_size);
+        if b.cur_len + len > b.b_block_size then flush b;
+        if b.cur_count = 0 then begin
+          b.cur_first <- b.fed;
+          if b.b_retain then b.cur_block <- Bytes.make b.b_block_size '\000'
+        end;
+        if b.b_retain then
+          ignore
+            (Codec.encode_into b.b_codec ~positions:b.b_positions row
+               b.cur_block ~pos:b.cur_len);
         b.cur_len <- b.cur_len + len;
         b.cur_count <- b.cur_count + 1;
         b.payload <- b.payload + len;
@@ -275,28 +263,30 @@ let build ~block_size ~codec_kind table ~group rows =
   feed b rows;
   finish b
 
-let train_stream codec_kind table ~group source =
-  let positions = Array.of_list (Attr_set.to_list group) in
-  let attrs = Array.to_list (Array.map (Table.attribute table) positions) in
-  match codec_kind with
-  | Codec.Plain | Codec.Varlen ->
-      (* Data-independent: train on empty columns (validation happens at
-         encode/width time). *)
-      Codec.train codec_kind attrs
-        (Array.map (fun _ -> [||]) positions)
-  | Codec.Dictionary ->
-      let tb = Codec.Train.create codec_kind attrs in
-      Vp_stream.Source.iter source (fun ~first_row:_ chunk ->
-          Array.iter
-            (fun row ->
-              Codec.Train.feed tb (Array.map (fun p -> row.(p)) positions))
-            chunk);
-      Codec.Train.finish tb
+let train table source groups kinds =
+  let trainers =
+    List.map2
+      (fun group kind ->
+        let positions = Attr_set.to_list group in
+        ( kind,
+          Array.of_list positions,
+          Codec.Train.create kind (List.map (Table.attribute table) positions) ))
+      groups kinds
+  in
+  (* Only dictionaries need the data: one pass feeds all of them. *)
+  if List.mem Codec.Dictionary kinds then
+    Vp_stream.Source.iter source (fun ~first_row:_ chunk ->
+        List.iter
+          (fun (kind, positions, tb) ->
+            if kind = Codec.Dictionary then
+              Array.iter (Codec.Train.feed tb ~positions) chunk)
+          trainers);
+  List.map (fun (_, _, tb) -> Codec.Train.finish tb) trainers
 
 let build_stream ~block_size ~codec_kind ?(retain = true) table ~group source
     =
   if Attr_set.is_empty group then invalid_arg "Pfile.build: empty group";
-  let codec = train_stream codec_kind table ~group source in
+  let codec = List.hd (train table source [ group ] [ codec_kind ]) in
   let b =
     builder ~block_size ~codec ~retain
       ~rows:(Vp_stream.Source.row_count source)
@@ -306,38 +296,44 @@ let build_stream ~block_size ~codec_kind ?(retain = true) table ~group source
     Vp_stream.Source.iter source (fun ~first_row:_ chunk -> feed b chunk);
   finish b
 
-let read_rows f ~first_row ~count =
+(* Folds over the blocks holding rows [first_row .. first_row+count-1]
+   (clamped): [step acc block ~skip ~n] sees each block's bytes, the
+   rows to pass over at its start and the rows of the range it holds. *)
+let fold_range f ~first_row ~count ~init step =
   let blocks =
     match f.storage with
     | Blocks blocks -> blocks
-    | Virtual -> invalid_arg "Pfile.read_rows: virtual (accounting-only) file"
+    | Virtual -> invalid_arg "Pfile: virtual (accounting-only) file"
   in
-  if f.row_count = 0 || count <= 0 then [||]
-  else begin
-    let first_row = max 0 first_row in
-    let last_row = min (f.row_count - 1) (first_row + count - 1) in
-    if first_row > last_row then [||]
-    else begin
-      let out = Array.make (last_row - first_row + 1) [||] in
-      let bi = ref (block_of_row f first_row) in
-      let produced = ref 0 in
-      while !produced < Array.length out do
-        let block = blocks.(!bi) in
-        let block_first = first_row_of_block f !bi in
-        let in_block = rows_in_block f !bi in
-        (* Decode sequentially from the start of the block, emitting the
-           rows that fall in the requested range. *)
-        let pos = ref 0 in
-        for r = block_first to block_first + in_block - 1 do
-          let row, pos' = Codec.decode_row f.codec block ~pos:!pos in
-          pos := pos';
-          if r >= first_row && r <= last_row then begin
-            out.(r - first_row) <- row;
-            incr produced
-          end
-        done;
-        incr bi
+  let first_row = max 0 first_row in
+  let last_row = min (f.row_count - 1) (first_row + count - 1) in
+  let acc = ref init in
+  if count > 0 && first_row <= last_row then begin
+    let bi = ref (block_of_row f first_row) in
+    let row = ref first_row in
+    while !row <= last_row do
+      let block_first = first_row_of_block f !bi in
+      let n = min (last_row + 1) (block_first + rows_in_block f !bi) - !row in
+      acc := step !acc blocks.(!bi) ~skip:(!row - block_first) ~n;
+      row := !row + n;
+      incr bi
+    done
+  end;
+  !acc
+
+let read_rows f ~first_row ~count =
+  (* Decode sequentially from the start of each block, keeping the rows
+     that fall in the requested range. *)
+  fold_range f ~first_row ~count ~init:[] (fun acc block ~skip ~n ->
+      let pos = ref 0 and rows = ref acc in
+      for k = 0 to skip + n - 1 do
+        let row, next = Codec.decode_row f.codec block ~pos:!pos in
+        if k >= skip then rows := row :: !rows;
+        pos := next
       done;
-      out
-    end
-  end
+      !rows)
+  |> List.rev |> Array.of_list
+
+let digest_rows f projection ~first_row ~count =
+  fold_range f ~first_row ~count ~init:0 (fun acc block ~skip ~n ->
+      acc + Codec.digest projection block ~pos:0 ~skip ~count:n)

@@ -58,6 +58,16 @@ val build_stream :
     create one builder per file, feed every chunk to every builder that
     {!needs_rows}, and {!finish}. *)
 
+val train :
+  Table.t ->
+  Vp_stream.Source.t ->
+  Attr_set.t list ->
+  Codec.kind list ->
+  Codec.t list
+(** [train table source groups kinds] trains one codec per group. Only
+    dictionaries need the data, so the source is streamed once, and only
+    when some group is dictionary-coded. *)
+
 type builder
 
 val builder :
@@ -77,8 +87,10 @@ val needs_rows : builder -> bool
     {!finish} computes the file analytically. *)
 
 val feed : builder -> Value.t array array -> unit
-(** Append a chunk of full-table rows (the builder projects onto its
-    group). A no-op except row counting when [not (needs_rows b)]. *)
+(** Append a chunk of full-table rows: each row's group columns are
+    encoded straight into the open block ({!Codec.encode_into}), with no
+    per-row projection or buffer. A no-op except row counting when
+    [not (needs_rows b)]. *)
 
 val finish : builder -> t
 (** @raise Invalid_argument if the fed row count disagrees with the
@@ -104,8 +116,18 @@ val payload_bytes : t -> int
 
 val read_rows : t -> first_row:int -> count:int -> Value.t array array
 (** Decodes rows [first_row .. first_row+count-1] (clamped to the file's
-    end) in group column order — the in-memory half of a scan; the device
-    accounting happens in {!Database}.
+    end) in group column order. The executor does not build rows (see
+    {!digest_rows}); this is the reference decoder the tests fold its
+    checksum through.
+    @raise Invalid_argument on a virtual file. *)
+
+val digest_rows :
+  t -> Codec.projection -> first_row:int -> count:int -> int
+(** The {!Codec.digest} of rows [first_row .. first_row+count-1]
+    (clamped), read block by block straight from the block bytes — the
+    in-memory half of a scan; the device accounting happens in
+    {!Database}. Equals the value hashes of {!read_rows}' projected
+    columns summed (property-tested).
     @raise Invalid_argument on a virtual file. *)
 
 val block_of_row : t -> int -> int

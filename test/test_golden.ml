@@ -517,6 +517,151 @@ let test_optimizer_stats_golden () =
   in
   check_golden "optimizer stats" "golden/optimizer_stats.golden.txt" actual
 
+(* --- storage simulator golden ---
+
+   The generated data and the storage simulator's accounting at SF 0.01:
+   the stream digest of every TPC-H and SSB table (4,096-row chunks, so
+   every table of any size spans several), and for lineitem, orders and
+   partsupp under Row, Column and HillClimb layouts, every codec and
+   three buffer sizes, each partition file's geometry and each query's
+   rows, checksum, I/O, decoded-value count and CPU bit pattern. A
+   change to the generators, the encoder or the executor that alters any
+   generated value, encoded byte or accounted number fails here. *)
+
+let storage_sf = 0.01
+
+let storage_buffers = [ ("8MiB", Vp_cost.Disk.mb 8.0); ("64KiB", 65_536); ("16KiB", 16_384) ]
+
+let storage_codecs = Vp_storage.Codec.[ Plain; Dictionary; Varlen ]
+
+let storage_digest_lines () =
+  let gen = Vp_datagen.Rowgen.create () in
+  List.map
+    (fun (bench, tables) ->
+      String.concat ""
+        (List.map
+           (fun t ->
+             let s = Vp_stream.Source.of_rowgen ~chunk_rows:4_096 gen t in
+             Printf.sprintf "digest %s/%s rows=%d %x\n" bench (Table.name t)
+               (Vp_stream.Source.row_count s) (Vp_stream.Source.digest s))
+           tables))
+    [
+      ("tpch", Vp_benchmarks.Tpch.tables ~sf:storage_sf);
+      ("ssb", Vp_benchmarks.Ssb.tables ~sf:storage_sf);
+    ]
+
+let storage_table_lines table_name =
+  let gen = Vp_datagen.Rowgen.create () in
+  let w = Vp_benchmarks.Tpch.workload ~sf:storage_sf table_name in
+  let table = Workload.table w in
+  let n = Table.attribute_count table in
+  let source = Vp_stream.Source.of_rowgen gen table in
+  let hillclimb =
+    (Partitioner.exec
+       (Vp_algorithms.Registry.find "HillClimb")
+       (Partitioner.Request.make ~cost:(Vp_cost.Io_model.oracle disk w) w))
+      .Partitioner.Response.partitioning
+  in
+  let b = Buffer.create 4096 in
+  List.iter
+    (fun (layout_name, layout) ->
+      List.iter
+        (fun codec ->
+          List.iter
+            (fun (buffer_name, buffer_size) ->
+              let disk = Vp_cost.Disk.with_buffer_size disk buffer_size in
+              let db =
+                Vp_storage.Database.build ~disk ~codec table source layout
+              in
+              let key =
+                Printf.sprintf "%s %s %s %s" table_name layout_name
+                  (Vp_storage.Codec.kind_name codec) buffer_name
+              in
+              List.iteri
+                (fun i f ->
+                  Printf.bprintf b "%s file%d blocks=%d payload=%d\n" key i
+                    (Vp_storage.Pfile.block_count f)
+                    (Vp_storage.Pfile.payload_bytes f))
+                (Vp_storage.Database.pfiles db);
+              List.iteri
+                (fun i (r : Vp_storage.Database.query_result) ->
+                  let io = r.io in
+                  Printf.bprintf b
+                    "%s %s rows=%d checksum=%d io=%h/%d/%d/%d decoded=%d \
+                     cpu=%h\n"
+                    key
+                    (Query.name (Workload.query w i))
+                    r.rows_out r.checksum io.Vp_storage.Device.elapsed
+                    io.seeks io.blocks_read io.blocks_written r.values_decoded
+                    r.cpu_seconds)
+                (fst (Vp_storage.Database.run_workload db w)))
+            storage_buffers)
+        storage_codecs)
+    [
+      ("Row", Partitioning.row n);
+      ("Column", Partitioning.column n);
+      ("HillClimb", hillclimb);
+    ];
+  Buffer.contents b
+
+(* No generated column holds a negative int, so a small table of
+   full-range signed values pins the int32 sign extension. *)
+let storage_signed_lines () =
+  let table =
+    Table.make ~name:"signed" ~row_count:5_000
+      ~attributes:
+        Attribute.
+          [
+            make "A" Int32; make "B" Decimal; make "C" (Varchar 12);
+            make "D" Date;
+          ]
+  in
+  let g = Vp_datagen.Prng.create 7L in
+  let rows =
+    Array.init 5_000 (fun _ ->
+        let a = Vp_datagen.Prng.int_in g (-0x8000_0000) 0x7FFF_FFFF in
+        let b = Vp_datagen.Prng.float g 2e6 -. 1e6 in
+        let c = Vp_datagen.Text.sentence g ~max_len:12 in
+        let d = Vp_datagen.Prng.int_in g (-40_000) 40_000 in
+        [| Value.Int a; Value.Num b; Value.Str c; Value.Int d |])
+  in
+  let disk = Vp_cost.Disk.with_buffer_size disk 16_384 in
+  let queries =
+    [
+      Query.make ~name:"all" ~references:(Attr_set.full 4) ();
+      Query.make ~name:"AD" ~references:(Attr_set.of_list [ 0; 3 ]) ();
+    ]
+  in
+  String.concat ""
+    (List.concat_map
+       (fun (layout_name, layout) ->
+         List.concat_map
+           (fun codec ->
+             let db =
+               Vp_storage.Database.build ~disk ~codec table
+                 (Vp_stream.Source.of_rows table rows)
+                 layout
+             in
+             List.map
+               (fun q ->
+                 let r = Vp_storage.Database.run_query db q in
+                 Printf.sprintf "signed %s %s %s checksum=%d cpu=%h\n"
+                   layout_name
+                   (Vp_storage.Codec.kind_name codec)
+                   (Query.name q) r.checksum r.cpu_seconds)
+               queries)
+           storage_codecs)
+       [ ("Row", Partitioning.row 4); ("Column", Partitioning.column 4) ])
+
+let test_storage_digests_golden () =
+  let actual =
+    String.concat ""
+      (storage_digest_lines ()
+      @ List.map storage_table_lines [ "lineitem"; "orders"; "partsupp" ]
+      @ [ storage_signed_lines () ])
+  in
+  check_golden "storage digests" "golden/storage_digests.golden.txt" actual
+
 let suite =
   [
     Alcotest.test_case "HillClimb customer" `Quick test_hillclimb_customer;
@@ -537,4 +682,5 @@ let suite =
     Alcotest.test_case "bench report round-trip" `Quick
       test_bench_report_schema_roundtrip;
     Alcotest.test_case "optimizer stats" `Quick test_optimizer_stats_golden;
+    Alcotest.test_case "storage digests" `Quick test_storage_digests_golden;
   ]

@@ -370,3 +370,192 @@ let prop_pfile_roundtrip_random =
 
 let suite =
   suite @ [ Testutil.qtest prop_pfile_roundtrip_random ]
+
+(* --- Differential kernel test: the block-digest scan vs decoded rows ---
+
+   The executor digests a query's projected columns straight from the
+   block bytes. [checksum_value] is the per-value digest the executor
+   used to apply to decoded rows, kept here as the reference: decoding
+   every row with [Pfile.read_rows] and folding its projected values
+   through it must give exactly the executor's checksum, for any layout
+   and codec, with buffers so small that a window holds one or a few
+   blocks. *)
+
+let checksum_value acc = function
+  | Value.Int i -> acc + Hashtbl.hash i
+  | Value.Num f -> acc + Hashtbl.hash (Float.round (f *. 100.0))
+  | Value.Str s -> acc + Hashtbl.hash s
+
+(* Group columns (indices in the group's order) that [refs] projects. *)
+let projected_columns f refs =
+  List.concat
+    (List.mapi
+       (fun k p -> if Attr_set.mem p refs then [ k ] else [])
+       (Attr_set.to_list (Vp_storage.Pfile.group f)))
+
+let reference_digest f refs ~first_row ~count =
+  let cols = projected_columns f refs in
+  Array.fold_left
+    (fun acc row -> List.fold_left (fun acc c -> checksum_value acc row.(c)) acc cols)
+    0
+    (Vp_storage.Pfile.read_rows f ~first_row ~count)
+
+let prop_block_digest_matches_decoded_rows =
+  QCheck2.Test.make
+    ~name:"block-digest scan = decoded rows (random layouts/codecs, tiny buffers)"
+    ~count:80
+    QCheck2.Gen.(
+      quad gen_random_table_and_rows (int_range 0 2) (int_range 1 4) int)
+    (fun ((table, rows), codec_idx, buffer_blocks, seed) ->
+      let codec =
+        match codec_idx with
+        | 0 -> Vp_storage.Codec.Plain
+        | 1 -> Vp_storage.Codec.Dictionary
+        | _ -> Vp_storage.Codec.Varlen
+      in
+      let n = Table.attribute_count table in
+      let state = Random.State.make [| seed |] in
+      let layout =
+        Enumeration.random_partitioning (Random.State.int state) n
+      in
+      let refs = Attr_set.of_mask (1 + Random.State.int state ((1 lsl n) - 1)) in
+      let disk =
+        Vp_cost.Disk.make ~block_size:128 ~buffer_size:(128 * buffer_blocks) ()
+      in
+      let db =
+        Vp_storage.Database.build ~disk ~codec table
+          (Vp_stream.Source.of_rows ~chunk_rows:7 table rows)
+          layout
+      in
+      let r =
+        Vp_storage.Database.run_query db
+          (Query.make ~name:"q" ~references:refs ())
+      in
+      let files = Vp_storage.Database.pfiles db in
+      let total = Array.length rows in
+      let expected =
+        List.fold_left
+          (fun acc f -> acc + reference_digest f refs ~first_row:0 ~count:total)
+          0 files
+      in
+      (* Arbitrary ranges too, so digests start and end mid-block. *)
+      let first_row = Random.State.int state total in
+      let count = Random.State.int state (total + 1) in
+      r.checksum = expected
+      && List.for_all
+           (fun f ->
+             Vp_storage.Pfile.digest_rows f
+               (Vp_storage.Codec.project (Vp_storage.Pfile.codec f)
+                  (Array.of_list (projected_columns f refs)))
+               ~first_row ~count
+             = reference_digest f refs ~first_row ~count)
+           files)
+
+(* --- Creation.transform issues its requests as it generates them ---
+
+   [list_schedule_io] is the list-based schedule the transform used to
+   build before issuing anything, kept as the reference: the streamed
+   requests must account bit-identical I/O. And since nothing is kept
+   per request, the transform allocates the same at SF 3,000 as at
+   SF 100. *)
+
+let creation_layout table =
+  Partitioning.of_names table
+    [ [ "CustKey"; "Name" ]; [ "Address"; "NationKey"; "Phone" ];
+      [ "AcctBal"; "MktSegment" ]; [ "Comment" ] ]
+
+let list_schedule_io ~disk table source layout =
+  let n = Table.attribute_count table in
+  let build_virtual group =
+    Vp_storage.Pfile.build_stream ~block_size:disk.Vp_cost.Disk.block_size
+      ~codec_kind:Vp_storage.Codec.Plain ~retain:false table ~group source
+  in
+  let source_file = build_virtual (Attr_set.full n) in
+  let targets = List.map build_virtual (Partitioning.groups layout) in
+  let device = Vp_storage.Device.create disk in
+  let row_s = Table.row_size table in
+  let total_s =
+    row_s
+    + List.fold_left
+        (fun acc f ->
+          acc + Table.subset_size table (Vp_storage.Pfile.group f))
+        0 targets
+  in
+  let stream_requests ~row_size ~blocks =
+    if blocks = 0 then []
+    else begin
+      let share = disk.Vp_cost.Disk.buffer_size * row_size / total_s in
+      let per_request = max 1 (share / disk.Vp_cost.Disk.block_size) in
+      let rec go first acc =
+        if first >= blocks then List.rev acc
+        else
+          let count = min per_request (blocks - first) in
+          go (first + count) ((first, count) :: acc)
+      in
+      go 0 []
+    end
+  in
+  List.iter
+    (fun (first, count) ->
+      Vp_storage.Device.read device ~file:0 ~first_block:first ~count)
+    (stream_requests ~row_size:row_s
+       ~blocks:(Vp_storage.Pfile.block_count source_file));
+  List.iteri
+    (fun i f ->
+      List.iter
+        (fun (first, count) ->
+          Vp_storage.Device.write device ~file:(i + 1) ~first_block:first
+            ~count)
+        (stream_requests
+           ~row_size:(Table.subset_size table (Vp_storage.Pfile.group f))
+           ~blocks:(Vp_storage.Pfile.block_count f)))
+    targets;
+  Vp_storage.Device.stats device
+
+let test_creation_streamed_schedule () =
+  let disk = Vp_cost.Disk.default in
+  List.iter
+    (fun sf ->
+      let table = Vp_benchmarks.Tpch.table ~sf "customer" in
+      let source = Vp_stream.Source.of_rowgen gen table in
+      let layout = creation_layout table in
+      let got = (Vp_storage.Creation.transform ~disk table source layout).io in
+      let expected = list_schedule_io ~disk table source layout in
+      let label what = Printf.sprintf "SF %g %s" sf what in
+      Alcotest.(check int64) (label "elapsed bits")
+        (Int64.bits_of_float expected.elapsed)
+        (Int64.bits_of_float got.elapsed);
+      Alcotest.(check int) (label "seeks") expected.seeks got.seeks;
+      Alcotest.(check int) (label "blocks read") expected.blocks_read
+        got.blocks_read;
+      Alcotest.(check int) (label "blocks written") expected.blocks_written
+        got.blocks_written)
+    [ 0.01; 100.0; 3_000.0 ]
+
+let test_creation_allocation_flat () =
+  let disk = Vp_cost.Disk.default in
+  let allocated sf =
+    let table = Vp_benchmarks.Tpch.table ~sf "customer" in
+    let source = Vp_stream.Source.of_rowgen gen table in
+    let layout = creation_layout table in
+    let before = Gc.allocated_bytes () in
+    ignore (Vp_storage.Creation.transform ~disk table source layout);
+    Gc.allocated_bytes () -. before
+  in
+  (* The first transform also pays one-off initialisation. *)
+  ignore (allocated 0.01);
+  let sf100 = allocated 100.0 in
+  let sf3000 = allocated 3_000.0 in
+  if Float.abs (sf3000 -. sf100) > 65_536.0 then
+    Alcotest.failf "transform allocated %.0f bytes at SF 3000, %.0f at SF 100"
+      sf3000 sf100
+
+let suite =
+  suite
+  @ [
+      Testutil.qtest prop_block_digest_matches_decoded_rows;
+      Alcotest.test_case "creation streams its schedule" `Quick
+        test_creation_streamed_schedule;
+      Alcotest.test_case "creation allocation flat in SF" `Quick
+        test_creation_allocation_flat;
+    ]
