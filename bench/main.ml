@@ -281,19 +281,26 @@ let parallel_section jobs =
     | ids ->
         Printf.sprintf "NO — DETERMINISM VIOLATION in %s"
           (String.concat ", " ids));
-  (* Per-algorithm search-memo hit rates over the TPC-H line-up. *)
+  (* Search-memo hit rates over the TPC-H line-up, for the entrants that
+     keep a memo (HillClimb's and AutoPart's merge-only climbs never
+     repeat a candidate and keep none). *)
+  let disk = Vp_experiments.Common.disk in
   List.iter
-    (fun name ->
-      let a = Vp_algorithms.Registry.find name in
+    (fun (a : Partitioner.t) ->
       let hits, misses = algorithm_memo_counts a in
       let lookups = hits + misses in
       Printf.printf
         "  %-10s search-memo hit rate: %5.1f%% (%d of %d candidate lookups)\n"
-        name
+        a.Partitioner.name
         (if lookups = 0 then 0.0
          else 100.0 *. float_of_int hits /. float_of_int lookups)
         hits lookups)
-    [ "HillClimb"; "AutoPart"; "HYRISE" ];
+    [
+      Vp_algorithms.Hyrise.algorithm;
+      Vp_experiments.Common.brute_force disk;
+      Vp_algorithms.Ilp.with_bound disk;
+      Vp_algorithms.Hypergraph.algorithm;
+    ];
   flush stdout;
   if mismatches <> [] then exit 1
 

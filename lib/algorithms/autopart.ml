@@ -5,5 +5,4 @@ let algorithm =
     (fun ~budget ~delta workload oracle ->
       let n = Table.attribute_count (Workload.table workload) in
       let atomic_fragments = Workload.primary_partitions workload in
-      let cache = Vp_parallel.Cost_cache.memo () in
-      Merge_search.climb ~cache ?delta ~budget ~n oracle atomic_fragments)
+      Merge_search.climb ?delta ~budget ~n oracle atomic_fragments)

@@ -29,17 +29,17 @@ let search ~atoms ~lower_bound ~max_candidates ~budget ~delta workload oracle =
   (* Per-run cost cache: the seed climb re-costs almost the same
      neighbourhood each iteration, and the enumeration below revisits the
      seed and climb intermediates. *)
-  let cache = Vp_parallel.Cost_cache.memo () in
+  let cache = Partitioner.Memo.create () in
   let cost_of =
     match delta with
-    | None -> Vp_parallel.Cost_cache.counted cache oracle
+    | None -> Partitioner.Memo.counted cache oracle
     | Some s ->
         (* Successive enumeration leaves differ in the placement of the
            last few atoms, so [goto] re-costs only the queries touching
            those; cache keys and hit/miss traffic stay those of the full
            path. *)
         fun p ->
-          Vp_parallel.Cost_cache.counted_via cache oracle
+          Partitioner.Memo.counted_via cache oracle
             ~compute:(fun () -> s.Partitioner.Delta.goto p)
             p
   in

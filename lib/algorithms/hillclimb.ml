@@ -1,19 +1,16 @@
 open Vp_core
 
-let make ~name ~short_name ~cached =
+let make ~name ~short_name ~memo =
   Partitioner.timed_run_delta ~name ~short_name
     (fun ~budget ~delta workload oracle ->
       let n = Table.attribute_count (Workload.table workload) in
-      let cache =
-        if cached then Some (Vp_parallel.Cost_cache.memo ()) else None
-      in
+      let cache = if memo then Some (Partitioner.Memo.create ()) else None in
       let start = Partitioning.groups (Partitioning.column n) in
       Merge_search.climb ?cache ?delta ~budget ~n oracle start)
 
-let algorithm = make ~name:"HillClimb" ~short_name:"HC" ~cached:true
+let algorithm = make ~name:"HillClimb" ~short_name:"HC" ~memo:false
 
-let without_cache =
-  make ~name:"HillClimb-nocache" ~short_name:"HC0" ~cached:false
+let with_memo = make ~name:"HillClimb+memo" ~short_name:"HCm" ~memo:true
 
 let with_dictionary =
   Partitioner.timed_run_budgeted ~name:"HillClimb+dict" ~short_name:"HCd"

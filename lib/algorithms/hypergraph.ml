@@ -47,13 +47,13 @@ let search ~budget ~delta workload oracle =
   let n = Table.attribute_count (Workload.table workload) in
   let queries = Workload.queries workload in
   let atoms = sort_blocks (Workload.primary_partitions workload) in
-  let cache = Vp_parallel.Cost_cache.memo () in
+  let cache = Partitioner.Memo.create () in
   let cost_of =
     match delta with
-    | None -> Vp_parallel.Cost_cache.counted cache oracle
+    | None -> Partitioner.Memo.counted cache oracle
     | Some s ->
         fun p ->
-          Vp_parallel.Cost_cache.counted_via cache oracle
+          Partitioner.Memo.counted_via cache oracle
             ~compute:(fun () -> s.Partitioner.Delta.goto p)
             p
   in

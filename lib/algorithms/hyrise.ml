@@ -36,7 +36,7 @@ let run_with_k ~budget ~delta k workload oracle =
   in
   (* One cost cache across both phases: phase 2 starts from phase 1's
      result, so their candidate neighbourhoods overlap. *)
-  let cache = Vp_parallel.Cost_cache.memo () in
+  let cache = Partitioner.Memo.create () in
   (* Phase 1: merge within subgraphs only. *)
   let intra, iters1 =
     Merge_search.climb ~allowed:same_subgraph ~cache ?delta ~budget ~n oracle

@@ -69,13 +69,13 @@ let search ~atoms ~lower_bound ~max_candidates ~budget ~delta workload oracle =
              "Ilp: search space B(%d) = %d exceeds %d candidates and no \
               lower bound was provided"
              m space max_candidates));
-  let cache = Vp_parallel.Cost_cache.memo () in
+  let cache = Partitioner.Memo.create () in
   let cost_of =
     match delta with
-    | None -> Vp_parallel.Cost_cache.counted cache oracle
+    | None -> Partitioner.Memo.counted cache oracle
     | Some s ->
         fun p ->
-          Vp_parallel.Cost_cache.counted_via cache oracle
+          Partitioner.Memo.counted_via cache oracle
             ~compute:(fun () -> s.Partitioner.Delta.goto p)
             p
   in

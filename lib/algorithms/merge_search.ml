@@ -18,7 +18,7 @@ let evaluator ?cache ?delta oracle =
   | None -> (
       match cache with
       | None -> Partitioner.Counted.cost oracle
-      | Some c -> Vp_parallel.Cost_cache.counted c oracle)
+      | Some c -> Partitioner.Memo.counted c oracle)
   | Some s -> (
       let compute p () = s.Partitioner.Delta.goto p in
       match cache with
@@ -26,8 +26,7 @@ let evaluator ?cache ?delta oracle =
           fun p -> Partitioner.Counted.probe oracle (compute p)
       | Some c ->
           fun p ->
-            Vp_parallel.Cost_cache.counted_via c oracle
-              ~compute:(compute p) p)
+            Partitioner.Memo.counted_via c oracle ~compute:(compute p) p)
 
 let best_pair_merge ?(allowed = fun _ _ -> true) ?cache ?delta
     ?(budget = Vp_robust.Budget.unlimited) ~n oracle groups =
@@ -42,11 +41,14 @@ let best_pair_merge ?(allowed = fun _ _ -> true) ?cache ?delta
     (match delta with
     | Some s -> ignore (s.Partitioner.Delta.goto base)
     | None -> ());
+    (* A candidate partitioning is built only when something reads it:
+       the full oracle, the memo key, or a new incumbent. A delta peek
+       without a memo prices the merge from the two groups alone. *)
     let pair_cost =
       match delta with
       | None ->
           let cost_of = evaluator ?cache oracle in
-          fun candidate _ _ -> cost_of candidate
+          fun candidate _ _ -> cost_of (Lazy.force candidate)
       | Some s -> (
           let compute i j () = s.Partitioner.Delta.cost_merge arr.(i) arr.(j) in
           match cache with
@@ -54,15 +56,15 @@ let best_pair_merge ?(allowed = fun _ _ -> true) ?cache ?delta
               fun _ i j -> Partitioner.Counted.probe oracle (compute i j)
           | Some c ->
               fun candidate i j ->
-                Vp_parallel.Cost_cache.counted_via c oracle
-                  ~compute:(compute i j) candidate)
+                Partitioner.Memo.counted_via c oracle ~compute:(compute i j)
+                  (Lazy.force candidate))
     in
     let best = ref None in
     for i = 0 to k - 2 do
       for j = i + 1 to k - 1 do
         if allowed arr.(i) arr.(j) then begin
           Vp_robust.Budget.tick budget;
-          let candidate = Partitioning.merge_groups base arr.(i) arr.(j) in
+          let candidate = lazy (Partitioning.merge_groups base arr.(i) arr.(j)) in
           let cost = pair_cost candidate i j in
           match !best with
           | Some m when m.merged_cost <= cost -> ()
@@ -70,7 +72,7 @@ let best_pair_merge ?(allowed = fun _ _ -> true) ?cache ?delta
               best :=
                 Some
                   {
-                    merged = candidate;
+                    merged = Lazy.force candidate;
                     merged_cost = cost;
                     group_a = arr.(i);
                     group_b = arr.(j);

@@ -13,7 +13,7 @@ type merge = {
 
 val best_pair_merge :
   ?allowed:(Attr_set.t -> Attr_set.t -> bool) ->
-  ?cache:Vp_parallel.Cost_cache.memo ->
+  ?cache:Partitioner.Memo.t ->
   ?delta:Partitioner.Delta.session ->
   ?budget:Vp_robust.Budget.t ->
   n:int ->
@@ -26,18 +26,20 @@ val best_pair_merge :
     restrict merging within a subgraph). Ties go to the earliest pair in
     canonical group order.
 
-    Each candidate is [Partitioning.merge_groups] of the scanned
-    partitioning, built in O(k). When [cache] is given, candidate costs
-    are memoized through it, keyed on the candidate partitioning (hits
-    are counted as candidates, not cost calls). Successive climb
-    iterations re-evaluate almost the whole neighbourhood — only pairs
-    involving the freshly merged group are new — so a per-run memo turns
-    the k²/2 evaluations per iteration into O(k) cost-model calls.
+    A candidate is [Partitioning.merge_groups] of the scanned
+    partitioning, built in O(k) — but only when something reads it: the
+    full oracle, the memo key, or a candidate that becomes the
+    incumbent. When [cache] is given, candidate costs are memoized
+    through it, keyed on the candidate partitioning (hits are counted as
+    candidates, not cost calls). A merge-only climb never meets a
+    candidate twice (each iteration has one group fewer), so only
+    searches that revisit layouts — HYRISE's second phase, the
+    enumerations seeded by a climb — gain from one.
 
     When [delta] is given, the scan first rebases the session at the
     scanned partitioning, then prices each pair with
     [Delta.session.cost_merge] instead of a full re-cost — through
-    {!Partitioner.Counted.probe}, or {!Vp_parallel.Cost_cache.counted_via}
+    {!Partitioner.Counted.probe}, or {!Partitioner.Memo.counted_via}
     when [cache] is also given, which looks the candidate up in the memo
     first and runs the probe only on a miss. Ticks, counters, fault
     indices and memo traffic are therefore byte-identical to the full
@@ -49,7 +51,7 @@ val best_pair_merge :
 
 val climb :
   ?allowed:(Attr_set.t -> Attr_set.t -> bool) ->
-  ?cache:Vp_parallel.Cost_cache.memo ->
+  ?cache:Partitioner.Memo.t ->
   ?delta:Partitioner.Delta.session ->
   ?budget:Vp_robust.Budget.t ->
   n:int ->

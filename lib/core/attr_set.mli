@@ -88,6 +88,9 @@ val to_mask : t -> int
 val of_mask : int -> t
 (** Inverse of {!to_mask}. @raise Invalid_argument on negative masks. *)
 
+val lowest_bit_index : int -> int
+(** Position of the lowest set bit of a non-zero mask (unchecked). *)
+
 val pp : Format.formatter -> t -> unit
 (** Prints as [{0,3,5}]. *)
 

@@ -87,16 +87,38 @@ let iter_groups f p = Array.iter f p.groups
 
 let mem_group p g = Array.exists (fun h -> Attr_set.equal h g) p.groups
 
-let referenced_groups p refs =
-  Array.fold_left
-    (fun acc g -> if Attr_set.intersects g refs then g :: acc else acc)
-    [] p.groups
-  |> List.rev
-
 let referenced_group_count p refs =
   Array.fold_left
     (fun acc g -> if Attr_set.intersects g refs then acc + 1 else acc)
     0 p.groups
+
+let referenced_group_array p refs =
+  let out = Array.make (referenced_group_count p refs) Attr_set.empty in
+  let j = ref 0 in
+  for i = 0 to Array.length p.groups - 1 do
+    if Attr_set.intersects p.groups.(i) refs then begin
+      out.(!j) <- p.groups.(i);
+      incr j
+    end
+  done;
+  out
+
+let referenced_groups p refs = Array.to_list (referenced_group_array p refs)
+
+(* One ordered walk over both canonical arrays: a group of [q] is a group
+   of [p] exactly when [p] has an equal group at the same minimum. *)
+let changed_attrs p q =
+  let kp = Array.length p.groups and kq = Array.length q.groups in
+  let rec go i j acc =
+    if j >= kq then acc
+    else
+      let c = if i >= kp then 1 else by_min_elt p.groups.(i) q.groups.(j) in
+      if c < 0 then go (i + 1) j acc
+      else if c = 0 && Attr_set.equal p.groups.(i) q.groups.(j) then
+        go (i + 1) (j + 1) acc
+      else go (if c = 0 then i + 1 else i) (j + 1) (Attr_set.union acc q.groups.(j))
+  in
+  go 0 0 Attr_set.empty
 
 let find_group_index p g =
   let k = Array.length p.groups in
@@ -160,13 +182,15 @@ let split_group p g sub =
 (* Mixes every group mask (a multiply-xorshift step per group), so
    partitionings that differ in any group, however late, hash apart;
    [Hashtbl.hash] would stop after ten groups. *)
-let hash p =
-  let h = ref p.n in
-  for i = 0 to Array.length p.groups - 1 do
-    let x = (!h lxor Attr_set.to_mask p.groups.(i)) * 0x2545F4914F6CDD1D in
+let hash_groups ~seed groups =
+  let h = ref seed in
+  for i = 0 to Array.length groups - 1 do
+    let x = (!h lxor Attr_set.to_mask groups.(i)) * 0x2545F4914F6CDD1D in
     h := x lxor (x lsr 29)
   done;
   !h land max_int
+
+let hash p = hash_groups ~seed:p.n p.groups
 
 let equal a b =
   a.n = b.n

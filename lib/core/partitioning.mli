@@ -56,6 +56,13 @@ val referenced_groups : t -> Attr_set.t -> Attr_set.t list
 
 val referenced_group_count : t -> Attr_set.t -> int
 
+val referenced_group_array : t -> Attr_set.t -> Attr_set.t array
+(** {!referenced_groups} as a fresh array, in canonical order. *)
+
+val changed_attrs : t -> t -> Attr_set.t
+(** The union of [q]'s groups that are not groups of [p]: the attributes
+    whose group differs between the two. One O(k) ordered walk. *)
+
 val merge_groups : t -> Attr_set.t -> Attr_set.t -> t
 (** [merge_groups p g1 g2] replaces two distinct groups by their union.
     @raise Invalid_argument if either is not a group of [p] or both are the
@@ -73,6 +80,9 @@ val compare : t -> t -> int
 val hash : t -> int
 (** A non-negative hash consistent with {!equal} that mixes every group
     mask, for hash tables keyed on partitionings. *)
+
+val hash_groups : seed:int -> Attr_set.t array -> int
+(** The mix behind {!hash}, for hash tables keyed on group arrays. *)
 
 val is_refinement : t -> t -> bool
 (** [is_refinement fine coarse] is [true] iff every group of [fine] is

@@ -53,11 +53,14 @@ let subset_size t set =
   let m = Attr_set.to_mask set in
   if m lsr Array.length t.attributes <> 0 then
     invalid_arg "Table.subset_size: attribute position out of bounds";
+  (* One step per member, straight on the mask; the bound check above
+     keeps every set bit inside the attribute array. *)
+  let attrs = t.attributes in
   let rec go m acc =
     if m = 0 then acc
     else
-      let i = Attr_set.min_elt (Attr_set.of_mask m) in
-      go (m land (m - 1)) (acc + Attribute.width t.attributes.(i))
+      let i = Attr_set.lowest_bit_index m in
+      go (m land (m - 1)) (acc + Attribute.width (Array.unsafe_get attrs i))
   in
   go m 0
 

@@ -11,7 +11,12 @@ open Vp_core
     attributes land; and (iii) unneeded attributes already co-located with
     needed ones will be scanned too. Summing (i)-(iii) under-estimates the
     true cost of every completion, which is exactly what branch-and-bound
-    requires. *)
+    requires.
+
+    Apply a bound to the workload once ([io_brute_force disk w]) and call
+    the result per node: each query's references, weight and needed bytes
+    are computed at application, so a call is one allocation-free pass
+    per query over the blocks. *)
 
 val io_brute_force :
   Disk.t -> Workload.t -> blocks:Attr_set.t list -> remaining:Attr_set.t -> float

@@ -81,53 +81,43 @@ let query_breakdown disk table partitioning query =
       })
     init referenced
 
-let query_cost_groups disk table referenced =
-  (* One fused traversal: the costing fold also carries the bytes-read
-     accounting (blocks fetched at block granularity) that used to live
-     in a separate stats-only pass. [partition_read_cost] returns the
-     same block count [partition_blocks] would, and the byte tally is
-     integer arithmetic on the side, so the float additions below happen
-     in exactly the order they always did — instrumented or not. *)
-  let stats = Vp_observe.Switch.stats_on () in
-  if stats then Vp_observe.Stats.incr c_query_costs;
-  let rows = Table.row_count table in
-  let total_s =
-    List.fold_left (fun acc g -> acc + Table.subset_size table g) 0 referenced
-  in
-  let bytes = ref 0 in
-  let cost =
-    List.fold_left
-      (fun acc g ->
-        let s = Table.subset_size table g in
-        let seek, scan, _, blocks =
-          partition_read_cost disk ~rows ~row_size:s ~total_row_size:total_s
-        in
-        if stats then bytes := !bytes + (blocks * disk.block_size);
-        acc +. seek +. scan)
-      0.0 referenced
-  in
-  if stats then Vp_observe.Stats.add c_bytes_read !bytes;
-  cost
+(* The one per-query cost fold: seek + scan of concurrently reading one
+   partition per row size, added left to right. Every costing entry
+   point — schema widths or per-format stored widths, full re-costs or
+   delta-session misses — goes through it, so they agree bit for bit. *)
+let sized_cost disk ~rows sizes =
+  let total_s = Array.fold_left ( + ) 0 sizes in
+  let acc = ref 0.0 in
+  for i = 0 to Array.length sizes - 1 do
+    let seek, scan, _, _ =
+      partition_read_cost disk ~rows ~row_size:sizes.(i) ~total_row_size:total_s
+    in
+    acc := !acc +. seek +. scan
+  done;
+  !acc
 
-let query_cost_sized disk ~rows sizes =
-  (* Same fold as [query_cost_groups] with explicit per-partition row
-     sizes instead of schema subset sizes — the costing entry point for
-     per-partition formats, where a partition's stored width depends on
-     its codec, not only on its attribute set. With every size equal to
-     [Table.subset_size] the float additions happen in the exact order
-     of [query_cost_groups], so the two agree bit for bit. *)
-  let total_s = List.fold_left ( + ) 0 sizes in
-  List.fold_left
-    (fun acc s ->
-      let seek, scan, _, _ =
-        partition_read_cost disk ~rows ~row_size:s ~total_row_size:total_s
-      in
-      acc +. seek +. scan)
-    0.0 sizes
+(* Cost of reading the given partitions (an array in canonical order).
+   The query and bytes-read accounting runs only on the stats branch and
+   touches no float the fold adds. *)
+let query_cost_array disk table groups =
+  let rows = Table.row_count table in
+  let sizes = Array.map (Table.subset_size table) groups in
+  if Vp_observe.Switch.stats_on () then begin
+    Vp_observe.Stats.incr c_query_costs;
+    let blocks s = partition_blocks disk ~rows ~row_size:s in
+    Vp_observe.Stats.add c_bytes_read
+      (Array.fold_left (fun acc s -> acc + blocks s) 0 sizes * disk.block_size)
+  end;
+  sized_cost disk ~rows sizes
+
+let query_cost_groups disk table referenced =
+  query_cost_array disk table (Array.of_list referenced)
+
+let query_cost_sized disk ~rows sizes = sized_cost disk ~rows (Array.of_list sizes)
 
 let query_cost disk table partitioning query =
-  query_cost_groups disk table
-    (Partitioning.referenced_groups partitioning (Query.references query))
+  query_cost_array disk table
+    (Partitioning.referenced_group_array partitioning (Query.references query))
 
 let workload_cost disk workload partitioning =
   if Vp_observe.Switch.stats_on () then Vp_observe.Stats.incr c_oracle_calls;
@@ -149,6 +139,21 @@ let c_delta_evals = Vp_observe.Stats.counter "cost.delta_evals"
    workload order — the same left-to-right fold [workload_cost] performs —
    so every returned cost is bit-identical to a full re-cost. *)
 module Incremental = struct
+  (* Referenced-group arrays (canonical order) as memo keys. Key arrays
+     are never mutated once built. *)
+  module Memo = Hashtbl.Make (struct
+    type t = Attr_set.t array
+
+    let equal a b =
+      let k = Array.length a and i = ref 0 in
+      while !i < k && !i < Array.length b && Attr_set.equal a.(!i) b.(!i) do
+        incr i
+      done;
+      !i = k && k = Array.length b
+
+    let hash a = Partitioning.hash_groups ~seed:(Array.length a) a
+  end)
+
   type t = {
     disk : Disk.t;
     table : Table.t;
@@ -159,11 +164,11 @@ module Incremental = struct
        Built once per session from the workload. *)
     attr_off : int array;
     attr_qidx : int array;
+    qgroups : Attr_set.t array array;  (* referenced groups under [base] *)
     qcost : float array;  (* unweighted query costs under [base] *)
     scratch : float array;  (* peeked costs, valid where stamp.(i) = gen *)
     stamp : int array;
-    memo : (Attr_set.t list, float) Hashtbl.t;
-        (* referenced groups -> unweighted query cost *)
+    memo : float Memo.t;  (* referenced groups -> unweighted query cost *)
     mutable gen : int;
     mutable base : Partitioning.t;
     mutable valid : bool;  (* false until the first (re)base costing *)
@@ -202,30 +207,31 @@ module Incremental = struct
       weights;
       attr_off;
       attr_qidx;
+      qgroups = Array.make q [||];
       qcost = Array.make q 0.0;
       scratch = Array.make q 0.0;
       stamp = Array.make q (-1);
-      memo = Hashtbl.create 64;
+      memo = Memo.create 64;
       gen = 0;
       base = Partitioning.row (max 1 n);
       valid = false;
       base_cost = 0.0;
     }
 
-  (* Per-query cost of reading [refs], memoized on the referenced-group
-     list itself. [query_cost_groups] is a pure function of (disk, table, refs)
-     and both are fixed for the session's lifetime, so a hit returns the
-     bit-identical float the cost model produced the first time; only
-     misses run the model (and increment cost.query_costs). Search loops
-     re-pose the same referenced-group lists across candidates and climb
-     iterations, which is where most of the delta path's counter savings
-     come from. *)
-  let memo_query_cost t refs =
-    match Hashtbl.find_opt t.memo refs with
+  (* Per-query cost of reading [groups], memoized on the referenced-group
+     array itself. The cost is a pure function of (disk, table, groups)
+     and the first two are fixed for the session's lifetime, so a hit
+     returns the bit-identical float the cost model produced the first
+     time; only misses run the model (and increment cost.query_costs).
+     Search loops re-pose the same referenced groups across candidates
+     and climb iterations, which is where most of the delta path's
+     counter savings come from. *)
+  let memo_query_cost t groups =
+    match Memo.find_opt t.memo groups with
     | Some c -> c
     | None ->
-        let c = query_cost_groups t.disk t.table refs in
-        Hashtbl.add t.memo refs c;
+        let c = query_cost_array t.disk t.table groups in
+        Memo.add t.memo groups c;
         c
 
   (* The weighted total, re-summed over every query left to right exactly
@@ -240,8 +246,9 @@ module Incremental = struct
 
   let recost_all t p =
     for i = 0 to Array.length t.qcost - 1 do
-      t.qcost.(i) <-
-        memo_query_cost t (Partitioning.referenced_groups p t.refs.(i))
+      let groups = Partitioning.referenced_group_array p t.refs.(i) in
+      t.qgroups.(i) <- groups;
+      t.qcost.(i) <- memo_query_cost t groups
     done;
     t.gen <- t.gen + 1;
     (* gen bump: no stamps survive *)
@@ -251,23 +258,10 @@ module Incremental = struct
 
   let ensure_valid t = if not t.valid then recost_all t t.base
 
-  (* Attributes whose group changes between [t.base] and [p]: the union
-     of [p]'s groups that are not groups of the base. One direction
-     suffices — if attribute [x]'s group differs between the two, then
-     [p]'s group containing [x] cannot equal any base group. *)
-  let changed_attrs t p =
-    let changed = ref Attr_set.empty in
-    Partitioning.iter_groups
-      (fun g ->
-        if not (Partitioning.mem_group t.base g) then
-          changed := Attr_set.union !changed g)
-      p;
-    !changed
-
-  (* Stamp [scratch] with fresh costs (under [p]) for every query whose
-     reference set meets [changed], walking the flat per-attribute index
-     so unaffected queries are never visited. *)
-  let peek_costs t p changed =
+  (* Stamps, and calls [f] once on, every query whose reference set
+     meets [changed], walking the flat per-attribute index so unaffected
+     queries are never visited. *)
+  let iter_affected t changed f =
     t.gen <- t.gen + 1;
     Attr_set.iter
       (fun a ->
@@ -275,25 +269,29 @@ module Incremental = struct
           let i = t.attr_qidx.(k) in
           if t.stamp.(i) <> t.gen then begin
             t.stamp.(i) <- t.gen;
-            t.scratch.(i) <-
-              memo_query_cost t (Partitioning.referenced_groups p t.refs.(i))
+            f i
           end
         done)
       changed
 
-  (* Cost of [p] (a one-move neighbor with change set [changed]) without
-     moving the base. *)
-  let peek t p changed =
+  (* Cost of a one-move neighbor with change set [changed], whose
+     affected queries read [groups_of i], without moving the base. *)
+  let peek t changed groups_of =
     ensure_valid t;
     if Vp_observe.Switch.stats_on () then Vp_observe.Stats.incr c_delta_evals;
     if Attr_set.is_empty changed then t.base_cost
     else begin
-      peek_costs t p changed;
+      iter_affected t changed (fun i ->
+          t.scratch.(i) <- memo_query_cost t (groups_of i));
       let c = sum_stamped t in
       t.gen <- t.gen + 1;
       (* invalidate the peek stamps *)
       c
     end
+
+  (* A neighbor given as a whole partitioning. *)
+  let peek_partitioning t p changed =
+    peek t changed (fun i -> Partitioning.referenced_group_array p t.refs.(i))
 
   let base t = t.base
 
@@ -309,13 +307,13 @@ module Incremental = struct
     else begin
       if Vp_observe.Switch.stats_on () then
         Vp_observe.Stats.incr c_delta_evals;
-      let changed = changed_attrs t p in
+      let changed = Partitioning.changed_attrs t.base p in
       if not (Attr_set.is_empty changed) then begin
-        peek_costs t p changed;
-        (* Commit the stamped costs into the base array. *)
-        for i = 0 to Array.length t.qcost - 1 do
-          if t.stamp.(i) = t.gen then t.qcost.(i) <- t.scratch.(i)
-        done;
+        (* Rebase the affected queries in place. *)
+        iter_affected t changed (fun i ->
+            let groups = Partitioning.referenced_group_array p t.refs.(i) in
+            t.qgroups.(i) <- groups;
+            t.qcost.(i) <- memo_query_cost t groups);
         t.gen <- t.gen + 1;
         t.base <- p;
         t.base_cost <- sum_stamped t
@@ -323,15 +321,41 @@ module Incremental = struct
     end;
     t.base_cost
 
+  (* [groups] (canonical order) with [g1] and [g2] dropped and their
+     union [u] in the slot its lowest bit sorts to — the referenced
+     groups after the merge of a query that read [g1] or [g2]. Kept
+     groups above [u] land one slot late, leaving [u]'s slot. *)
+  let merged_groups groups g1 g2 u =
+    let low g = Attr_set.to_mask g land -Attr_set.to_mask g in
+    let kept g = not (Attr_set.equal g g1 || Attr_set.equal g g2) in
+    let k = Array.length groups and lu = low u and n = ref 1 in
+    for i = 0 to k - 1 do
+      if kept groups.(i) then incr n
+    done;
+    let out = Array.make !n u and x = ref 0 in
+    for i = 0 to k - 1 do
+      let g = groups.(i) in
+      if kept g then begin
+        out.(if low g < lu then !x else !x + 1) <- g;
+        incr x
+      end
+    done;
+    out
+
   let cost_merge t g1 g2 =
     ensure_valid t;
-    let p = Partitioning.merge_groups t.base g1 g2 in
-    peek t p (Attr_set.union g1 g2)
+    if
+      (not (Partitioning.mem_group t.base g1 && Partitioning.mem_group t.base g2))
+      || Attr_set.equal g1 g2
+    then
+      (* Not a legal merge: [merge_groups] raises its own exception. *)
+      ignore (Partitioning.merge_groups t.base g1 g2 : Partitioning.t);
+    let u = Attr_set.union g1 g2 in
+    peek t u (fun i -> merged_groups t.qgroups.(i) g1 g2 u)
 
   let cost_split t ~group ~sub =
     ensure_valid t;
-    let p = Partitioning.split_group t.base group sub in
-    peek t p group
+    peek_partitioning t (Partitioning.split_group t.base group sub) group
 
   let cost_move t ~attr ~dst =
     ensure_valid t;
@@ -348,7 +372,7 @@ module Incremental = struct
           let split = Partitioning.split_group t.base src (Attr_set.singleton attr) in
           Partitioning.merge_groups split (Attr_set.singleton attr) dst
       in
-      peek t p (Attr_set.union src dst)
+      peek_partitioning t p (Attr_set.union src dst)
 
   let delta_merge t g1 g2 = cost_merge t g1 g2 -. base_cost t
 

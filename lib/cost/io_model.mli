@@ -47,7 +47,7 @@ val query_cost_groups : Disk.t -> Table.t -> Attr_set.t list -> float
 (** [seek_cost + scan_cost] of reading exactly the given partitions. The
     cost of a query is fully determined by the set of partitions it
     touches; this is the unit {!Incremental} sessions re-cost and
-    memoize. *)
+    memoize. It runs the same fold as {!query_cost_sized}. *)
 
 val query_cost_sized : Disk.t -> rows:int -> int list -> float
 (** [seek_cost + scan_cost] of concurrently reading one partition per
@@ -79,7 +79,10 @@ val oracle : Disk.t -> Workload.t -> Partitioner.cost_fn
     [workload_cost disk w p'] of the moved-to partitioning, and every
     delta is exactly the difference of two such full costs: search
     trajectories, and hence layouts, match the full-cost path byte for
-    byte. Sessions are single-threaded; build one per domain via
+    byte. A session keeps each query's referenced groups under the base
+    and memoizes query costs on those group arrays; a merge peek derives
+    the merged arrays from the base's without building the merged
+    partitioning. Sessions are single-threaded; build one per domain via
     {!Incremental.factory}. A request built without a factory routes
     algorithms back to full re-costing. *)
 module Incremental : sig

@@ -39,8 +39,8 @@ let hillclimb_dictionary () =
     ~headers
     (sweep
        [
-         ("HillClimb (no cache)", Vp_algorithms.Hillclimb.without_cache);
-         ("HillClimb (cost cache, default)", Vp_algorithms.Hillclimb.algorithm);
+         ("HillClimb (no memo, default)", Vp_algorithms.Hillclimb.algorithm);
+         ("HillClimb (per-run memo)", Vp_algorithms.Hillclimb.with_memo);
          ("HillClimb (dictionary)", Vp_algorithms.Hillclimb.with_dictionary);
        ])
 

@@ -74,16 +74,32 @@ let test_autopart_beats_atoms () =
         (r.Partitioner.Response.cost <= oracle atoms +. 1e-9))
     (Lazy.force tpch_workloads)
 
-(* The dictionary variant of HillClimb must find the same layout. *)
+(* The memo variant and the dictionary variant of HillClimb must find the
+   default's layout at the same cost bits with the same cost calls: a
+   merge-only climb never repeats a candidate, so neither memo hits. *)
 let test_hillclimb_dictionary_same () =
   List.iter
     (fun w ->
       let oracle = Vp_cost.Io_model.oracle disk w in
-      let a = Partitioner.exec Vp_algorithms.Hillclimb.algorithm (Partitioner.Request.make ~cost:oracle w) in
-      let b = Partitioner.exec Vp_algorithms.Hillclimb.with_dictionary (Partitioner.Request.make ~cost:oracle w) in
-      Alcotest.(check Testutil.partitioning)
-        (Table.name (Workload.table w))
-        a.Partitioner.Response.partitioning b.Partitioner.Response.partitioning)
+      let run a = Partitioner.exec a (Partitioner.Request.make ~cost:oracle w) in
+      let a = run Vp_algorithms.Hillclimb.algorithm in
+      List.iter
+        (fun (variant : Partitioner.t) ->
+          let b = run variant in
+          let label =
+            Printf.sprintf "%s %s" (Table.name (Workload.table w))
+              variant.Partitioner.name
+          in
+          Alcotest.(check Testutil.partitioning)
+            label a.Partitioner.Response.partitioning
+            b.Partitioner.Response.partitioning;
+          Alcotest.(check int64) (label ^ " cost bits")
+            (Int64.bits_of_float a.Partitioner.Response.cost)
+            (Int64.bits_of_float b.Partitioner.Response.cost);
+          Alcotest.(check int) (label ^ " cost calls")
+            a.Partitioner.Response.stats.Partitioner.cost_calls
+            b.Partitioner.Response.stats.Partitioner.cost_calls)
+        [ Vp_algorithms.Hillclimb.with_memo; Vp_algorithms.Hillclimb.with_dictionary ])
     (Lazy.force tpch_workloads)
 
 (* BruteForce with the lower bound must equal BruteForce without it. *)

@@ -174,6 +174,79 @@ let prop_bound_admissible_at_prefixes =
           <= full_cost +. 1e-9)
         (prefixes [] groups))
 
+(* The branch-and-bound bound as it was written before its per-workload
+   precomputation: one fold over the queries, filtering the block list
+   for each. The reference the precomputed bound must match bit for bit. *)
+let reference_bound ~seek_unit ~byte_rate workload ~blocks =
+  let table = Workload.table workload in
+  let rows = float_of_int (Table.row_count table) in
+  Array.fold_left
+    (fun acc q ->
+      let refs = Query.references q in
+      let referenced_blocks =
+        List.filter (fun b -> Attr_set.intersects b refs) blocks
+      in
+      let seeks = float_of_int (List.length referenced_blocks) in
+      let needed = float_of_int (Table.subset_size table refs) in
+      let colocated =
+        List.fold_left
+          (fun w b -> w + Table.subset_size table (Attr_set.diff b refs))
+          0 referenced_blocks
+      in
+      let bytes = rows *. (needed +. float_of_int colocated) in
+      acc +. (Query.weight q *. ((seek_unit *. seeks) +. (bytes /. byte_rate))))
+    0.0 (Workload.queries workload)
+
+let gen_wide_workload =
+  QCheck2.Gen.(
+    let* n = oneofl [ 6; 48; 62 ] in
+    let* w = Testutil.gen_workload n 6 in
+    let* masks = list_size (int_range 0 8) int in
+    let full = Attr_set.to_mask (Table.all_attributes (Workload.table w)) in
+    return
+      (w, List.map (fun m -> Attr_set.of_mask (abs m land full)) masks))
+
+let prop_bound_matches_reference =
+  QCheck2.Test.make ~name:"B&B bound = list-based reference, bit for bit"
+    ~count:200 gen_wide_workload (fun (w, blocks) ->
+      let bits = Int64.bits_of_float in
+      let mm = Vp_cost.Memory_model.default in
+      let io = Vp_cost.Bounds.io_brute_force hand_disk w in
+      let mem = Vp_cost.Bounds.memory_brute_force mm w in
+      let io_ref =
+        reference_bound ~seek_unit:hand_disk.seek_time
+          ~byte_rate:hand_disk.read_bandwidth w ~blocks
+      and mem_ref =
+        reference_bound ~seek_unit:0.0 ~byte_rate:mm.bandwidth w ~blocks
+      in
+      (* Twice from one applied bound: a call leaves no state behind. *)
+      List.for_all
+        (fun _ ->
+          bits (io ~blocks ~remaining:Attr_set.empty) = bits io_ref
+          && bits (mem ~blocks ~remaining:Attr_set.empty) = bits mem_ref)
+        [ 1; 2 ])
+
+let prop_subset_size_width_sum =
+  QCheck2.Test.make ~name:"subset size = per-attribute width sum" ~count:300
+    QCheck2.Gen.(
+      let* n = int_range 1 62 in
+      let* w = Testutil.gen_workload n 1 in
+      let* m = int in
+      return (Workload.table w, m))
+    (fun (table, m) ->
+      let n = Table.attribute_count table in
+      let full = Attr_set.to_mask (Table.all_attributes table) in
+      let set = Attr_set.of_mask (abs m land full) in
+      let by_attribute =
+        Attr_set.fold (fun i acc -> acc + Table.width table i) set 0
+      in
+      Table.subset_size table set = by_attribute
+      && (n = 62
+         ||
+         match Table.subset_size table (Attr_set.add n set) with
+         | exception Invalid_argument _ -> true
+         | _ -> false))
+
 let prop_memory_column_optimal =
   QCheck2.Test.make ~name:"MM model: column layout near-optimal" ~count:200
     arb_workload_and_partitioning (fun (w, p) ->
@@ -205,6 +278,8 @@ let suite =
     Testutil.qtest prop_brute_force_bound_admissible;
     Testutil.qtest prop_bound_admissible_at_prefixes;
     Testutil.qtest prop_memory_column_optimal;
+    Testutil.qtest prop_bound_matches_reference;
+    Testutil.qtest prop_subset_size_width_sum;
   ]
 
 (* The paper: "The time to transform from row layout to vertically

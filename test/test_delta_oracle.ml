@@ -329,28 +329,75 @@ let test_session_closures () =
 
 (* --- qcheck: random workloads, random bases, random moves ------------ *)
 
+(* The changed-attribute set as sessions computed it before the ordered
+   walk: the union of [p]'s groups that are not groups of [base], found
+   with one [mem_group] scan per group. The reference for
+   [Partitioning.changed_attrs]. *)
+let reference_changed_attrs base p =
+  let changed = ref Attr_set.empty in
+  Partitioning.iter_groups
+    (fun g ->
+      if not (Partitioning.mem_group base g) then
+        changed := Attr_set.union !changed g)
+    p;
+  !changed
+
+let raises_invalid f =
+  match f () with exception Invalid_argument _ -> true | (_ : float) -> false
+
+(* Tables of 8, 48 and 62 attributes, so group masks reach bit 61. From a
+   random base, a short chain of random moves; at each step every merge
+   peek must equal the full re-cost of [merge_groups] and leave the base
+   alone, illegal merges must raise, the ordered walk must find the
+   reference change set, and [goto] must land on the full re-cost. *)
 let prop_random_workloads =
   QCheck2.Test.make ~name:"delta oracle exact on random workloads"
     ~count:150
     QCheck2.Gen.(
-      let* w = Testutil.gen_workload 8 6 in
+      let* n = oneofl [ 8; 48; 62 ] in
+      let* w = Testutil.gen_workload n 6 in
       let* p_seed = int in
       let* m_seed = small_nat in
       return (w, p_seed, m_seed))
     (fun (w, p_seed, m_seed) ->
       let state = Random.State.make [| p_seed; m_seed |] in
       let rand k = Random.State.int state k in
-      let p0 = random_base rand w in
       let t = Inc.create disk w in
-      let c0 = Inc.goto t p0 in
-      bits c0 = bits (full_cost w p0)
-      &&
-      match random_move rand p0 with
-      | None -> true
-      | Some m ->
-          let target = apply_move p0 m in
-          bits (peek_cost t m) = bits (full_cost w target)
-          && bits (Inc.goto t target) = bits (full_cost w target))
+      let p = ref (random_base rand w) in
+      let ok = ref (bits (Inc.goto t !p) = bits (full_cost w !p)) in
+      for _ = 1 to 4 do
+        let base = !p in
+        let base_bits = bits (full_cost w base) in
+        let groups = Partitioning.group_array base in
+        let k = Array.length groups in
+        for _ = 1 to min 6 (k * (k - 1) / 2) do
+          let i = rand k in
+          let j = (i + 1 + rand (k - 1)) mod k in
+          let g1 = groups.(i) and g2 = groups.(j) in
+          ok :=
+            !ok
+            && bits (Inc.cost_merge t g1 g2)
+               = bits (full_cost w (Partitioning.merge_groups base g1 g2))
+            && Partitioning.equal (Inc.base t) base
+            && bits (Inc.base_cost t) = base_bits
+            && raises_invalid (fun () -> Inc.cost_merge t g1 g1)
+            && raises_invalid (fun () ->
+                   Inc.cost_merge t (Attr_set.union g1 g2) g1)
+        done;
+        match random_move rand base with
+        | None -> ()
+        | Some m ->
+            let target = apply_move base m in
+            ok :=
+              !ok
+              && bits (peek_cost t m) = bits (full_cost w target)
+              && Attr_set.equal
+                   (Partitioning.changed_attrs base target)
+                   (reference_changed_attrs base target)
+              && bits (Inc.goto t target) = bits (full_cost w target);
+            p := target
+      done;
+      !ok && bits (Inc.goto t !p) = bits (full_cost w !p))
 
 let suite =
   [

@@ -517,6 +517,34 @@ let test_optimizer_stats_golden () =
   in
   check_golden "optimizer stats" "golden/optimizer_stats.golden.txt" actual
 
+(* The work behind each "optimizer stats" line: the cost-model and budget
+   counter deltas of the same run under [Switch.Stats]. Pins that a change
+   to the cost kernel re-costs exactly the queries it did before. *)
+let stats_counters = [ "cost.query_costs"; "cost.delta_evals"; "cost.oracle_calls"; "budget.steps" ]
+
+let counter_line key w (a : Partitioner.t) =
+  let value name = Vp_observe.Stats.(counter_value (snapshot ()) name) in
+  Vp_observe.Switch.with_level Vp_observe.Switch.Stats (fun () ->
+      let before = List.map value stats_counters in
+      ignore (stats_line key w a);
+      let deltas =
+        List.map2
+          (fun name b -> Printf.sprintf " %s=%d" name (value name - b))
+          stats_counters before
+      in
+      Printf.sprintf "%s %s%s\n" key a.Partitioner.name (String.concat "" deltas))
+
+let test_optimizer_counters_golden () =
+  let lineitem = Vp_benchmarks.Tpch.workload ~sf:10.0 "lineitem" in
+  let wide = stats_wide () in
+  let actual =
+    String.concat ""
+      (List.map (counter_line "tpch/lineitem" lineitem) stats_entrants
+      @ List.map (counter_line "wide" wide) stats_heuristics)
+  in
+  check_golden "optimizer counters" "golden/optimizer_counters.golden.txt"
+    actual
+
 (* --- storage simulator golden ---
 
    The generated data and the storage simulator's accounting at SF 0.01:
@@ -682,5 +710,6 @@ let suite =
     Alcotest.test_case "bench report round-trip" `Quick
       test_bench_report_schema_roundtrip;
     Alcotest.test_case "optimizer stats" `Quick test_optimizer_stats_golden;
+    Alcotest.test_case "optimizer counters" `Quick test_optimizer_counters_golden;
     Alcotest.test_case "storage digests" `Quick test_storage_digests_golden;
   ]

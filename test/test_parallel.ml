@@ -168,13 +168,13 @@ let test_once_exception_retries () =
       ignore (Vp_parallel.Once.get o));
   Alcotest.(check int) "retry succeeds" 2 (Vp_parallel.Once.get o)
 
-(* --- Cost_cache: the per-run search memo --- *)
+(* --- Partitioner.Memo: the per-run search memo --- *)
 
 let test_counted_cache () =
   let w = Testutil.partsupp_workload in
   let oracle = Partitioner.Counted.make (Vp_cost.Io_model.oracle disk w) in
-  let memo = Vp_parallel.Cost_cache.memo () in
-  let cost_of = Vp_parallel.Cost_cache.counted memo oracle in
+  let memo = Partitioner.Memo.create () in
+  let cost_of = Partitioner.Memo.counted memo oracle in
   let p = Partitioning.column 5 in
   let first = cost_of p in
   Alcotest.(check int) "miss counts a call" 1 (Partitioner.Counted.calls oracle);
@@ -207,7 +207,7 @@ let test_counted_cache_late_groups () =
     Partitioner.Counted.make (fun p ->
         float_of_int (Attr_set.cardinal (Partitioning.group_of p 10)))
   in
-  let cost_of = Vp_parallel.Cost_cache.counted (Vp_parallel.Cost_cache.memo ()) oracle in
+  let cost_of = Partitioner.Memo.counted (Partitioner.Memo.create ()) oracle in
   Alcotest.(check (float 0.)) "first" 2.0 (cost_of p1);
   Alcotest.(check (float 0.)) "second is not served the first's entry" 1.0
     (cost_of p2);
@@ -217,14 +217,14 @@ let test_counted_cache_late_groups () =
   Alcotest.(check int) "no further calls" 2 (Partitioner.Counted.calls oracle)
 
 (* The bench report's cache_hits / cache_misses are the [cache.hits] /
-   [cache.misses] counter deltas around an algorithm's runs. HillClimb,
-   AutoPart and HYRISE price every candidate through their memo, so a
-   memo miss is exactly a cost call and a memo hit exactly a candidate
-   without one: the counter deltas must equal those. A merge-only climb
-   never meets a candidate twice (each step has one group fewer), so
-   HillClimb and AutoPart miss every time; HYRISE's second phase
-   re-prices its first phase's neighbourhood through the same memo, so
-   it must hit. *)
+   [cache.misses] counter deltas around an algorithm's runs. A merge-only
+   climb never meets a candidate twice (each step has one group fewer),
+   so HillClimb and AutoPart keep no memo: they make no memo traffic and
+   every candidate is a cost call. HYRISE, BruteForce, ILP and Hypergraph
+   price every candidate through their memo, so a memo miss is exactly a
+   cost call and a memo hit exactly a candidate without one: the counter
+   deltas must equal those. HYRISE's second phase re-prices its first
+   phase's neighbourhood through the same memo, so it must hit. *)
 let test_memo_counters () =
   let w = Vp_benchmarks.Tpch.workload ~sf:1.0 "partsupp" in
   let counts () =
@@ -232,7 +232,7 @@ let test_memo_counters () =
     ( Vp_observe.Stats.counter_value s "cache.hits",
       Vp_observe.Stats.counter_value s "cache.misses" )
   in
-  let hits_of (a : Partitioner.t) =
+  let run (a : Partitioner.t) =
     let hits0, misses0 = counts () in
     let r =
       Partitioner.exec a
@@ -241,21 +241,41 @@ let test_memo_counters () =
            ~cost:(Vp_cost.Io_model.oracle disk w) w)
     in
     let hits1, misses1 = counts () in
-    let s = r.Partitioner.Response.stats in
+    (r.Partitioner.Response.stats, hits1 - hits0, misses1 - misses0)
+  in
+  let memo_free (a : Partitioner.t) =
+    let s, hits, misses = run a in
+    Alcotest.(check (pair int int))
+      (a.Partitioner.name ^ ": no memo traffic") (0, 0) (hits, misses);
+    Alcotest.(check int)
+      (a.Partitioner.name ^ ": cost calls = candidates")
+      s.Partitioner.candidates s.Partitioner.cost_calls
+  in
+  let memoized (a : Partitioner.t) =
+    let s, hits, misses = run a in
     Alcotest.(check int)
       (a.Partitioner.name ^ ": misses = cost calls")
-      s.Partitioner.cost_calls (misses1 - misses0);
+      s.Partitioner.cost_calls misses;
     Alcotest.(check int)
       (a.Partitioner.name ^ ": hits = candidates - cost calls")
       (s.Partitioner.candidates - s.Partitioner.cost_calls)
-      (hits1 - hits0);
-    hits1 - hits0
+      hits;
+    hits
   in
   Vp_observe.Switch.with_level Vp_observe.Switch.Stats (fun () ->
-      ignore (hits_of Vp_algorithms.Hillclimb.algorithm);
-      ignore (hits_of Vp_algorithms.Autopart.algorithm);
+      memo_free Vp_algorithms.Hillclimb.algorithm;
+      memo_free Vp_algorithms.Autopart.algorithm;
       Alcotest.(check bool) "HYRISE hits its memo" true
-        (hits_of Vp_algorithms.Hyrise.algorithm > 0))
+        (memoized Vp_algorithms.Hyrise.algorithm > 0);
+      List.iter
+        (fun a -> ignore (memoized a))
+        [
+          Vp_algorithms.Brute_force.make
+            ~lower_bound:(Vp_cost.Bounds.io_brute_force disk)
+            ();
+          Vp_algorithms.Ilp.with_bound disk;
+          Vp_algorithms.Hypergraph.algorithm;
+        ])
 
 (* --- Runner --- *)
 
