@@ -1,16 +1,17 @@
 open Vp_core
 
-type lower_bound = blocks:Attr_set.t list -> remaining:Attr_set.t -> float
+type lower_bound = Attr_set.t array -> Vp_cost.Bounds.search
 
-let search ~atoms ~lower_bound ~max_candidates ~budget ~delta workload oracle =
+let branch_and_bound ~name ~short_name ~order_atoms ~cheapest_first
+    ?(use_atoms = true) ?(max_candidates = 5_000_000) ?lower_bound () =
+  Partitioner.timed_run_delta ~name ~short_name
+  @@ fun ~budget ~delta workload oracle ->
   let n = Table.attribute_count (Workload.table workload) in
-  let atom_arr = Array.of_list atoms in
-  (* Wide atoms first: placing bulky attribute groups early lets the lower
-     bound detect costly co-locations near the root of the search tree. *)
-  let table = Workload.table workload in
-  Array.sort
-    (fun a b -> compare (Table.subset_size table b) (Table.subset_size table a))
-    atom_arr;
+  let atom_arr =
+    order_atoms workload
+      (if use_atoms then Array.of_list (Workload.primary_partitions workload)
+       else Array.init n Attr_set.singleton)
+  in
   let m = Array.length atom_arr in
   (* A budget makes any search space safe to enter: enumeration stops at
      exhaustion with the best-so-far incumbent, so the up-front space
@@ -23,9 +24,9 @@ let search ~atoms ~lower_bound ~max_candidates ~budget ~delta workload oracle =
       if space > max_candidates then
         invalid_arg
           (Printf.sprintf
-             "Brute_force: search space B(%d) = %d exceeds %d candidates and \
-              no lower bound was provided"
-             m space max_candidates));
+             "%s: search space B(%d) = %d exceeds %d candidates and no \
+              lower bound was provided"
+             name m space max_candidates));
   (* Per-run cost cache: the seed climb re-costs almost the same
      neighbourhood each iteration, and the enumeration below revisits the
      seed and climb intermediates. *)
@@ -60,12 +61,11 @@ let search ~atoms ~lower_bound ~max_candidates ~budget ~delta workload oracle =
      best := seed;
      best_cost := seed_cost
    end);
-  (* remaining.(i) = union of atoms i..m-1. *)
-  let remaining = Array.make (m + 1) Attr_set.empty in
-  for i = m - 1 downto 0 do
-    remaining.(i) <- Attr_set.union remaining.(i + 1) atom_arr.(i)
-  done;
+  let bound = Option.map (fun lb -> lb workload atom_arr) lower_bound in
   let blocks = Array.make m Attr_set.empty in
+  (* Depth [i]'s child bounds and visiting order sit at [i * m]; a node
+     at depth [i] has at most [i + 1] children. *)
+  let child_bound = Array.make (m * m) 0.0 and order = Array.make (m * m) 0 in
   let rec assign i used =
     Vp_robust.Budget.tick budget;
     if i = m then begin
@@ -79,41 +79,61 @@ let search ~atoms ~lower_bound ~max_candidates ~budget ~delta workload oracle =
     end
     else
       (* Atom [i] joins one of the [used] blocks or opens block [used]. *)
-      for j = 0 to used do
-        let saved = blocks.(j) in
-        blocks.(j) <- Attr_set.union saved atom_arr.(i);
-        let used' = if j = used then used + 1 else used in
-        let prune =
-          match lower_bound with
-          | None -> false
-          | Some lb ->
-              let partial =
-                Array.to_list (Array.sub blocks 0 used')
-              in
-              lb ~blocks:partial ~remaining:remaining.(i + 1) >= !best_cost
-        in
-        if not prune then assign (i + 1) used';
-        blocks.(j) <- saved
-      done
+      match bound with
+      | None ->
+          for j = 0 to used do
+            place i j used
+          done
+      | Some b ->
+          (* Bounds do not depend on the incumbent, so computing them all
+             up front prunes exactly what computing each before its
+             visit would. Cheapest-first orders children by bound, ties
+             by block index — deterministic and independent of the
+             incumbent, as the degradation contract needs. *)
+          let base = i * m in
+          for j = 0 to used do
+            let c = base + j in
+            child_bound.(c) <- b.Vp_cost.Bounds.child i j;
+            let k = ref c in
+            if cheapest_first then
+              while
+                !k > base && child_bound.(order.(!k - 1)) > child_bound.(c)
+              do
+                order.(!k) <- order.(!k - 1);
+                decr k
+              done;
+            order.(!k) <- c
+          done;
+          for k = base to base + used do
+            let c = order.(k) in
+            if child_bound.(c) < !best_cost then begin
+              b.descend i (c - base);
+              place i (c - base) used;
+              b.ascend i (c - base)
+            end
+          done
+  and place i j used =
+    let saved = blocks.(j) in
+    blocks.(j) <- Attr_set.union saved atom_arr.(i);
+    assign (i + 1) (if j = used then used + 1 else used);
+    blocks.(j) <- saved
   in
   (* Exhaustion abandons the rest of the enumeration; the incumbent is the
      cheapest fully evaluated candidate, at worst the row layout. *)
   (try assign 0 0 with Vp_robust.Budget.Exhausted -> ());
   (!best, m)
 
-let make ?(use_atoms = true) ?(max_candidates = 5_000_000) ?lower_bound () =
-  Partitioner.timed_run_delta ~name:"BruteForce" ~short_name:"BF"
-    (fun ~budget ~delta workload oracle ->
-      let atoms =
-        if use_atoms then Workload.primary_partitions workload
-        else
-          List.init
-            (Table.attribute_count (Workload.table workload))
-            Attr_set.singleton
-      in
-      let lower_bound =
-        Option.map (fun factory -> factory workload) lower_bound
-      in
-      search ~atoms ~lower_bound ~max_candidates ~budget ~delta workload oracle)
+(* Wide atoms first: placing bulky attribute groups early lets the lower
+   bound detect costly co-locations near the root of the search tree. *)
+let widest_first workload atoms =
+  let table = Workload.table workload in
+  Array.sort
+    (fun a b -> compare (Table.subset_size table b) (Table.subset_size table a))
+    atoms;
+  atoms
+
+let make =
+  branch_and_bound ~name:"BruteForce" ~short_name:"BF"
+    ~order_atoms:widest_first ~cheapest_first:false
 
 let algorithm = make ()

@@ -13,7 +13,7 @@ open Vp_core
     - the search runs over the workload's {e primary partitions} (groups of
       attributes always accessed together) instead of raw attributes, which
       is lossless for this cost model's optimum and shrinks Lineitem from
-      16 attributes to 14 units;
+      16 attributes to 13 units;
     - a greedy bottom-up merge seeds the incumbent (upper bound);
     - an optional {e admissible lower bound} supplied by the cost model
       prunes partial assignments that can no longer beat the incumbent.
@@ -21,11 +21,29 @@ open Vp_core
     Without a lower bound the search degenerates to full enumeration and
     refuses workloads whose search space exceeds [max_candidates]. *)
 
-type lower_bound = blocks:Attr_set.t list -> remaining:Attr_set.t -> float
-(** [lb ~blocks ~remaining] must under-estimate the workload cost of every
-    partitioning that extends the partial assignment in which the groups
-    [blocks] have been formed and the attributes in [remaining] are still
-    unassigned (each will later join an existing block or a new one). *)
+type lower_bound = Attr_set.t array -> Vp_cost.Bounds.search
+(** A bound applied to the atoms in branching order. Each child bound
+    must under-estimate the workload cost of every partitioning that
+    extends the child's partial assignment; see {!Vp_cost.Bounds}. *)
+
+val branch_and_bound :
+  name:string ->
+  short_name:string ->
+  order_atoms:(Workload.t -> Attr_set.t array -> Attr_set.t array) ->
+  cheapest_first:bool ->
+  ?use_atoms:bool ->
+  ?max_candidates:int ->
+  ?lower_bound:(Workload.t -> lower_bound) ->
+  unit ->
+  Partitioner.t
+(** The one exact-search driver BruteForce and {!Ilp} share: the row
+    incumbent, the seed climb, the space guard, the restricted-growth
+    enumeration with memoized leaves, and pruning against the bound.
+    [order_atoms] fixes the branching order of the atoms. With a bound,
+    the children of a node are visited in block-index order, or
+    cheapest bound first (ties by block index) when [cheapest_first]; a
+    run without a bound visits them in index order and does no bound
+    work. *)
 
 val make :
   ?use_atoms:bool ->

@@ -31,51 +31,56 @@ let connectivity_cut workload partitioning =
       acc +. (Query.weight q *. float_of_int (max 0 (lambda - 1))))
     0.0 queries
 
-(* Total weight of the hyperedges pinning both blocks. *)
-let edge_weight queries a b =
-  Array.fold_left
-    (fun acc q ->
-      let refs = Query.references q in
-      if Attr_set.intersects a refs && Attr_set.intersects b refs then
-        acc +. Query.weight q
-      else acc)
-    0.0 queries
-
 let sort_blocks = List.sort Attr_set.compare
 
 let search ~budget ~delta workload oracle =
   let n = Table.attribute_count (Workload.table workload) in
   let queries = Workload.queries workload in
+  let refs = Array.map Query.references queries in
+  let weights = Array.map Query.weight queries in
+  (* Total weight of the hyperedges pinning both blocks, added in query
+     order. *)
+  let edge_weight a b =
+    let acc = ref 0.0 in
+    for q = 0 to Array.length refs - 1 do
+      if Attr_set.intersects a refs.(q) && Attr_set.intersects b refs.(q) then
+        acc := !acc +. weights.(q)
+    done;
+    !acc
+  in
   let atoms = sort_blocks (Workload.primary_partitions workload) in
   let cache = Partitioner.Memo.create () in
-  let cost_of =
+  (* The session stays based at the incumbent: a candidate is priced by
+     [price], a peek from there, and only a commit rebases it. *)
+  let cost_of candidate price =
     match delta with
-    | None -> Partitioner.Memo.counted cache oracle
+    | None -> Partitioner.Memo.counted cache oracle candidate
     | Some s ->
-        fun p ->
-          Partitioner.Memo.counted_via cache oracle
-            ~compute:(fun () -> s.Partitioner.Delta.goto p)
-            p
+        Partitioner.Memo.counted_via cache oracle
+          ~compute:(fun () -> price s candidate)
+          candidate
   in
+  let goto s p = s.Partitioner.Delta.goto p in
   (* The start layout is costed before anything can tick, so even a
      zero-step (or already-cancelled) budget answers with a valid
      incumbent. *)
   let blocks = ref atoms in
   let best = ref (Partitioning.of_groups ~n !blocks) in
-  let best_cost = ref (cost_of !best) in
+  let best_cost = ref (cost_of !best goto) in
   let commits = ref 0 in
   (* [!best] is always the partitioning of [!blocks], so candidates are
      built from it by merge/split; [blocks] stays in mask order, which
      fixes the search order below. *)
-  let try_candidate candidate =
+  let try_candidate candidate price =
     Vp_robust.Budget.tick budget;
     let candidate = candidate !best in
-    let cost = cost_of candidate in
+    let cost = cost_of candidate price in
     if cost < !best_cost then begin
       best := candidate;
       best_cost := cost;
       blocks := sort_blocks (Partitioning.groups candidate);
       incr commits;
+      Option.iter (fun s -> ignore (goto s candidate : float)) delta;
       true
     end
     else false
@@ -95,7 +100,7 @@ let search ~budget ~delta workload oracle =
       let pairs = ref [] in
       for i = 0 to k - 2 do
         for j = i + 1 to k - 1 do
-          let w = edge_weight queries bs.(i) bs.(j) in
+          let w = edge_weight bs.(i) bs.(j) in
           if w > 0.0 then pairs := (w, i, j) :: !pairs
         done
       done;
@@ -111,7 +116,8 @@ let search ~budget ~delta workload oracle =
          List.iter
            (fun (_, i, j) ->
              let merge p = Partitioning.merge_groups p bs.(i) bs.(j) in
-             if try_candidate merge then raise Exit)
+             let price s _ = s.Partitioner.Delta.cost_merge bs.(i) bs.(j) in
+             if try_candidate merge price then raise Exit)
            pairs
        with Exit ->
          improved := true;
@@ -136,7 +142,7 @@ let search ~budget ~delta workload oracle =
                (fun atom ->
                  Array.iteri
                    (fun j dst ->
-                     if j <> i && edge_weight queries atom dst > 0.0 then begin
+                     if j <> i && edge_weight atom dst > 0.0 then begin
                        let move p =
                          if Attr_set.equal atom src then
                            Partitioning.merge_groups p src dst
@@ -145,7 +151,8 @@ let search ~budget ~delta workload oracle =
                              (Partitioning.split_group p src atom)
                              atom dst
                        in
-                       if try_candidate move then raise Exit
+                       if try_candidate move (fun s -> s.Partitioner.Delta.peek)
+                       then raise Exit
                      end)
                    bs)
                (List.filter (fun a -> Attr_set.subset a src) atoms))

@@ -9,7 +9,14 @@ open Vp_core
     boundary refinement (move one atom across the cut); the hypergraph
     metric orders the candidates, the request's cost oracle scores them,
     and only true cost improvements are committed — so the result never
-    costs more than the atom layout it starts from, under any budget. *)
+    costs more than the atom layout it starts from, under any budget.
+
+    With a delta session on the request, the session stays based at
+    the incumbent: a merge is priced with the session's [cost_merge],
+    a move with its [peek], and only a commit rebases it ([goto]).
+    Without one, every candidate is re-costed in full. Either way
+    candidates go through the per-run {!Partitioner.Memo}, and the
+    layout, cost bits and search counters are the same. *)
 
 val connectivity_cut : Workload.t -> Partitioning.t -> float
 (** The hypergraph connectivity of a layout:

@@ -2,8 +2,9 @@ open Vp_core
 
 (** ILP: the exact search expressed as Amossen's integer-programming
     formulation of vertical partitioning (PAPERS.md, arXiv:0911.1691),
-    solved by a small branch-and-bound over the existing enumeration
-    machinery.
+    solved by the branch-and-bound driver BruteForce runs
+    ({!Brute_force.branch_and_bound}), with its own atom and child
+    order.
 
     Binary variables x[a,b] assign each primary-partition atom to one
     block; the restricted-growth convention removes the ILP's symmetric
@@ -12,7 +13,9 @@ open Vp_core
     visiting candidate blocks cheapest-relaxation-first. Partial
     assignments are fathomed against an admissible lower bound of the
     objective — the relaxation the ILP solver would use — supplied by
-    the cost model ({!Vp_cost.Bounds}).
+    the cost model ({!Vp_cost.Bounds}) and carried by difference: a
+    child's bound is an exact integer update of its parent's per-query
+    seek and byte counts.
 
     Like BruteForce, the search is exact: with an admissible bound it
     returns a minimum-cost layout, and under a budget it degrades to a

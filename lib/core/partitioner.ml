@@ -14,8 +14,7 @@ module Delta = struct
     base_cost : unit -> float;
     goto : Partitioning.t -> float;
     cost_merge : Attr_set.t -> Attr_set.t -> float;
-    cost_split : group:Attr_set.t -> sub:Attr_set.t -> float;
-    cost_move : attr:int -> dst:Attr_set.t -> float;
+    peek : Partitioning.t -> float;
   }
 
   type factory = unit -> session

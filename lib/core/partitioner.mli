@@ -53,13 +53,10 @@ module Delta : sig
         (** Cost after merging two (distinct) base groups. Peeks only:
             the base is unchanged. Raises [Invalid_argument] exactly
             where {!Partitioning.merge_groups} would. *)
-    cost_split : group:Attr_set.t -> sub:Attr_set.t -> float;
-        (** Cost after splitting [sub] out of base group [group]. Peeks
-            only. Raises like {!Partitioning.split_group}. *)
-    cost_move : attr:int -> dst:Attr_set.t -> float;
-        (** Cost after moving one attribute into base group [dst]
-            (moving into its own group returns the base cost). Peeks
-            only. *)
+    peek : Partitioning.t -> float;
+        (** Cost of any partitioning of the same table. Peeks only: the
+            base is unchanged, and only the queries touching attributes
+            whose group differs from the base's are re-costed. *)
   }
 
   type factory = unit -> session

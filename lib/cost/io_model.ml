@@ -274,9 +274,9 @@ module Incremental = struct
         done)
       changed
 
-  (* Cost of a one-move neighbor with change set [changed], whose
-     affected queries read [groups_of i], without moving the base. *)
-  let peek t changed groups_of =
+  (* Cost of a neighbor with change set [changed], whose affected
+     queries read [groups_of i], without moving the base. *)
+  let peek_changed t changed groups_of =
     ensure_valid t;
     if Vp_observe.Switch.stats_on () then Vp_observe.Stats.incr c_delta_evals;
     if Attr_set.is_empty changed then t.base_cost
@@ -289,9 +289,9 @@ module Incremental = struct
       c
     end
 
-  (* A neighbor given as a whole partitioning. *)
-  let peek_partitioning t p changed =
-    peek t changed (fun i -> Partitioning.referenced_group_array p t.refs.(i))
+  let peek t p =
+    peek_changed t (Partitioning.changed_attrs t.base p) (fun i ->
+        Partitioning.referenced_group_array p t.refs.(i))
 
   let base t = t.base
 
@@ -351,42 +351,14 @@ module Incremental = struct
       (* Not a legal merge: [merge_groups] raises its own exception. *)
       ignore (Partitioning.merge_groups t.base g1 g2 : Partitioning.t);
     let u = Attr_set.union g1 g2 in
-    peek t u (fun i -> merged_groups t.qgroups.(i) g1 g2 u)
-
-  let cost_split t ~group ~sub =
-    ensure_valid t;
-    peek_partitioning t (Partitioning.split_group t.base group sub) group
-
-  let cost_move t ~attr ~dst =
-    ensure_valid t;
-    let src = Partitioning.group_of t.base attr in
-    if not (Partitioning.mem_group t.base dst) then
-      invalid_arg
-        (Printf.sprintf "Io_model.Incremental.cost_move: %s is not a group"
-           (Attr_set.to_string dst));
-    if Attr_set.mem attr dst then t.base_cost
-    else
-      let p =
-        if Attr_set.cardinal src = 1 then Partitioning.merge_groups t.base src dst
-        else
-          let split = Partitioning.split_group t.base src (Attr_set.singleton attr) in
-          Partitioning.merge_groups split (Attr_set.singleton attr) dst
-      in
-      peek_partitioning t p (Attr_set.union src dst)
-
-  let delta_merge t g1 g2 = cost_merge t g1 g2 -. base_cost t
-
-  let delta_split t ~group ~sub = cost_split t ~group ~sub -. base_cost t
-
-  let delta_move t ~attr ~dst = cost_move t ~attr ~dst -. base_cost t
+    peek_changed t u (fun i -> merged_groups t.qgroups.(i) g1 g2 u)
 
   let session t =
     {
       Partitioner.Delta.base_cost = (fun () -> base_cost t);
       goto = (fun p -> goto t p);
       cost_merge = (fun g1 g2 -> cost_merge t g1 g2);
-      cost_split = (fun ~group ~sub -> cost_split t ~group ~sub);
-      cost_move = (fun ~attr ~dst -> cost_move t ~attr ~dst);
+      peek = (fun p -> peek t p);
     }
 
   let factory disk workload () = session (create disk workload)

@@ -69,15 +69,14 @@ val oracle : Disk.t -> Workload.t -> Partitioner.cost_fn
 (** Cost oracle closure for feeding algorithms. *)
 
 (** Incremental cost-delta oracle for the optimizer hot path (DESIGN.md
-    section 12). A session is based at one partitioning and prices the
-    canonical search moves — merge two partitions, split a partition,
-    move one attribute — by re-costing only the queries whose
+    section 12). A session is based at one partitioning and prices a
+    neighbor — the merge of two partitions, or any partitioning via
+    {!Incremental.peek} — by re-costing only the queries whose
     referenced-partition set changes (found via a flat per-attribute
     query index built once per session) and re-summing the weighted
     total over all queries in {!workload_cost}'s exact fold order.
     Every cost returned is therefore bit-identical to
-    [workload_cost disk w p'] of the moved-to partitioning, and every
-    delta is exactly the difference of two such full costs: search
+    [workload_cost disk w p'] of the moved-to partitioning: search
     trajectories, and hence layouts, match the full-cost path byte for
     byte. A session keeps each query's referenced groups under the base
     and memoizes query costs on those group arrays; a merge peek derives
@@ -111,24 +110,10 @@ module Incremental : sig
       Raises [Invalid_argument] exactly where
       {!Partitioning.merge_groups} would (e.g. self-merge). *)
 
-  val cost_split : t -> group:Attr_set.t -> sub:Attr_set.t -> float
-  (** Cost after splitting [sub] out of base group [group], without
-      rebasing. Raises like {!Partitioning.split_group} (e.g. a
-      singleton split where [sub = group]). *)
-
-  val cost_move : t -> attr:int -> dst:Attr_set.t -> float
-  (** Cost after moving attribute [attr] into base group [dst], without
-      rebasing. Moving an attribute into its own group returns the base
-      cost; a singleton source group dissolves into [dst].
-      @raise Invalid_argument if [dst] is not a group or [attr] is out
-      of range. *)
-
-  val delta_merge : t -> Attr_set.t -> Attr_set.t -> float
-  (** [cost_merge - base_cost]: exactly the full re-cost difference. *)
-
-  val delta_split : t -> group:Attr_set.t -> sub:Attr_set.t -> float
-
-  val delta_move : t -> attr:int -> dst:Attr_set.t -> float
+  val peek : t -> Partitioning.t -> float
+  (** Cost of an arbitrary partitioning of the same table, without
+      rebasing: only queries touching attributes whose group differs
+      from the base's are re-costed. *)
 
   val session : t -> Partitioner.Delta.session
   (** The algorithm-facing view of a session. *)

@@ -141,42 +141,9 @@ let prop_needed_le_read =
           b.bytes_needed <= b.bytes_read +. 1e-9)
         (Workload.queries w))
 
-let prop_brute_force_bound_admissible =
-  (* With the final partitioning's groups as blocks and nothing remaining,
-     the branch-and-bound lower bound must not exceed the true cost. *)
-  QCheck2.Test.make ~name:"B&B lower bound admissible at leaves" ~count:200
-    arb_workload_and_partitioning (fun (w, p) ->
-      Vp_cost.Bounds.io_brute_force hand_disk w
-        ~blocks:(Partitioning.groups p) ~remaining:Attr_set.empty
-      <= Vp_cost.Io_model.workload_cost hand_disk w p +. 1e-9)
-
-let prop_bound_admissible_at_prefixes =
-  (* The bound must under-estimate the final cost from any prefix of the
-     assignment: blocks = a subset of the final groups, remaining = the
-     attributes of the rest. *)
-  QCheck2.Test.make ~name:"B&B lower bound admissible at prefixes" ~count:200
-    arb_workload_and_partitioning (fun (w, p) ->
-      let groups = Partitioning.groups p in
-      let rec prefixes acc = function
-        | [] -> [ List.rev acc ]
-        | g :: rest -> List.rev acc :: prefixes (g :: acc) rest
-      in
-      let full_cost = Vp_cost.Io_model.workload_cost hand_disk w p in
-      List.for_all
-        (fun blocks ->
-          let covered =
-            List.fold_left Attr_set.union Attr_set.empty blocks
-          in
-          let remaining =
-            Attr_set.diff (Table.all_attributes (Workload.table w)) covered
-          in
-          Vp_cost.Bounds.io_brute_force hand_disk w ~blocks ~remaining
-          <= full_cost +. 1e-9)
-        (prefixes [] groups))
-
-(* The branch-and-bound bound as it was written before its per-workload
-   precomputation: one fold over the queries, filtering the block list
-   for each. The reference the precomputed bound must match bit for bit. *)
+(* The branch-and-bound bound computed from scratch: one fold over the
+   queries, filtering the block list for each. The reference the bound
+   carried by difference must match bit for bit. *)
 let reference_bound ~seek_unit ~byte_rate workload ~blocks =
   let table = Workload.table workload in
   let rows = float_of_int (Table.row_count table) in
@@ -197,34 +164,130 @@ let reference_bound ~seek_unit ~byte_rate workload ~blocks =
       acc +. (Query.weight q *. ((seek_unit *. seeks) +. (bytes /. byte_rate))))
     0.0 (Workload.queries workload)
 
-let gen_wide_workload =
+(* A workload over 6, 48 or 62 attributes (so masks reach bit 61), up to
+   ten atoms covering its attributes in random order, and a seed for the
+   walks. *)
+let gen_bound_walk =
   QCheck2.Gen.(
     let* n = oneofl [ 6; 48; 62 ] in
     let* w = Testutil.gen_workload n 6 in
-    let* masks = list_size (int_range 0 8) int in
-    let full = Attr_set.to_mask (Table.all_attributes (Workload.table w)) in
-    return
-      (w, List.map (fun m -> Attr_set.of_mask (abs m land full)) masks))
+    let* k = int_range 1 10 in
+    let* owner = array_size (return n) (int_bound (k - 1)) in
+    let* seed = int in
+    let atoms =
+      List.init k (fun a ->
+          Attr_set.of_list
+            (List.filter (fun i -> owner.(i) = a) (List.init n Fun.id)))
+      |> List.filter (fun g -> not (Attr_set.is_empty g))
+    in
+    return (w, atoms, seed))
+
+type bound_obs = {
+  bound : float;
+  reference : float;
+  on_path : bool;  (** The child lies on the walk, so its leaf extends it. *)
+  leaf_cost : float;  (** Full cost of the walk's leaf. *)
+  at_leaf : bool;  (** The child places the last atom. *)
+}
+
+(* Two random restricted-growth paths through one applied bound, for the
+   I/O and the main-memory bound. At every node of a path, every child's
+   bound is observed next to [reference_bound] of the child's blocks;
+   at random nodes the walk also descends into an off-path child,
+   observes its children and returns, so later bounds are read from
+   restored state. *)
+let walk_bounds (w, atoms, seed) =
+  let state = Random.State.make [| seed |] in
+  let rand k = Random.State.int state k in
+  let atoms = Array.of_list atoms in
+  let m = Array.length atoms in
+  let n = Table.attribute_count (Workload.table w) in
+  let mm = Vp_cost.Memory_model.default in
+  let models =
+    [
+      ( Vp_cost.Bounds.io_brute_force hand_disk w atoms,
+        reference_bound ~seek_unit:hand_disk.seek_time
+          ~byte_rate:hand_disk.read_bandwidth w,
+        Vp_cost.Io_model.workload_cost hand_disk w );
+      ( Vp_cost.Bounds.memory_brute_force mm w atoms,
+        reference_bound ~seek_unit:0.0 ~byte_rate:mm.bandwidth w,
+        Vp_cost.Memory_model.workload_cost mm w );
+    ]
+  in
+  let obs = ref [] in
+  let blocks = Array.make m Attr_set.empty in
+  let child_blocks i j used =
+    List.init
+      (if j = used then used + 1 else used)
+      (fun b ->
+        if b = j then Attr_set.union blocks.(b) atoms.(i) else blocks.(b))
+  in
+  let walk (b, reference, full) =
+    let path = Array.make m 0 and opened = ref 0 in
+    for i = 0 to m - 1 do
+      path.(i) <- rand (!opened + 1);
+      if path.(i) = !opened then incr opened
+    done;
+    let leaf = Array.make !opened Attr_set.empty in
+    Array.iteri (fun i j -> leaf.(j) <- Attr_set.union leaf.(j) atoms.(i)) path;
+    let leaf_cost = full (Partitioning.of_groups ~n (Array.to_list leaf)) in
+    let observe i used ~on_path =
+      for j = 0 to used do
+        obs :=
+          {
+            bound = b.Vp_cost.Bounds.child i j;
+            reference = reference ~blocks:(child_blocks i j used);
+            on_path = on_path && path.(i) = j;
+            leaf_cost;
+            at_leaf = i = m - 1;
+          }
+          :: !obs
+      done
+    in
+    let step i j used f =
+      b.descend i j;
+      let saved = blocks.(j) in
+      blocks.(j) <- Attr_set.union saved atoms.(i);
+      f (if j = used then used + 1 else used);
+      blocks.(j) <- saved;
+      b.ascend i j
+    in
+    let rec node i used =
+      if i < m then begin
+        observe i used ~on_path:true;
+        let off = rand (used + 1) in
+        if i + 1 < m && off <> path.(i) then
+          step i off used (fun used' -> observe (i + 1) used' ~on_path:false);
+        step i path.(i) used (node (i + 1))
+      end
+    in
+    node 0 0
+  in
+  List.iter (fun model -> walk model; walk model) models;
+  !obs
+
+let prop_brute_force_bound_admissible =
+  QCheck2.Test.make ~name:"B&B lower bound admissible at leaves" ~count:200
+    gen_bound_walk (fun case ->
+      List.for_all
+        (fun o ->
+          (not (o.on_path && o.at_leaf)) || o.bound <= o.leaf_cost +. 1e-9)
+        (walk_bounds case))
+
+let prop_bound_admissible_at_prefixes =
+  QCheck2.Test.make ~name:"B&B lower bound admissible at prefixes" ~count:200
+    gen_bound_walk (fun case ->
+      List.for_all
+        (fun o -> (not o.on_path) || o.bound <= o.leaf_cost +. 1e-9)
+        (walk_bounds case))
 
 let prop_bound_matches_reference =
   QCheck2.Test.make ~name:"B&B bound = list-based reference, bit for bit"
-    ~count:200 gen_wide_workload (fun (w, blocks) ->
+    ~count:200 gen_bound_walk (fun case ->
       let bits = Int64.bits_of_float in
-      let mm = Vp_cost.Memory_model.default in
-      let io = Vp_cost.Bounds.io_brute_force hand_disk w in
-      let mem = Vp_cost.Bounds.memory_brute_force mm w in
-      let io_ref =
-        reference_bound ~seek_unit:hand_disk.seek_time
-          ~byte_rate:hand_disk.read_bandwidth w ~blocks
-      and mem_ref =
-        reference_bound ~seek_unit:0.0 ~byte_rate:mm.bandwidth w ~blocks
-      in
-      (* Twice from one applied bound: a call leaves no state behind. *)
       List.for_all
-        (fun _ ->
-          bits (io ~blocks ~remaining:Attr_set.empty) = bits io_ref
-          && bits (mem ~blocks ~remaining:Attr_set.empty) = bits mem_ref)
-        [ 1; 2 ])
+        (fun o -> bits o.bound = bits o.reference)
+        (walk_bounds case))
 
 let prop_subset_size_width_sum =
   QCheck2.Test.make ~name:"subset size = per-attribute width sum" ~count:300

@@ -1,9 +1,10 @@
 (* Differential and property tests for the incremental cost-delta oracle
    (Vp_cost.Io_model.Incremental). The contract under test is exactness:
-   every cost a delta session returns — for rebases and for merge/split/
-   move peeks — must equal a from-scratch [Io_model.workload_cost] of the
-   target partitioning TO THE LAST BIT, so all comparisons here are on
-   [Int64.bits_of_float], never within an epsilon. *)
+   every cost a delta session returns — for rebases, merge peeks and
+   peeks of split and move neighbours — must equal a from-scratch
+   [Io_model.workload_cost] of the target partitioning TO THE LAST BIT,
+   so all comparisons here are on [Int64.bits_of_float], never within
+   an epsilon. *)
 
 open Vp_core
 module Inc = Vp_cost.Io_model.Incremental
@@ -84,8 +85,8 @@ let random_move rand p =
   | _ -> ( match move () with Some m -> Some m | None -> split ())
 
 (* The target partitioning of a move, built WITHOUT the session — for
-   moves, by editing the group list directly rather than through the
-   split-then-merge composition [cost_move] uses internally. *)
+   moves, by editing the group list directly rather than through a
+   split-then-merge composition. *)
 let apply_move p = function
   | Merge (a, b) -> Partitioning.merge_groups p a b
   | Split (g, sub) -> Partitioning.split_group p g sub
@@ -101,15 +102,13 @@ let apply_move p = function
       in
       Partitioning.of_groups ~n:(Partitioning.attribute_count p) groups
 
-let peek_cost t = function
+(* A session peek of [m] from base [p]: merges through [cost_merge],
+   split and move neighbours through [peek] of the neighbour built
+   without the session. *)
+let peek_cost t p m =
+  match m with
   | Merge (a, b) -> Inc.cost_merge t a b
-  | Split (g, sub) -> Inc.cost_split t ~group:g ~sub
-  | Move (attr, dst) -> Inc.cost_move t ~attr ~dst
-
-let peek_delta t = function
-  | Merge (a, b) -> Inc.delta_merge t a b
-  | Split (g, sub) -> Inc.delta_split t ~group:g ~sub
-  | Move (attr, dst) -> Inc.delta_move t ~attr ~dst
+  | Split _ | Move _ -> Inc.peek t (apply_move p m)
 
 let random_base rand w =
   Enumeration.random_partitioning rand
@@ -155,10 +154,10 @@ let test_differential () =
               let label =
                 Printf.sprintf "%s base %d: %s" name base_no (describe m)
               in
-              check_bits label full (peek_cost t m);
+              check_bits label full (peek_cost t p0 m);
               check_bits (label ^ " (delta)")
                 (full -. full_cost w p0)
-                (peek_delta t m);
+                (peek_cost t p0 m -. Inc.base_cost t);
               (* Peeks must not have moved the base. *)
               check_bits (label ^ " (base intact)") (full_cost w p0)
                 (Inc.base_cost t)
@@ -202,36 +201,18 @@ let test_degenerate () =
   let dst = Attr_set.of_list [ 1; 2; 3; 4 ] in
   check_bits "singleton-source move = merge"
     (full_cost w (Partitioning.merge_groups p (Attr_set.singleton 0) dst))
-    (Inc.cost_move t ~attr:0 ~dst);
-  (* Moving an attribute into its own group is a no-op: the exact base
-     cost, and a delta of exactly +0.0. *)
+    (peek_cost t p (Move (0, dst)));
+  (* Peeking the base itself — e.g. moving an attribute into its own
+     group — is a no-op: the exact base cost, and a delta of exactly
+     +0.0. *)
   check_bits "move into own group = base cost" (full_cost w p)
-    (Inc.cost_move t ~attr:2 ~dst);
+    (peek_cost t p (Move (2, dst)));
   check_bits "move into own group: delta = 0" 0.0
-    (Inc.delta_move t ~attr:2 ~dst);
-  (* Self-merge and whole-group splits are illegal exactly as they are
-     for Partitioning itself. *)
+    (peek_cost t p (Move (2, dst)) -. Inc.base_cost t);
+  (* Self-merge is illegal exactly as it is for Partitioning itself. *)
   Alcotest.check_raises "self-merge raises"
     (Invalid_argument "Partitioning.merge_groups: same group") (fun () ->
       ignore (Inc.cost_merge t dst dst : float));
-  Alcotest.check_raises "splitting a whole group raises"
-    (Invalid_argument "Partitioning.split_group: subset equals the group")
-    (fun () ->
-      ignore (Inc.cost_split t ~group:dst ~sub:dst : float));
-  Alcotest.check_raises "splitting a singleton raises"
-    (Invalid_argument "Partitioning.split_group: subset equals the group")
-    (fun () ->
-      ignore
-        (Inc.cost_split t ~group:(Attr_set.singleton 0)
-           ~sub:(Attr_set.singleton 0)
-          : float));
-  Alcotest.check_raises "empty split subset raises"
-    (Invalid_argument "Partitioning.split_group: empty subset") (fun () ->
-      ignore (Inc.cost_split t ~group:dst ~sub:Attr_set.empty : float));
-  (* Moving into a non-group is rejected. *)
-  (match Inc.cost_move t ~attr:0 ~dst:(Attr_set.of_list [ 1; 2 ]) with
-  | exception Invalid_argument _ -> ()
-  | c -> Alcotest.failf "move into non-group returned %g" c);
   (* A split peeked on a two-attribute group leaves two singletons. *)
   let pair = Partitioning.of_groups ~n [ Attr_set.of_list [ 0; 1 ]; Attr_set.of_list [ 2; 3; 4 ] ] in
   ignore (Inc.goto t pair : float);
@@ -239,8 +220,7 @@ let test_degenerate () =
     (full_cost w
        (Partitioning.split_group pair (Attr_set.of_list [ 0; 1 ])
           (Attr_set.singleton 0)))
-    (Inc.cost_split t ~group:(Attr_set.of_list [ 0; 1 ])
-       ~sub:(Attr_set.singleton 0))
+    (peek_cost t pair (Split (Attr_set.of_list [ 0; 1 ], Attr_set.singleton 0)))
 
 (* --- move algebra properties ----------------------------------------- *)
 
@@ -284,7 +264,7 @@ let test_random_walk () =
         | Some m ->
             let next = apply_move !p m in
             let full_next = full_cost w next in
-            let delta = peek_delta t m in
+            let delta = peek_cost t !p m -. Inc.base_cost t in
             check_bits
               (Printf.sprintf "%s walk %d: delta = full difference" name step)
               (full_next -. !c) delta;
@@ -315,17 +295,11 @@ let test_session_closures () =
           (Attr_set.singleton 4)))
     (s.Partitioner.Delta.cost_merge (Attr_set.of_list [ 0; 1 ])
        (Attr_set.singleton 4));
-  check_bits "session cost_split"
-    (full_cost w
-       (Partitioning.split_group p (Attr_set.of_list [ 2; 3 ])
-          (Attr_set.singleton 2)))
-    (s.Partitioner.Delta.cost_split ~group:(Attr_set.of_list [ 2; 3 ])
-       ~sub:(Attr_set.singleton 2));
-  check_bits "session cost_move"
-    (full_cost w
-       (Partitioning.of_groups ~n
-          [ Attr_set.singleton 0; Attr_set.of_list [ 1; 2; 3 ]; Attr_set.singleton 4 ]))
-    (s.Partitioner.Delta.cost_move ~attr:1 ~dst:(Attr_set.of_list [ 2; 3 ]))
+  let moved =
+    Partitioning.of_groups ~n
+      [ Attr_set.singleton 0; Attr_set.of_list [ 1; 2; 3 ]; Attr_set.singleton 4 ]
+  in
+  check_bits "session peek" (full_cost w moved) (s.Partitioner.Delta.peek moved)
 
 (* --- qcheck: random workloads, random bases, random moves ------------ *)
 
@@ -348,8 +322,10 @@ let raises_invalid f =
 (* Tables of 8, 48 and 62 attributes, so group masks reach bit 61. From a
    random base, a short chain of random moves; at each step every merge
    peek must equal the full re-cost of [merge_groups] and leave the base
-   alone, illegal merges must raise, the ordered walk must find the
-   reference change set, and [goto] must land on the full re-cost. *)
+   alone, illegal merges must raise, the move's peek must equal the full
+   re-cost of its target and leave the base alone, the ordered walk must
+   find the reference change set, and [goto] must land on the full
+   re-cost. *)
 let prop_random_workloads =
   QCheck2.Test.make ~name:"delta oracle exact on random workloads"
     ~count:150
@@ -390,7 +366,9 @@ let prop_random_workloads =
             let target = apply_move base m in
             ok :=
               !ok
-              && bits (peek_cost t m) = bits (full_cost w target)
+              && bits (peek_cost t base m) = bits (full_cost w target)
+              && Partitioning.equal (Inc.base t) base
+              && bits (Inc.base_cost t) = base_bits
               && Attr_set.equal
                    (Partitioning.changed_attrs base target)
                    (reference_changed_attrs base target)

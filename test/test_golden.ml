@@ -545,6 +545,85 @@ let test_optimizer_counters_golden () =
   check_golden "optimizer counters" "golden/optimizer_counters.golden.txt"
     actual
 
+(* --- exact searches golden ---
+
+   The two branch-and-bound searches and Hypergraph on every TPC-H and
+   SSB table of the benchmark's offline line-up, with the I/O bound and
+   the request shape of "optimizer stats", plus BruteForce under the
+   main-memory model and its bound (no delta factory) on every TPC-H
+   table. Each line is an "optimizer stats" line followed by the
+   query re-cost and budget step deltas of the run, so a change to the
+   search drivers or their bounds that alters any answer, any counter or
+   any pruning decision fails here. *)
+
+let exact_counters = [ "cost.query_costs"; "budget.steps" ]
+
+let exact_line key w (a : Partitioner.t) ~cost ?delta () =
+  let value name = Vp_observe.Stats.(counter_value (snapshot ()) name) in
+  Vp_observe.Switch.with_level Vp_observe.Switch.Stats (fun () ->
+      let before = List.map value exact_counters in
+      let budget = Vp_robust.Budget.create ~max_steps:stats_step_budget () in
+      let r =
+        Partitioner.exec a (Partitioner.Request.make ~budget ?delta ~cost w)
+      in
+      let s = r.Partitioner.Response.stats in
+      let deltas =
+        List.map2
+          (fun name b -> Printf.sprintf " %s=%d" name (value name - b))
+          exact_counters before
+      in
+      Printf.sprintf
+        "%s %s cost=%h cost_calls=%d candidates=%d iterations=%d %s%s\n" key
+        a.Partitioner.name r.Partitioner.Response.cost
+        s.Partitioner.cost_calls s.Partitioner.candidates
+        s.Partitioner.iterations
+        (Partitioning.to_string r.Partitioner.Response.partitioning)
+        (String.concat "" deltas))
+
+let test_exact_searches_golden () =
+  let named bench ws =
+    List.map (fun w -> (bench ^ "/" ^ Table.name (Workload.table w), w)) ws
+  in
+  let lineup =
+    named "tpch" (Vp_benchmarks.Tpch.workloads ~sf:10.0)
+    @ named "ssb" (Vp_benchmarks.Ssb.workloads ~sf:10.0)
+  in
+  let io_line (key, w) a =
+    exact_line key w a
+      ~cost:(Vp_cost.Io_model.oracle disk w)
+      ~delta:(Vp_cost.Io_model.Incremental.factory disk w)
+      ()
+  in
+  let io_entrants =
+    [
+      Vp_algorithms.Brute_force.make
+        ~lower_bound:(Vp_cost.Bounds.io_brute_force disk)
+        ();
+      Vp_algorithms.Ilp.with_bound disk;
+      Vp_algorithms.Hypergraph.algorithm;
+    ]
+  in
+  let mm = Vp_cost.Memory_model.default in
+  let memory_bf =
+    Vp_algorithms.Brute_force.make
+      ~lower_bound:(Vp_cost.Bounds.memory_brute_force mm)
+      ()
+  in
+  let memory_line (key, w) =
+    exact_line ("memory/" ^ key) w memory_bf
+      ~cost:(Vp_cost.Memory_model.oracle mm w)
+      ()
+  in
+  let actual =
+    String.concat ""
+      (List.concat_map
+         (fun kw -> List.map (io_line kw) io_entrants)
+         lineup
+      @ List.map memory_line
+          (named "tpch" (Vp_benchmarks.Tpch.workloads ~sf:10.0)))
+  in
+  check_golden "exact searches" "golden/exact_searches.golden.txt" actual
+
 (* --- storage simulator golden ---
 
    The generated data and the storage simulator's accounting at SF 0.01:
@@ -711,5 +790,6 @@ let suite =
       test_bench_report_schema_roundtrip;
     Alcotest.test_case "optimizer stats" `Quick test_optimizer_stats_golden;
     Alcotest.test_case "optimizer counters" `Quick test_optimizer_counters_golden;
+    Alcotest.test_case "exact searches" `Quick test_exact_searches_golden;
     Alcotest.test_case "storage digests" `Quick test_storage_digests_golden;
   ]
