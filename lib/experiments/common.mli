@@ -55,4 +55,4 @@ val find_run : string -> algo_run
 val entries_of : algo_run -> Vp_metrics.Measures.Aggregate.per_table list
 
 val heading : string -> string
-(** Section heading used by the bench output. *)
+(** Section heading used by the experiment and CLI output. *)

@@ -1,8 +1,8 @@
 (** A minimal, dependency-free JSON value type with a printer and parser.
 
-    Exists so the observability layer can emit (and the CI checker and
-    golden tests can re-read) Chrome traces and bench reports without
-    adding a JSON dependency the container may not have. It covers the
+    Exists so the observability layer can emit (and golden tests can
+    re-read) Chrome traces, and the daemon can speak its wire protocol,
+    without adding a JSON dependency the container may not have. It covers the
     JSON this repo produces — objects, arrays, strings with escapes,
     ints, floats, booleans, null — not the full horror of the spec
     (surrogate pairs decode to U+FFFD). *)

@@ -72,7 +72,7 @@ val quantile : summary -> float -> float
 
 val reset : unit -> unit
 (** Zeroes every cell of every metric (the metrics stay interned). For
-    tests and for scoping a bench section's counters. *)
+    tests. *)
 
 val render : snapshot -> string
 (** A plain-text table of the snapshot: counters and gauges one per line,

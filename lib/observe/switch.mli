@@ -13,7 +13,7 @@
     The initial level comes from the environment, read once at program
     start: [VP_TRACE=1] enables [Trace], otherwise [VP_STATS=1] enables
     [Stats], otherwise the switch starts [Off]. [--trace] / [--stats]
-    flags on the CLI and bench harness raise it at runtime. *)
+    flags on the CLI raise it at runtime. *)
 
 type level = Off | Stats | Trace
 

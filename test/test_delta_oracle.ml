@@ -377,6 +377,63 @@ let prop_random_workloads =
       done;
       !ok && bits (Inc.goto t !p) = bits (full_cost w !p))
 
+(* --- the service pattern: repeated sweeps over one session ----------- *)
+
+(* HillClimb over the TPC-H line-up three times — the service pattern,
+   where the same workload is re-optimized again and again — once with
+   full re-costing and once with ONE persistent delta session per
+   workload, supplied to every round's request. The full path has
+   nothing to persist and re-costs each round from scratch; the
+   session's per-query memo makes repeat rounds nearly free. Every
+   round's layout and cost bits must be identical, and the full path
+   must re-cost at least 5x as many queries ([cost.query_costs]). *)
+let test_repeated_sweep () =
+  let disk = Vp_experiments.Common.disk in
+  let workloads = Vp_benchmarks.Tpch.workloads ~sf:Vp_experiments.Common.sf in
+  let query_costs () =
+    Vp_observe.Stats.counter_value (Vp_observe.Stats.snapshot ())
+      "cost.query_costs"
+  in
+  let sweep ~persistent =
+    let prepared =
+      List.map
+        (fun w ->
+          if persistent then
+            let s = Inc.create disk w in
+            (w, Some (fun () -> Inc.session s))
+          else (w, None))
+        workloads
+    in
+    let qc0 = query_costs () in
+    let outcomes =
+      List.concat_map
+        (fun _round ->
+          List.map
+            (fun (w, delta) ->
+              let r =
+                Partitioner.exec Vp_algorithms.Hillclimb.algorithm
+                  (Partitioner.Request.make ?delta
+                     ~cost:(Vp_cost.Io_model.oracle disk w) w)
+              in
+              Printf.sprintf "%s %s %Lx"
+                (Table.name (Workload.table w))
+                (Partitioning.to_string r.Partitioner.Response.partitioning)
+                (bits r.Partitioner.Response.cost))
+            prepared)
+        [ 1; 2; 3 ]
+    in
+    (outcomes, query_costs () - qc0)
+  in
+  Vp_observe.Switch.with_level Vp_observe.Switch.Stats (fun () ->
+      let full, full_qc = sweep ~persistent:false in
+      let delta, delta_qc = sweep ~persistent:true in
+      Alcotest.(check (list string)) "layouts and cost bits" full delta;
+      Alcotest.(check bool)
+        (Printf.sprintf "full %d >= 5 x delta %d query re-costs" full_qc
+           delta_qc)
+        true
+        (delta_qc > 0 && float_of_int full_qc /. float_of_int delta_qc >= 5.0))
+
 let suite =
   [
     Alcotest.test_case "differential: peeks = full re-cost" `Quick
@@ -390,5 +447,7 @@ let suite =
       test_random_walk;
     Alcotest.test_case "session closures mirror the module" `Quick
       test_session_closures;
+    Alcotest.test_case "repeated sweeps: one session, 5x fewer re-costs"
+      `Quick test_repeated_sweep;
     Testutil.qtest prop_random_workloads;
   ]

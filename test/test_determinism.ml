@@ -1,15 +1,24 @@
 (* Parallel execution must be bit-for-bit deterministic: fanning
    experiments across domains may change in which order (and on which
-   domain) results are computed, but never what they are. A sample of
-   cheap, pure-cost experiments is rendered three ways — directly, through
-   the runner with one job, and through the runner with four jobs — and
-   the outputs must be byte-identical. *)
+   domain) results are computed, but never what they are. Every
+   experiment whose output is a pure function of deterministic costs (no
+   wall-clock times in the rendered text, unlike fig1/fig10) is rendered
+   three ways — directly, each run cold as its own process would (the
+   shared TPC-H sweep dropped before every run), and through the runner
+   with one and with four jobs sharing one cold sweep — and the outputs
+   must be byte-identical. *)
 
-let sample_ids = [ "table1"; "table2"; "fig3"; "fig4"; "fig5"; "fig6" ]
+let sample_ids =
+  [
+    "table1"; "table2"; "fig3"; "fig4"; "fig5"; "fig6"; "fig7"; "table3";
+    "table4"; "fig8"; "fig9"; "fig11"; "fig14";
+  ]
 
 let direct_outputs () =
   List.map
-    (fun id -> ((Vp_experiments.Registry.find id).Vp_experiments.Registry.run) ())
+    (fun id ->
+      Vp_experiments.Common.reset_caches ();
+      ((Vp_experiments.Registry.find id).Vp_experiments.Registry.run) ())
     sample_ids
 
 let runner_outputs ~jobs =
@@ -21,6 +30,7 @@ let runner_outputs ~jobs =
           e.Vp_experiments.Registry.run)
       sample_ids
   in
+  Vp_experiments.Common.reset_caches ();
   Vp_parallel.Runner.run ~jobs tasks
 
 let test_runner_matches_direct () =

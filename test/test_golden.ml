@@ -151,13 +151,11 @@ let test_reproduction_bands () =
 
 (* --- observability goldens ---
 
-   The Chrome trace exporter and the bench-report JSON are wire formats:
-   downstream tooling (chrome://tracing, the CI schema checker, the
-   driver collecting BENCH_*.json trajectory points) parses them, so
-   their exact shape is frozen against checked-in golden files. The
-   fixtures use fixed ids and timestamps, which makes the output
-   deterministic without any normalization pass. Regenerate after an
-   intentional format change with
+   The Chrome trace exporter is a wire format: downstream tooling
+   (chrome://tracing) parses it, so its exact shape is frozen against a
+   checked-in golden file. The fixture uses fixed ids and timestamps,
+   which makes the output deterministic without any normalization pass.
+   Regenerate after an intentional format change with
 
      cd test && VP_UPDATE_GOLDEN=1 ../_build/default/test/test_main.exe test golden *)
 
@@ -200,269 +198,6 @@ let test_chrome_trace_golden () =
     ^ "\n"
   in
   check_golden "chrome trace export" "golden/trace_chrome.golden.json" actual
-
-(* Dyadic fixture floats, so the %.12g printer represents them exactly. *)
-let golden_report =
-  {
-    Vp_observe.Bench_report.benchmark = "tpch";
-    scale_factor = 10.0;
-    mode = "json";
-    jobs = 4;
-    algorithms =
-      [
-        {
-          Vp_observe.Bench_report.algorithm = "HillClimb";
-          wall_seconds = 0.125;
-          optimization_seconds = 0.0625;
-          workload_cost = 410.25;
-          cache_hits = 6000;
-          cache_misses = 2000;
-        };
-        {
-          Vp_observe.Bench_report.algorithm = "Navathe";
-          wall_seconds = 0.5;
-          optimization_seconds = 0.25;
-          workload_cost = 536.5;
-          cache_hits = 0;
-          cache_misses = 0;
-        };
-      ];
-    online =
-      [
-        {
-          Vp_observe.Bench_report.trace = "synthetic-drift";
-          queries = 600;
-          reopts = 4;
-          adopted = 3;
-          rejected = 1;
-          final_generation = 3;
-          online_cost = 1536.5;
-          row_cost = 4096.0;
-          column_cost = 2048.25;
-          oneshot_cost = 1792.75;
-          oneshot_algorithm = "HillClimb";
-        };
-      ];
-    server =
-      [
-        {
-          Vp_observe.Bench_report.phase = "throughput-j4";
-          server_jobs = 4;
-          clients = 4;
-          requests = 64;
-          shed = 0;
-          errors = 0;
-          seconds = 0.5;
-          throughput_rps = 128.0;
-          latency_p50_ms = 8.0;
-          latency_p95_ms = 24.0;
-          latency_p99_ms = 32.0;
-        };
-        {
-          Vp_observe.Bench_report.phase = "overload";
-          server_jobs = 1;
-          clients = 6;
-          requests = 12;
-          shed = 9;
-          errors = 0;
-          seconds = 1.25;
-          throughput_rps = 9.6;
-          latency_p50_ms = 64.0;
-          latency_p95_ms = 256.0;
-          latency_p99_ms = 512.0;
-        };
-      ];
-    oracle =
-      [
-        {
-          Vp_observe.Bench_report.phase = "hillclimb-sweep";
-          table = "lineitem";
-          attributes = 16;
-          atoms = 11;
-          full_evals_per_sec = 4096.0;
-          delta_evals_per_sec = 65536.0;
-          full_query_costs = 15360;
-          delta_query_costs = 1536;
-          query_cost_ratio = 10.0;
-          wall_seconds = 0.25;
-        };
-      ];
-    recovery =
-      [
-        {
-          Vp_observe.Bench_report.phase = "wal-overhead";
-          sessions = 1;
-          queries = 200;
-          wal_appends = 200;
-          evictions = 0;
-          reattaches = 0;
-          recovered = 0;
-          seconds = 0.5;
-          wal_overhead_ratio = 1.0625;
-          byte_identical = true;
-        };
-        {
-          Vp_observe.Bench_report.phase = "spill-restore";
-          sessions = 100;
-          queries = 2000;
-          wal_appends = 0;
-          evictions = 0;
-          reattaches = 100;
-          recovered = 100;
-          seconds = 0.25;
-          wal_overhead_ratio = 0.0;
-          byte_identical = true;
-        };
-      ];
-    cluster =
-      [
-        {
-          Vp_observe.Bench_report.phase = "closed-loop";
-          shards = 3;
-          clients = 8;
-          sessions = 10000;
-          requests = 50000;
-          shed = 16;
-          errors = 0;
-          seconds = 12.5;
-          throughput_rps = 4000.0;
-          shed_rate = 0.0003125;
-          latency_p50_ms = 0.5;
-          latency_p99_ms = 16.0;
-          handoffs = 0;
-          handoff_seconds = 0.0;
-          restarts = 0;
-          determinism_violations = 0;
-        };
-        {
-          Vp_observe.Bench_report.phase = "handoff";
-          shards = 4;
-          clients = 8;
-          sessions = 48;
-          requests = 2496;
-          shed = 12;
-          errors = 0;
-          seconds = 0.5;
-          throughput_rps = 4992.0;
-          shed_rate = 0.0048828125;
-          latency_p50_ms = 0.25;
-          latency_p99_ms = 32.0;
-          handoffs = 11;
-          handoff_seconds = 0.0625;
-          restarts = 0;
-          determinism_violations = 0;
-        };
-      ];
-    portfolio =
-      [
-        {
-          Vp_observe.Bench_report.table = "customer";
-          winner = "HillClimb";
-          portfolio_cost = 410.25;
-          best_single = "HillClimb";
-          best_single_cost = 410.25;
-          entrants_run = 11;
-          timed_out = 2;
-          race_seconds = 0.25;
-          never_worse = true;
-        };
-      ];
-    scale =
-      [
-        {
-          Vp_observe.Bench_report.phase = "scan";
-          table = "lineitem";
-          sf = 100.0;
-          rows = 600000000;
-          jobs = 1;
-          seconds = 0.5;
-          rows_per_sec = 0.0;
-          peak_heap_mb = 96.0;
-          io_elapsed = 1024.5;
-          seeks = 40960;
-          blocks_read = 11534336;
-          blocks_written = 0;
-          identical = true;
-          cost_plain = 0.0;
-          cost_chosen = 0.0;
-          detail = "virtual replay";
-        };
-        {
-          Vp_observe.Bench_report.phase = "formats";
-          table = "customer";
-          sf = 10.0;
-          rows = 1500000;
-          jobs = 1;
-          seconds = 0.0625;
-          rows_per_sec = 0.0;
-          peak_heap_mb = 96.0;
-          io_elapsed = 0.0;
-          seeks = 0;
-          blocks_read = 0;
-          blocks_written = 0;
-          identical = true;
-          cost_plain = 512.5;
-          cost_chosen = 410.25;
-          detail = "plain,dictionary";
-        };
-      ];
-    counters = [ ("cost.oracle_calls", 42); ("pool.tasks_run", 7) ];
-    host =
-      {
-        Vp_observe.Bench_report.hostname = "golden";
-        os = "Unix";
-        arch = "64-bit";
-        ocaml_version = "5.1.1";
-        word_size = 64;
-        recommended_domains = 8;
-      };
-  }
-
-let test_bench_report_golden () =
-  let actual =
-    Vp_observe.Json.to_string ~pretty:true
-      (Vp_observe.Bench_report.to_json golden_report)
-    ^ "\n"
-  in
-  check_golden "bench report schema" "golden/bench_report.golden.json" actual
-
-let test_bench_report_schema_roundtrip () =
-  (* The emitted report must parse back and satisfy its own validator —
-     the same check CI's check_schema.exe runs on the real BENCH file. *)
-  let text = Vp_observe.Json.to_string (Vp_observe.Bench_report.to_json golden_report) in
-  match Vp_observe.Json.of_string text with
-  | Error msg -> Alcotest.failf "report does not re-parse: %s" msg
-  | Ok doc -> (
-      (match Vp_observe.Bench_report.validate doc with
-      | Ok () -> ()
-      | Error errors ->
-          Alcotest.failf "valid report rejected: %s" (String.concat "; " errors));
-      (* And the validator actually bites: strip a required field and
-         mistype another, expect both violations reported. *)
-      let mutate = function
-        | Vp_observe.Json.Obj fields ->
-            Vp_observe.Json.Obj
-              (List.filter_map
-                 (fun (k, v) ->
-                   match k with
-                   | "algorithms" -> None
-                   | "schema_version" -> Some (k, Vp_observe.Json.String "3")
-                   | _ -> Some (k, v))
-                 fields)
-        | j -> j
-      in
-      match Vp_observe.Bench_report.validate (mutate doc) with
-      | Ok () -> Alcotest.fail "mutated report accepted"
-      | Error errors ->
-          let mentions field = List.exists (fun e ->
-              let nh = String.length e and nn = String.length field in
-              let rec go i = i + nn <= nh && (String.sub e i nn = field || go (i + 1)) in
-              go 0) errors
-          in
-          Alcotest.(check bool) "missing algorithms reported" true
-            (mentions "algorithms");
-          Alcotest.(check bool) "mistyped schema_version reported" true
-            (mentions "schema_version"))
 
 (* --- optimizer stats golden ---
 
@@ -785,9 +520,6 @@ let suite =
     Alcotest.test_case "SSB validity" `Quick test_ssb_validity;
     Alcotest.test_case "reproduction bands" `Slow test_reproduction_bands;
     Alcotest.test_case "chrome trace export" `Quick test_chrome_trace_golden;
-    Alcotest.test_case "bench report schema" `Quick test_bench_report_golden;
-    Alcotest.test_case "bench report round-trip" `Quick
-      test_bench_report_schema_roundtrip;
     Alcotest.test_case "optimizer stats" `Quick test_optimizer_stats_golden;
     Alcotest.test_case "optimizer counters" `Quick test_optimizer_counters_golden;
     Alcotest.test_case "exact searches" `Quick test_exact_searches_golden;

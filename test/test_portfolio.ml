@@ -152,38 +152,49 @@ let test_cancelled_mid_run () =
 (* Equal budgets: each entrant races on a [Budget.spawn] of the request
    budget — exactly a solo run's allowance — and the winner is the
    cheapest response, so the portfolio can never be costlier than any
-   entrant run solo under the same step budget. *)
+   entrant run solo under the same step budget. Two inputs: random small
+   pairs at 300 steps against the default line-up, and the TPC-H line-up
+   at 20,000 steps against the bounded line-up the experiments use. *)
+let check_never_worse ~race ~entrants ~steps label w =
+  let oracle = Vp_cost.Io_model.oracle disk w in
+  let delta = Vp_cost.Io_model.Incremental.factory disk w in
+  let run a =
+    let budget = Vp_robust.Budget.create ~max_steps:steps () in
+    (Partitioner.exec a (Partitioner.Request.make ~budget ~delta ~cost:oracle w))
+      .Partitioner.Response.cost
+  in
+  let race_cost = run race in
+  List.iter
+    (fun (a : Partitioner.t) ->
+      let solo = run a in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: portfolio (%g) <= solo %s (%g) under %d steps"
+           label race_cost a.name solo steps)
+        true (race_cost <= solo))
+    entrants
+
 let test_never_worse_than_singles () =
   let root = Vp_datagen.Prng.create 0xBE57L in
-  let entrants = Vp_algorithms.Portfolio.default_entrants () in
   for i = 0 to 7 do
-    let w = random_workload root i in
-    let oracle = Vp_cost.Io_model.oracle disk w in
-    let delta = Vp_cost.Io_model.Incremental.factory disk w in
-    let steps = 300 in
-    let race =
-      let budget = Vp_robust.Budget.create ~max_steps:steps () in
-      Partitioner.exec
-        (Vp_algorithms.Portfolio.make ~jobs:2 ())
-        (Partitioner.Request.make ~budget ~delta ~cost:oracle w)
-    in
-    List.iter
-      (fun (a : Partitioner.t) ->
-        let budget = Vp_robust.Budget.create ~max_steps:steps () in
-        let solo =
-          Partitioner.exec a
-            (Partitioner.Request.make ~budget ~delta ~cost:oracle w)
-        in
-        Alcotest.(check bool)
-          (Printf.sprintf
-             "pair %d: portfolio (%g) <= solo %s (%g) under %d steps" i
-             race.Partitioner.Response.cost a.name
-             solo.Partitioner.Response.cost steps)
-          true
-          (race.Partitioner.Response.cost
-          <= solo.Partitioner.Response.cost))
-      entrants
-  done
+    check_never_worse
+      ~race:(Vp_algorithms.Portfolio.make ~jobs:2 ())
+      ~entrants:(Vp_algorithms.Portfolio.default_entrants ())
+      ~steps:300 (Printf.sprintf "pair %d" i) (random_workload root i)
+  done;
+  let bounded =
+    Vp_algorithms.Registry.with_brute_force
+      ~brute_force:(Vp_experiments.Common.brute_force disk) ()
+    @ [ Vp_algorithms.Ilp.with_bound disk; Vp_algorithms.Hypergraph.algorithm ]
+    @ Vp_algorithms.Registry.baselines
+  in
+  List.iter
+    (fun w ->
+      check_never_worse
+        ~race:(Vp_algorithms.Portfolio.with_bound ~jobs:2 disk)
+        ~entrants:bounded ~steps:20_000
+        (Table.name (Workload.table w))
+        w)
+    (Vp_benchmarks.Tpch.workloads ~sf:Vp_experiments.Common.sf)
 
 (* Two exact searches, one answer: with the admissible I/O bound wired,
    ILP must price its layout exactly like BruteForce on every small

@@ -67,6 +67,31 @@ let prop_chunking_invariant =
            (fun a b -> Array.for_all2 Value.equal a b)
            (Source.materialize s) rows)
 
+(* The identity checks below run on two inputs: this suite's small one
+   (customer at SF 0.01 on a 4 KiB / 0.25 MiB disk, chunked by 128 rows
+   for the digests) and the streaming pipeline's own setting, lineitem
+   at SF 0.1 on the experiments' default disk: 600,000 rows over ten
+   default-size chunks, so the streamed side crosses chunk boundaries
+   and every scan refills its buffer share several times. The large
+   input materializes about 250 MiB of rows, so its cases are [`Slow]. *)
+type input = {
+  disk : Vp_cost.Disk.t;
+  table : Table.t;
+  workload : Workload.t;
+  chunk_rows : int option;
+}
+
+let small =
+  { disk; table = customer; workload = customer_workload; chunk_rows = Some 128 }
+
+let large =
+  {
+    disk = Vp_experiments.Common.disk;
+    table = Vp_benchmarks.Tpch.table ~sf:0.1 "lineitem";
+    workload = Vp_benchmarks.Tpch.workload ~sf:0.1 "lineitem";
+    chunk_rows = None;
+  }
+
 let test_digest_jobs_invariant () =
   let s () = Source.of_rowgen ~chunk_rows:128 gen customer in
   let at jobs =
@@ -77,50 +102,60 @@ let test_digest_jobs_invariant () =
   Alcotest.(check int) "jobs 1 = sequential" sequential (at 1);
   Alcotest.(check int) "jobs 4 = sequential" sequential (at 4)
 
-let test_digest_streamed_vs_materialized () =
-  let streamed = Source.of_rowgen ~chunk_rows:128 gen customer in
+let test_digest_streamed_vs_materialized { table; chunk_rows; _ } () =
+  let streamed = Source.of_rowgen ?chunk_rows gen table in
   let materialized =
-    Source.of_rows ~chunk_rows:128 customer (Lazy.force customer_rows)
+    Source.of_rows ?chunk_rows table (Vp_datagen.Rowgen.rows gen table)
   in
   Alcotest.(check int) "same digest" (Source.digest streamed)
     (Source.digest materialized)
 
 (* --- streamed vs materialized through the storage simulator --- *)
 
-let layout () = Partitioning.column (Table.attribute_count customer)
+let layout table = Partitioning.column (Table.attribute_count table)
 
-let test_build_streamed_vs_materialized () =
+let test_build_streamed_vs_materialized { disk; table; workload; _ } () =
   (* Building from the generator stream and from the materialized rows
-     must agree exactly: load accounting, bytes on disk, and every
-     query's device stats, CPU and checksum. *)
-  let streamed = Source.of_rowgen gen customer in
-  let materialized = Source.of_rows customer (Lazy.force customer_rows) in
+     must agree exactly: transform and load accounting, bytes on disk,
+     and every query's device stats, CPU and checksum. The materialized
+     side goes first, so its rows are garbage before the streamed build. *)
+  let layout = layout table in
+  let queries = Workload.queries workload in
   let build source =
-    Vp_storage.Database.build ~disk ~codec:Vp_storage.Codec.Plain customer
-      source (layout ())
+    Vp_storage.Database.build ~disk ~codec:Vp_storage.Codec.Plain table
+      source layout
   in
-  let db_s = build streamed and db_m = build materialized in
+  let transform_m, load_m, bytes_m, results_m =
+    let materialized =
+      Source.of_rows table (Vp_datagen.Rowgen.rows gen table)
+    in
+    let db = build materialized in
+    ( Vp_storage.Creation.transform ~disk table materialized layout,
+      Vp_storage.Database.load_stats db,
+      Vp_storage.Database.bytes_on_disk db,
+      Array.map (Vp_storage.Database.run_query db) queries )
+  in
+  let streamed = Source.of_rowgen gen table in
+  Alcotest.(check bool) "transform identical" true
+    (Vp_storage.Creation.transform ~disk table streamed layout = transform_m);
+  let db_s = build streamed in
   Alcotest.(check bool) "load stats identical" true
-    (Vp_storage.Database.load_stats db_s
-    = Vp_storage.Database.load_stats db_m);
-  Alcotest.(check int) "bytes on disk"
-    (Vp_storage.Database.bytes_on_disk db_m)
+    (Vp_storage.Database.load_stats db_s = load_m);
+  Alcotest.(check int) "bytes on disk" bytes_m
     (Vp_storage.Database.bytes_on_disk db_s);
-  Array.iter
-    (fun q ->
-      let a = Vp_storage.Database.run_query db_s q in
-      let b = Vp_storage.Database.run_query db_m q in
+  Array.iteri
+    (fun i q ->
       Alcotest.(check bool)
         (Printf.sprintf "query %s identical" (Query.name q))
-        true (a = b))
-    (Workload.queries customer_workload)
+        true
+        (Vp_storage.Database.run_query db_s q = results_m.(i)))
+    queries
 
-let test_virtual_vs_materialized_io () =
+let test_virtual_vs_materialized_io { disk; table; workload; _ } () =
   (* The accounting-only build replays the materialized scan's refill
      schedule bit for bit — for every codec kind, including the
      variable-stride one (whose virtual path needs a width pass and
      explicit block row-maps). *)
-  let groups = Partitioning.groups (layout ()) in
   let formats =
     List.mapi
       (fun i _ ->
@@ -128,15 +163,15 @@ let test_virtual_vs_materialized_io () =
         | 0 -> Vp_storage.Codec.Plain
         | 1 -> Vp_storage.Codec.Dictionary
         | _ -> Vp_storage.Codec.Varlen)
-      groups
+      (Partitioning.groups (layout table))
   in
   let build retain source =
     Vp_storage.Database.build ~retain ~disk ~codec:Vp_storage.Codec.Plain
-      ~formats customer source (layout ())
+      ~formats table source (layout table)
   in
-  let db_v = build false (Source.of_rowgen gen customer) in
+  let db_v = build false (Source.of_rowgen gen table) in
   let db_m =
-    build true (Source.of_rows customer (Lazy.force customer_rows))
+    build true (Source.of_rows table (Vp_datagen.Rowgen.rows gen table))
   in
   Alcotest.(check bool) "load stats identical" true
     (Vp_storage.Database.load_stats db_v
@@ -162,7 +197,7 @@ let test_virtual_vs_materialized_io () =
       Alcotest.(check (Testutil.close ~eps:1e-9 ()))
         (Printf.sprintf "%s: cpu seconds" (Query.name q))
         m.Vp_storage.Database.cpu_seconds v.Vp_storage.Database.cpu_seconds)
-    (Workload.queries customer_workload)
+    (Workload.queries workload)
 
 let test_streaming_bounded_heap () =
   (* Streaming many more rows than the chunk size must not grow the
@@ -213,21 +248,30 @@ let test_sample_stats_exact () =
   Alcotest.(check (Testutil.close ~eps:1e-9 ()))
     "avg string length" 4.0 stats.(1).Format.avg_len
 
+(* At this suite's small disk and SF 0.1, and under the experiments'
+   default setting (default disk, SF 10). *)
 let test_choose_never_worse_than_plain () =
   List.iter
-    (fun w ->
-      let table = Workload.table w in
-      let layout = Partitioning.column (Table.attribute_count table) in
-      let stats = Format.schema_stats table in
-      let chosen = Format.choose disk table w layout stats in
-      let plain = Format.plain table layout in
-      let c_chosen = Format.scan_cost disk table w layout chosen in
-      let c_plain = Format.scan_cost disk table w layout plain in
-      Alcotest.(check bool)
-        (Printf.sprintf "%s: chosen <= plain" (Table.name table))
-        true
-        (c_chosen <= c_plain +. 1e-9))
-    (Vp_benchmarks.Tpch.workloads ~sf:0.1)
+    (fun (disk, sf) ->
+      List.iter
+        (fun w ->
+          let table = Workload.table w in
+          let layout = Partitioning.column (Table.attribute_count table) in
+          let stats = Format.schema_stats table in
+          let chosen = Format.choose disk table w layout stats in
+          let plain = Format.plain table layout in
+          let c_chosen = Format.scan_cost disk table w layout chosen in
+          let c_plain = Format.scan_cost disk table w layout plain in
+          Alcotest.(check bool)
+            (Printf.sprintf "%s at SF %g: chosen <= plain" (Table.name table)
+               sf)
+            true
+            (c_chosen <= c_plain +. 1e-9))
+        (Vp_benchmarks.Tpch.workloads ~sf))
+    [
+      (disk, 0.1);
+      (Vp_experiments.Common.disk, Vp_experiments.Common.sf);
+    ]
 
 let test_choose_dictionary_for_low_cardinality () =
   (* A wide, low-cardinality string column is the dictionary codec's
@@ -259,7 +303,7 @@ let test_sized_cost_matches_groups () =
   (* query_cost_sized with schema widths coincides bit for bit with
      query_cost_groups — the sized model is a strict generalization. *)
   let table = customer in
-  let layout = layout () in
+  let layout = layout customer in
   Array.iter
     (fun q ->
       let refs = Query.references q in
@@ -281,7 +325,7 @@ let test_sized_cost_matches_groups () =
 let test_format_of_kinds_roundtrip () =
   let table = customer in
   let stats = Format.schema_stats table in
-  let layout = layout () in
+  let layout = layout customer in
   let chosen = Format.choose disk table customer_workload layout stats in
   let rebuilt = Format.of_kinds table stats layout (Format.kinds chosen) in
   Alcotest.(check bool) "kinds -> of_kinds round-trips" true
@@ -290,7 +334,7 @@ let test_format_of_kinds_roundtrip () =
 let test_migration_cost_properties () =
   let table = customer in
   let stats = Format.schema_stats table in
-  let layout = layout () in
+  let layout = layout customer in
   let plain = Format.plain table layout in
   let chosen = Format.choose disk table customer_workload layout stats in
   Alcotest.(check (float 0.0))
@@ -397,15 +441,21 @@ let suite =
     Alcotest.test_case "chunks concat to rows" `Quick test_chunks_concat_to_rows;
     Alcotest.test_case "chunk fetch order free" `Quick
       test_chunk_fetch_order_free;
-    Alcotest.test_case "digest jobs invariant" `Quick test_digest_jobs_invariant;
-    Alcotest.test_case "digest streamed = materialized" `Quick
-      test_digest_streamed_vs_materialized;
-    Alcotest.test_case "build streamed = materialized" `Quick
-      test_build_streamed_vs_materialized;
-    Alcotest.test_case "virtual io = materialized io" `Quick
-      test_virtual_vs_materialized_io;
     Alcotest.test_case "streaming bounded heap" `Quick
       test_streaming_bounded_heap;
+    Alcotest.test_case "digest jobs invariant" `Quick test_digest_jobs_invariant;
+    Alcotest.test_case "digest streamed = materialized" `Quick
+      (test_digest_streamed_vs_materialized small);
+    Alcotest.test_case "build streamed = materialized" `Quick
+      (test_build_streamed_vs_materialized small);
+    Alcotest.test_case "virtual io = materialized io" `Quick
+      (test_virtual_vs_materialized_io small);
+    Alcotest.test_case "SF 0.1 digest streamed = materialized" `Slow
+      (test_digest_streamed_vs_materialized large);
+    Alcotest.test_case "SF 0.1 build streamed = materialized" `Slow
+      (test_build_streamed_vs_materialized large);
+    Alcotest.test_case "SF 0.1 virtual io = materialized io" `Slow
+      (test_virtual_vs_materialized_io large);
     Alcotest.test_case "sample stats exact" `Quick test_sample_stats_exact;
     Alcotest.test_case "choose never worse than plain" `Quick
       test_choose_never_worse_than_plain;
