@@ -1,8 +1,9 @@
 open Vp_core
 module Json = Vp_observe.Json
 module Protocol = Vp_server.Protocol
+module Conn_server = Vp_server.Conn_server
 
-type conn = { fd : Unix.file_descr; buf : Buffer.t }
+type conn = { fd : Unix.file_descr; reader : Conn_server.reader }
 
 type t = {
   host : string;
@@ -59,43 +60,23 @@ let connect t =
       | exception Failure msg ->
           Error (Printf.sprintf "cannot connect to %s:%d: %s" t.host t.port msg)
       | fd ->
-          let c = { fd; buf = Buffer.create 256 } in
+          let c = { fd; reader = Conn_server.reader fd } in
           t.conn <- Some c;
           Ok c)
 
 let send_line c line =
-  let len = String.length line in
-  let rec write_all off =
-    if off < len then
-      write_all (off + Unix.write_substring c.fd line off (len - off))
-  in
-  match write_all 0 with
+  match Conn_server.write_frame c.fd line with
   | () -> Ok ()
   | exception Unix.Unix_error (err, _, _) ->
       Error (Printf.sprintf "send failed: %s" (Unix.error_message err))
 
-(* Reads one newline-terminated frame, buffering any bytes of the next
-   frame for the following call. *)
 let read_line c =
-  let chunk = Bytes.create 8192 in
-  let rec take () =
-    let s = Buffer.contents c.buf in
-    match String.index_opt s '\n' with
-    | Some i ->
-        Buffer.clear c.buf;
-        Buffer.add_substring c.buf s (i + 1) (String.length s - i - 1);
-        Ok (String.sub s 0 i)
-    | None -> (
-        match Unix.read c.fd chunk 0 (Bytes.length chunk) with
-        | exception Unix.Unix_error (Unix.EINTR, _, _) -> take ()
-        | exception Unix.Unix_error (err, _, _) ->
-            Error (Printf.sprintf "receive failed: %s" (Unix.error_message err))
-        | 0 -> Error "connection closed by server"
-        | n ->
-            Buffer.add_subbytes c.buf chunk 0 n;
-            take ())
-  in
-  take ()
+  match Conn_server.read_frame c.reader ~max_bytes:Protocol.max_reply_bytes with
+  | Frame line -> Ok line
+  | Too_long -> Error Protocol.reply_too_long
+  | Eof -> Error "connection closed by server"
+  | Failed err ->
+      Error (Printf.sprintf "receive failed: %s" (Unix.error_message err))
 
 let ( let* ) = Result.bind
 
@@ -107,7 +88,7 @@ let request t frame =
     close t;
     Error msg
   in
-  match send_line c (Json.to_string frame ^ "\n") with
+  match send_line c (Json.to_string frame) with
   | Error msg -> fail msg
   | Ok () -> (
       match read_line c with
@@ -141,8 +122,7 @@ let request_retry ?(attempts = 20) t frame =
 
 (* --- typed helpers --- *)
 
-let checked t frame =
-  let* reply = request_retry t frame in
+let status_ok reply =
   match Protocol.reply_status reply with
   | "ok" -> Ok reply
   | "error" -> (
@@ -150,6 +130,9 @@ let checked t frame =
       | Some msg -> Error msg
       | None -> Error "server answered an error without a message")
   | other -> Error (Printf.sprintf "unexpected reply status %S" other)
+
+let call ?attempts t frame =
+  Result.bind (request_retry ?attempts t frame) status_ok
 
 let missing name = Printf.sprintf "reply is missing field %S" name
 
@@ -164,13 +147,13 @@ let string_of name reply =
   | None -> Error (missing name)
 
 let ping t =
-  let* reply = checked t Protocol.ping in
+  let* reply = call t Protocol.ping in
   int_of "protocol" reply
 
-let server_stats t = checked t Protocol.stats
+let server_stats t = call t Protocol.stats
 
 let partition ?algorithm ?buffer_mb ?deadline_ms ?budget_steps t w =
-  checked t
+  call t
     (Protocol.partition_request ?algorithm ?buffer_mb ?deadline_ms
        ?budget_steps w)
 
@@ -188,7 +171,7 @@ type opened = { created : bool; restored : bool; generation : int }
 let open_session ?panel ?drift_ratio ?min_window ?epoch ?memory ?horizon
     ?budget_steps ?buffer_mb t ~session table =
   let* reply =
-    checked t
+    call t
       (Protocol.open_request ?panel ?drift_ratio ?min_window ?epoch ?memory
          ?horizon ?budget_steps ?buffer_mb ~session table)
   in
@@ -218,30 +201,24 @@ let ingest ?deadline_ms ?budget_steps ?seq t ~session table q =
   let rec go n =
     match request_retry t frame with
     | Error _ when n > 1 -> go (n - 1)
-    | Error _ as e -> e
-    | Ok reply -> (
-        match Protocol.reply_status reply with
-        | "ok" -> int_of "generation" reply
-        | "error" -> (
-            match Protocol.reply_error reply with
-            | Some msg -> Error msg
-            | None -> Error "server answered an error without a message")
-        | other -> Error (Printf.sprintf "unexpected reply status %S" other))
+    | result ->
+        let* reply = Result.bind result status_ok in
+        int_of "generation" reply
   in
   go transport_attempts
 
-let layout t ~session = checked t (Protocol.layout_request ~session)
+let layout t ~session = call t (Protocol.layout_request ~session)
 
 let history t ~session =
-  let* reply = checked t (Protocol.history_request ~session) in
+  let* reply = call t (Protocol.history_request ~session) in
   string_of "history" reply
 
 let close_session t ~session =
-  let* reply = checked t (Protocol.close_request ~session) in
+  let* reply = call t (Protocol.close_request ~session) in
   string_of "history" reply
 
 let shutdown_server t =
-  let* _reply = checked t Protocol.shutdown in
+  let* _reply = call t Protocol.shutdown in
   Ok ()
 
 (* --- batch mode --- *)

@@ -41,7 +41,9 @@ val close : t -> unit
 val request : t -> Vp_observe.Json.t -> (Vp_observe.Json.t, string) result
 (** One frame out, one reply frame back. Connects first if needed.
     An [overloaded] reply is returned as-is (and the connection, which
-    the server has already closed, is dropped). *)
+    the server has already closed, is dropped). A reply longer than
+    {!Vp_server.Protocol.max_reply_bytes} is an
+    [Error Protocol.reply_too_long]. *)
 
 val request_retry :
   ?attempts:int -> t -> Vp_observe.Json.t -> (Vp_observe.Json.t, string) result
@@ -51,6 +53,11 @@ val request_retry :
     (default [20]) before giving up with an [Error]. This is the polite
     way to talk to a loaded server: clients back off instead of
     hanging. *)
+
+val call :
+  ?attempts:int -> t -> Vp_observe.Json.t -> (Vp_observe.Json.t, string) result
+(** {!request_retry}, with any reply but [ok] mapped to [Error] (an
+    [error] reply's message, when it has one). *)
 
 (** {2 Typed helpers}
 

@@ -13,15 +13,6 @@ let make table queries =
     queries;
   { table; queries = Array.of_list queries }
 
-let add_query w q =
-  let n = Table.attribute_count w.table in
-  if not (Attr_set.subset (Query.references q) (Attr_set.full n)) then
-    invalid_arg
-      (Printf.sprintf
-         "Workload.add_query: query %s references attributes outside table %s"
-         (Query.name q) (Table.name w.table));
-  { w with queries = Array.append w.queries [| q |] }
-
 let total_weight w =
   Array.fold_left (fun acc q -> acc +. Query.weight q) 0.0 w.queries
 

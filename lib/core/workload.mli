@@ -14,15 +14,6 @@ val make : Table.t -> Query.t list -> t
     references a position outside the table.
     @raise Invalid_argument on out-of-range attribute references. *)
 
-val add_query : t -> Query.t -> t
-(** Appends one query — the online ingest path. Validates only the new
-    query, so streaming a workload in one query at a time costs O(queries)
-    copying but never re-derives anything; every derived statistic
-    ({!co_access_count}, {!referenced_attributes}, [Affinity.of_workload])
-    of the result agrees with a from-scratch {!make} over the same list
-    (property-tested in [test_online.ml]).
-    @raise Invalid_argument on out-of-range attribute references. *)
-
 val total_weight : t -> float
 (** Sum of all query weights. *)
 

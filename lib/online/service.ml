@@ -67,7 +67,8 @@ type format_event = {
 type t = {
   config : config;
   table : Table.t;
-  mutable workload : Workload.t;
+  (* The stream in its first [ingested] slots; doubles when full. *)
+  mutable queries : Query.t array;
   affinity : Affinity.t;
   mutable layout : Partitioning.t;
   mutable generation : int;
@@ -107,7 +108,7 @@ let create config table =
   {
     config;
     table;
-    workload = Workload.make table [];
+    queries = [||];
     affinity = Affinity.create n;
     layout = Partitioning.row n;
     generation = 0;
@@ -133,7 +134,9 @@ let generation t = t.generation
 
 let ingested t = t.ingested
 
-let workload t = t.workload
+let stream t = Array.to_list (Array.sub t.queries 0 t.ingested)
+
+let workload t = Workload.make t.table (stream t)
 
 let affinity t = t.affinity
 
@@ -171,11 +174,21 @@ let cumulative_cost t = t.query_cost +. t.migration_cost
    available via the accessors. *)
 let recent_workload t =
   let memory = t.config.memory in
-  if memory = 0 || t.ingested <= memory then t.workload
-  else
-    let queries = Workload.queries t.workload in
-    let k = Array.length queries - memory in
-    Workload.make t.table (Array.to_list (Array.sub queries k memory))
+  let k = if memory = 0 then 0 else max 0 (t.ingested - memory) in
+  Workload.make t.table (Array.to_list (Array.sub t.queries k (t.ingested - k)))
+
+let push t q =
+  let valid = Attr_set.full (Table.attribute_count t.table) in
+  if not (Attr_set.subset (Query.references q) valid) then
+    invalid_arg "Service.ingest: query references attributes outside the table";
+  if t.ingested = Array.length t.queries then begin
+    let grown = Array.make (max 16 (2 * t.ingested)) q in
+    Array.blit t.queries 0 grown 0 t.ingested;
+    t.queries <- grown
+  end;
+  t.queries.(t.ingested) <- q;
+  t.ingested <- t.ingested + 1;
+  Affinity.add_query t.affinity q
 
 let reoptimize t ~trigger =
   if Vp_observe.Switch.stats_on () then Vp_observe.Stats.incr c_reopts;
@@ -338,9 +351,7 @@ let ingest t q =
     weight
     *. Vp_cost.Io_model.query_cost_groups disk t.table [ Query.references q ]
   in
-  t.workload <- Workload.add_query t.workload q;
-  Affinity.add_query t.affinity q;
-  t.ingested <- t.ingested + 1;
+  push t q;
   t.query_cost <- t.query_cost +. cost;
   t.ring.(t.ring_pos) <- (cost, lower);
   t.ring_pos <- (t.ring_pos + 1) mod min_window;
@@ -630,10 +641,7 @@ let snapshot t =
                   Json.List
                     (List.map (fun i -> Json.Int i) (Attr_set.to_list g)))
                 (Partitioning.groups t.layout)) );
-         ( "queries",
-           Json.List
-             (Array.to_list (Array.map query_to_json (Workload.queries t.workload)))
-         );
+         ("queries", Json.List (List.map query_to_json (stream t)));
          ("events", Json.List (List.map event_to_json (events t)));
          (* Additive fields (still version 1): absent in pre-formats
             snapshots, tolerated by [restore]. *)
@@ -699,11 +707,7 @@ let restore config s =
             (List.length ring_spec) config.min_window;
         let events = List.rev_map event_of_json (list_field "events" doc) in
         let t = create config table in
-        List.iter
-          (fun q ->
-            t.workload <- Workload.add_query t.workload q;
-            Affinity.add_query t.affinity q)
-          queries;
+        List.iter (push t) queries;
         t.layout <- layout;
         t.generation <- int_field "generation" doc;
         t.ingested <- ingested;

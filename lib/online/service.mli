@@ -4,9 +4,9 @@ open Vp_core
     query stream one query at a time and evolves the table's vertical
     layout as the workload drifts.
 
-    The service keeps the affinity matrix and workload statistics
-    incrementally up to date ({!Workload.add_query} /
-    {!Affinity.add_query} — O2P's online bookkeeping), and watches a
+    The service keeps the affinity matrix incrementally up to date
+    ({!Affinity.add_query} — O2P's online bookkeeping) and the stream in
+    a buffer that doubles when full (O(1) per ingest), and watches a
     decision window for {e drift}: the estimated cost of the queries in
     the window under the current layout, divided by a cheap per-query
     lower bound (the perfect-materialized-view cost of reading exactly
@@ -171,7 +171,7 @@ val ingested : t -> int
 (** Queries ingested so far. *)
 
 val workload : t -> Workload.t
-(** The ingested stream as a workload (incrementally maintained). *)
+(** The ingested stream as a workload (built on each call). *)
 
 val affinity : t -> Affinity.t
 (** The incrementally maintained affinity matrix; agrees with

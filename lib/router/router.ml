@@ -3,6 +3,7 @@ module Protocol = Vp_server.Protocol
 module Sessions = Vp_server.Sessions
 module Journal = Vp_robust.Journal
 module Client = Vp_client.Client
+module Conn_server = Vp_server.Conn_server
 
 let c_requests = Vp_observe.Stats.counter "router.requests"
 
@@ -16,8 +17,6 @@ let c_restarts = Vp_observe.Stats.counter "router.restarts"
 
 let c_failures = Vp_observe.Stats.counter "router.shard_failures"
 
-let retry_after_ms = 100
-
 let stat_incr c = if Vp_observe.Switch.stats_on () then Vp_observe.Stats.incr c
 
 type shard = {
@@ -30,20 +29,11 @@ type shard = {
 }
 
 type t = {
-  listen_fd : Unix.file_descr;
-  port : int;
-  jobs : int;
-  max_pending : int;
+  conn : Conn_server.t;
   shard_jobs : int;
-  shard_max_pending : int;
   max_resident : int option;
   fsync : Journal.fsync;
-  replicas : int;
   data_dir : string;
-  stopping : bool Atomic.t;
-  in_flight : int Atomic.t;
-  conns : (Unix.file_descr, unit) Hashtbl.t;
-  conns_mutex : Mutex.t;
   (* [state] guards [shards] and [ring] (short critical sections on the
      request path); [control] serializes ring changes and supervision
      (held across a whole handoff). Lock order: control before state. *)
@@ -58,9 +48,7 @@ type t = {
   rr : int Atomic.t;
 }
 
-let locked_state t f =
-  Mutex.lock t.state;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.state) f
+let locked_state t f = Mutex.protect t.state f
 
 let close_quietly fd = try Unix.close fd with Unix.Unix_error _ -> ()
 
@@ -72,20 +60,11 @@ let rec mkdir_p dir =
 
 (* --- talking to shards: one-shot typed RPCs (control plane) --- *)
 
-let checked = function
-  | Error _ as e -> e
-  | Ok reply -> (
-      match Protocol.reply_status reply with
-      | "ok" -> Ok reply
-      | "error" ->
-          Error (Option.value (Protocol.reply_error reply) ~default:"shard error")
-      | other -> Error (Printf.sprintf "unexpected reply status %S" other))
-
 let shard_rpc ?attempts port req =
   let c = Client.create ~port () in
   Fun.protect
     ~finally:(fun () -> Client.close c)
-    (fun () -> checked (Client.request_retry ?attempts c req))
+    (fun () -> Client.call ?attempts c req)
 
 let session_list_of reply =
   match Json.member "sessions" reply with
@@ -110,6 +89,26 @@ let read_port_file path =
       int_of_string_opt (String.trim line)
     with Sys_error _ -> None
 
+let new_shard data_dir id =
+  {
+    id;
+    dir = Filename.concat data_dir id;
+    port = 0;
+    pid = 0;
+    healthy = false;
+    restarts = 0;
+  }
+
+let exited pid =
+  match Unix.waitpid [ Unix.WNOHANG ] pid with
+  | 0, _ -> false
+  | _ -> true
+  | exception Unix.Unix_error (Unix.ECHILD, _, _) -> true
+
+let kill_and_reap pid =
+  (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
+  try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ()
+
 (* Spawns the shard's process (a re-exec of this binary through
    [Worker]) and waits until it reports its port and answers ping.
    Raises [Failure] — with the half-started process killed — when it
@@ -130,8 +129,6 @@ let spawn_shard t (s : shard) =
       s.dir;
       "--jobs";
       string_of_int t.shard_jobs;
-      "--max-pending";
-      string_of_int t.shard_max_pending;
       "--fsync";
       fsync_arg t.fsync;
     ]
@@ -147,22 +144,15 @@ let spawn_shard t (s : shard) =
   s.healthy <- false;
   let deadline = Unix.gettimeofday () +. 15.0 in
   let fail msg =
-    (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
-    (try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ());
+    kill_and_reap pid;
     s.pid <- -1;
     failwith (Printf.sprintf "shard %s failed to start: %s" s.id msg)
-  in
-  let died () =
-    match Unix.waitpid [ Unix.WNOHANG ] pid with
-    | 0, _ -> false
-    | _ -> true
-    | exception Unix.Unix_error (Unix.ECHILD, _, _) -> true
   in
   let rec wait_port () =
     match read_port_file port_file with
     | Some p -> p
     | None ->
-        if died () then begin
+        if exited pid then begin
           s.pid <- -1;
           failwith (Printf.sprintf "shard %s died during startup" s.id)
         end
@@ -198,18 +188,14 @@ let supervise_cycle t =
     locked_state t (fun () ->
         Hashtbl.fold
           (fun _ s acc ->
-            if s.pid > 0 then (
-              match Unix.waitpid [ Unix.WNOHANG ] s.pid with
-              | 0, _ -> acc
-              | _ -> s :: acc
-              | exception Unix.Unix_error (Unix.ECHILD, _, _) -> s :: acc)
+            if s.pid > 0 then if exited s.pid then s :: acc else acc
             else if s.pid = -1 then s :: acc (* earlier respawn failed *)
             else acc)
           t.shards [])
   in
   List.iter
     (fun s ->
-      if not (Atomic.get t.stopping) then begin
+      if not (Conn_server.stopping t.conn) then begin
         if s.healthy then begin
           s.healthy <- false;
           stat_incr c_failures
@@ -224,11 +210,8 @@ let supervise_cycle t =
     dead
 
 let supervise t =
-  while not (Atomic.get t.stopping) do
-    Mutex.lock t.control;
-    Fun.protect
-      ~finally:(fun () -> Mutex.unlock t.control)
-      (fun () -> supervise_cycle t);
+  while not (Conn_server.stopping t.conn) do
+    Mutex.protect t.control (fun () -> supervise_cycle t);
     Unix.sleepf 0.05
   done
 
@@ -240,18 +223,12 @@ let stop_shard (s : shard) =
     (try Unix.kill s.pid Sys.sigterm with Unix.Unix_error _ -> ());
     let deadline = Unix.gettimeofday () +. 15.0 in
     let rec wait () =
-      match Unix.waitpid [ Unix.WNOHANG ] s.pid with
-      | 0, _ ->
-          if Unix.gettimeofday () > deadline then begin
-            (try Unix.kill s.pid Sys.sigkill with Unix.Unix_error _ -> ());
-            try ignore (Unix.waitpid [] s.pid) with Unix.Unix_error _ -> ()
-          end
-          else begin
-            Unix.sleepf 0.02;
-            wait ()
-          end
-      | _ -> ()
-      | exception Unix.Unix_error (Unix.ECHILD, _, _) -> ()
+      if not (exited s.pid) then
+        if Unix.gettimeofday () > deadline then kill_and_reap s.pid
+        else begin
+          Unix.sleepf 0.02;
+          wait ()
+        end
     in
     wait ()
   end;
@@ -260,47 +237,26 @@ let stop_shard (s : shard) =
 
 (* --- construction --- *)
 
-let create ?(host = "127.0.0.1") ?(port = Protocol.default_port) ?(jobs = 4)
-    ?(max_pending = 64) ?(shards = 3) ?(shard_jobs = 4)
-    ?(shard_max_pending = 64) ?max_resident ?(fsync = Journal.Never)
-    ?(replicas = Ring.default_replicas) ~data_dir () =
+let create ?host ?(port = Protocol.default_port) ?(jobs = 4)
+    ?(max_pending = 64) ?(shards = 3) ?(shard_jobs = 4) ?max_resident
+    ?(fsync = Journal.Never) ~data_dir () =
   if jobs < 1 then invalid_arg "Router.create: jobs must be >= 1";
   if max_pending < 1 then invalid_arg "Router.create: max_pending must be >= 1";
   if shards < 1 then invalid_arg "Router.create: shards must be >= 1";
   if shard_jobs < 1 then invalid_arg "Router.create: shard_jobs must be >= 1";
-  let addr = Unix.ADDR_INET (Unix.inet_addr_of_string host, port) in
-  let fd = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
-  (try
-     Unix.setsockopt fd Unix.SO_REUSEADDR true;
-     Unix.bind fd addr;
-     Unix.listen fd 64
-   with e ->
-     close_quietly fd;
-     raise e);
-  let port =
-    match Unix.getsockname fd with
-    | Unix.ADDR_INET (_, p) -> p
-    | Unix.ADDR_UNIX _ -> port
+  let conn =
+    Conn_server.create ?host ~port ~jobs ~max_pending ~shed:c_shed ()
   in
   let t =
     {
-      listen_fd = fd;
-      port;
-      jobs;
-      max_pending;
+      conn;
       shard_jobs;
-      shard_max_pending;
       max_resident;
       fsync;
-      replicas;
       data_dir;
-      stopping = Atomic.make false;
-      in_flight = Atomic.make 0;
-      conns = Hashtbl.create 16;
-      conns_mutex = Mutex.create ();
       state = Mutex.create ();
       shards = Hashtbl.create 8;
-      ring = Ring.make ~replicas [];
+      ring = Ring.make [];
       next_id = shards;
       control = Mutex.create ();
       reconfiguring = Atomic.make false;
@@ -309,43 +265,24 @@ let create ?(host = "127.0.0.1") ?(port = Protocol.default_port) ?(jobs = 4)
   in
   mkdir_p data_dir;
   let fleet =
-    List.init shards (fun i ->
-        let id = Printf.sprintf "shard-%d" i in
-        {
-          id;
-          dir = Filename.concat data_dir id;
-          port = 0;
-          pid = 0;
-          healthy = false;
-          restarts = 0;
-        })
+    List.init shards (fun i -> new_shard data_dir (Printf.sprintf "shard-%d" i))
   in
   (try List.iter (fun s -> spawn_shard t s) fleet
    with e ->
      List.iter (fun s -> stop_shard s) fleet;
-     close_quietly fd;
+     Conn_server.close conn;
      raise e);
   List.iter (fun s -> Hashtbl.replace t.shards s.id s) fleet;
-  t.ring <- Ring.make ~replicas (List.map (fun s -> s.id) fleet);
+  t.ring <- Ring.make (List.map (fun s -> s.id) fleet);
   t
 
-let port t = t.port
+let port t = Conn_server.port t.conn
 
 let shard_count t = locked_state t (fun () -> Hashtbl.length t.shards)
 
-let stop t = Atomic.set t.stopping true
+let stop t = Conn_server.stop t.conn
 
-let install_signal_handlers t =
-  let ignore_bad_signal f =
-    try f () with Invalid_argument _ | Sys_error _ -> ()
-  in
-  ignore_bad_signal (fun () -> Sys.set_signal Sys.sigpipe Sys.Signal_ignore);
-  let to_stop s =
-    ignore_bad_signal (fun () ->
-        Sys.set_signal s (Sys.Signal_handle (fun _ -> stop t)))
-  in
-  to_stop Sys.sigterm;
-  to_stop Sys.sigint
+let install_signal_handlers t = Conn_server.install_signal_handlers t.conn
 
 (* --- the data plane: raw verbatim forwarding ---
 
@@ -355,45 +292,7 @@ let install_signal_handlers t =
    untouched. Each client connection keeps one cached connection per
    shard it has talked to. *)
 
-type sconn = { sport : int; fd : Unix.file_descr; rbuf : Buffer.t }
-
-let write_all fd line =
-  let len = String.length line in
-  let rec go off =
-    if off < len then go (off + Unix.write_substring fd line off (len - off))
-  in
-  go 0
-
-let send_line sc line =
-  match write_all sc.fd (line ^ "\n") with
-  | () -> true
-  | exception (Unix.Unix_error _ | Sys_error _) -> false
-
-(* One newline-terminated reply, bounded like the daemon's reader. *)
-let recv_line sc =
-  let chunk_len = 8192 in
-  let chunk = Bytes.create chunk_len in
-  let rec take () =
-    match String.index_opt (Buffer.contents sc.rbuf) '\n' with
-    | Some i ->
-        let all = Buffer.contents sc.rbuf in
-        let line = String.sub all 0 i in
-        Buffer.clear sc.rbuf;
-        Buffer.add_substring sc.rbuf all (i + 1) (String.length all - i - 1);
-        Some line
-    | None ->
-        if Buffer.length sc.rbuf > Protocol.max_frame_bytes + 4096 then None
-        else begin
-          match Unix.read sc.fd chunk 0 chunk_len with
-          | exception Unix.Unix_error (Unix.EINTR, _, _) -> take ()
-          | exception Unix.Unix_error (_, _, _) -> None
-          | 0 -> None
-          | n ->
-              Buffer.add_subbytes sc.rbuf chunk 0 n;
-              take ()
-        end
-  in
-  take ()
+type sconn = { sport : int; fd : Unix.file_descr; reader : Conn_server.reader }
 
 let drop_conn cache id =
   match Hashtbl.find_opt cache id with
@@ -405,51 +304,50 @@ let drop_conn cache id =
 let conn_for cache (s : shard) =
   match Hashtbl.find_opt cache s.id with
   | Some sc when sc.sport = s.port -> Some sc
-  | stale -> (
-      (match stale with
-      | Some sc ->
-          close_quietly sc.fd;
-          Hashtbl.remove cache s.id
-      | None -> ());
+  | _ -> (
+      drop_conn cache s.id;
       let addr = Unix.ADDR_INET (Unix.inet_addr_loopback, s.port) in
       let fd = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
       match Unix.connect fd addr with
       | () ->
-          let sc = { sport = s.port; fd; rbuf = Buffer.create 256 } in
+          let sc = { sport = s.port; fd; reader = Conn_server.reader fd } in
           Hashtbl.replace cache s.id sc;
           Some sc
       | exception Unix.Unix_error _ ->
           close_quietly fd;
           None)
 
-(* A reply to relay as-is, or one the router built itself. *)
-type outcome = Raw of string | Doc of Json.t
-
-let shed_outcome () =
+let shed_reply () =
   stat_incr c_shed;
-  Doc (Protocol.overloaded_reply ~retry_after_ms)
+  Conn_server.overloaded
+
+let error_reply msg = Json.to_string (Protocol.error_reply msg)
 
 let forward cache (s : shard) line =
   stat_incr c_forwards;
+  let failed () =
+    (* The shard died (or hung up) mid-exchange: shed, so the client's
+       seq-idempotent retry lands after the restart. *)
+    drop_conn cache s.id;
+    stat_incr c_failures;
+    shed_reply ()
+  in
   match conn_for cache s with
   | None ->
       stat_incr c_failures;
-      shed_outcome ()
+      shed_reply ()
   | Some sc -> (
-      if not (send_line sc line) then begin
-        drop_conn cache s.id;
-        stat_incr c_failures;
-        shed_outcome ()
-      end
-      else
-        match recv_line sc with
-        | Some reply -> Raw reply
-        | None ->
-            (* The shard died (or hung up) mid-exchange: shed, so the
-               client's seq-idempotent retry lands after the restart. *)
-            drop_conn cache s.id;
-            stat_incr c_failures;
-            shed_outcome ())
+      match Conn_server.write_frame sc.fd line with
+      | exception Unix.Unix_error _ -> failed ()
+      | () -> (
+          match
+            Conn_server.read_frame sc.reader ~max_bytes:Protocol.max_reply_bytes
+          with
+          | Frame reply -> reply
+          | Too_long ->
+              drop_conn cache s.id;
+              error_reply Protocol.reply_too_long
+          | Eof | Failed _ -> failed ()))
 
 let owner t session =
   locked_state t (fun () ->
@@ -458,29 +356,26 @@ let owner t session =
       | Some id -> Hashtbl.find_opt t.shards id)
 
 let forward_session t cache session line =
-  if Atomic.get t.reconfiguring then shed_outcome ()
+  if Atomic.get t.reconfiguring then shed_reply ()
   else
     match owner t session with
     | Some s when s.healthy -> forward cache s line
-    | Some _ | None -> shed_outcome ()
+    | Some _ | None -> shed_reply ()
 
-let healthy_shards t =
-  locked_state t (fun () ->
-      Hashtbl.fold (fun _ s acc -> if s.healthy then s :: acc else acc) t.shards [])
+let all_shards t =
+  locked_state t (fun () -> Hashtbl.fold (fun _ s acc -> s :: acc) t.shards [])
   |> List.sort (fun a b -> String.compare a.id b.id)
+
+let healthy_shards t = List.filter (fun s -> s.healthy) (all_shards t)
 
 let forward_rr t cache line =
   match healthy_shards t with
-  | [] -> shed_outcome ()
+  | [] -> shed_reply ()
   | shards ->
       let i = Atomic.fetch_and_add t.rr 1 in
       forward cache (List.nth shards (i mod List.length shards)) line
 
 (* --- aggregated ops --- *)
-
-let all_shards t =
-  locked_state t (fun () -> Hashtbl.fold (fun _ s acc -> s :: acc) t.shards [])
-  |> List.sort (fun a b -> String.compare a.id b.id)
 
 let aggregate_stats t =
   let counters = Hashtbl.create 32 and gauges = Hashtbl.create 16 in
@@ -565,7 +460,7 @@ let cluster_info t =
   Protocol.ok_reply
     [
       ("shards", Json.List (List.map shard_json (all_shards t)));
-      ("replicas", Json.Int t.replicas);
+      ("replicas", Json.Int Ring.default_replicas);
       ("reconfiguring", Json.Bool (Atomic.get t.reconfiguring));
     ]
 
@@ -582,12 +477,25 @@ let move_session_files ~src ~dst name =
 
 let checked_is_ok = function Ok _ -> true | Error _ -> false
 
-let adopt_on (dest : shard) name =
-  checked_is_ok (shard_rpc dest.port (Protocol.adopt_request ~session:name))
+(* Moves one spilled session's files into [dest] and has it adopt them. *)
+let hand_off ~src (dest : shard) name ~moved ~errors =
+  move_session_files ~src ~dst:dest.dir name;
+  if checked_is_ok (shard_rpc dest.port (Protocol.adopt_request ~session:name))
+  then begin
+    incr moved;
+    stat_incr c_handoffs
+  end
+  else incr errors
 
-let with_control t f =
-  Mutex.lock t.control;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.control) f
+let handoff_reply id ~moved ~errors =
+  Protocol.ok_reply
+    [
+      ("shard", Json.String id);
+      ("moved", Json.Int !moved);
+      ("handoff_errors", Json.Int !errors);
+    ]
+
+let with_control t f = Mutex.protect t.control f
 
 let while_reconfiguring t f =
   Atomic.set t.reconfiguring true;
@@ -621,22 +529,12 @@ let cluster_remove t id =
                     match dest with
                     | None -> incr errors
                     | Some dest ->
-                        move_session_files ~src:victim.dir ~dst:dest.dir name;
-                        if adopt_on dest name then begin
-                          incr moved;
-                          stat_incr c_handoffs
-                        end
-                        else incr errors)
+                        hand_off ~src:victim.dir dest name ~moved ~errors)
                   names;
                 locked_state t (fun () ->
                     Hashtbl.remove t.shards id;
                     t.ring <- ring');
-                Protocol.ok_reply
-                  [
-                    ("shard", Json.String id);
-                    ("moved", Json.Int !moved);
-                    ("handoff_errors", Json.Int !errors);
-                  ]))
+                handoff_reply id ~moved ~errors))
 
 (* Add: bring the newcomer up first, then pull over exactly the
    sessions the new ring assigns to it (the consistent-hash property:
@@ -649,16 +547,7 @@ let cluster_add t =
         t.next_id <- t.next_id + 1;
         id
       in
-      let s =
-        {
-          id;
-          dir = Filename.concat t.data_dir id;
-          port = 0;
-          pid = 0;
-          healthy = false;
-          restarts = 0;
-        }
-      in
+      let s = new_shard t.data_dir id in
       match spawn_shard t s with
       | exception Failure msg -> Protocol.error_reply msg
       | () ->
@@ -689,25 +578,14 @@ let cluster_add t =
                                  (Protocol.detach_request ~session:name))
                           else true
                         in
-                        if detached then begin
-                          move_session_files ~src:l.dir ~dst:s.dir name;
-                          if adopt_on s name then begin
-                            incr moved;
-                            stat_incr c_handoffs
-                          end
-                          else incr errors
-                        end
+                        if detached then
+                          hand_off ~src:l.dir s name ~moved ~errors
                         else incr errors
                       end)
                     names)
                 losers;
               locked_state t (fun () -> t.ring <- ring');
-              Protocol.ok_reply
-                [
-                  ("shard", Json.String id);
-                  ("moved", Json.Int !moved);
-                  ("handoff_errors", Json.Int !errors);
-                ]))
+              handoff_reply id ~moved ~errors))
 
 let cluster_locate t doc =
   match Json.member "session" doc with
@@ -720,42 +598,43 @@ let cluster_locate t doc =
 
 (* --- per-frame dispatch --- *)
 
+(* The ops the router answers itself. *)
+let answer t op doc =
+  match op with
+  | "ping" ->
+      Protocol.ok_reply
+        [
+          ("protocol", Json.Int Protocol.protocol_version);
+          ("router", Json.Bool true);
+          ("shards", Json.Int (shard_count t));
+        ]
+  | "stats" -> aggregate_stats t
+  | "sessions" -> aggregate_sessions t
+  | "detach" | "adopt" ->
+      Protocol.error_reply
+        (Printf.sprintf
+           "op %S is shard-internal; the router manages session placement" op)
+  | "shutdown" ->
+      stop t;
+      Protocol.ok_reply [ ("stopping", Json.Bool true) ]
+  | "cluster_info" -> cluster_info t
+  | "cluster_locate" -> cluster_locate t doc
+  | "cluster_add" -> cluster_add t
+  | "cluster_remove" -> (
+      match Json.member "shard" doc with
+      | Some (Json.String id) -> cluster_remove t id
+      | Some _ | None ->
+          Protocol.error_reply "missing or non-string field \"shard\"")
+  | other -> Protocol.error_reply (Printf.sprintf "unknown op %S" other)
+
 let dispatch t cache op doc line =
   match op with
   | "open" | "ingest" | "layout" | "history" | "close" -> (
       match Json.member "session" doc with
       | Some (Json.String session) -> forward_session t cache session line
-      | Some _ | None ->
-          Doc (Protocol.error_reply "missing or non-string field \"session\""))
+      | Some _ | None -> error_reply "missing or non-string field \"session\"")
   | "partition" | "sleep" -> forward_rr t cache line
-  | "ping" ->
-      Doc
-        (Protocol.ok_reply
-           [
-             ("protocol", Json.Int Protocol.protocol_version);
-             ("router", Json.Bool true);
-             ("shards", Json.Int (shard_count t));
-           ])
-  | "stats" -> Doc (aggregate_stats t)
-  | "sessions" -> Doc (aggregate_sessions t)
-  | "detach" | "adopt" ->
-      Doc
-        (Protocol.error_reply
-           (Printf.sprintf
-              "op %S is shard-internal; the router manages session placement"
-              op))
-  | "shutdown" ->
-      stop t;
-      Doc (Protocol.ok_reply [ ("stopping", Json.Bool true) ])
-  | "cluster_info" -> Doc (cluster_info t)
-  | "cluster_locate" -> Doc (cluster_locate t doc)
-  | "cluster_add" -> Doc (cluster_add t)
-  | "cluster_remove" -> (
-      match Json.member "shard" doc with
-      | Some (Json.String id) -> Doc (cluster_remove t id)
-      | Some _ | None ->
-          Doc (Protocol.error_reply "missing or non-string field \"shard\""))
-  | other -> Doc (Protocol.error_reply (Printf.sprintf "unknown op %S" other))
+  | _ -> Json.to_string (answer t op doc)
 
 let reply_to_frame t cache line =
   stat_incr c_requests;
@@ -763,8 +642,7 @@ let reply_to_frame t cache line =
     Json.of_string ~max_depth:Protocol.max_depth
       ~max_size:Protocol.max_frame_bytes line
   with
-  | Error msg ->
-      Doc (Protocol.error_reply (Printf.sprintf "malformed frame: %s" msg))
+  | Error msg -> error_reply (Printf.sprintf "malformed frame: %s" msg)
   | Ok doc -> (
       match Json.member "op" doc with
       | Some (Json.String op) ->
@@ -772,137 +650,25 @@ let reply_to_frame t cache line =
           let guarded () =
             try run ()
             with exn ->
-              Doc
-                (Protocol.error_reply
-                   (Printf.sprintf "internal error: %s" (Printexc.to_string exn)))
+              error_reply
+                (Printf.sprintf "internal error: %s" (Printexc.to_string exn))
           in
           if Vp_observe.Switch.trace_on () then
             Vp_observe.Trace.with_span ~name:"router.request"
               ~args:[ ("op", op) ] guarded
           else guarded ()
-      | Some _ | None ->
-          Doc (Protocol.error_reply "missing or non-string field \"op\""))
+      | Some _ | None -> error_reply "missing or non-string field \"op\"")
 
-(* --- the connection loop (the daemon's framing, relaying raw) --- *)
-
-let serve_connection t fd =
+(* One cached connection per shard the client connection talked to. *)
+let connection t () =
   let cache : (string, sconn) Hashtbl.t = Hashtbl.create 4 in
-  Fun.protect
-    ~finally:(fun () -> Hashtbl.iter (fun _ sc -> close_quietly sc.fd) cache)
-    (fun () ->
-      let chunk_len = 8192 in
-      let chunk = Bytes.create chunk_len in
-      let acc = Buffer.create 256 in
-      let discarding = ref false in
-      let alive = ref true in
-      let send line =
-        try write_all fd (line ^ "\n")
-        with Unix.Unix_error _ | Sys_error _ -> alive := false
-      in
-      let handle_line line =
-        if !discarding then discarding := false
-        else
-          match reply_to_frame t cache line with
-          | Raw reply -> send reply
-          | Doc json -> send (Json.to_string json)
-      in
-      let overflow () =
-        if not !discarding then begin
-          send
-            (Json.to_string
-               (Protocol.error_reply
-                  (Printf.sprintf "frame exceeds the %d-byte limit"
-                     Protocol.max_frame_bytes)));
-          discarding := true
-        end;
-        Buffer.clear acc
-      in
-      while !alive do
-        match Unix.read fd chunk 0 chunk_len with
-        | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-        | exception Unix.Unix_error (_, _, _) -> alive := false
-        | 0 -> alive := false
-        | n ->
-            let start = ref 0 in
-            for i = 0 to n - 1 do
-              if Bytes.get chunk i = '\n' then begin
-                Buffer.add_subbytes acc chunk !start (i - !start);
-                start := i + 1;
-                let line = Buffer.contents acc in
-                Buffer.clear acc;
-                handle_line line
-              end
-            done;
-            Buffer.add_subbytes acc chunk !start (n - !start);
-            if Buffer.length acc > Protocol.max_frame_bytes then overflow ()
-      done)
-
-(* --- accept loop, admission, drain --- *)
-
-let register_conn t fd =
-  Mutex.lock t.conns_mutex;
-  Hashtbl.replace t.conns fd ();
-  Mutex.unlock t.conns_mutex
-
-let unregister_conn t fd =
-  Mutex.lock t.conns_mutex;
-  Hashtbl.remove t.conns fd;
-  Mutex.unlock t.conns_mutex
-
-let shed_accept fd =
-  stat_incr c_shed;
-  let line = Json.to_string (Protocol.overloaded_reply ~retry_after_ms) ^ "\n" in
-  (try ignore (Unix.write_substring fd line 0 (String.length line))
-   with Unix.Unix_error _ -> ());
-  close_quietly fd
-
-let accept_one t pool =
-  match Unix.accept ~cloexec:true t.listen_fd with
-  | exception
-      Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) ->
-      ()
-  | fd, _ ->
-      if Atomic.get t.stopping then close_quietly fd
-      else if Atomic.get t.in_flight >= t.max_pending then shed_accept fd
-      else begin
-        Atomic.incr t.in_flight;
-        register_conn t fd;
-        Vp_parallel.Pool.submit pool (fun () ->
-            Fun.protect
-              ~finally:(fun () ->
-                unregister_conn t fd;
-                close_quietly fd;
-                Atomic.decr t.in_flight)
-              (fun () -> serve_connection t fd))
-      end
-
-let drain t pool supervisor =
-  close_quietly t.listen_fd;
-  Mutex.lock t.conns_mutex;
-  Hashtbl.iter
-    (fun fd () ->
-      try Unix.shutdown fd Unix.SHUTDOWN_RECEIVE with Unix.Unix_error _ -> ())
-    t.conns;
-  Mutex.unlock t.conns_mutex;
-  while Atomic.get t.in_flight > 0 do
-    Unix.sleepf 0.005
-  done;
-  Domain.join supervisor;
-  List.iter stop_shard (all_shards t);
-  Vp_parallel.Pool.shutdown pool
+  {
+    Conn_server.reply = reply_to_frame t cache;
+    release = (fun () -> Hashtbl.iter (fun _ sc -> close_quietly sc.fd) cache);
+  }
 
 let serve t =
-  (* Same pool shape as the daemon: [jobs + 1] with the accept loop as
-     the non-draining helping caller, unclamped because handlers block
-     in [Unix.read] rather than compute. *)
-  let pool = Vp_parallel.Pool.create ~clamp:false ~jobs:(t.jobs + 1) () in
   let supervisor = Domain.spawn (fun () -> supervise t) in
-  Fun.protect
-    ~finally:(fun () -> drain t pool supervisor)
-    (fun () ->
-      while not (Atomic.get t.stopping) do
-        match Unix.select [ t.listen_fd ] [] [] 0.05 with
-        | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-        | [], _, _ -> ()
-        | _ :: _, _, _ -> accept_one t pool
-      done)
+  Conn_server.serve t.conn ~connection:(connection t) ~epilogue:(fun () ->
+      Domain.join supervisor;
+      List.iter stop_shard (all_shards t))

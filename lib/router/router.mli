@@ -1,9 +1,11 @@
 (** The sharding tier: a thin TCP router in front of N shard daemons.
 
     The router speaks the same newline-delimited JSON protocol as
-    {!Vp_server.Daemon} — {!Vp_client.Client} needs no API change — and
-    owns a fleet of shard processes it spawns (re-execing the current
-    binary through {!Worker}) and supervises:
+    {!Vp_server.Daemon} — {!Vp_client.Client} needs no API change — on
+    the same connection core ({!Vp_server.Conn_server}: listen,
+    admission, shedding, framing, drain), and owns a fleet of shard
+    processes it spawns (re-execing the current binary through
+    {!Worker}) and supervises:
 
     - {b Routing.} Session ops ([open]/[ingest]/[layout]/[history]/
       [close]) are placed by consistent-hashing the session name over
@@ -48,10 +50,8 @@ val create :
   ?max_pending:int ->
   ?shards:int ->
   ?shard_jobs:int ->
-  ?shard_max_pending:int ->
   ?max_resident:int ->
   ?fsync:Vp_robust.Journal.fsync ->
-  ?replicas:int ->
   data_dir:string ->
   unit ->
   t
@@ -60,9 +60,10 @@ val create :
     daemons, each on an ephemeral port with data dir
     [data_dir/shard-<i>] — sharding requires durability, which is why
     [data_dir] is mandatory. [jobs]/[max_pending] size the router's own
-    connection pool and admission bound; [shard_jobs] /
-    [shard_max_pending] / [max_resident] / [fsync] are passed to every
-    shard. The calling executable {e must} run
+    connection pool and admission bound; [shard_jobs] / [max_resident] /
+    [fsync] are passed to every shard, which admits the daemon's default
+    [max_pending] connections. The ring places {!Ring.default_replicas}
+    points per shard. The calling executable {e must} run
     {!Worker.maybe_run}[ ()] first — shards are re-execs of
     [Sys.executable_name].
     @raise Invalid_argument on out-of-range sizes.
@@ -75,12 +76,13 @@ val port : t -> int
 val shard_count : t -> int
 
 val serve : t -> unit
-(** The accept loop, until {!stop}; the epilogue drains connections,
-    stops the supervisor and shuts the fleet down gracefully (SIGTERM —
-    every shard drains and spills its sessions). Call at most once. *)
+(** {!Vp_server.Conn_server.serve}: the accept loop until {!stop}, then
+    the drain; the epilogue joins the supervisor and shuts the fleet
+    down gracefully (SIGTERM — every shard drains and spills its
+    sessions). Call at most once. *)
 
 val stop : t -> unit
 (** Flag-only, safe from signal handlers and pool workers. *)
 
 val install_signal_handlers : t -> unit
-(** SIGTERM/SIGINT to {!stop}; SIGPIPE ignored. *)
+(** {!Vp_server.Conn_server.install_signal_handlers}. *)

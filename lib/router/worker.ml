@@ -3,16 +3,6 @@ module Journal = Vp_robust.Journal
 
 let sentinel = "--vp-shard-worker"
 
-type opts = {
-  mutable port : int;
-  mutable port_file : string option;
-  mutable data_dir : string option;
-  mutable jobs : int;
-  mutable max_pending : int;
-  mutable max_resident : int option;
-  mutable fsync : Journal.fsync;
-}
-
 let parse_fsync = function
   | "never" -> Journal.Never
   | "always" -> Journal.Always
@@ -20,50 +10,6 @@ let parse_fsync = function
       match int_of_string_opt s with
       | Some n when n >= 1 -> Journal.Interval n
       | _ -> failwith (Printf.sprintf "bad --fsync value %S" s))
-
-let parse_opts argv =
-  let o =
-    {
-      port = 0;
-      port_file = None;
-      data_dir = None;
-      jobs = 4;
-      max_pending = 64;
-      max_resident = None;
-      fsync = Journal.Never;
-    }
-  in
-  let int_of flag v =
-    match int_of_string_opt v with
-    | Some n -> n
-    | None -> failwith (Printf.sprintf "bad %s value %S" flag v)
-  in
-  let rec go = function
-    | [] -> o
-    | "--port" :: v :: rest ->
-        o.port <- int_of "--port" v;
-        go rest
-    | "--port-file" :: v :: rest ->
-        o.port_file <- Some v;
-        go rest
-    | "--data-dir" :: v :: rest ->
-        o.data_dir <- Some v;
-        go rest
-    | "--jobs" :: v :: rest ->
-        o.jobs <- int_of "--jobs" v;
-        go rest
-    | "--max-pending" :: v :: rest ->
-        o.max_pending <- int_of "--max-pending" v;
-        go rest
-    | "--max-resident" :: v :: rest ->
-        o.max_resident <- Some (int_of "--max-resident" v);
-        go rest
-    | "--fsync" :: v :: rest ->
-        o.fsync <- parse_fsync v;
-        go rest
-    | flag :: _ -> failwith (Printf.sprintf "unknown shard-worker flag %S" flag)
-  in
-  go (Array.to_list argv)
 
 (* Temp + rename: the router polling the port file never reads a torn
    write. *)
@@ -78,32 +24,46 @@ let write_port_file path port =
 (* A restart-with-recovery reuses the dead shard's fixed port; the old
    socket can linger in TIME_WAIT for a beat even with SO_REUSEADDR
    (e.g. a straggling accepted connection), so retry briefly. *)
-let rec create_daemon ~attempts o =
-  match
-    Daemon.create ~port:o.port ~jobs:o.jobs ~max_pending:o.max_pending
-      ?data_dir:o.data_dir ?max_resident:o.max_resident ~fsync:o.fsync ()
-  with
+let rec create_daemon ~attempts ~port create =
+  match create ~port with
   | d -> d
   | exception Unix.Unix_error (Unix.EADDRINUSE, _, _)
-    when o.port <> 0 && attempts > 1 ->
+    when port <> 0 && attempts > 1 ->
       Unix.sleepf 0.05;
-      create_daemon ~attempts:(attempts - 1) o
+      create_daemon ~attempts:(attempts - 1) ~port create
 
+(* [argv] is this process's whole argv: the executable, the sentinel,
+   then the worker flags. *)
 let run argv =
-  let o = parse_opts argv in
+  let port = ref 0 and port_file = ref None and data_dir = ref None in
+  let jobs = ref 4 and max_resident = ref None and fsync = ref Journal.Never in
+  let some r = Arg.String (fun v -> r := Some v) in
+  Arg.parse_argv ~current:(ref 1) argv
+    [
+      ("--port", Arg.Set_int port, "");
+      ("--port-file", some port_file, "");
+      ("--data-dir", some data_dir, "");
+      ("--jobs", Arg.Set_int jobs, "");
+      ("--max-resident", Arg.Int (fun n -> max_resident := Some n), "");
+      ("--fsync", Arg.String (fun v -> fsync := parse_fsync v), "");
+    ]
+    (fun a -> raise (Arg.Bad (Printf.sprintf "unknown shard-worker flag %S" a)))
+    "";
   (* Shards publish their own counters/histograms: the router's stats
      op aggregates them over the wire. *)
   Vp_observe.Switch.(raise_to Stats);
-  let d = create_daemon ~attempts:100 o in
-  (match o.port_file with
-  | Some path -> write_port_file path (Daemon.port d)
-  | None -> ());
+  let d =
+    create_daemon ~attempts:100 ~port:!port (fun ~port ->
+        Daemon.create ~port ~jobs:!jobs ?data_dir:!data_dir
+          ?max_resident:!max_resident ~fsync:!fsync ())
+  in
+  Option.iter (fun path -> write_port_file path (Daemon.port d)) !port_file;
   Daemon.install_signal_handlers d;
   Daemon.serve d
 
 let maybe_run () =
   if Array.length Sys.argv >= 2 && Sys.argv.(1) = sentinel then begin
-    (try run (Array.sub Sys.argv 2 (Array.length Sys.argv - 2))
+    (try run Sys.argv
      with exn ->
        prerr_endline ("vp shard worker: " ^ Printexc.to_string exn);
        exit 1);

@@ -12,7 +12,7 @@
     [--port N] (0 = ephemeral), [--port-file PATH] (the bound port is
     written here via temp + rename once listening — the router's
     race-free startup signal), [--data-dir DIR], [--jobs N],
-    [--max-pending N], [--max-resident N], [--fsync never|always|N]. *)
+    [--max-resident N], [--fsync never|always|N]. *)
 
 val sentinel : string
 (** ["--vp-shard-worker"]. *)

@@ -5,69 +5,24 @@ let c_requests = Vp_observe.Stats.counter "server.requests"
 
 let c_shed = Vp_observe.Stats.counter "server.shed"
 
-let retry_after_ms = 100
+type t = { conn : Conn_server.t; jobs : int; sessions : Sessions.t }
 
-type t = {
-  listen_fd : Unix.file_descr;
-  port : int;
-  jobs : int;
-  max_pending : int;
-  stopping : bool Atomic.t;
-  in_flight : int Atomic.t;
-  conns : (Unix.file_descr, unit) Hashtbl.t;
-  conns_mutex : Mutex.t;
-  sessions : Sessions.t;
-}
-
-let create ?(host = "127.0.0.1") ?(port = Protocol.default_port) ?(jobs = 4)
+let create ?host ?(port = Protocol.default_port) ?(jobs = 4)
     ?(max_pending = 64) ?data_dir ?max_resident ?fsync () =
   if jobs < 1 then invalid_arg "Daemon.create: jobs must be >= 1";
   if max_pending < 1 then invalid_arg "Daemon.create: max_pending must be >= 1";
-  let addr = Unix.ADDR_INET (Unix.inet_addr_of_string host, port) in
-  let fd = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
-  (try
-     Unix.setsockopt fd Unix.SO_REUSEADDR true;
-     Unix.bind fd addr;
-     Unix.listen fd 64
-   with e ->
-     (try Unix.close fd with Unix.Unix_error _ -> ());
-     raise e);
-  let port =
-    match Unix.getsockname fd with
-    | Unix.ADDR_INET (_, p) -> p
-    | Unix.ADDR_UNIX _ -> port
+  let conn =
+    Conn_server.create ?host ~port ~jobs ~max_pending ~shed:c_shed ()
   in
-  {
-    listen_fd = fd;
-    port;
-    jobs;
-    max_pending;
-    stopping = Atomic.make false;
-    in_flight = Atomic.make 0;
-    conns = Hashtbl.create 16;
-    conns_mutex = Mutex.create ();
-    sessions = Sessions.create ?data_dir ?max_resident ?fsync ();
-  }
+  { conn; jobs; sessions = Sessions.create ?data_dir ?max_resident ?fsync () }
 
-let port t = t.port
+let port t = Conn_server.port t.conn
 
 let jobs t = t.jobs
 
-let stop t = Atomic.set t.stopping true
+let stop t = Conn_server.stop t.conn
 
-let install_signal_handlers t =
-  let ignore_bad_signal f =
-    (* SIGPIPE etc. do not exist on every platform. *)
-    try f () with Invalid_argument _ | Sys_error _ -> ()
-  in
-  ignore_bad_signal (fun () ->
-      Sys.set_signal Sys.sigpipe Sys.Signal_ignore);
-  let to_stop s =
-    ignore_bad_signal (fun () ->
-        Sys.set_signal s (Sys.Signal_handle (fun _ -> stop t)))
-  in
-  to_stop Sys.sigterm;
-  to_stop Sys.sigint
+let install_signal_handlers t = Conn_server.install_signal_handlers t.conn
 
 (* --- per-request dispatch --- *)
 
@@ -264,134 +219,8 @@ let reply_to_frame t line =
               guarded
           else guarded ()))
 
-(* --- the connection loop: newline-framed requests over a stream --- *)
-
-let serve_connection t fd =
-  let chunk_len = 8192 in
-  let chunk = Bytes.create chunk_len in
-  let acc = Buffer.create 256 in
-  (* [discarding] is true while we are skipping the tail of a frame that
-     already exceeded [max_frame_bytes] (the error reply has been sent;
-     the connection stays usable for the next line). *)
-  let discarding = ref false in
-  let alive = ref true in
-  let send json =
-    let line = Json.to_string json ^ "\n" in
-    let len = String.length line in
-    let rec write_all off =
-      if off < len then
-        write_all (off + Unix.write_substring fd line off (len - off))
-    in
-    try write_all 0 with Unix.Unix_error _ | Sys_error _ -> alive := false
-  in
-  let handle_line line =
-    if !discarding then discarding := false
-    else send (reply_to_frame t line)
-  in
-  let overflow () =
-    if not !discarding then begin
-      send
-        (Protocol.error_reply
-           (Printf.sprintf "frame exceeds the %d-byte limit"
-              Protocol.max_frame_bytes));
-      discarding := true
-    end;
-    Buffer.clear acc
-  in
-  while !alive do
-    match Unix.read fd chunk 0 chunk_len with
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-    | exception Unix.Unix_error (_, _, _) -> alive := false
-    | 0 -> alive := false
-    | n ->
-        let start = ref 0 in
-        for i = 0 to n - 1 do
-          if Bytes.get chunk i = '\n' then begin
-            Buffer.add_subbytes acc chunk !start (i - !start);
-            start := i + 1;
-            let line = Buffer.contents acc in
-            Buffer.clear acc;
-            handle_line line
-          end
-        done;
-        Buffer.add_subbytes acc chunk !start (n - !start);
-        (* A frame longer than the limit can never become valid; answer
-           now instead of buffering an unbounded line. *)
-        if Buffer.length acc > Protocol.max_frame_bytes then overflow ()
-  done
-
-(* --- the accept loop --- *)
-
-let register_conn t fd =
-  Mutex.lock t.conns_mutex;
-  Hashtbl.replace t.conns fd ();
-  Mutex.unlock t.conns_mutex
-
-let unregister_conn t fd =
-  Mutex.lock t.conns_mutex;
-  Hashtbl.remove t.conns fd;
-  Mutex.unlock t.conns_mutex
-
-let close_quietly fd = try Unix.close fd with Unix.Unix_error _ -> ()
-
-let shed fd =
-  if Vp_observe.Switch.stats_on () then Vp_observe.Stats.incr c_shed;
-  let line = Json.to_string (Protocol.overloaded_reply ~retry_after_ms) ^ "\n" in
-  (try ignore (Unix.write_substring fd line 0 (String.length line))
-   with Unix.Unix_error _ -> ());
-  close_quietly fd
-
-let accept_one t pool =
-  match Unix.accept ~cloexec:true t.listen_fd with
-  | exception
-      Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) ->
-      ()
-  | fd, _ ->
-      if Atomic.get t.stopping then close_quietly fd
-      else if Atomic.get t.in_flight >= t.max_pending then shed fd
-      else begin
-        Atomic.incr t.in_flight;
-        register_conn t fd;
-        Vp_parallel.Pool.submit pool (fun () ->
-            Fun.protect
-              ~finally:(fun () ->
-                unregister_conn t fd;
-                close_quietly fd;
-                Atomic.decr t.in_flight)
-              (fun () -> serve_connection t fd))
-      end
-
-let drain t pool =
-  close_quietly t.listen_fd;
-  (* Half-close every in-flight connection's read side so a handler
-     blocked in [Unix.read] sees EOF and winds down. *)
-  Mutex.lock t.conns_mutex;
-  Hashtbl.iter
-    (fun fd () ->
-      try Unix.shutdown fd Unix.SHUTDOWN_RECEIVE with Unix.Unix_error _ -> ())
-    t.conns;
-  Mutex.unlock t.conns_mutex;
-  while Atomic.get t.in_flight > 0 do
-    Unix.sleepf 0.005
-  done;
-  Sessions.drain t.sessions;
-  Vp_parallel.Pool.shutdown pool
-
 let serve t =
-  (* [jobs + 1]: the accept loop is the pool's "helping caller" slot and
-     never drains tasks, so the worker count equals the requested server
-     parallelism. [~clamp:false] because connection handlers block in
-     [Unix.read] rather than compute: a 4-job server must multiplex 4
-     live connections even on a 1-core host, where the clamp would leave
-     the pool workerless and [submit] would serve connections inline in
-     the accept loop (no concurrency, no shedding). *)
-  let pool = Vp_parallel.Pool.create ~clamp:false ~jobs:(t.jobs + 1) () in
-  Fun.protect
-    ~finally:(fun () -> drain t pool)
-    (fun () ->
-      while not (Atomic.get t.stopping) do
-        match Unix.select [ t.listen_fd ] [] [] 0.05 with
-        | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-        | [], _, _ -> ()
-        | _ :: _, _, _ -> accept_one t pool
-      done)
+  let reply line = Json.to_string (reply_to_frame t line) in
+  Conn_server.serve t.conn
+    ~connection:(fun () -> { Conn_server.reply; release = ignore })
+    ~epilogue:(fun () -> Sessions.drain t.sessions)

@@ -1,26 +1,18 @@
-(** The layout daemon: a concurrent TCP server for the {!Protocol}.
+(** The layout daemon: the {!Protocol} served over {!Conn_server}.
 
-    One daemon owns one listening socket, one {!Sessions.t} registry and
-    one {!Vp_parallel.Pool}. The accept loop runs in the calling domain
-    and hands each accepted connection to a pool worker
-    ({!Vp_parallel.Pool.submit}), so a connection occupies one worker for
-    its lifetime — thread-per-connection, with OCaml domains as the
-    threads. [jobs = 1] therefore serves strictly sequentially, which is
-    what the determinism tests exploit.
+    One daemon owns one {!Conn_server.t} and one {!Sessions.t} registry.
+    The shared core listens, admits or sheds connections, frames
+    requests and drains; the daemon only decodes each frame and
+    dispatches it. Connections are served thread-per-connection on
+    [jobs] pool workers, so [jobs = 1] serves strictly sequentially,
+    which is what the determinism tests exploit. Past [max_pending]
+    in-flight connections a new one gets an [overloaded] frame with a
+    [retry_after_ms] hint.
 
-    Backpressure is explicit, never silent: when [max_pending]
-    connections are already in flight, a new connection is answered with
-    one [overloaded] frame carrying a [retry_after_ms] hint and closed
-    before a byte of it is read. Clients retry after the hint instead of
-    hanging on an unbounded queue.
-
-    Shutdown is graceful: {!stop} (also installed as the SIGTERM/SIGINT
-    action by {!install_signal_handlers}, and reachable over the wire as
-    the [shutdown] op) only raises a flag. The accept loop notices it
-    within its 50 ms poll interval, stops accepting, closes the listening
-    socket, half-closes every in-flight connection's read side so blocked
-    readers see EOF, waits for the in-flight count to reach zero, flushes
-    every session ({!Sessions.drain}) and joins the pool.
+    {!stop} (also SIGTERM/SIGINT after {!install_signal_handlers}, and
+    the [shutdown] op) starts the core's graceful drain; once the last
+    connection has ended, the daemon flushes every session
+    ({!Sessions.drain}).
 
     Instrumentation (under {!Vp_observe.Switch}): counters
     [server.requests] and [server.shed], gauge [server.active_sessions],
@@ -56,16 +48,13 @@ val port : t -> int
 val jobs : t -> int
 
 val serve : t -> unit
-(** Runs the accept loop in the calling domain until {!stop}; performs
-    the graceful drain described above before returning, even when the
-    loop dies by exception. Call at most once per daemon. *)
+(** {!Conn_server.serve}: the accept loop until {!stop}, then the drain
+    and the session flush, even when the loop dies by exception. Call at
+    most once per daemon. *)
 
 val stop : t -> unit
-(** Requests a graceful drain. Only sets a flag — safe from a signal
-    handler, a pool worker mid-request ([shutdown] op) or another
-    domain; the drain itself happens in {!serve}'s epilogue. *)
+(** {!Conn_server.stop}: flag-only, safe from a signal handler or a
+    worker mid-request. *)
 
 val install_signal_handlers : t -> unit
-(** Routes SIGTERM and SIGINT to {!stop} (and ignores SIGPIPE, so a
-    client that disconnects mid-reply surfaces as [EPIPE] instead of
-    killing the process). *)
+(** {!Conn_server.install_signal_handlers}. *)

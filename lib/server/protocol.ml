@@ -20,6 +20,11 @@ let default_port = 7171
 
 let max_frame_bytes = 1 lsl 20
 
+let max_reply_bytes = 1 lsl 24
+
+let reply_too_long =
+  Printf.sprintf "reply exceeds the %d-byte limit" max_reply_bytes
+
 let max_depth = 64
 
 type budget_spec = { deadline_ms : int option; budget_steps : int option }

@@ -45,7 +45,17 @@ val protocol_version : int
 val default_port : int
 
 val max_frame_bytes : int
-(** Upper bound on one frame (request or reply), in bytes. *)
+(** Upper bound on one request frame, in bytes (1 MiB). *)
+
+val max_reply_bytes : int
+(** Upper bound on one reply frame, in bytes (16 MiB): room for a
+    [history] or [close] reply of about 120,000 decisions. The client
+    and the router's shard side both read replies through
+    {!Conn_server.read_frame} with this bound. *)
+
+val reply_too_long : string
+(** The error both give for a reply past {!max_reply_bytes}; the router
+    answers it as an [error] reply. *)
 
 val max_depth : int
 (** Maximum JSON nesting depth accepted on the wire. *)

@@ -14,6 +14,7 @@ open Vp_core
 module Json = Vp_observe.Json
 module Protocol = Vp_server.Protocol
 module Client = Vp_client.Client
+module Router = Vp_router.Router
 
 (* Daemons bind port 0 and report the bound port — see the port
    discipline note in [Testutil]. *)
@@ -252,50 +253,155 @@ let test_protocol_robustness () =
             "no leaked sessions" (Some 0)
             (Protocol.int_field "sessions" stats)))
 
+(* Both servers run on the same connection core; the admission and
+   drain tests run against each. [with_server ~jobs ~max_pending f]
+   calls [f port join] with the accept loop live; [join ()] waits for
+   [serve] to return. *)
+let servers =
+  let run ~port ~serve ~stop f =
+    let server = Domain.spawn serve in
+    let joined = lazy (Domain.join server) in
+    Fun.protect
+      ~finally:(fun () ->
+        stop ();
+        Lazy.force joined)
+      (fun () -> f port (fun () -> Lazy.force joined))
+  in
+  [
+    ( "daemon",
+      fun ~jobs ~max_pending f ->
+        let d = Vp_server.Daemon.create ~port:0 ~jobs ~max_pending () in
+        run ~port:(Vp_server.Daemon.port d)
+          ~serve:(fun () -> Vp_server.Daemon.serve d)
+          ~stop:(fun () -> Vp_server.Daemon.stop d)
+          f );
+    ( "router",
+      fun ~jobs ~max_pending f ->
+        Testutil.with_temp_dir "conn-router" (fun dir ->
+            let r =
+              Router.create ~port:0 ~jobs ~max_pending ~shards:1 ~shard_jobs:2
+                ~data_dir:dir ()
+            in
+            run ~port:(Router.port r)
+              ~serve:(fun () -> Router.serve r)
+              ~stop:(fun () -> Router.stop r)
+              f) );
+  ]
+
 let test_overload_shed () =
-  with_daemon ~jobs:1 ~max_pending:1 (fun port ->
-      (* One connection parks in a sleep, occupying the single slot. *)
-      let sleeper =
-        Domain.spawn (fun () ->
-            with_client port (fun c ->
-                Client.request c (Protocol.sleep ~ms:400)))
-      in
-      Unix.sleepf 0.1;
-      with_client port (fun c ->
-          (match Client.request c Protocol.ping with
+  List.iter
+    (fun (name, with_server) ->
+      with_server ~jobs:1 ~max_pending:1 (fun port _join ->
+          (* One connection parks in a sleep, occupying the single slot. *)
+          let sleeper =
+            Domain.spawn (fun () ->
+                with_client port (fun c ->
+                    Client.request c (Protocol.sleep ~ms:400)))
+          in
+          Unix.sleepf 0.1;
+          with_client port (fun c ->
+              (match Client.request c Protocol.ping with
+              | Ok reply ->
+                  Alcotest.(check string)
+                    (name ^ ": second client is shed")
+                    "overloaded"
+                    (Protocol.reply_status reply);
+                  (match Protocol.retry_after_ms reply with
+                  | Some ms ->
+                      Alcotest.(check bool)
+                        (name ^ ": retry hint")
+                        true (ms > 0)
+                  | None ->
+                      Alcotest.failf
+                        "%s: overloaded reply without retry_after_ms" name)
+              | Error msg -> Alcotest.failf "%s: shed reply lost: %s" name msg);
+              (* Retrying with backoff eventually gets through — the
+                 overloaded path degrades, it does not hang. *)
+              match Client.request_retry ~attempts:50 c Protocol.ping with
+              | Ok reply ->
+                  Alcotest.(check string)
+                    (name ^ ": retry succeeds once drained")
+                    "ok"
+                    (Protocol.reply_status reply)
+              | Error msg ->
+                  Alcotest.failf "%s: retry never got through: %s" name msg);
+          match Domain.join sleeper with
           | Ok reply ->
               Alcotest.(check string)
-                "second client is shed" "overloaded"
-                (Protocol.reply_status reply);
-              (match Protocol.retry_after_ms reply with
-              | Some ms -> Alcotest.(check bool) "retry hint" true (ms > 0)
-              | None -> Alcotest.fail "overloaded reply without retry_after_ms")
-          | Error msg -> Alcotest.failf "shed reply lost: %s" msg);
-          (* Retrying with backoff eventually gets through — the
-             overloaded path degrades, it does not hang. *)
-          match Client.request_retry ~attempts:50 c Protocol.ping with
-          | Ok reply ->
-              Alcotest.(check string)
-                "retry succeeds once drained" "ok"
+                (name ^ ": sleeper completed")
+                "ok"
                 (Protocol.reply_status reply)
-          | Error msg -> Alcotest.failf "retry never got through: %s" msg);
-      match Domain.join sleeper with
-      | Ok reply ->
-          Alcotest.(check string)
-            "sleeper completed" "ok"
-            (Protocol.reply_status reply)
-      | Error msg -> Alcotest.failf "sleeper failed: %s" msg)
+          | Error msg -> Alcotest.failf "%s: sleeper failed: %s" name msg))
+    servers
+
+(* The pids a router reports for its shards; none for a daemon. *)
+let child_pids c =
+  match Client.request c (Json.Obj [ ("op", Json.String "cluster_info") ]) with
+  | Ok reply -> (
+      match Json.member "shards" reply with
+      | Some (Json.List shards) ->
+          List.filter_map (fun s -> Protocol.int_field "pid" s) shards
+      | _ -> [])
+  | Error msg -> Alcotest.failf "cluster_info: %s" msg
 
 let test_shutdown_op () =
-  let d = Vp_server.Daemon.create ~port:0 ~jobs:2 () in
-  let server = Domain.spawn (fun () -> Vp_server.Daemon.serve d) in
-  with_client (Vp_server.Daemon.port d) (fun c ->
-      ignore (unwrap (Client.open_session c ~session:"s"
-                        (Workload.table (Lazy.force small_workload))));
-      unwrap (Client.shutdown_server c));
-  (* serve returns on its own: the wire shutdown drained the daemon. *)
-  Domain.join server;
-  Alcotest.(check pass) "daemon drained after wire shutdown" () ()
+  let table = Workload.table (Lazy.force small_workload) in
+  List.iter
+    (fun (name, with_server) ->
+      with_server ~jobs:2 ~max_pending:64 (fun port join ->
+          with_client port (fun idle ->
+              let pids = child_pids idle in
+              with_client port (fun c ->
+                  ignore (unwrap (Client.open_session c ~session:"s" table));
+                  unwrap (Client.shutdown_server c));
+              (* serve returns on its own, with [idle] still connected:
+                 the drain half-closed it. *)
+              join ();
+              Alcotest.(check bool)
+                (name ^ ": drained connection is closed")
+                true
+                (Result.is_error (Client.ping idle));
+              List.iter
+                (fun pid ->
+                  match Unix.kill pid 0 with
+                  | () -> Alcotest.failf "%s: shard %d still running" name pid
+                  | exception Unix.Unix_error (Unix.ESRCH, _, _) -> ())
+                pids)))
+    servers
+
+(* A reply past [Protocol.max_reply_bytes] fails with the named error
+   once the bound is reached, instead of buffering until the peer
+   closes. *)
+let test_reply_bound () =
+  let lfd = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Fun.protect
+    ~finally:(fun () -> Unix.close lfd)
+    (fun () ->
+      Unix.bind lfd (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
+      Unix.listen lfd 1;
+      let port =
+        match Unix.getsockname lfd with
+        | Unix.ADDR_INET (_, p) -> p
+        | Unix.ADDR_UNIX _ -> assert false
+      in
+      let server =
+        Domain.spawn (fun () ->
+            let fd, _ = Unix.accept ~cloexec:true lfd in
+            Fun.protect
+              ~finally:(fun () -> Unix.close fd)
+              (fun () ->
+                (* Consume the request, so the close is a clean FIN. *)
+                ignore (Testutil.read_reply fd);
+                Testutil.send_raw fd
+                  (String.make (Protocol.max_reply_bytes + 1) 'a')))
+      in
+      let result = with_client port (fun c -> Client.request c Protocol.ping) in
+      Domain.join server;
+      match result with
+      | Error msg ->
+          Alcotest.(check string) "named reply-bound error"
+            Protocol.reply_too_long msg
+      | Ok _ -> Alcotest.fail "unterminated oversized reply accepted")
 
 (* --- vp client --script --- *)
 
@@ -365,6 +471,7 @@ let suite =
     Alcotest.test_case "overload sheds with retry-after" `Quick
       test_overload_shed;
     Alcotest.test_case "wire shutdown drains" `Quick test_shutdown_op;
+    Alcotest.test_case "reply bound" `Quick test_reply_bound;
     Alcotest.test_case "client --script replay" `Quick test_script_replay;
     Alcotest.test_case "client --script parse errors" `Quick
       test_script_parse_error;
