@@ -30,6 +30,18 @@ let partition_blocks (disk : Disk.t) ~rows ~row_size =
     if per_block >= 1 then ceil_div rows per_block
     else ceil_div (rows * row_size) b
 
+(* Buffer refills (one seek each) of streaming [blocks] blocks of a
+   partition of row size [s] when the total row size sharing the buffer
+   is [total_s]. Int-only [max]: the polymorphic one goes through
+   [compare_val]. *)
+let refills (disk : Disk.t) ~blocks ~row_size:s ~total_row_size:total_s =
+  let buff_share = disk.buffer_size * s / total_s in
+  let per_buff = buff_share / disk.block_size in
+  ceil_div blocks (if per_buff >= 1 then per_buff else 1)
+
+let scan_cost (disk : Disk.t) blocks =
+  float_of_int blocks *. float_of_int disk.block_size /. disk.read_bandwidth
+
 (* Seek + scan cost of reading one partition of row size [s] when the total
    referenced row size is [total_s] (governs the buffer share). *)
 let partition_read_cost (disk : Disk.t) ~rows ~row_size:s ~total_row_size:total_s
@@ -37,14 +49,8 @@ let partition_read_cost (disk : Disk.t) ~rows ~row_size:s ~total_row_size:total_
   let blocks = partition_blocks disk ~rows ~row_size:s in
   if blocks = 0 then (0.0, 0.0, 0, 0)
   else begin
-    let buff_share = disk.buffer_size * s / total_s in
-    let blocks_buff = max 1 (buff_share / disk.block_size) in
-    let refills = ceil_div blocks blocks_buff in
-    let seek = disk.seek_time *. float_of_int refills in
-    let scan =
-      float_of_int blocks *. float_of_int disk.block_size /. disk.read_bandwidth
-    in
-    (seek, scan, refills, blocks)
+    let refills = refills disk ~blocks ~row_size:s ~total_row_size:total_s in
+    (disk.seek_time *. float_of_int refills, scan_cost disk blocks, refills, blocks)
   end
 
 let query_breakdown disk table partitioning query =
@@ -132,6 +138,8 @@ let oracle disk workload = workload_cost disk workload
 
 let c_delta_evals = Vp_observe.Stats.counter "cost.delta_evals"
 
+let c_merge_folds = Vp_observe.Stats.counter "cost.merge_folds"
+
 (* Incremental cost-delta oracle (DESIGN.md section 12). A session sits
    at a base partitioning with one cached per-query cost array; moving to
    a neighbor re-costs only the queries whose referenced-partition set
@@ -157,6 +165,7 @@ module Incremental = struct
   type t = {
     disk : Disk.t;
     table : Table.t;
+    rows : int;
     refs : Attr_set.t array;  (* per-query reference sets, workload order *)
     weights : float array;
     (* CSR-style flat map: queries referencing attribute [a] are
@@ -169,6 +178,15 @@ module Incremental = struct
     scratch : float array;  (* peeked costs, valid where stamp.(i) = gen *)
     stamp : int array;
     memo : float Memo.t;  (* referenced groups -> unweighted query cost *)
+    (* Per base group, indexed by its lowest attribute: row size, blocks
+       and scan seconds; slot [n] holds a merge peek's union. [qtotal] is
+       each query's referenced row size under [base]. All four describe
+       [base] only while [sized]; merge peeks refresh them. *)
+    gsize : int array;
+    gblocks : int array;
+    gscan : float array;
+    qtotal : int array;
+    mutable sized : bool;
     mutable gen : int;
     mutable base : Partitioning.t;
     mutable valid : bool;  (* false until the first (re)base costing *)
@@ -203,6 +221,7 @@ module Incremental = struct
     {
       disk;
       table;
+      rows = Table.row_count table;
       refs;
       weights;
       attr_off;
@@ -212,6 +231,11 @@ module Incremental = struct
       scratch = Array.make q 0.0;
       stamp = Array.make q (-1);
       memo = Memo.create 64;
+      gsize = Array.make (n + 1) 0;
+      gblocks = Array.make (n + 1) 0;
+      gscan = Array.make (n + 1) 0.0;
+      qtotal = Array.make q 0;
+      sized = false;
       gen = 0;
       base = Partitioning.row (max 1 n);
       valid = false;
@@ -219,13 +243,14 @@ module Incremental = struct
     }
 
   (* Per-query cost of reading [groups], memoized on the referenced-group
-     array itself. The cost is a pure function of (disk, table, groups)
-     and the first two are fixed for the session's lifetime, so a hit
-     returns the bit-identical float the cost model produced the first
-     time; only misses run the model (and increment cost.query_costs).
-     Search loops re-pose the same referenced groups across candidates
-     and climb iterations, which is where most of the delta path's
-     counter savings come from. *)
+     array itself, for rebases and arbitrary peeks (merge peeks fold
+     straight from the base groups instead, see [cost_merge]). The cost
+     is a pure function of (disk, table, groups) and the first two are
+     fixed for the session's lifetime, so a hit returns the bit-identical
+     float the cost model produced the first time; only misses run the
+     model (and increment cost.query_costs). Rebases re-pose the groups
+     a search's earlier peeks and climbs already costed, and a service
+     re-optimizing one workload re-poses whole climbs. *)
   let memo_query_cost t groups =
     match Memo.find_opt t.memo groups with
     | Some c -> c
@@ -253,6 +278,7 @@ module Incremental = struct
     t.gen <- t.gen + 1;
     (* gen bump: no stamps survive *)
     t.base <- p;
+    t.sized <- false;
     t.base_cost <- sum_stamped t;
     t.valid <- true
 
@@ -274,15 +300,14 @@ module Incremental = struct
         done)
       changed
 
-  (* Cost of a neighbor with change set [changed], whose affected
-     queries read [groups_of i], without moving the base. *)
-  let peek_changed t changed groups_of =
+  (* Cost of a neighbor with change set [changed] without moving the
+     base; [price i] stores affected query [i]'s cost in [t.scratch]. *)
+  let peek_changed t changed price =
     ensure_valid t;
     if Vp_observe.Switch.stats_on () then Vp_observe.Stats.incr c_delta_evals;
     if Attr_set.is_empty changed then t.base_cost
     else begin
-      iter_affected t changed (fun i ->
-          t.scratch.(i) <- memo_query_cost t (groups_of i));
+      iter_affected t changed price;
       let c = sum_stamped t in
       t.gen <- t.gen + 1;
       (* invalidate the peek stamps *)
@@ -291,7 +316,8 @@ module Incremental = struct
 
   let peek t p =
     peek_changed t (Partitioning.changed_attrs t.base p) (fun i ->
-        Partitioning.referenced_group_array p t.refs.(i))
+        t.scratch.(i) <-
+          memo_query_cost t (Partitioning.referenced_group_array p t.refs.(i)))
 
   let base t = t.base
 
@@ -316,32 +342,41 @@ module Incremental = struct
             t.qcost.(i) <- memo_query_cost t groups);
         t.gen <- t.gen + 1;
         t.base <- p;
+        t.sized <- false;
         t.base_cost <- sum_stamped t
       end
     end;
     t.base_cost
 
-  (* [groups] (canonical order) with [g1] and [g2] dropped and their
-     union [u] in the slot its lowest bit sorts to — the referenced
-     groups after the merge of a query that read [g1] or [g2]. Kept
-     groups above [u] land one slot late, leaving [u]'s slot. *)
-  let merged_groups groups g1 g2 u =
-    let low g = Attr_set.to_mask g land -Attr_set.to_mask g in
-    let kept g = not (Attr_set.equal g g1 || Attr_set.equal g g2) in
-    let k = Array.length groups and lu = low u and n = ref 1 in
-    for i = 0 to k - 1 do
-      if kept groups.(i) then incr n
-    done;
-    let out = Array.make !n u and x = ref 0 in
-    for i = 0 to k - 1 do
-      let g = groups.(i) in
-      if kept g then begin
-        out.(if low g < lu then !x else !x + 1) <- g;
-        incr x
-      end
-    done;
-    out
+  let set_size t x s =
+    let blocks = partition_blocks t.disk ~rows:t.rows ~row_size:s in
+    t.gsize.(x) <- s;
+    t.gblocks.(x) <- blocks;
+    t.gscan.(x) <- scan_cost t.disk blocks
 
+  (* Fills the size tables for [base]. Lazy, so rebases that no merge
+     peek follows (BruteForce's enumeration) never pay for it. *)
+  let refresh_sizes t =
+    if not t.sized then begin
+      Partitioning.iter_groups
+        (fun g -> set_size t (Attr_set.min_elt g) (Table.subset_size t.table g))
+        t.base;
+      for i = 0 to Array.length t.qgroups - 1 do
+        t.qtotal.(i) <-
+          Array.fold_left
+            (fun acc g -> acc + t.gsize.(Attr_set.min_elt g))
+            0 t.qgroups.(i)
+      done;
+      t.sized <- true
+    end
+
+  (* A merge peek prices each affected query with one fold over its base
+     groups: [g1] and [g2] are skipped and their union is read at the
+     slot its lowest attribute sorts to, so the fold visits the merged
+     partitioning's referenced row sizes in canonical order and adds
+     exactly what [sized_cost] adds. A partition of 0 blocks adds
+     (0.0, 0.0) there, which leaves the non-negative sum unchanged, so
+     it is skipped here. *)
   let cost_merge t g1 g2 =
     ensure_valid t;
     if
@@ -350,8 +385,58 @@ module Incremental = struct
     then
       (* Not a legal merge: [merge_groups] raises its own exception. *)
       ignore (Partitioning.merge_groups t.base g1 g2 : Partitioning.t);
-    let u = Attr_set.union g1 g2 in
-    peek_changed t u (fun i -> merged_groups t.qgroups.(i) g1 g2 u)
+    refresh_sizes t;
+    let a1 = Attr_set.min_elt g1 and a2 = Attr_set.min_elt g2 in
+    let s1 = t.gsize.(a1) and s2 = t.gsize.(a2) in
+    let un = Array.length t.gsize - 1 in
+    set_size t un (s1 + s2);
+    let lu = if a1 < a2 then a1 else a2 in
+    let seek_time = t.disk.seek_time in
+    let folds = ref 0 in
+    let fold i =
+      incr folds;
+      let refs = t.refs.(i) and gs = t.qgroups.(i) in
+      let total =
+        t.qtotal.(i)
+        - (if Attr_set.intersects refs g1 then s1 else 0)
+        - (if Attr_set.intersects refs g2 then s2 else 0)
+        + s1 + s2
+      in
+      let k = Array.length gs in
+      let acc = ref 0.0 and j = ref 0 and pending = ref true in
+      while !j < k || !pending do
+        (* The next base group's lowest attribute; past the last group,
+           [max_int] lets a pending union be read last. *)
+        let a = if !j < k then Attr_set.min_elt gs.(!j) else max_int in
+        if a = a1 || a = a2 then incr j
+        else begin
+          let x =
+            if !pending && lu < a then begin
+              pending := false;
+              un
+            end
+            else begin
+              incr j;
+              a
+            end
+          in
+          let blocks = t.gblocks.(x) in
+          if blocks <> 0 then
+            acc :=
+              !acc
+              +. seek_time
+                 *. float_of_int
+                      (refills t.disk ~blocks ~row_size:t.gsize.(x)
+                         ~total_row_size:total)
+              +. t.gscan.(x)
+        end
+      done;
+      t.scratch.(i) <- !acc
+    in
+    let c = peek_changed t (Attr_set.union g1 g2) fold in
+    if Vp_observe.Switch.stats_on () then
+      Vp_observe.Stats.add c_merge_folds !folds;
+    c
 
   let session t =
     {
@@ -397,9 +482,7 @@ let creation_time (disk : Disk.t) table partitioning =
         let blocks = partition_blocks disk ~rows ~row_size:s in
         if blocks = 0 then acc
         else begin
-          let buff_share = disk.buffer_size * s / total_s in
-          let blocks_buff = max 1 (buff_share / disk.block_size) in
-          let refills = (blocks + blocks_buff - 1) / blocks_buff in
+          let refills = refills disk ~blocks ~row_size:s ~total_row_size:total_s in
           acc
           +. (disk.seek_time *. float_of_int refills)
           +. float_of_int blocks

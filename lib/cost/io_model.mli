@@ -79,9 +79,12 @@ val oracle : Disk.t -> Workload.t -> Partitioner.cost_fn
     [workload_cost disk w p'] of the moved-to partitioning: search
     trajectories, and hence layouts, match the full-cost path byte for
     byte. A session keeps each query's referenced groups under the base
-    and memoizes query costs on those group arrays; a merge peek derives
-    the merged arrays from the base's without building the merged
-    partitioning. Sessions are single-threaded; build one per domain via
+    and memoizes rebased and peeked query costs on those group arrays; a
+    merge peek folds each affected query's cost straight from its base
+    groups and a per-base table of group sizes, building neither the
+    merged partitioning nor merged group arrays (counted by
+    [cost.merge_folds], one add per peek, not by [cost.query_costs]).
+    Sessions are single-threaded; build one per domain via
     {!Incremental.factory}. A request built without a factory routes
     algorithms back to full re-costing. *)
 module Incremental : sig

@@ -222,6 +222,101 @@ let test_degenerate () =
           (Attr_set.singleton 0)))
     (peek_cost t pair (Split (Attr_set.of_list [ 0; 1 ], Attr_set.singleton 0)))
 
+(* --- merge-fold edge cases -------------------------------------------- *)
+
+(* A merge peek prices each affected query by folding over its base
+   groups with the union spliced in. Pinned here on a six-attribute table
+   whose attribute 3 is wider than an 8 KiB block: the union landing
+   first, in the middle and last among a query's groups; queries that
+   read only one of the two groups; a partition on the [per_block < 1]
+   path; a table of 0 rows; merges after a chain of rebases, whose group
+   sizes the session must re-read; and illegal merges. *)
+let test_merge_fold_edges () =
+  let s = Attr_set.of_list in
+  let table rows =
+    Table.make ~name:"edges" ~row_count:rows
+      ~attributes:
+        [
+          Attribute.make "a" Attribute.Int32;
+          Attribute.make "b" Attribute.Decimal;
+          Attribute.make "c" (Attribute.Char 20);
+          Attribute.make "wide" (Attribute.Varchar 9000);
+          Attribute.make "e" Attribute.Int32;
+          Attribute.make "f" Attribute.Date;
+        ]
+  in
+  let query ?weight name refs =
+    Query.make ?weight ~name ~references:(s refs) ()
+  in
+  let workload rows =
+    Workload.make (table rows)
+      [
+        query "all" [ 0; 1; 2; 3; 4; 5 ];
+        query ~weight:2.5 "low" [ 0; 1 ];
+        query "high" [ 4; 5 ];
+        query ~weight:0.5 "wide" [ 2; 3 ];
+      ]
+  in
+  let column = Partitioning.column 6 in
+  let paired = Partitioning.of_groups ~n:6 [ s [ 0; 1 ]; s [ 2; 3 ]; s [ 4 ]; s [ 5 ] ] in
+  let cases =
+    [
+      ("union first", column, s [ 0 ], s [ 3 ]);
+      ("union middle", column, s [ 2 ], s [ 4 ]);
+      ("union last", column, s [ 4 ], s [ 5 ]);
+      ("each query reads one group", column, s [ 1 ], s [ 5 ]);
+      ("wider than a block", column, s [ 3 ], s [ 1 ]);
+      ("two-attribute groups", paired, s [ 2; 3 ], s [ 0; 1 ]);
+      ("wide group with a singleton", paired, s [ 5 ], s [ 2; 3 ]);
+    ]
+  in
+  List.iter
+    (fun rows ->
+      let w = workload rows in
+      List.iter
+        (fun (name, p, g1, g2) ->
+          let t = Inc.create disk w in
+          ignore (Inc.goto t p : float);
+          let expected = full_cost w (Partitioning.merge_groups p g1 g2) in
+          let label = Printf.sprintf "%s, %d rows" name rows in
+          check_bits label expected (Inc.cost_merge t g1 g2);
+          check_bits (label ^ ", swapped") expected (Inc.cost_merge t g2 g1))
+        cases;
+      (* Each merge rebases the session, and the next merge peek must see
+         the grown groups' sizes. *)
+      let t = Inc.create disk w in
+      ignore (Inc.goto t column : float);
+      let p = ref column in
+      List.iteri
+        (fun step (g1, g2) ->
+          check_bits
+            (Printf.sprintf "merge %d after rebases, %d rows" step rows)
+            (full_cost w (Partitioning.merge_groups !p g1 g2))
+            (Inc.cost_merge t g1 g2);
+          p := Partitioning.merge_groups !p g1 g2;
+          ignore (Inc.goto t !p : float))
+        [
+          (s [ 0 ], s [ 1 ]);
+          (s [ 0; 1 ], s [ 3 ]);
+          (s [ 4 ], s [ 5 ]);
+          (s [ 2 ], s [ 4; 5 ]);
+          (s [ 0; 1; 3 ], s [ 2; 4; 5 ]);
+        ];
+      (* Illegal merges raise exactly what [merge_groups] raises. *)
+      ignore (Inc.goto t paired : float);
+      List.iter
+        (fun (g1, g2) ->
+          match Partitioning.merge_groups paired g1 g2 with
+          | (_ : Partitioning.t) -> Alcotest.fail "merge_groups accepted it"
+          | exception e ->
+              Alcotest.check_raises
+                (Printf.sprintf "illegal merge %s %s raises"
+                   (Attr_set.to_string g1) (Attr_set.to_string g2))
+                e
+                (fun () -> ignore (Inc.cost_merge t g1 g2 : float)))
+        [ (s [ 4 ], s [ 4 ]); (s [ 0 ], s [ 4 ]); (s [ 4 ], s [ 2; 3; 5 ]) ])
+    [ 50_000; 0 ]
+
 (* --- move algebra properties ----------------------------------------- *)
 
 (* A move followed by its inverse restores the base cost bits exactly. *)
@@ -441,6 +536,7 @@ let suite =
     Alcotest.test_case "differential: goto chain = full re-cost" `Quick
       test_goto_chain;
     Alcotest.test_case "degenerate moves" `Quick test_degenerate;
+    Alcotest.test_case "merge fold edge cases" `Quick test_merge_fold_edges;
     Alcotest.test_case "move + inverse restores cost bits" `Quick
       test_move_inverse;
     Alcotest.test_case "random walk ends at one full re-cost" `Quick

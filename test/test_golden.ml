@@ -254,8 +254,16 @@ let test_optimizer_stats_golden () =
 
 (* The work behind each "optimizer stats" line: the cost-model and budget
    counter deltas of the same run under [Switch.Stats]. Pins that a change
-   to the cost kernel re-costs exactly the queries it did before. *)
-let stats_counters = [ "cost.query_costs"; "cost.delta_evals"; "cost.oracle_calls"; "budget.steps" ]
+   to the cost kernel re-costs and merge-folds exactly the queries it did
+   before. *)
+let stats_counters =
+  [
+    "cost.query_costs";
+    "cost.merge_folds";
+    "cost.delta_evals";
+    "cost.oracle_calls";
+    "budget.steps";
+  ]
 
 let counter_line key w (a : Partitioner.t) =
   let value name = Vp_observe.Stats.(counter_value (snapshot ()) name) in
@@ -287,11 +295,11 @@ let test_optimizer_counters_golden () =
    the request shape of "optimizer stats", plus BruteForce under the
    main-memory model and its bound (no delta factory) on every TPC-H
    table. Each line is an "optimizer stats" line followed by the
-   query re-cost and budget step deltas of the run, so a change to the
+   query re-cost, merge fold and budget step deltas of the run, so a change to the
    search drivers or their bounds that alters any answer, any counter or
    any pruning decision fails here. *)
 
-let exact_counters = [ "cost.query_costs"; "budget.steps" ]
+let exact_counters = [ "cost.query_costs"; "cost.merge_folds"; "budget.steps" ]
 
 let exact_line key w (a : Partitioner.t) ~cost ?delta () =
   let value name = Vp_observe.Stats.(counter_value (snapshot ()) name) in
