@@ -15,7 +15,12 @@ open Vp_core
    FM-style boundary refinement (move one atom across the cut) — but
    every candidate is priced by the request's cost oracle and committed
    only when the true cost improves, so the connectivity heuristic
-   steers the search while the paper's cost model keeps the score. *)
+   steers the search while the paper's cost model keeps the score.
+
+   Hyperedge weights come from query bitsets: one per atom, built once
+   per search, and one per block, built at the start of each coarsening
+   or refinement round. With a delta session, merges and moves are both
+   priced by the session's one fold from the incumbent. *)
 
 let connectivity_cut workload partitioning =
   let queries = Workload.queries workload in
@@ -35,23 +40,28 @@ let sort_blocks = List.sort Attr_set.compare
 
 let search ~budget ~delta workload oracle =
   let n = Table.attribute_count (Workload.table workload) in
-  let queries = Workload.queries workload in
-  let refs = Array.map Query.references queries in
-  let weights = Array.map Query.weight queries in
-  (* Total weight of the hyperedges pinning both blocks, added in query
-     order. *)
+  let weights = Array.map Query.weight (Workload.queries workload) in
+  (* A set's hyperedges are its query bitset. *)
+  let query_bits = Workload.query_bits workload in
+  let bits = Attr_set.max_attributes in
+  (* Total weight of the hyperedges pinning both sets, given as query
+     bitsets: the set bits of their AND, added in ascending query order. *)
   let edge_weight a b =
     let acc = ref 0.0 in
-    for q = 0 to Array.length refs - 1 do
-      if Attr_set.intersects a refs.(q) && Attr_set.intersects b refs.(q) then
-        acc := !acc +. weights.(q)
+    for w = 0 to Array.length a - 1 do
+      let x = ref (a.(w) land b.(w)) in
+      while !x <> 0 do
+        acc := !acc +. weights.((w * bits) + Attr_set.lowest_bit_index !x);
+        x := !x land (!x - 1)
+      done
     done;
     !acc
   in
   let atoms = sort_blocks (Workload.primary_partitions workload) in
+  let atom_bits = List.map (fun a -> (a, query_bits a)) atoms in
   let cache = Partitioner.Memo.create () in
   (* The session stays based at the incumbent: a candidate is priced by
-     [price], a peek from there, and only a commit rebases it. *)
+     [price], a merge or move from there, and only a commit rebases it. *)
   let cost_of candidate price =
     match delta with
     | None -> Partitioner.Memo.counted cache oracle candidate
@@ -96,11 +106,12 @@ let search ~budget ~delta workload oracle =
     while !improved do
       improved := false;
       let bs = Array.of_list !blocks in
+      let qs = Array.map query_bits bs in
       let k = Array.length bs in
       let pairs = ref [] in
       for i = 0 to k - 2 do
         for j = i + 1 to k - 1 do
-          let w = edge_weight bs.(i) bs.(j) in
+          let w = edge_weight qs.(i) qs.(j) in
           if w > 0.0 then pairs := (w, i, j) :: !pairs
         done
       done;
@@ -135,14 +146,15 @@ let search ~budget ~delta workload oracle =
     while !improved do
       improved := false;
       let bs = Array.of_list !blocks in
+      let qs = Array.map query_bits bs in
       (try
          Array.iteri
            (fun i src ->
              List.iter
-               (fun atom ->
+               (fun (atom, atom_qs) ->
                  Array.iteri
                    (fun j dst ->
-                     if j <> i && edge_weight atom dst > 0.0 then begin
+                     if j <> i && edge_weight atom_qs qs.(j) > 0.0 then begin
                        let move p =
                          if Attr_set.equal atom src then
                            Partitioning.merge_groups p src dst
@@ -151,11 +163,13 @@ let search ~budget ~delta workload oracle =
                              (Partitioning.split_group p src atom)
                              atom dst
                        in
-                       if try_candidate move (fun s -> s.Partitioner.Delta.peek)
-                       then raise Exit
+                       let price s _ =
+                         s.Partitioner.Delta.cost_move atom src dst
+                       in
+                       if try_candidate move price then raise Exit
                      end)
                    bs)
-               (List.filter (fun a -> Attr_set.subset a src) atoms))
+               (List.filter (fun (a, _) -> Attr_set.subset a src) atom_bits))
            bs
        with Exit ->
          improved := true;

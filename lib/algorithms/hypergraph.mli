@@ -13,7 +13,8 @@ open Vp_core
 
     With a delta session on the request, the session stays based at
     the incumbent: a merge is priced with the session's [cost_merge],
-    a move with its [peek], and only a commit rebases it ([goto]).
+    a move of an atom with its [cost_move], and only a commit rebases
+    it ([goto]).
     Without one, every candidate is re-costed in full. Either way
     candidates go through the per-run {!Partitioner.Memo}, and the
     layout, cost bits and search counters are the same. *)

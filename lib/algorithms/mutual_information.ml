@@ -65,10 +65,11 @@ let mutual workload i j =
   end
 
 let normalized workload i j =
+  (* Equal access signatures: every query references both or neither. *)
   let same =
-    Attr_set.equal
-      (Workload.access_signature workload i)
-      (Workload.access_signature workload j)
+    Array.for_all
+      (fun q -> Query.references_attr q i = Query.references_attr q j)
+      (Workload.queries workload)
   in
   if same then 1.0
   else begin

@@ -14,7 +14,7 @@ module Delta = struct
     base_cost : unit -> float;
     goto : Partitioning.t -> float;
     cost_merge : Attr_set.t -> Attr_set.t -> float;
-    peek : Partitioning.t -> float;
+    cost_move : Attr_set.t -> Attr_set.t -> Attr_set.t -> float;
   }
 
   type factory = unit -> session

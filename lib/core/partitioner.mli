@@ -30,7 +30,7 @@ type status =
 
 (** Incremental cost-delta sessions (DESIGN.md section 12). A session is
     based at one partitioning and answers "what would the full workload
-    cost be after this one move?" by re-costing only the queries whose
+    cost be after this one move?" by re-pricing only the queries whose
     touched-partition set changes. Implemented by
     [Vp_cost.Io_model.Incremental]; the type lives here so algorithm
     neighbor loops can consume it without a dependency on [lib/cost].
@@ -50,13 +50,18 @@ module Delta : sig
             its cost. Queries whose referenced-group set is unchanged
             from the previous base are not re-costed. *)
     cost_merge : Attr_set.t -> Attr_set.t -> float;
-        (** Cost after merging two (distinct) base groups. Peeks only:
-            the base is unchanged. Raises [Invalid_argument] exactly
-            where {!Partitioning.merge_groups} would. *)
-    peek : Partitioning.t -> float;
-        (** Cost of any partitioning of the same table. Peeks only: the
-            base is unchanged, and only the queries touching attributes
-            whose group differs from the base's are re-costed. *)
+        (** Cost after merging two (distinct) base groups: [cost_move g1
+            g1 g2]. The base is unchanged. Raises [Invalid_argument]
+            exactly where {!Partitioning.merge_groups} would. *)
+    cost_move : Attr_set.t -> Attr_set.t -> Attr_set.t -> float;
+        (** [cost_move sub src dst] is the cost after moving [sub], a
+            non-empty subset of base group [src], into base group [dst];
+            [sub = src] is the merge of [src] and [dst]. The base is
+            unchanged: only the queries touching [src] or [dst] are
+            re-priced, each with one fold over its base groups. Raises
+            [Invalid_argument] exactly where {!Partitioning.split_group}
+            or {!Partitioning.merge_groups} would building that
+            partitioning. *)
   }
 
   type factory = unit -> session

@@ -3,6 +3,8 @@ type t = { name : string; references : Attr_set.t; weight : float }
 let make ?(weight = 1.0) ~name ~references () =
   if Attr_set.is_empty references then
     invalid_arg (Printf.sprintf "Query.make: %s references no attribute" name);
+  if not (Float.is_finite weight) then
+    invalid_arg (Printf.sprintf "Query.make: %s has non-finite weight" name);
   if weight <= 0.0 then
     invalid_arg (Printf.sprintf "Query.make: %s has non-positive weight" name);
   { name; references; weight }

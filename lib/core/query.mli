@@ -10,12 +10,13 @@
 type t = private {
   name : string;
   references : Attr_set.t;  (** Attribute positions the query touches. *)
-  weight : float;  (** Relative frequency; must be positive. *)
+  weight : float;  (** Relative frequency; must be positive and finite. *)
 }
 
 val make : ?weight:float -> name:string -> references:Attr_set.t -> unit -> t
 (** [weight] defaults to [1.0].
-    @raise Invalid_argument if [references] is empty or [weight <= 0]. *)
+    @raise Invalid_argument if [references] is empty, [weight] is NaN or
+    infinite, or [weight <= 0]. *)
 
 val name : t -> string
 

@@ -44,24 +44,26 @@ let co_access_count w i j =
       else acc)
     0.0 w.queries
 
-let access_signature w i =
-  let nq = Array.length w.queries in
-  if nq > Attr_set.max_attributes then
-    invalid_arg "Workload.access_signature: too many queries";
-  let sig_ = ref Attr_set.empty in
-  for qi = 0 to nq - 1 do
-    if Query.references_attr w.queries.(qi) i then sig_ := Attr_set.add qi !sig_
-  done;
-  !sig_
+let query_bits w set =
+  let bits = Attr_set.max_attributes in
+  let b = Array.make ((Array.length w.queries + bits - 1) / bits) 0 in
+  Array.iteri
+    (fun q query ->
+      if Attr_set.intersects set (Query.references query) then
+        b.(q / bits) <- b.(q / bits) lor (1 lsl (q mod bits)))
+    w.queries;
+  b
 
 let primary_partitions w =
   let n = Table.attribute_count w.table in
   (* Group attributes by their access signature, preserving first-seen
-     order so groups come out ordered by minimum attribute position. *)
-  let groups : (Attr_set.t, Attr_set.t ref) Hashtbl.t = Hashtbl.create 16 in
+     order so groups come out ordered by minimum attribute position. The
+     signature is the attribute's query bitset, so any number of queries
+     works. *)
+  let groups : (int array, Attr_set.t ref) Hashtbl.t = Hashtbl.create 16 in
   let order = ref [] in
   for i = 0 to n - 1 do
-    let s = access_signature w i in
+    let s = query_bits w (Attr_set.singleton i) in
     match Hashtbl.find_opt groups s with
     | Some members -> members := Attr_set.add i !members
     | None ->

@@ -42,18 +42,21 @@ val co_access_count : t -> int -> int -> float
     attribute [i] and attribute [j] (for [i = j], the total weight of queries
     referencing [i]). This is the affinity in Navathe's sense. *)
 
-val access_signature : t -> int -> Attr_set.t
-(** [access_signature w i] is the set of query indices (as an {!Attr_set.t}
-    over query positions) that reference attribute [i]. Only valid when the
-    workload has at most [Attr_set.max_attributes] queries; raises
-    otherwise. Used to compute primary partitions / atomic fragments. *)
+val query_bits : t -> Attr_set.t -> int array
+(** [query_bits w set] is the set of queries referencing at least one
+    attribute of [set], as a bitset over query positions: bit
+    [q mod Attr_set.max_attributes] of word [q / Attr_set.max_attributes]
+    is set iff query [q] does, in
+    [ceil (query_count w / Attr_set.max_attributes)] words. An
+    attribute's query bitset is its access signature, from which
+    {!primary_partitions} are computed. *)
 
 val primary_partitions : t -> Attr_set.t list
 (** Groups of attributes that are always accessed together by every query
     (equal access signatures) — AutoPart's "atomic fragments" and HYRISE's
     "primary partitions". Unreferenced attributes form one group of their
     own. The groups form a partition of the table's attributes, ordered by
-    their minimum attribute position. *)
+    their minimum attribute position. Any number of queries works. *)
 
 val scale_weights : t -> float -> t
 (** Multiplies every query weight by the given positive factor. *)

@@ -20,8 +20,6 @@ let c_oracle_calls = Vp_observe.Stats.counter "cost.oracle_calls"
 
 let c_query_costs = Vp_observe.Stats.counter "cost.query_costs"
 
-let c_bytes_read = Vp_observe.Stats.counter "cost.bytes_read"
-
 let partition_blocks (disk : Disk.t) ~rows ~row_size =
   if rows = 0 then 0
   else
@@ -103,18 +101,12 @@ let sized_cost disk ~rows sizes =
   !acc
 
 (* Cost of reading the given partitions (an array in canonical order).
-   The query and bytes-read accounting runs only on the stats branch and
-   touches no float the fold adds. *)
+   The query accounting runs only on the stats branch and touches no
+   float the fold adds. *)
 let query_cost_array disk table groups =
-  let rows = Table.row_count table in
-  let sizes = Array.map (Table.subset_size table) groups in
-  if Vp_observe.Switch.stats_on () then begin
-    Vp_observe.Stats.incr c_query_costs;
-    let blocks s = partition_blocks disk ~rows ~row_size:s in
-    Vp_observe.Stats.add c_bytes_read
-      (Array.fold_left (fun acc s -> acc + blocks s) 0 sizes * disk.block_size)
-  end;
-  sized_cost disk ~rows sizes
+  if Vp_observe.Switch.stats_on () then Vp_observe.Stats.incr c_query_costs;
+  sized_cost disk ~rows:(Table.row_count table)
+    (Array.map (Table.subset_size table) groups)
 
 let query_cost_groups disk table referenced =
   query_cost_array disk table (Array.of_list referenced)
@@ -175,13 +167,16 @@ module Incremental = struct
     attr_qidx : int array;
     qgroups : Attr_set.t array array;  (* referenced groups under [base] *)
     qcost : float array;  (* unweighted query costs under [base] *)
-    scratch : float array;  (* peeked costs, valid where stamp.(i) = gen *)
+    scratch : float array;  (* folded costs, valid where stamp.(i) = gen *)
     stamp : int array;
     memo : float Memo.t;  (* referenced groups -> unweighted query cost *)
-    (* Per base group, indexed by its lowest attribute: row size, blocks
-       and scan seconds; slot [n] holds a merge peek's union. [qtotal] is
-       each query's referenced row size under [base]. All four describe
-       [base] only while [sized]; merge peeks refresh them. *)
+    (* Per base group, indexed by its lowest attribute: the group itself
+       ([gmask], empty at attributes that are no group's lowest), row
+       size, blocks and scan seconds; slots [n] and [n + 1] of the last
+       three hold a move's two new groups. [qtotal] is each query's
+       referenced row size under [base]. All five describe [base] only
+       while [sized]; moves refresh them. *)
+    gmask : Attr_set.t array;
     gsize : int array;
     gblocks : int array;
     gscan : float array;
@@ -231,9 +226,10 @@ module Incremental = struct
       scratch = Array.make q 0.0;
       stamp = Array.make q (-1);
       memo = Memo.create 64;
-      gsize = Array.make (n + 1) 0;
-      gblocks = Array.make (n + 1) 0;
-      gscan = Array.make (n + 1) 0.0;
+      gmask = Array.make n Attr_set.empty;
+      gsize = Array.make (n + 2) 0;
+      gblocks = Array.make (n + 2) 0;
+      gscan = Array.make (n + 2) 0.0;
       qtotal = Array.make q 0;
       sized = false;
       gen = 0;
@@ -243,14 +239,14 @@ module Incremental = struct
     }
 
   (* Per-query cost of reading [groups], memoized on the referenced-group
-     array itself, for rebases and arbitrary peeks (merge peeks fold
-     straight from the base groups instead, see [cost_merge]). The cost
-     is a pure function of (disk, table, groups) and the first two are
-     fixed for the session's lifetime, so a hit returns the bit-identical
-     float the cost model produced the first time; only misses run the
-     model (and increment cost.query_costs). Rebases re-pose the groups
-     a search's earlier peeks and climbs already costed, and a service
-     re-optimizing one workload re-poses whole climbs. *)
+     array itself, for rebases (moves fold straight from the base groups
+     instead, see [cost_move]). The cost is a pure function of (disk,
+     table, groups) and the first two are fixed for the session's
+     lifetime, so a hit returns the bit-identical float the cost model
+     produced the first time; only misses run the model (and increment
+     cost.query_costs). Rebases re-pose the groups a search's earlier
+     climbs already costed, and a service re-optimizing one workload
+     re-poses whole climbs. *)
   let memo_query_cost t groups =
     match Memo.find_opt t.memo groups with
     | Some c -> c
@@ -260,7 +256,7 @@ module Incremental = struct
         c
 
   (* The weighted total, re-summed over every query left to right exactly
-     like [workload_cost]'s fold, reading peeked costs where stamped. *)
+     like [workload_cost]'s fold, reading folded costs where stamped. *)
   let sum_stamped t =
     let acc = ref 0.0 in
     for i = 0 to Array.length t.qcost - 1 do
@@ -300,25 +296,6 @@ module Incremental = struct
         done)
       changed
 
-  (* Cost of a neighbor with change set [changed] without moving the
-     base; [price i] stores affected query [i]'s cost in [t.scratch]. *)
-  let peek_changed t changed price =
-    ensure_valid t;
-    if Vp_observe.Switch.stats_on () then Vp_observe.Stats.incr c_delta_evals;
-    if Attr_set.is_empty changed then t.base_cost
-    else begin
-      iter_affected t changed price;
-      let c = sum_stamped t in
-      t.gen <- t.gen + 1;
-      (* invalidate the peek stamps *)
-      c
-    end
-
-  let peek t p =
-    peek_changed t (Partitioning.changed_attrs t.base p) (fun i ->
-        t.scratch.(i) <-
-          memo_query_cost t (Partitioning.referenced_group_array p t.refs.(i)))
-
   let base t = t.base
 
   let base_cost t =
@@ -354,12 +331,16 @@ module Incremental = struct
     t.gblocks.(x) <- blocks;
     t.gscan.(x) <- scan_cost t.disk blocks
 
-  (* Fills the size tables for [base]. Lazy, so rebases that no merge
-     peek follows (BruteForce's enumeration) never pay for it. *)
+  (* Fills the size tables for [base]. Lazy, so rebases that no move
+     follows (BruteForce's enumeration) never pay for it. *)
   let refresh_sizes t =
     if not t.sized then begin
+      Array.fill t.gmask 0 (Array.length t.gmask) Attr_set.empty;
       Partitioning.iter_groups
-        (fun g -> set_size t (Attr_set.min_elt g) (Table.subset_size t.table g))
+        (fun g ->
+          let a = Attr_set.min_elt g in
+          t.gmask.(a) <- g;
+          set_size t a (Table.subset_size t.table g))
         t.base;
       for i = 0 to Array.length t.qgroups - 1 do
         t.qtotal.(i) <-
@@ -370,51 +351,85 @@ module Incremental = struct
       t.sized <- true
     end
 
-  (* A merge peek prices each affected query with one fold over its base
-     groups: [g1] and [g2] are skipped and their union is read at the
-     slot its lowest attribute sorts to, so the fold visits the merged
-     partitioning's referenced row sizes in canonical order and adds
-     exactly what [sized_cost] adds. A partition of 0 blocks adds
-     (0.0, 0.0) there, which leaves the non-negative sum unchanged, so
-     it is skipped here. *)
-  let cost_merge t g1 g2 =
+  (* [Partitioning.mem_group t.base g] in O(1), once the tables are
+     filled. *)
+  let is_base_group t g =
+    (not (Attr_set.is_empty g))
+    &&
+    let a = Attr_set.min_elt g in
+    a < Array.length t.gmask && Attr_set.equal t.gmask.(a) g
+
+  (* Query [i]'s folded cost, stored in its scratch slot: its base
+     groups with [src] and [dst] (lowest attributes [asrc] and [adst])
+     skipped and the new groups read where they sort — slot [x1] at
+     lowest attribute [l1], then [x2] at [l2] ([max_int]: no second
+     group); [total] is the query's referenced row size after the move.
+     [next] is the lowest attribute of the next new group to read. Past
+     the last base group, [a] is [max_int], so a pending new group is
+     read last. Top-level and inlined into [cost_move]'s per-query
+     closures: a closure of its own, or a call per query, cost merge
+     pricing 1-3% in-process on the benchmark's wide table. *)
+  (* Moving [sub] out of base group [src] into base group [dst] leaves two
+     new groups: [dst ∪ sub], whose sizes go in slot [n], and the
+     remainder [src \ sub] in slot [n + 1], absent for a merge
+     ([sub = src]). Each affected query is priced with one fold over its
+     base groups: [src] and [dst] are skipped and each new group the
+     query references is read at the slot its lowest attribute sorts to,
+     so the fold visits the moved-to partitioning's referenced row sizes
+     in canonical order and adds exactly what [sized_cost] adds. A
+     partition of 0 blocks adds (0.0, 0.0) there, which leaves the
+     non-negative sum unchanged, so it is skipped here. The base does
+     not move. *)
+  let cost_move t sub src dst =
     ensure_valid t;
-    if
-      (not (Partitioning.mem_group t.base g1 && Partitioning.mem_group t.base g2))
-      || Attr_set.equal g1 g2
-    then
-      (* Not a legal merge: [merge_groups] raises its own exception. *)
-      ignore (Partitioning.merge_groups t.base g1 g2 : Partitioning.t);
     refresh_sizes t;
-    let a1 = Attr_set.min_elt g1 and a2 = Attr_set.min_elt g2 in
-    let s1 = t.gsize.(a1) and s2 = t.gsize.(a2) in
-    let un = Array.length t.gsize - 1 in
-    set_size t un (s1 + s2);
-    let lu = if a1 < a2 then a1 else a2 in
+    let merge = Attr_set.equal sub src in
+    if
+      (not (is_base_group t src && is_base_group t dst))
+      || Attr_set.equal src dst
+      || not (merge || ((not (Attr_set.is_empty sub)) && Attr_set.subset sub src))
+    then
+      (* Not a legal move: [merge_groups] or [split_group] raises its own
+         exception. *)
+      ignore
+        (if merge then Partitioning.merge_groups t.base src dst
+         else
+           Partitioning.merge_groups
+             (Partitioning.split_group t.base src sub)
+             sub dst
+          : Partitioning.t);
+    let asrc = Attr_set.min_elt src and adst = Attr_set.min_elt dst in
+    let ssrc = t.gsize.(asrc) and sdst = t.gsize.(adst) in
+    let un = Array.length t.gsize - 2 and rx = Array.length t.gsize - 1 in
     let seek_time = t.disk.seek_time in
-    let folds = ref 0 in
-    let fold i =
-      incr folds;
-      let refs = t.refs.(i) and gs = t.qgroups.(i) in
-      let total =
-        t.qtotal.(i)
-        - (if Attr_set.intersects refs g1 then s1 else 0)
-        - (if Attr_set.intersects refs g2 then s2 else 0)
-        + s1 + s2
-      in
+    (* Query [i]'s folded cost, stored in its scratch slot: its base
+       groups with [src] and [dst] skipped and the new groups read where
+       they sort — slot [x1] at lowest attribute [l1], then [x2] at [l2]
+       ([max_int]: no second group); [total] is the query's referenced
+       row size after the move. [next] is the lowest attribute of the
+       next new group to read. Past the last base group, [a] is
+       [max_int], so a pending new group is read last. Inlined into the
+       per-query closures below, as is [kept_size]: a call per query
+       cost merge pricing 1-4% in-process on the benchmark's wide
+       table. *)
+    let[@inline] fold_query i total l1 x1 l2 x2 =
+      let gs = t.qgroups.(i) in
       let k = Array.length gs in
-      let acc = ref 0.0 and j = ref 0 and pending = ref true in
-      while !j < k || !pending do
-        (* The next base group's lowest attribute; past the last group,
-           [max_int] lets a pending union be read last. *)
+      let acc = ref 0.0 and j = ref 0 and next = ref l1 in
+      while !j < k || !next <> max_int do
         let a = if !j < k then Attr_set.min_elt gs.(!j) else max_int in
-        if a = a1 || a = a2 then incr j
+        if a = asrc || a = adst then incr j
         else begin
           let x =
-            if !pending && lu < a then begin
-              pending := false;
-              un
-            end
+            if !next < a then
+              if !next = l1 then begin
+                next := l2;
+                x1
+              end
+              else begin
+                next := max_int;
+                x2
+              end
             else begin
               incr j;
               a
@@ -433,17 +448,77 @@ module Incremental = struct
       done;
       t.scratch.(i) <- !acc
     in
-    let c = peek_changed t (Attr_set.union g1 g2) fold in
+    (* Query [i]'s referenced row size under the base less [src] and
+       [dst]. *)
+    let[@inline] kept_size i refs =
+      t.qtotal.(i)
+      - (if Attr_set.intersects refs src then ssrc else 0)
+      - if Attr_set.intersects refs dst then sdst else 0
+    in
+    let folds = ref 0 in
+    (* The new groups' sizes and lowest attributes are resolved here, once
+       per call. A merge leaves one new group, which every affected query
+       reads. A move of a proper subset leaves two: a query reads the
+       union unless it meets only the remainder, and the remainder only
+       if it meets it. *)
+    let fold =
+      if merge then begin
+        let sun = ssrc + sdst in
+        set_size t un sun;
+        let lu = if asrc < adst then asrc else adst in
+        fun i ->
+          incr folds;
+          fold_query i (kept_size i t.refs.(i) + sun) lu un max_int un
+      end
+      else begin
+        let rem = Attr_set.diff src sub and moved_to = Attr_set.union dst sub in
+        let srem = Table.subset_size t.table rem in
+        let sun = sdst + ssrc - srem in
+        set_size t un sun;
+        set_size t rx srem;
+        let asub = Attr_set.min_elt sub and lr = Attr_set.min_elt rem in
+        let lu = if asub < adst then asub else adst in
+        fun i ->
+          incr folds;
+          let refs = t.refs.(i) in
+          let reads_rem = Attr_set.intersects refs rem in
+          let reads_un = (not reads_rem) || Attr_set.intersects refs moved_to in
+          let total =
+            kept_size i refs
+            + (if reads_rem then srem else 0)
+            + if reads_un then sun else 0
+          in
+          (* The remainder comes first when the union is not read or
+             sorts after it. *)
+          let rem_first = reads_rem && ((not reads_un) || lr < lu) in
+          let l2 =
+            if not (reads_rem && reads_un) then max_int
+            else if rem_first then lu
+            else lr
+          in
+          if rem_first then fold_query i total lr rx l2 un
+          else fold_query i total lu un l2 rx
+      end
+    in
+    if Vp_observe.Switch.stats_on () then Vp_observe.Stats.incr c_delta_evals;
+    (* Every query meeting [src] or [dst] is affected; the total is
+       re-summed over all queries with the folded costs where stamped. *)
+    iter_affected t (Attr_set.union src dst) fold;
+    let c = sum_stamped t in
+    t.gen <- t.gen + 1;
+    (* invalidate the fold stamps *)
     if Vp_observe.Switch.stats_on () then
       Vp_observe.Stats.add c_merge_folds !folds;
     c
+
+  let cost_merge t g1 g2 = cost_move t g1 g1 g2
 
   let session t =
     {
       Partitioner.Delta.base_cost = (fun () -> base_cost t);
       goto = (fun p -> goto t p);
       cost_merge = (fun g1 g2 -> cost_merge t g1 g2);
-      peek = (fun p -> peek t p);
+      cost_move = (fun sub src dst -> cost_move t sub src dst);
     }
 
   let factory disk workload () = session (create disk workload)

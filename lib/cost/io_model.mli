@@ -70,27 +70,27 @@ val oracle : Disk.t -> Workload.t -> Partitioner.cost_fn
 
 (** Incremental cost-delta oracle for the optimizer hot path (DESIGN.md
     section 12). A session is based at one partitioning and prices a
-    neighbor — the merge of two partitions, or any partitioning via
-    {!Incremental.peek} — by re-costing only the queries whose
-    referenced-partition set changes (found via a flat per-attribute
-    query index built once per session) and re-summing the weighted
-    total over all queries in {!workload_cost}'s exact fold order.
-    Every cost returned is therefore bit-identical to
+    neighbor — moving part of one partition into another, the merge of
+    two partitions being the whole-partition case — by re-pricing only
+    the queries whose referenced-partition set changes (found via a flat
+    per-attribute query index built once per session) and re-summing the
+    weighted total over all queries in {!workload_cost}'s exact fold
+    order. Every cost returned is therefore bit-identical to
     [workload_cost disk w p'] of the moved-to partitioning: search
     trajectories, and hence layouts, match the full-cost path byte for
-    byte. A session keeps each query's referenced groups under the base
-    and memoizes rebased and peeked query costs on those group arrays; a
-    merge peek folds each affected query's cost straight from its base
-    groups and a per-base table of group sizes, building neither the
-    merged partitioning nor merged group arrays (counted by
-    [cost.merge_folds], one add per peek, not by [cost.query_costs]).
-    Sessions are single-threaded; build one per domain via
-    {!Incremental.factory}. A request built without a factory routes
-    algorithms back to full re-costing. *)
+    byte. A session keeps each query's referenced groups under the base.
+    A move folds each affected query's cost straight from those groups
+    and a per-base table of group sizes, building neither the moved-to
+    partitioning nor its group arrays (counted by [cost.merge_folds],
+    one add per move, not by [cost.query_costs]); a rebase ({!goto})
+    memoizes query costs on the group arrays. Sessions are
+    single-threaded; build one per domain via {!Incremental.factory}. A
+    request built without a factory routes algorithms back to full
+    re-costing. *)
 module Incremental : sig
   type t
   (** A mutable delta session: base partitioning + cached per-query
-      costs + peek scratch. *)
+      costs + fold scratch. *)
 
   val create : Disk.t -> Workload.t -> t
   (** A session with no meaningful base yet: the first {!goto} (or any
@@ -108,15 +108,20 @@ module Incremental : sig
       queries touching attributes whose group changed are re-costed;
       a [goto] to the current base recomputes nothing. *)
 
-  val cost_merge : t -> Attr_set.t -> Attr_set.t -> float
-  (** Cost after merging two distinct base groups, without rebasing.
-      Raises [Invalid_argument] exactly where
-      {!Partitioning.merge_groups} would (e.g. self-merge). *)
+  val cost_move : t -> Attr_set.t -> Attr_set.t -> Attr_set.t -> float
+  (** [cost_move t sub src dst] is the cost after moving [sub], a
+      non-empty subset of base group [src], into base group [dst],
+      without rebasing; [sub = src] merges the two groups. Only queries
+      touching [src] or [dst] are re-priced. Raises [Invalid_argument]
+      exactly where {!Partitioning.split_group} or
+      {!Partitioning.merge_groups} would building the moved-to
+      partitioning. *)
 
-  val peek : t -> Partitioning.t -> float
-  (** Cost of an arbitrary partitioning of the same table, without
-      rebasing: only queries touching attributes whose group differs
-      from the base's are re-costed. *)
+  val cost_merge : t -> Attr_set.t -> Attr_set.t -> float
+  (** [cost_merge t g1 g2] is [cost_move t g1 g1 g2]: the cost after
+      merging two distinct base groups. Raises [Invalid_argument]
+      exactly where {!Partitioning.merge_groups} would (e.g.
+      self-merge). *)
 
   val session : t -> Partitioner.Delta.session
   (** The algorithm-facing view of a session. *)

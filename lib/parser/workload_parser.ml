@@ -273,7 +273,7 @@ let parse_select st =
         match next st with
         | { token = Number v; _ } -> (
             match float_of_string_opt v with
-            | Some w when w > 0.0 ->
+            | Some w when w > 0.0 && Float.is_finite w ->
                 weight := w;
                 tail ()
             | Some _ | None -> fail_at line v "invalid WEIGHT %S" v)

@@ -29,6 +29,25 @@ let test_validity_on_tpch () =
         all_algorithms)
     (Lazy.force tpch_workloads)
 
+(* More queries than an attribute set has bits: every registered
+   algorithm still returns a valid partitioning (the atom and mutual
+   information computations read multi-word query bitsets). *)
+let test_validity_past_62_queries () =
+  let w =
+    Vp_benchmarks.Synthetic.workload ~seed:5L ~rows:50_000 ~attributes:8
+      ~clusters:3 ~queries:70 ~scatter:0.2 ()
+  in
+  let oracle = Vp_cost.Io_model.oracle disk w in
+  List.iter
+    (fun (a : Partitioner.t) ->
+      let r = Partitioner.exec a (Partitioner.Request.make ~cost:oracle w) in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s on 70 queries valid" a.Partitioner.name)
+        true
+        (Testutil.valid_partitioning_of_workload
+           r.Partitioner.Response.partitioning w))
+    Vp_algorithms.Registry.all
+
 (* Reported cost must equal the oracle's evaluation of the returned
    layout. *)
 let test_cost_is_consistent () =
@@ -295,6 +314,8 @@ let suite =
     Alcotest.test_case "BruteForce refuses huge spaces" `Quick
       test_brute_force_refuses_huge_space;
     Alcotest.test_case "O2P online consistency" `Quick test_o2p_online_consistent;
+    Alcotest.test_case "all algorithms valid past 62 queries" `Quick
+      test_validity_past_62_queries;
     Alcotest.test_case "no waste from unreferenced attrs" `Quick
       test_no_waste_from_unreferenced;
     Alcotest.test_case "stats populated" `Quick test_stats_populated;

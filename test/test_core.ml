@@ -79,7 +79,18 @@ let test_query_validation () =
     (Invalid_argument "Query.make: q has non-positive weight") (fun () ->
       ignore
         (Query.make ~weight:0.0 ~name:"q"
-           ~references:(Attr_set.singleton 0) ()))
+           ~references:(Attr_set.singleton 0) ()));
+  List.iter
+    (fun (what, weight) ->
+      Alcotest.check_raises what
+        (Invalid_argument "Query.make: q has non-finite weight") (fun () ->
+          ignore
+            (Query.make ~weight ~name:"q" ~references:(Attr_set.singleton 0) ())))
+    [
+      ("NaN weight", Float.nan);
+      ("infinite weight", Float.infinity);
+      ("negative infinite weight", Float.neg_infinity);
+    ]
 
 (* --- Workload --- *)
 
@@ -115,11 +126,12 @@ let test_co_access () =
 
 let test_access_signature () =
   let w = Testutil.partsupp_workload in
-  Alcotest.(check Testutil.attr_set)
-    "PartKey in q0 only" (Attr_set.singleton 0) (Workload.access_signature w 0);
-  Alcotest.(check Testutil.attr_set)
-    "AvailQty in both" (Attr_set.of_list [ 0; 1 ])
-    (Workload.access_signature w 2)
+  let signature i = Workload.query_bits w (Attr_set.singleton i) in
+  Alcotest.(check (array int)) "PartKey in q0 only" [| 0b1 |] (signature 0);
+  Alcotest.(check (array int)) "AvailQty in both" [| 0b11 |] (signature 2);
+  Alcotest.(check (array int))
+    "PartKey or Comment: both" [| 0b11 |]
+    (Workload.query_bits w (Attr_set.of_list [ 0; 4 ]))
 
 let test_primary_partitions () =
   let w = Testutil.partsupp_workload in
@@ -141,6 +153,36 @@ let test_primary_partitions_unreferenced_grouped () =
     "unreferenced together"
     [ Attr_set.singleton 0; Attr_set.of_list [ 1; 2 ] ]
     pp
+
+(* Past 62 queries the query bitsets span two words: attributes 0
+   and 1 are read together by the first 64 queries and told apart only
+   by query 64; attribute 2 is read by query 63 alone. *)
+let test_primary_partitions_many_queries () =
+  let q i refs =
+    Query.make ~name:(Printf.sprintf "q%d" i) ~references:(Attr_set.of_list refs) ()
+  in
+  let w =
+    Workload.make Testutil.tiny
+      (List.init 64 (fun i -> if i = 63 then q i [ 2 ] else q i [ 0; 1 ])
+      @ [ q 64 [ 0 ] ])
+  in
+  Alcotest.(check (list Testutil.attr_set))
+    "atoms"
+    [ Attr_set.singleton 0; Attr_set.singleton 1; Attr_set.singleton 2 ]
+    (Workload.primary_partitions w);
+  (* Queries 0..61 fill word 0; queries 62, 63 and 64 are bits 0, 1 and
+     2 of word 1. *)
+  Alcotest.(check (array int))
+    "query bits of attribute 0" [| (1 lsl 62) - 1; 0b101 |]
+    (Workload.query_bits w (Attr_set.singleton 0));
+  Alcotest.(check (array int))
+    "query bits of attribute 2" [| 0; 0b10 |]
+    (Workload.query_bits w (Attr_set.singleton 2));
+  let w = Workload.prefix w 64 in
+  Alcotest.(check (list Testutil.attr_set))
+    "atoms without the last query"
+    [ Attr_set.of_list [ 0; 1 ]; Attr_set.singleton 2 ]
+    (Workload.primary_partitions w)
 
 let test_scale_weights () =
   let w = Workload.scale_weights Testutil.partsupp_workload 3.0 in
@@ -191,6 +233,8 @@ let suite =
     Alcotest.test_case "primary partitions" `Quick test_primary_partitions;
     Alcotest.test_case "unreferenced grouped" `Quick
       test_primary_partitions_unreferenced_grouped;
+    Alcotest.test_case "primary partitions past 62 queries" `Quick
+      test_primary_partitions_many_queries;
     Alcotest.test_case "scale weights" `Quick test_scale_weights;
     Alcotest.test_case "affinity matrix" `Quick test_affinity_matrix;
     Testutil.qtest prop_primary_partitions_cover;

@@ -1,7 +1,7 @@
 (* Differential and property tests for the incremental cost-delta oracle
    (Vp_cost.Io_model.Incremental). The contract under test is exactness:
-   every cost a delta session returns — for rebases, merge peeks and
-   peeks of split and move neighbours — must equal a from-scratch
+   every cost a delta session returns — for rebases, merges and moves —
+   must equal a from-scratch
    [Io_model.workload_cost] of the target partitioning TO THE LAST BIT,
    so all comparisons here are on [Int64.bits_of_float], never within
    an epsilon. *)
@@ -102,13 +102,26 @@ let apply_move p = function
       in
       Partitioning.of_groups ~n:(Partitioning.attribute_count p) groups
 
-(* A session peek of [m] from base [p]: merges through [cost_merge],
-   split and move neighbours through [peek] of the neighbour built
-   without the session. *)
-let peek_cost t p m =
+(* The session's price of [m] from base [p]: merges through
+   [cost_merge], moves through [cost_move] of the attribute's group. A
+   session prices no split without rebasing, so a split neighbour is
+   priced by [goto] on a second session based at [p]. *)
+let peek_cost w t p m =
   match m with
   | Merge (a, b) -> Inc.cost_merge t a b
-  | Split _ | Move _ -> Inc.peek t (apply_move p m)
+  | Move (attr, dst) ->
+      Inc.cost_move t (Attr_set.singleton attr) (Partitioning.group_of p attr)
+        dst
+  | Split _ ->
+      let t2 = Inc.create disk w in
+      ignore (Inc.goto t2 p : float);
+      Inc.goto t2 (apply_move p m)
+
+(* The partitioning [cost_move sub src dst] prices, built by the
+   partitioning's own split and merge. *)
+let moved p sub src dst =
+  if Attr_set.equal sub src then Partitioning.merge_groups p src dst
+  else Partitioning.merge_groups (Partitioning.split_group p src sub) sub dst
 
 let random_base rand w =
   Enumeration.random_partitioning rand
@@ -154,10 +167,10 @@ let test_differential () =
               let label =
                 Printf.sprintf "%s base %d: %s" name base_no (describe m)
               in
-              check_bits label full (peek_cost t p0 m);
+              check_bits label full (peek_cost w t p0 m);
               check_bits (label ^ " (delta)")
                 (full -. full_cost w p0)
-                (peek_cost t p0 m -. Inc.base_cost t);
+                (peek_cost w t p0 m -. Inc.base_cost t);
               (* Peeks must not have moved the base. *)
               check_bits (label ^ " (base intact)") (full_cost w p0)
                 (Inc.base_cost t)
@@ -201,14 +214,15 @@ let test_degenerate () =
   let dst = Attr_set.of_list [ 1; 2; 3; 4 ] in
   check_bits "singleton-source move = merge"
     (full_cost w (Partitioning.merge_groups p (Attr_set.singleton 0) dst))
-    (peek_cost t p (Move (0, dst)));
-  (* Peeking the base itself — e.g. moving an attribute into its own
-     group — is a no-op: the exact base cost, and a delta of exactly
-     +0.0. *)
-  check_bits "move into own group = base cost" (full_cost w p)
-    (peek_cost t p (Move (2, dst)));
-  check_bits "move into own group: delta = 0" 0.0
-    (peek_cost t p (Move (2, dst)) -. Inc.base_cost t);
+    (peek_cost w t p (Move (0, dst)));
+  (* Moving an attribute into its own group is not a move: it raises
+     what splitting it out and merging it back raises, and leaves the
+     base alone. *)
+  Alcotest.check_raises "move into own group raises"
+    (Invalid_argument "Partitioning: {1,2,3,4} is not a group") (fun () ->
+      ignore (peek_cost w t p (Move (2, dst)) : float));
+  check_bits "move into own group: base intact" (full_cost w p)
+    (Inc.base_cost t);
   (* Self-merge is illegal exactly as it is for Partitioning itself. *)
   Alcotest.check_raises "self-merge raises"
     (Invalid_argument "Partitioning.merge_groups: same group") (fun () ->
@@ -220,7 +234,7 @@ let test_degenerate () =
     (full_cost w
        (Partitioning.split_group pair (Attr_set.of_list [ 0; 1 ])
           (Attr_set.singleton 0)))
-    (peek_cost t pair (Split (Attr_set.of_list [ 0; 1 ], Attr_set.singleton 0)))
+    (peek_cost w t pair (Split (Attr_set.of_list [ 0; 1 ], Attr_set.singleton 0)))
 
 (* --- merge-fold edge cases -------------------------------------------- *)
 
@@ -317,6 +331,171 @@ let test_merge_fold_edges () =
         [ (s [ 4 ], s [ 4 ]); (s [ 0 ], s [ 4 ]); (s [ 4 ], s [ 2; 3; 5 ]) ])
     [ 50_000; 0 ]
 
+(* --- move-fold edge cases ---------------------------------------------- *)
+
+(* A move prices each affected query by folding over its base groups with
+   up to two new groups spliced in: [dst ∪ sub] and the remainder
+   [src \ sub]. Pinned on the six-attribute table above (attribute 3 is
+   wider than a block), with queries that read only the moved subset,
+   only the remainder or only the destination: the remainder's slot
+   moving when [sub] holds [src]'s lowest attribute; [sub]'s lowest
+   attribute sorting before [dst]'s; either new group first; every move
+   from five bases; 0 rows; moves after a chain of rebases; and illegal
+   arguments, including groups of an earlier base. *)
+let test_move_fold_edges () =
+  let s = Attr_set.of_list in
+  let table rows =
+    Table.make ~name:"edges" ~row_count:rows
+      ~attributes:
+        [
+          Attribute.make "a" Attribute.Int32;
+          Attribute.make "b" Attribute.Decimal;
+          Attribute.make "c" (Attribute.Char 20);
+          Attribute.make "wide" (Attribute.Varchar 9000);
+          Attribute.make "e" Attribute.Int32;
+          Attribute.make "f" Attribute.Date;
+        ]
+  in
+  let workload rows =
+    Workload.make (table rows)
+      (List.map
+         (fun (name, weight, refs) ->
+           Query.make ~weight ~name ~references:(s refs) ())
+         [
+           ("all", 1.0, [ 0; 1; 2; 3; 4; 5 ]);
+           ("low", 2.5, [ 0; 1 ]);
+           ("high", 1.0, [ 4; 5 ]);
+           ("wide", 0.5, [ 2; 3 ]);
+           ("only a", 0.75, [ 0 ]);
+           ("only b", 1.25, [ 1 ]);
+           ("only c", 3.0, [ 2 ]);
+           ("only wide", 0.3, [ 3 ]);
+           ("only e", 1.5, [ 4 ]);
+           ("b and f", 2.0, [ 1; 5 ]);
+         ])
+  in
+  let paired =
+    Partitioning.of_groups ~n:6 [ s [ 0; 1 ]; s [ 2; 3 ]; s [ 4 ]; s [ 5 ] ]
+  in
+  let triple = Partitioning.of_groups ~n:6 [ s [ 0; 1; 2 ]; s [ 3; 4 ]; s [ 5 ] ] in
+  (* A group ahead of both new groups, so that reading them in the
+     wrong order can change the rounding of the sum. *)
+  let led =
+    Partitioning.of_groups ~n:6 [ s [ 0 ]; s [ 1; 2 ]; s [ 3 ]; s [ 4; 5 ] ]
+  in
+  (* (name, base, sub, src, dst) *)
+  let cases =
+    [
+      ("sub holds src's lowest", paired, s [ 0 ], s [ 0; 1 ], s [ 4 ]);
+      ("remainder first", paired, s [ 1 ], s [ 0; 1 ], s [ 5 ]);
+      ("sub sorts before dst", paired, s [ 2 ], s [ 2; 3 ], s [ 4 ]);
+      ("union first", paired, s [ 3 ], s [ 2; 3 ], s [ 0; 1 ]);
+      ("wider than a block moves", paired, s [ 3 ], s [ 2; 3 ], s [ 5 ]);
+      ("wider than a block receives", triple, s [ 1 ], s [ 0; 1; 2 ], s [ 3; 4 ]);
+      ("two-attribute sub", triple, s [ 0; 2 ], s [ 0; 1; 2 ], s [ 5 ]);
+      ("two-attribute sub, remainder first", triple, s [ 1; 2 ], s [ 0; 1; 2 ], s [ 5 ]);
+      ("sub = src is the merge", triple, s [ 3; 4 ], s [ 3; 4 ], s [ 0; 1; 2 ]);
+      ("from a singleton", paired, s [ 5 ], s [ 5 ], s [ 2; 3 ]);
+    ]
+  in
+  List.iter
+    (fun rows ->
+      let w = workload rows in
+      List.iter
+        (fun (name, p, sub, src, dst) ->
+          let t = Inc.create disk w in
+          ignore (Inc.goto t p : float);
+          let label = Printf.sprintf "%s, %d rows" name rows in
+          check_bits label
+            (full_cost w (moved p sub src dst))
+            (Inc.cost_move t sub src dst);
+          check_bits (label ^ ", base intact") (full_cost w p) (Inc.base_cost t))
+        cases;
+      (* Every move of every non-empty subset of one group into another,
+         from each base above. *)
+      List.iter
+        (fun (bname, p) ->
+          let t = Inc.create disk w in
+          ignore (Inc.goto t p : float);
+          let groups = Partitioning.groups p in
+          List.iter
+            (fun src ->
+              List.iter
+                (fun sub ->
+                  List.iter
+                    (fun dst ->
+                      if (not (Attr_set.is_empty sub)) && not (Attr_set.equal src dst)
+                      then
+                        check_bits
+                          (Printf.sprintf "%s: move %s of %s into %s, %d rows"
+                             bname (Attr_set.to_string sub)
+                             (Attr_set.to_string src) (Attr_set.to_string dst)
+                             rows)
+                          (full_cost w (moved p sub src dst))
+                          (Inc.cost_move t sub src dst))
+                    groups)
+                (Attr_set.subsets src))
+            groups)
+        [
+          ("column", Partitioning.column 6);
+          ("paired", paired);
+          ("triple", triple);
+          ("led", led);
+          ("row", Partitioning.row 6);
+        ];
+      (* Each move rebases the session, and the next move must see the
+         changed groups' sizes. *)
+      let t = Inc.create disk w in
+      let p = ref (Partitioning.column 6) in
+      ignore (Inc.goto t !p : float);
+      List.iteri
+        (fun step (sub, src, dst) ->
+          check_bits
+            (Printf.sprintf "move %d after rebases, %d rows" step rows)
+            (full_cost w (moved !p sub src dst))
+            (Inc.cost_move t sub src dst);
+          p := moved !p sub src dst;
+          ignore (Inc.goto t !p : float))
+        [
+          (s [ 0 ], s [ 0 ], s [ 1 ]);
+          (s [ 3 ], s [ 3 ], s [ 0; 1 ]);
+          (s [ 0 ], s [ 0; 1; 3 ], s [ 5 ]);
+          (s [ 4 ], s [ 4 ], s [ 1; 3 ]);
+          (s [ 1; 4 ], s [ 1; 3; 4 ], s [ 2 ]);
+          (s [ 3 ], s [ 3 ], s [ 1; 2; 4 ]);
+        ];
+      (* Illegal arguments raise exactly what building the moved-to
+         partitioning raises. The session last priced a move from a base
+         with groups {1,2,4} and {3}, which [paired] does not have. *)
+      ignore (Inc.goto t paired : float);
+      List.iter
+        (fun (sub, src, dst) ->
+          match moved paired sub src dst with
+          | (_ : Partitioning.t) -> Alcotest.fail "the partitioning accepted it"
+          | exception e ->
+              Alcotest.check_raises
+                (Printf.sprintf "illegal move %s %s %s raises"
+                   (Attr_set.to_string sub) (Attr_set.to_string src)
+                   (Attr_set.to_string dst))
+                e
+                (fun () -> ignore (Inc.cost_move t sub src dst : float)))
+        [
+          (s [], s [ 0; 1 ], s [ 4 ]);
+          (s [ 2 ], s [ 0; 1 ], s [ 4 ]);
+          (s [ 1; 2 ], s [ 0; 1 ], s [ 4 ]);
+          (s [ 0 ], s [ 0 ], s [ 4 ]);
+          (s [ 4 ], s [ 4 ], s [ 4 ]);
+          (s [ 0 ], s [ 0; 1 ], s [ 0; 1 ]);
+          (s [ 0 ], s [ 0; 1 ], s [ 2 ]);
+          (s [ 5 ], s [ 5 ], s [ 4; 5 ]);
+          (s [ 3 ], s [ 3 ], s [ 5 ]);
+          (s [ 1 ], s [ 1; 2; 4 ], s [ 5 ]);
+        ];
+      check_bits
+        (Printf.sprintf "illegal moves leave the base, %d rows" rows)
+        (full_cost w paired) (Inc.base_cost t))
+    [ 50_000; 0 ]
+
 (* --- move algebra properties ----------------------------------------- *)
 
 (* A move followed by its inverse restores the base cost bits exactly. *)
@@ -359,7 +538,7 @@ let test_random_walk () =
         | Some m ->
             let next = apply_move !p m in
             let full_next = full_cost w next in
-            let delta = peek_cost t !p m -. Inc.base_cost t in
+            let delta = peek_cost w t !p m -. Inc.base_cost t in
             check_bits
               (Printf.sprintf "%s walk %d: delta = full difference" name step)
               (full_next -. !c) delta;
@@ -390,11 +569,14 @@ let test_session_closures () =
           (Attr_set.singleton 4)))
     (s.Partitioner.Delta.cost_merge (Attr_set.of_list [ 0; 1 ])
        (Attr_set.singleton 4));
-  let moved =
+  let target =
     Partitioning.of_groups ~n
       [ Attr_set.singleton 0; Attr_set.of_list [ 1; 2; 3 ]; Attr_set.singleton 4 ]
   in
-  check_bits "session peek" (full_cost w moved) (s.Partitioner.Delta.peek moved)
+  check_bits "session cost_move" (full_cost w target)
+    (s.Partitioner.Delta.cost_move (Attr_set.singleton 1)
+       (Attr_set.of_list [ 0; 1 ])
+       (Attr_set.of_list [ 2; 3 ]))
 
 (* --- qcheck: random workloads, random bases, random moves ------------ *)
 
@@ -415,9 +597,11 @@ let raises_invalid f =
   match f () with exception Invalid_argument _ -> true | (_ : float) -> false
 
 (* Tables of 8, 48 and 62 attributes, so group masks reach bit 61. From a
-   random base, a short chain of random moves; at each step every merge
-   peek must equal the full re-cost of [merge_groups] and leave the base
-   alone, illegal merges must raise, the move's peek must equal the full
+   random base, a short chain of random moves; at each step every merge,
+   and every move of a random non-empty subset of one group into
+   another, must equal the full re-cost of the partitioning built by
+   [split_group] and [merge_groups] and leave the base alone, illegal
+   merges and moves must raise, the chain's move must equal the full
    re-cost of its target and leave the base alone, the ordered walk must
    find the reference change set, and [goto] must land on the full
    re-cost. *)
@@ -445,6 +629,11 @@ let prop_random_workloads =
           let i = rand k in
           let j = (i + 1 + rand (k - 1)) mod k in
           let g1 = groups.(i) and g2 = groups.(j) in
+          let sub =
+            match Attr_set.filter (fun _ -> rand 2 = 0) g1 with
+            | sub when Attr_set.is_empty sub -> g1
+            | sub -> sub
+          in
           ok :=
             !ok
             && bits (Inc.cost_merge t g1 g2)
@@ -454,6 +643,12 @@ let prop_random_workloads =
             && raises_invalid (fun () -> Inc.cost_merge t g1 g1)
             && raises_invalid (fun () ->
                    Inc.cost_merge t (Attr_set.union g1 g2) g1)
+            && bits (Inc.cost_move t sub g1 g2)
+               = bits (full_cost w (moved base sub g1 g2))
+            && Partitioning.equal (Inc.base t) base
+            && bits (Inc.base_cost t) = base_bits
+            && raises_invalid (fun () -> Inc.cost_move t sub g1 g1)
+            && raises_invalid (fun () -> Inc.cost_move t g2 g1 g2)
         done;
         match random_move rand base with
         | None -> ()
@@ -461,7 +656,7 @@ let prop_random_workloads =
             let target = apply_move base m in
             ok :=
               !ok
-              && bits (peek_cost t base m) = bits (full_cost w target)
+              && bits (peek_cost w t base m) = bits (full_cost w target)
               && Partitioning.equal (Inc.base t) base
               && bits (Inc.base_cost t) = base_bits
               && Attr_set.equal
@@ -537,6 +732,7 @@ let suite =
       test_goto_chain;
     Alcotest.test_case "degenerate moves" `Quick test_degenerate;
     Alcotest.test_case "merge fold edge cases" `Quick test_merge_fold_edges;
+    Alcotest.test_case "move fold edge cases" `Quick test_move_fold_edges;
     Alcotest.test_case "move + inverse restores cost bits" `Quick
       test_move_inverse;
     Alcotest.test_case "random walk ends at one full re-cost" `Quick

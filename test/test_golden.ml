@@ -357,13 +357,29 @@ let test_exact_searches_golden () =
       ~cost:(Vp_cost.Memory_model.oracle mm w)
       ()
   in
+  (* More than 62 queries with uneven weights, so Hypergraph's query
+     bitsets span two words and its edge weights add non-integer floats. *)
+  let many_queries =
+    let w =
+      Vp_benchmarks.Synthetic.workload ~seed:23L ~attributes:40 ~clusters:8
+        ~queries:80 ~scatter:0.3 ()
+    in
+    Workload.make (Workload.table w)
+      (List.mapi
+         (fun i q ->
+           Query.make
+             ~weight:(0.1 +. (0.37 *. float_of_int (i mod 7)))
+             ~name:(Query.name q) ~references:(Query.references q) ())
+         (Array.to_list (Workload.queries w)))
+  in
   let actual =
     String.concat ""
       (List.concat_map
          (fun kw -> List.map (io_line kw) io_entrants)
          lineup
       @ List.map memory_line
-          (named "tpch" (Vp_benchmarks.Tpch.workloads ~sf:10.0)))
+          (named "tpch" (Vp_benchmarks.Tpch.workloads ~sf:10.0))
+      @ [ io_line ("synthetic/q80", many_queries) Vp_algorithms.Hypergraph.algorithm ])
   in
   check_golden "exact searches" "golden/exact_searches.golden.txt" actual
 

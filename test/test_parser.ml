@@ -155,6 +155,8 @@ let test_malformed_inputs () =
     ~mentions:"end of input" ();
   check "zero weight" "CREATE TABLE t (a INT);\nSELECT a FROM t WEIGHT 0;"
     ~line:2 ~token:"0" ~mentions:"WEIGHT" ();
+  check "infinite weight" "CREATE TABLE t (a INT);\nSELECT a FROM t WEIGHT 1e999;"
+    ~line:2 ~token:"1e999" ~mentions:"WEIGHT" ();
   check "weight not a number" "CREATE TABLE t (a INT);\nSELECT a FROM t WEIGHT x;"
     ~line:2 ~mentions:"number" ();
   check "unknown column" "CREATE TABLE t (a INT);\nSELECT nope FROM t;" ~line:2

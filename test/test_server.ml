@@ -253,6 +253,56 @@ let test_protocol_robustness () =
             "no leaked sessions" (Some 0)
             (Protocol.int_field "sessions" stats)))
 
+(* A weight of [1e999] parses as infinity. The daemon must refuse the
+   query by name rather than price layouts at an infinite cost. *)
+let test_non_finite_weight () =
+  let table =
+    Table.make ~name:"t" ~row_count:1_000
+      ~attributes:
+        [ Attribute.make "a" Attribute.Int32; Attribute.make "b" Attribute.Int32 ]
+  in
+  let w =
+    Workload.make table
+      [
+        Query.make ~weight:0.625 ~name:"hot"
+          ~references:(Attr_set.of_list [ 0; 1 ])
+          ();
+      ]
+  in
+  let frame =
+    Json.to_string (Protocol.partition_request ~algorithm:"HillClimb" w)
+  in
+  let at =
+    let n = String.length frame in
+    let rec find i =
+      if i + 5 > n then Alcotest.fail "weight not found in the frame"
+      else if String.sub frame i 5 = "0.625" then i
+      else find (i + 1)
+    in
+    find 0
+  in
+  let frame =
+    String.sub frame 0 at ^ "1e999"
+    ^ String.sub frame (at + 5) (String.length frame - at - 5)
+  in
+  with_daemon (fun port ->
+      let fd = connect_raw port in
+      Fun.protect
+        ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+        (fun () ->
+          send_raw fd (frame ^ "\n");
+          let reply = read_reply fd in
+          Alcotest.(check string)
+            "infinite weight refused" "error"
+            (Protocol.reply_status reply);
+          match Protocol.reply_error reply with
+          | Some msg ->
+              Alcotest.(check bool)
+                (Printf.sprintf "error names the query: %s" msg)
+                true
+                (contains msg "\"hot\"" && contains msg "non-finite weight")
+          | None -> Alcotest.fail "error reply without a message"))
+
 (* Both servers run on the same connection core; the admission and
    drain tests run against each. [with_server ~jobs ~max_pending f]
    calls [f port join] with the accept loop live; [join ()] waits for
@@ -468,6 +518,8 @@ let suite =
       test_concurrent_determinism_traced;
     Alcotest.test_case "protocol robustness (fuzz)" `Quick
       test_protocol_robustness;
+    Alcotest.test_case "non-finite weight rejected" `Quick
+      test_non_finite_weight;
     Alcotest.test_case "overload sheds with retry-after" `Quick
       test_overload_shed;
     Alcotest.test_case "wire shutdown drains" `Quick test_shutdown_op;
