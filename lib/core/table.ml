@@ -78,3 +78,44 @@ let pp ppf t =
        ~pp_sep:(fun ppf () -> Format.fprintf ppf ",@ ")
        Attribute.pp)
     (Array.to_seq t.attributes)
+
+(* An attribute is [{"name", "type"}], plus ["width"] for the string
+   types. *)
+let codec =
+  let open Vp_observe.Json.Codec in
+  let kind = function
+    | Attribute.Int32 -> ("int32", None)
+    | Decimal -> ("decimal", None)
+    | Date -> ("date", None)
+    | Char w -> ("char", Some w)
+    | Varchar w -> ("varchar", Some w)
+  in
+  let attribute =
+    obj (fun name kind width ->
+        let width () =
+          match width with
+          | Some w -> w
+          | None -> raise (Error { path = [ "width" ]; reason = Missing "integer" })
+        in
+        let datatype =
+          match kind with
+          | "int32" -> Attribute.Int32
+          | "decimal" -> Decimal
+          | "date" -> Date
+          | "char" -> Char (width ())
+          | "varchar" -> Varchar (width ())
+          | other -> fail "unknown attribute type %S" other
+        in
+        try Attribute.make name datatype
+        with Invalid_argument msg -> fail "invalid table: %s" msg)
+    |> field "name" string Attribute.name
+    |> field "type" string (fun a -> fst (kind (Attribute.datatype a)))
+    |> opt "width" int (fun a -> snd (kind (Attribute.datatype a)))
+  in
+  seal
+    (obj (fun name row_count attributes ->
+         try make ~name ~attributes ~row_count
+         with Invalid_argument msg -> fail "invalid table: %s" msg)
+    |> field "name" string name
+    |> field "rows" int row_count
+    |> field "attributes" (list (seal attribute)) (fun t -> Array.to_list t.attributes))

@@ -57,3 +57,9 @@ val attr_set_of_names : t -> string list -> Attr_set.t
 val names_of_attr_set : t -> Attr_set.t -> string list
 
 val pp : Format.formatter -> t -> unit
+
+val codec : t Vp_observe.Json.Codec.t
+(** [{"name", "rows", "attributes": [{"name", "type", "width"?}]}]: the
+    table as the wire, the snapshot and the session meta file all carry
+    it. Decoding applies {!make}'s checks, failing with
+    [invalid table: …]. *)

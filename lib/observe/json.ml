@@ -295,3 +295,156 @@ let of_file path =
 let member key = function
   | Obj fields -> List.assoc_opt key fields
   | _ -> None
+
+(* --- bidirectional descriptions --- *)
+
+module Codec = struct
+  type json = t
+
+  type reason =
+    | Missing of string
+    | Type of string
+    | Range of int option * int option
+    | Invalid of string
+
+  type error = { path : string list; reason : reason }
+
+  exception Error of error
+
+  let error_message { path; reason } =
+    let p =
+      String.concat ""
+        (List.mapi (fun i s -> if i = 0 || s.[0] = '[' then s else "." ^ s) path)
+    in
+    let bound = function Some b -> string_of_int b | None -> "" in
+    match reason with
+    | Missing (("string" | "integer") as kind) ->
+        Printf.sprintf "missing or non-%s field %S" kind p
+    | Missing _ -> Printf.sprintf "missing field %S" p
+    | Type kind when path = [] -> Printf.sprintf "expected a JSON %s" kind
+    | Type kind ->
+        let article = if String.contains "aeiou" kind.[0] then "an" else "a" in
+        Printf.sprintf "field %S must be %s %s" p article kind
+    | Range (lo, None) -> Printf.sprintf "%S must be >= %s" p (bound lo)
+    | Range (None, hi) -> Printf.sprintf "%S must be <= %s" p (bound hi)
+    | Range (lo, hi) -> Printf.sprintf "%S must be in %s .. %s" p (bound lo) (bound hi)
+    | Invalid msg -> msg
+
+  let reject reason = raise (Error { path = []; reason })
+
+  let fail fmt = Printf.ksprintf (fun msg -> reject (Invalid msg)) fmt
+
+  type 'a t = { kind : string; encode : 'a -> json; decode : json -> 'a }
+
+  let encode c v = c.encode v
+
+  let decode c j = c.decode j
+
+  (* [decode bad] reads a value, calling [bad ()] on a JSON type it
+     does not take. *)
+  let leaf kind encode decode =
+    { kind; encode; decode = decode (fun () -> reject (Type kind)) }
+
+  let string = leaf "string" (fun s -> String s) (fun bad -> function String s -> s | _ -> bad ())
+
+  let bool = leaf "boolean" (fun b -> Bool b) (fun bad -> function Bool b -> b | _ -> bad ())
+
+  let int = leaf "integer" (fun i -> Int i) (fun bad -> function Int i -> i | _ -> bad ())
+
+  let int_in ?(min = min_int) ?(max = max_int) () =
+    let bound b limit = if b = limit then None else Some b in
+    let decode j =
+      let i = int.decode j in
+      if i < min || i > max then reject (Range (bound min min_int, bound max max_int))
+      else i
+    in
+    { int with decode }
+
+  let number =
+    leaf "number" (fun f -> Float f) (fun bad -> function
+      | Float f -> f | Int i -> float_of_int i | _ -> bad ())
+
+  let float_bits =
+    leaf "float bit pattern"
+      (fun f -> String (Printf.sprintf "%Lx" (Int64.bits_of_float f)))
+      (fun bad -> function
+        | String s -> (
+            match Int64.of_string_opt ("0x" ^ s) with
+            | Some b -> Int64.float_of_bits b
+            | None -> bad ())
+        | _ -> bad ())
+
+  let nullable c =
+    let encode = function Some v -> c.encode v | None -> Null in
+    { kind = c.kind; encode; decode = (function Null -> None | j -> Some (c.decode j)) }
+
+  let enum ~what cases =
+    leaf "string"
+      (fun v -> String (fst (List.find (fun (_, v') -> v' = v) cases)))
+      (fun bad -> function
+        | String s -> (
+            match List.assoc_opt s cases with
+            | Some v -> v
+            | None -> fail "unknown %s %S" what s)
+        | _ -> bad ())
+
+  (* Errors gain their path on the way out, one segment per level. *)
+  let within seg c j =
+    try c.decode j with Error e -> raise (Error { e with path = seg :: e.path })
+
+  let list c =
+    let element i j =
+      try c.decode j
+      with Error e -> raise (Error { e with path = Printf.sprintf "[%d]" i :: e.path })
+    in
+    leaf "array" (fun l -> List (List.map c.encode l)) (fun bad -> function
+      | List l -> List.mapi element l
+      | _ -> bad ())
+
+  (* [enc o tail] puts this description's members in front of [tail]. *)
+  type ('o, 'f) members = {
+    enc : 'o -> (string * json) list -> (string * json) list;
+    dec : (string * json) list -> 'f;
+  }
+
+  let obj f = { enc = (fun _ tail -> tail); dec = (fun _ -> f) }
+
+  let member name put take m =
+    {
+      enc = (fun o tail -> m.enc o (put o tail));
+      dec = (fun fields -> let f = m.dec fields in f (take (List.assoc_opt name fields)));
+    }
+
+  (* A required member of the wrong scalar or array type reads as
+     missing, so those errors keep the wording of an absent field. *)
+  let field name c get =
+    member name (fun o tail -> (name, c.encode (get o)) :: tail) (function
+      | None -> raise (Error { path = [ name ]; reason = Missing c.kind })
+      | Some j -> (
+          try c.decode j with
+          | Error { path = []; reason = Type ("string" | "integer" | "array" as k) } ->
+              raise (Error { path = [ name ]; reason = Missing k })
+          | Error e -> raise (Error { e with path = name :: e.path })))
+
+  let dft name c default get =
+    member name (fun o tail -> (name, c.encode (get o)) :: tail) (function
+      | None -> default
+      | Some j -> within name c j)
+
+  let opt name c get =
+    member name
+      (fun o tail -> match get o with Some v -> (name, c.encode v) :: tail | None -> tail)
+      (function None -> None | Some j -> Some (within name c j))
+
+  let const name v m = { m with enc = (fun o tail -> m.enc o ((name, v) :: tail)) }
+
+  let inline inner get m =
+    {
+      enc = (fun o tail -> m.enc o (inner.enc (get o) tail));
+      dec = (fun fields -> let f = m.dec fields in f (inner.dec fields));
+    }
+
+  let seal m =
+    leaf "object" (fun o -> Obj (m.enc o [])) (fun bad -> function
+      | Obj fields -> m.dec fields | _ -> bad ())
+end

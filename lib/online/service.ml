@@ -23,6 +23,9 @@ let default_config ?(drift_ratio = 2.0) ?(min_window = 8) ?(epoch = 64)
   if epoch < 0 then invalid_arg "Service.default_config: epoch < 0";
   if memory < 0 then invalid_arg "Service.default_config: memory < 0";
   if horizon <= 0.0 then invalid_arg "Service.default_config: horizon <= 0";
+  (match budget_steps with
+  | Some n when n < 0 -> invalid_arg "Service.default_config: budget_steps < 0"
+  | Some _ | None -> ());
   if jobs < 1 then invalid_arg "Service.default_config: jobs < 1";
   {
     disk;
@@ -69,7 +72,6 @@ type t = {
   table : Table.t;
   (* The stream in its first [ingested] slots; doubles when full. *)
   mutable queries : Query.t array;
-  affinity : Affinity.t;
   mutable layout : Partitioning.t;
   mutable generation : int;
   mutable ingested : int;
@@ -109,7 +111,6 @@ let create config table =
     config;
     table;
     queries = [||];
-    affinity = Affinity.create n;
     layout = Partitioning.row n;
     generation = 0;
     ingested = 0;
@@ -137,8 +138,6 @@ let ingested t = t.ingested
 let stream t = Array.to_list (Array.sub t.queries 0 t.ingested)
 
 let workload t = Workload.make t.table (stream t)
-
-let affinity t = t.affinity
 
 let events t = List.rev t.events
 
@@ -170,8 +169,8 @@ let cumulative_cost t = t.query_cost +. t.migration_cost
    (all of them when [memory = 0]). Bounding the memory is what lets the
    service actually track drift — over the full history the pre-drift
    queries dominate forever, and every post-drift candidate looks
-   marginal. The full-history workload and affinity matrix remain
-   available via the accessors. *)
+   marginal. The full-history workload stays available via
+   [workload]. *)
 let recent_workload t =
   let memory = t.config.memory in
   let k = if memory = 0 then 0 else max 0 (t.ingested - memory) in
@@ -187,8 +186,7 @@ let push t q =
     t.queries <- grown
   end;
   t.queries.(t.ingested) <- q;
-  t.ingested <- t.ingested + 1;
-  Affinity.add_query t.affinity q
+  t.ingested <- t.ingested + 1
 
 let reoptimize t ~trigger =
   if Vp_observe.Switch.stats_on () then Vp_observe.Stats.incr c_reopts;
@@ -421,334 +419,161 @@ let history t =
    Every float crosses the snapshot as its IEEE-754 bit pattern in hex,
    never as a decimal rendering: [restore] must rebuild the exact values
    the live service held, or the byte-identical-history contract breaks
-   on the first post-restore decision. The affinity matrix and workload
-   are not stored — they are rebuilt by re-adding the serialized queries
-   in ingest order, which reproduces the same float accumulation
-   order. *)
+   on the first post-restore decision. The workload is not stored
+   separately: it is rebuilt by re-adding the serialized queries in
+   ingest order. *)
 
-module Json = Vp_observe.Json
+module C = Vp_observe.Json.Codec
 
 let snapshot_version = 1
 
-exception Corrupt of string
+let query =
+  C.(
+    seal
+      (obj (fun name refs weight ->
+           try Query.make ~weight ~name ~references:(Attr_set.of_list refs) ()
+           with Invalid_argument msg -> fail "invalid query: %s" msg)
+      |> field "name" string Query.name
+      |> field "refs" (list (int_in ~min:0 ())) (fun q ->
+             Attr_set.to_list (Query.references q))
+      |> field "w" float_bits Query.weight))
 
-let corrupt fmt = Printf.ksprintf (fun msg -> raise (Corrupt msg)) fmt
+let query_to_json = C.encode query
 
-let bits_of_float f =
-  Json.String (Printf.sprintf "%Lx" (Int64.bits_of_float f))
+let verdict = C.enum ~what:"verdict" [ ("adopted", Adopted); ("rejected", Rejected) ]
 
-let float_of_bits name = function
-  | Some (Json.String s) -> (
-      match Int64.of_string_opt ("0x" ^ s) with
-      | Some b -> Int64.float_of_bits b
-      | None -> corrupt "field %S is not a float bit pattern" name)
-  | _ -> corrupt "missing or non-string field %S" name
+let event =
+  C.(
+    seal
+      (obj (fun generation trigger_query kind ratio algorithm cost_before
+                cost_after migration payoff verdict ->
+           let trigger =
+             match (kind, ratio) with
+             | `Epoch, _ -> Epoch
+             | `Drift, Some r -> Drift r
+             | `Drift, None -> fail "drift event without a \"ratio\""
+           in
+           { generation; trigger_query; trigger; algorithm; cost_before;
+             cost_after; migration; payoff; verdict })
+      |> field "generation" int (fun (e : event) -> e.generation)
+      |> field "at" int (fun e -> e.trigger_query)
+      |> field "trigger"
+           (enum ~what:"trigger" [ ("epoch", `Epoch); ("drift", `Drift) ])
+           (fun e -> match e.trigger with Epoch -> `Epoch | Drift _ -> `Drift)
+      |> opt "ratio" float_bits (fun e ->
+             match e.trigger with Drift r -> Some r | Epoch -> None)
+      |> field "algorithm" string (fun e -> e.algorithm)
+      |> field "cost_before" float_bits (fun e -> e.cost_before)
+      |> field "cost_after" float_bits (fun e -> e.cost_after)
+      |> field "migration" float_bits (fun e -> e.migration)
+      |> field "payoff" float_bits (fun e -> e.payoff)
+      |> field "verdict" verdict (fun e -> e.verdict)))
 
-let int_field name doc =
-  match Json.member name doc with
-  | Some (Json.Int i) -> i
-  | _ -> corrupt "missing or non-integer field %S" name
+let format_event =
+  C.(
+    seal
+      (obj (fun f_generation f_trigger_query f_formats f_cost_before
+                f_cost_after f_migration f_payoff f_verdict ->
+           { f_generation; f_trigger_query; f_formats; f_cost_before;
+             f_cost_after; f_migration; f_payoff; f_verdict })
+      |> field "generation" int (fun e -> e.f_generation)
+      |> field "at" int (fun e -> e.f_trigger_query)
+      |> field "formats" string (fun e -> e.f_formats)
+      |> field "cost_before" float_bits (fun e -> e.f_cost_before)
+      |> field "cost_after" float_bits (fun e -> e.f_cost_after)
+      |> field "migration" float_bits (fun e -> e.f_migration)
+      |> field "payoff" float_bits (fun e -> e.f_payoff)
+      |> field "verdict" verdict (fun e -> e.f_verdict)))
 
-let string_field name doc =
-  match Json.member name doc with
-  | Some (Json.String s) -> s
-  | _ -> corrupt "missing or non-string field %S" name
+let format_kind =
+  C.enum ~what:"format kind"
+    (List.map
+       (fun k -> (Vp_storage.Codec.kind_name k, k))
+       Vp_storage.Codec.[ Plain; Dictionary; Varlen ])
 
-let list_field name doc =
-  match Json.member name doc with
-  | Some (Json.List l) -> l
-  | _ -> corrupt "missing or non-array field %S" name
-
-let datatype_to_json = function
-  | Attribute.Int32 -> [ ("type", Json.String "int32") ]
-  | Attribute.Decimal -> [ ("type", Json.String "decimal") ]
-  | Attribute.Date -> [ ("type", Json.String "date") ]
-  | Attribute.Char w ->
-      [ ("type", Json.String "char"); ("width", Json.Int w) ]
-  | Attribute.Varchar w ->
-      [ ("type", Json.String "varchar"); ("width", Json.Int w) ]
-
-let datatype_of_json doc =
-  match string_field "type" doc with
-  | "int32" -> Attribute.Int32
-  | "decimal" -> Attribute.Decimal
-  | "date" -> Attribute.Date
-  | "char" -> Attribute.Char (int_field "width" doc)
-  | "varchar" -> Attribute.Varchar (int_field "width" doc)
-  | other -> corrupt "unknown attribute type %S" other
-
-let table_to_json table =
-  Json.Obj
-    [
-      ("name", Json.String (Table.name table));
-      ("rows", Json.Int (Table.row_count table));
-      ( "attributes",
-        Json.List
-          (Array.to_list
-             (Array.map
-                (fun a ->
-                  Json.Obj
-                    (("name", Json.String (Attribute.name a))
-                    :: datatype_to_json (Attribute.datatype a)))
-                (Table.attributes table))) );
-    ]
-
-let table_of_json doc =
-  let attributes =
-    List.map
-      (fun a -> Attribute.make (string_field "name" a) (datatype_of_json a))
-      (list_field "attributes" doc)
-  in
-  try
-    Table.make ~name:(string_field "name" doc) ~attributes
-      ~row_count:(int_field "rows" doc)
-  with Invalid_argument msg -> corrupt "invalid table: %s" msg
-
-let query_to_json q =
-  Json.Obj
-    [
-      ("name", Json.String (Query.name q));
-      ( "refs",
-        Json.List
-          (List.map (fun i -> Json.Int i) (Attr_set.to_list (Query.references q)))
-      );
-      ("w", bits_of_float (Query.weight q));
-    ]
-
-let query_of_json table doc =
-  let n = Table.attribute_count table in
-  let refs =
-    List.map
-      (function
-        | Json.Int i when i >= 0 && i < n -> i
-        | Json.Int i -> corrupt "query references attribute %d of %d" i n
-        | _ -> corrupt "query refs must be integers")
-      (list_field "refs" doc)
-  in
-  let weight = float_of_bits "w" (Json.member "w" doc) in
-  try
-    Query.make ~weight ~name:(string_field "name" doc)
-      ~references:(Attr_set.of_list refs) ()
-  with Invalid_argument msg -> corrupt "invalid query: %s" msg
-
-let trigger_to_json = function
-  | Epoch -> [ ("trigger", Json.String "epoch") ]
-  | Drift r -> [ ("trigger", Json.String "drift"); ("ratio", bits_of_float r) ]
-
-let event_to_json (e : event) =
-  Json.Obj
-    ([
-       ("generation", Json.Int e.generation);
-       ("at", Json.Int e.trigger_query);
-     ]
-    @ trigger_to_json e.trigger
-    @ [
-        ("algorithm", Json.String e.algorithm);
-        ("cost_before", bits_of_float e.cost_before);
-        ("cost_after", bits_of_float e.cost_after);
-        ("migration", bits_of_float e.migration);
-        ("payoff", bits_of_float e.payoff);
-        ( "verdict",
-          Json.String
-            (match e.verdict with
-            | Adopted -> "adopted"
-            | Rejected -> "rejected") );
-      ])
-
-let format_event_to_json (e : format_event) =
-  Json.Obj
-    [
-      ("generation", Json.Int e.f_generation);
-      ("at", Json.Int e.f_trigger_query);
-      ("formats", Json.String e.f_formats);
-      ("cost_before", bits_of_float e.f_cost_before);
-      ("cost_after", bits_of_float e.f_cost_after);
-      ("migration", bits_of_float e.f_migration);
-      ("payoff", bits_of_float e.f_payoff);
-      ( "verdict",
-        Json.String
-          (match e.f_verdict with
-          | Adopted -> "adopted"
-          | Rejected -> "rejected") );
-    ]
-
-let format_event_of_json doc : format_event =
-  {
-    f_generation = int_field "generation" doc;
-    f_trigger_query = int_field "at" doc;
-    f_formats = string_field "formats" doc;
-    f_cost_before = float_of_bits "cost_before" (Json.member "cost_before" doc);
-    f_cost_after = float_of_bits "cost_after" (Json.member "cost_after" doc);
-    f_migration = float_of_bits "migration" (Json.member "migration" doc);
-    f_payoff = float_of_bits "payoff" (Json.member "payoff" doc);
-    f_verdict =
-      (match string_field "verdict" doc with
-      | "adopted" -> Adopted
-      | "rejected" -> Rejected
-      | other -> corrupt "unknown verdict %S" other);
-  }
-
-let kind_of_name = function
-  | "plain" -> Vp_storage.Codec.Plain
-  | "dictionary" -> Vp_storage.Codec.Dictionary
-  | "varlen" -> Vp_storage.Codec.Varlen
-  | other -> corrupt "unknown format kind %S" other
-
-let event_of_json doc : event =
-  {
-    generation = int_field "generation" doc;
-    trigger_query = int_field "at" doc;
-    trigger =
-      (match string_field "trigger" doc with
-      | "epoch" -> Epoch
-      | "drift" -> Drift (float_of_bits "ratio" (Json.member "ratio" doc))
-      | other -> corrupt "unknown trigger %S" other);
-    algorithm = string_field "algorithm" doc;
-    cost_before = float_of_bits "cost_before" (Json.member "cost_before" doc);
-    cost_after = float_of_bits "cost_after" (Json.member "cost_after" doc);
-    migration = float_of_bits "migration" (Json.member "migration" doc);
-    payoff = float_of_bits "payoff" (Json.member "payoff" doc);
-    verdict =
-      (match string_field "verdict" doc with
-      | "adopted" -> Adopted
-      | "rejected" -> Rejected
-      | other -> corrupt "unknown verdict %S" other);
-  }
+(* The v1 snapshot. Decoding rebuilds the service under [config]; the
+   checks across fields run once every field has decoded. [formats] and
+   [format_events] were added later without a version bump: a snapshot
+   without them restores all-Plain with no format decisions. *)
+let snapshot_codec config =
+  C.(
+    seal
+      (obj (fun version table generation ingested query_cost migration_cost
+                ring ring_len ring_pos since_decision layout queries events
+                formats format_events ->
+           if version <> snapshot_version then
+             fail "unsupported snapshot version %d" version;
+           if List.length queries <> ingested then
+             fail "snapshot holds %d queries but ingested=%d"
+               (List.length queries) ingested;
+           if List.length ring <> config.min_window then
+             fail "snapshot ring has %d slots but config.min_window is %d"
+               (List.length ring) config.min_window;
+           if
+             ring_len < 0 || ring_len > config.min_window || ring_pos < 0
+             || ring_pos >= config.min_window || since_decision < 0
+           then fail "ring bookkeeping out of range";
+           let n = Table.attribute_count table in
+           let layout =
+             try Partitioning.of_groups ~n (List.map Attr_set.of_list layout)
+             with Invalid_argument msg -> fail "invalid layout: %s" msg
+           in
+           let t = create config table in
+           List.iter (push t) queries;
+           t.layout <- layout;
+           t.generation <- generation;
+           t.query_cost <- query_cost;
+           t.migration_cost <- migration_cost;
+           List.iteri
+             (fun i -> function
+               | [ c; l ] -> t.ring.(i) <- (c, l)
+               | _ -> fail "ring entries must be [cost, lower] pairs")
+             ring;
+           t.ring_len <- ring_len;
+           t.ring_pos <- ring_pos;
+           t.since_decision <- since_decision;
+           t.events <- List.rev events;
+           (t.formats <-
+              match formats with
+              | None -> Vp_storage.Format.plain table layout
+              | Some kinds -> (
+                  try
+                    Vp_storage.Format.of_kinds table
+                      (Vp_storage.Format.schema_stats table)
+                      layout kinds
+                  with Invalid_argument msg -> fail "invalid formats: %s" msg));
+           t.format_events <- List.rev (Option.value format_events ~default:[]);
+           t)
+      |> field "version" int (fun _ -> snapshot_version)
+      |> field "table" Table.codec (fun t -> t.table)
+      |> field "generation" int (fun t -> t.generation)
+      |> field "ingested" int (fun t -> t.ingested)
+      |> field "query_cost" float_bits (fun t -> t.query_cost)
+      |> field "migration_cost" float_bits (fun t -> t.migration_cost)
+      |> field "ring" (list (list float_bits)) (fun t ->
+             Array.to_list (Array.map (fun (c, l) -> [ c; l ]) t.ring))
+      |> field "ring_len" int (fun t -> t.ring_len)
+      |> field "ring_pos" int (fun t -> t.ring_pos)
+      |> field "since_decision" int (fun t -> t.since_decision)
+      |> field "layout" (list (list int)) (fun t ->
+             List.map Attr_set.to_list (Partitioning.groups t.layout))
+      |> field "queries" (list query) stream
+      |> field "events" (list event) events
+      |> opt "formats" (list format_kind) (fun t ->
+             Some (Vp_storage.Format.kinds t.formats))
+      |> opt "format_events" (list format_event) (fun t ->
+             Some (format_events t))))
 
 let snapshot t =
-  Json.to_string
-    (Json.Obj
-       [
-         ("version", Json.Int snapshot_version);
-         ("table", table_to_json t.table);
-         ("generation", Json.Int t.generation);
-         ("ingested", Json.Int t.ingested);
-         ("query_cost", bits_of_float t.query_cost);
-         ("migration_cost", bits_of_float t.migration_cost);
-         ( "ring",
-           Json.List
-             (Array.to_list
-                (Array.map
-                   (fun (c, l) -> Json.List [ bits_of_float c; bits_of_float l ])
-                   t.ring)) );
-         ("ring_len", Json.Int t.ring_len);
-         ("ring_pos", Json.Int t.ring_pos);
-         ("since_decision", Json.Int t.since_decision);
-         ( "layout",
-           Json.List
-             (List.map
-                (fun g ->
-                  Json.List
-                    (List.map (fun i -> Json.Int i) (Attr_set.to_list g)))
-                (Partitioning.groups t.layout)) );
-         ("queries", Json.List (List.map query_to_json (stream t)));
-         ("events", Json.List (List.map event_to_json (events t)));
-         (* Additive fields (still version 1): absent in pre-formats
-            snapshots, tolerated by [restore]. *)
-         ( "formats",
-           Json.List
-             (List.map
-                (fun k -> Json.String (Vp_storage.Codec.kind_name k))
-                (Vp_storage.Format.kinds t.formats)) );
-         ( "format_events",
-           Json.List (List.map format_event_to_json (format_events t)) );
-       ])
+  Vp_observe.Json.to_string (C.encode (snapshot_codec t.config) t)
 
 let restore config s =
-  match Json.of_string ~max_size:(1 lsl 26) s with
+  match Vp_observe.Json.of_string ~max_size:(1 lsl 26) s with
   | Error msg -> Error (Printf.sprintf "unparseable snapshot: %s" msg)
   | Ok doc -> (
-      try
-        (match Json.member "version" doc with
-        | Some (Json.Int v) when v = snapshot_version -> ()
-        | Some (Json.Int v) -> corrupt "unsupported snapshot version %d" v
-        | _ -> corrupt "missing snapshot version");
-        let table =
-          match Json.member "table" doc with
-          | Some tdoc -> table_of_json tdoc
-          | None -> corrupt "missing field \"table\""
-        in
-        let n = Table.attribute_count table in
-        let queries =
-          List.map (query_of_json table) (list_field "queries" doc)
-        in
-        let ingested = int_field "ingested" doc in
-        if List.length queries <> ingested then
-          corrupt "snapshot holds %d queries but ingested=%d"
-            (List.length queries) ingested;
-        let layout =
-          let groups =
-            List.map
-              (fun g ->
-                Attr_set.of_list
-                  (List.map
-                     (function
-                       | Json.Int i -> i
-                       | _ -> corrupt "layout groups must be integer lists")
-                     (match g with
-                     | Json.List l -> l
-                     | _ -> corrupt "layout must be a list of groups")))
-              (list_field "layout" doc)
-          in
-          try Partitioning.of_groups ~n groups
-          with Invalid_argument msg -> corrupt "invalid layout: %s" msg
-        in
-        let ring_spec =
-          List.map
-            (function
-              | Json.List [ c; l ] ->
-                  ( float_of_bits "ring cost" (Some c),
-                    float_of_bits "ring lower" (Some l) )
-              | _ -> corrupt "ring entries must be [cost, lower] pairs")
-            (list_field "ring" doc)
-        in
-        if List.length ring_spec <> config.min_window then
-          corrupt "snapshot ring has %d slots but config.min_window is %d"
-            (List.length ring_spec) config.min_window;
-        let events = List.rev_map event_of_json (list_field "events" doc) in
-        let t = create config table in
-        List.iter (push t) queries;
-        t.layout <- layout;
-        t.generation <- int_field "generation" doc;
-        t.ingested <- ingested;
-        t.query_cost <- float_of_bits "query_cost" (Json.member "query_cost" doc);
-        t.migration_cost <-
-          float_of_bits "migration_cost" (Json.member "migration_cost" doc);
-        List.iteri (fun i cl -> t.ring.(i) <- cl) ring_spec;
-        t.ring_len <- int_field "ring_len" doc;
-        t.ring_pos <- int_field "ring_pos" doc;
-        t.since_decision <- int_field "since_decision" doc;
-        t.events <- events;
-        (match Json.member "formats" doc with
-        | None -> t.formats <- Vp_storage.Format.plain table layout
-        | Some (Json.List ks) -> (
-            let kinds =
-              List.map
-                (function
-                  | Json.String s -> kind_of_name s
-                  | _ -> corrupt "format kinds must be strings")
-                ks
-            in
-            try
-              t.formats <-
-                Vp_storage.Format.of_kinds table
-                  (Vp_storage.Format.schema_stats table)
-                  layout kinds
-            with Invalid_argument msg -> corrupt "invalid formats: %s" msg)
-        | Some _ -> corrupt "field \"formats\" must be an array");
-        (match Json.member "format_events" doc with
-        | None -> ()
-        | Some (Json.List l) ->
-            t.format_events <- List.rev_map format_event_of_json l
-        | Some _ -> corrupt "field \"format_events\" must be an array");
-        if
-          t.ring_len < 0
-          || t.ring_len > config.min_window
-          || t.ring_pos < 0
-          || t.ring_pos >= config.min_window
-          || t.since_decision < 0
-        then corrupt "ring bookkeeping out of range";
-        Ok t
-      with
-      | Corrupt msg -> Error (Printf.sprintf "corrupt snapshot: %s" msg)
-      | Invalid_argument msg -> Error (Printf.sprintf "corrupt snapshot: %s" msg))
+      match C.decode (snapshot_codec config) doc with
+      | t -> Ok t
+      | exception C.Error e ->
+          Error (Printf.sprintf "corrupt snapshot: %s" (C.error_message e))
+      | exception Invalid_argument msg ->
+          Error (Printf.sprintf "corrupt snapshot: %s" msg))

@@ -4,9 +4,8 @@ open Vp_core
     query stream one query at a time and evolves the table's vertical
     layout as the workload drifts.
 
-    The service keeps the affinity matrix incrementally up to date
-    ({!Affinity.add_query} — O2P's online bookkeeping) and the stream in
-    a buffer that doubles when full (O(1) per ingest), and watches a
+    The service keeps the stream in a buffer that doubles when full
+    (O(1) per ingest), and watches a
     decision window for {e drift}: the estimated cost of the queries in
     the window under the current layout, divided by a cheap per-query
     lower bound (the perfect-materialized-view cost of reading exactly
@@ -57,8 +56,8 @@ type config = {
           ([0] = the full history). Bounded memory is what lets the
           service track drift: over the full history the pre-drift
           queries dominate forever and every post-drift candidate looks
-          marginal. The full-history {!workload} and {!affinity} stay
-          incrementally maintained regardless. *)
+          marginal. The full-history {!workload} stays available
+          regardless. *)
   horizon : float;
       (** Adopt a candidate only if its pay-off factor — migration cost
           over per-execution improvement of the re-optimization
@@ -95,8 +94,8 @@ val default_config :
     execution of the recent workload), [budget_steps = None],
     [jobs = 1], [formats = false].
     @raise Invalid_argument if [panel] is empty, [drift_ratio <= 0],
-    [min_window < 1], [epoch < 0], [memory < 0], [horizon <= 0] or
-    [jobs < 1]. *)
+    [min_window < 1], [epoch < 0], [memory < 0], [horizon <= 0],
+    [budget_steps < 0] or [jobs < 1]. *)
 
 type trigger =
   | Drift of float  (** The window ratio that crossed [drift_ratio]. *)
@@ -151,8 +150,7 @@ val create : config -> Table.t -> t
 
 val ingest : t -> Query.t -> unit
 (** Accounts one query: adds its estimated cost under the current layout
-    to the cumulative total, updates workload and affinity matrix
-    incrementally, and runs the drift/epoch check — possibly triggering
+    to the cumulative total, appends it to the stream, and runs the drift/epoch check — possibly triggering
     a re-optimization and a layout change before returning.
     @raise Invalid_argument if the query references attributes outside
     the service's table. *)
@@ -172,10 +170,6 @@ val ingested : t -> int
 
 val workload : t -> Workload.t
 (** The ingested stream as a workload (built on each call). *)
-
-val affinity : t -> Affinity.t
-(** The incrementally maintained affinity matrix; agrees with
-    [Affinity.of_workload (workload t)] (property-tested). *)
 
 val events : t -> event list
 (** Every decision so far, oldest first. *)
@@ -231,9 +225,12 @@ val history : t -> string
     taken after query [k] and then ingesting queries [k+1 .. n] yields
     the same {!history} bytes and {!generation} as ingesting all [n]
     into one long-lived service (proved in [test_durability.ml]). The
-    affinity matrix and workload are not serialized; they are rebuilt by
-    re-adding the stored queries in ingest order, which reproduces the
-    same float-accumulation order. *)
+    workload is rebuilt by re-adding the stored queries in ingest order.
+
+    Both directions come from one {!Vp_observe.Json.Codec} description
+    per shape ({!query}, {!event}, {!format_event} and the snapshot
+    itself); [test/fixtures/v1/] holds snapshots written before these
+    descriptions existed, and they still restore. *)
 
 val snapshot : t -> string
 (** The service's full mutable state as one JSON line. *)
@@ -242,18 +239,21 @@ val restore : config -> string -> (t, string) result
 (** Rebuild a service from {!snapshot} output under the given config
     (the config — panel, disk, trigger parameters — is not serialized;
     the caller persists whatever it needs to rebuild it, e.g.
-    [Vp_server.Sessions] keeps the open spec). Fails with a descriptive
-    message on a corrupt document or a config whose [min_window]
-    disagrees with the snapshot's ring. *)
+    [Vp_server.Sessions] keeps the open spec). Fails with
+    [corrupt snapshot: <reason>] on a malformed document, naming the
+    field path where the shape is wrong, and on a config whose
+    [min_window] disagrees with the snapshot's ring. *)
+
+val query : Query.t Vp_observe.Json.Codec.t
+(** One query with a bit-exact weight:
+    [{"name", "refs": [positions], "w": bits}] — the query records of
+    snapshots and of the per-session write-ahead log. Decoding does not
+    know the table; {!ingest} and {!restore} refuse positions outside
+    it. *)
 
 val query_to_json : Query.t -> Vp_observe.Json.t
-(** One query as snapshot-grade JSON (bit-exact weight) — the record
-    format of the per-session write-ahead log. *)
+(** [Codec.encode query]. *)
 
-val query_of_json : Table.t -> Vp_observe.Json.t -> Query.t
-(** Inverse of {!query_to_json}, validated against the table.
-    @raise Corrupt on malformed input. *)
+val event : event Vp_observe.Json.Codec.t
 
-exception Corrupt of string
-(** Raised by the snapshot decoders on malformed input ({!restore}
-    catches it; {!query_of_json} lets it escape). *)
+val format_event : format_event Vp_observe.Json.Codec.t

@@ -55,15 +55,15 @@ let resolve_algorithm disk name =
   | _ -> Vp_algorithms.Registry.find_opt name
 
 let entrant_json (e : Partitioner.Response.entrant) =
-  Json.Obj
-    [
-      ("name", Json.String e.entrant);
-      ("short", Json.String e.entrant_short);
-      ("cost", Json.Float e.entrant_cost);
-      ("run_status", Json.String (status_string e.entrant_status));
-      ("cost_calls", Json.Int e.entrant_stats.Partitioner.cost_calls);
-      ("winner", Json.Bool e.winner);
-    ]
+  Json.Codec.encode Protocol.entrant
+    {
+      Protocol.entrant = e.entrant;
+      entrant_short = e.entrant_short;
+      entrant_cost = e.entrant_cost;
+      entrant_status = status_string e.entrant_status;
+      entrant_cost_calls = e.entrant_stats.Partitioner.cost_calls;
+      entrant_winner = e.winner;
+    }
 
 let partition_reply ~workload ~algorithm ~buffer_mb ~budget =
   let disk =

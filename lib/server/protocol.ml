@@ -1,5 +1,6 @@
 open Vp_core
 module Json = Vp_observe.Json
+module C = Json.Codec
 
 (* v4: [partition] accepts ["algorithm":"portfolio"] (the racing
    meta-partitioner) — the reply then also carries the winning entrant's
@@ -29,8 +30,6 @@ let max_depth = 64
 
 type budget_spec = { deadline_ms : int option; budget_steps : int option }
 
-let no_budget = { deadline_ms = None; budget_steps = None }
-
 let budget_of_spec spec =
   match (spec.deadline_ms, spec.budget_steps) with
   | None, None -> None
@@ -53,27 +52,31 @@ type open_spec = {
   buffer_mb : float;
 }
 
+type partition = {
+  workload : Workload.t;
+  algorithm : string;
+  buffer_mb : float;
+  budget : budget_spec;
+}
+
+type ingest = {
+  session : string;
+  attributes : string list;
+  weight : float;
+  name : string option;
+  seq : int option;
+      (* Idempotent request id: the 1-based stream position this query
+         should land at. A retry of an already-applied seq is
+         acknowledged without re-ingesting. *)
+  budget : budget_spec;
+}
+
 type request =
   | Ping
   | Stats
-  | Partition of {
-      workload : Workload.t;
-      algorithm : string;
-      buffer_mb : float;
-      budget : budget_spec;
-    }
+  | Partition of partition
   | Open of open_spec
-  | Ingest of {
-      session : string;
-      attributes : string list;
-      weight : float;
-      name : string option;
-      seq : int option;
-          (** Idempotent request id: the 1-based stream position this
-              query should land at. A retry of an already-applied seq is
-              acknowledged without re-ingesting. *)
-      budget : budget_spec;
-    }
+  | Ingest of ingest
   | Layout of { session : string }
   | History of { session : string }
   | Close of { session : string }
@@ -98,7 +101,7 @@ let op_name = function
   | Sleep _ -> "sleep"
   | Shutdown -> "shutdown"
 
-(* --- field accessors shared by decoding and the client-side readers --- *)
+(* --- field accessors for the client-side readers --- *)
 
 let string_field name doc =
   match Json.member name doc with Some (Json.String s) -> Some s | _ -> None
@@ -112,208 +115,182 @@ let float_field name doc =
   | Some (Json.Int i) -> Some (float_of_int i)
   | _ -> None
 
-let list_field name doc =
-  match Json.member name doc with Some (Json.List l) -> Some l | _ -> None
+(* --- descriptions: one per frame and file shape --- *)
+
+let budget =
+  C.(
+    obj (fun deadline_ms budget_steps -> { deadline_ms; budget_steps })
+    |> opt "deadline_ms" (int_in ~min:1 ()) (fun (b : budget_spec) -> b.deadline_ms)
+    |> opt "budget_steps" (int_in ~min:0 ()) (fun (b : budget_spec) -> b.budget_steps))
+
+type wire_query = { attributes : string list; weight : float; name : string option }
+
+let wire_query =
+  C.(
+    seal
+      (obj (fun name attributes weight -> { attributes; weight; name })
+      |> opt "name" string (fun q -> q.name)
+      |> field "attributes" (list string) (fun q -> q.attributes)
+      |> dft "weight" number 1.0 (fun q -> q.weight)))
+
+let query_of_wire table i q =
+  let name = match q.name with Some n -> n | None -> Printf.sprintf "Q%d" (i + 1) in
+  let references =
+    try Table.attr_set_of_names table q.attributes
+    with Not_found ->
+      C.fail "query %S references an attribute the table does not have" name
+  in
+  try Query.make ~weight:q.weight ~name ~references ()
+  with Invalid_argument msg -> C.fail "invalid query %S: %s" name msg
+
+(* The frames: one description each, shared by the builder and
+   [request_of_json]. *)
+
+let partition_frame =
+  C.(
+    seal
+      (obj (fun algorithm buffer_mb table queries budget ->
+           let queries = List.mapi (query_of_wire table) queries in
+           if queries = [] then fail "a partition request needs at least one query";
+           let workload =
+             try Workload.make table queries
+             with Invalid_argument msg -> fail "invalid workload: %s" msg
+           in
+           { workload; algorithm; buffer_mb; budget })
+      |> const "op" (Json.String "partition")
+      |> dft "algorithm" string "HillClimb" (fun p -> p.algorithm)
+      |> dft "buffer_mb" number 8.0 (fun p -> p.buffer_mb)
+      |> field "table" Table.codec (fun p -> Workload.table p.workload)
+      |> field "queries" (list wire_query) (fun p ->
+             let table = Workload.table p.workload in
+             Array.to_list (Workload.queries p.workload)
+             |> List.map (fun q ->
+                    let attributes = Table.names_of_attr_set table (Query.references q) in
+                    { attributes; weight = Query.weight q; name = Some (Query.name q) }))
+      |> inline budget (fun (p : partition) -> p.budget)))
+
+let ingest_frame =
+  C.(
+    seal
+      (obj (fun session (q : wire_query) seq budget ->
+           { session; attributes = q.attributes; weight = q.weight; name = q.name; seq; budget })
+      |> const "op" (Json.String "ingest")
+      |> field "session" string (fun (i : ingest) -> i.session)
+      |> field "query" wire_query (fun (i : ingest) ->
+             { attributes = i.attributes; weight = i.weight; name = i.name })
+      |> opt "seq" (int_in ~min:1 ()) (fun i -> i.seq)
+      |> inline budget (fun i -> i.budget)))
+
+(* [open] as sent: a tuning field the client leaves out stays out of the
+   frame, and decodes to [Vp_online.Service.default_config]'s value. *)
+type open_frame = {
+  o_session : string;
+  o_table : Table.t;
+  o_panel : string list option;
+  o_drift_ratio : float option;
+  o_min_window : int option;
+  o_epoch : int option;
+  o_memory : int option;
+  o_horizon : float option;
+  o_budget_steps : int option;
+  o_buffer_mb : float option;
+}
+
+let open_frame =
+  C.(
+    seal
+      (obj (fun o_session o_table o_panel o_drift_ratio o_min_window o_epoch
+                o_memory o_horizon o_budget_steps o_buffer_mb ->
+           { o_session; o_table; o_panel; o_drift_ratio; o_min_window;
+             o_epoch; o_memory; o_horizon; o_budget_steps; o_buffer_mb })
+      |> const "op" (Json.String "open")
+      |> field "session" string (fun o -> o.o_session)
+      |> field "table" Table.codec (fun o -> o.o_table)
+      |> opt "panel" (list string) (fun o -> o.o_panel)
+      |> opt "drift_ratio" number (fun o -> o.o_drift_ratio)
+      |> opt "min_window" int (fun o -> o.o_min_window)
+      |> opt "epoch" int (fun o -> o.o_epoch)
+      |> opt "memory" int (fun o -> o.o_memory)
+      |> opt "horizon" number (fun o -> o.o_horizon)
+      |> opt "budget_steps" (int_in ~min:0 ()) (fun o -> o.o_budget_steps)
+      |> opt "buffer_mb" number (fun o -> o.o_buffer_mb)))
+
+let open_spec_of_frame o =
+  let ( |? ) v default = Option.value v ~default in
+  {
+    session = o.o_session;
+    table = o.o_table;
+    panel = o.o_panel |? [ "HillClimb" ];
+    drift_ratio = o.o_drift_ratio |? 2.0;
+    min_window = o.o_min_window |? 8;
+    epoch = o.o_epoch |? 64;
+    memory = o.o_memory |? 32;
+    horizon = o.o_horizon |? 1.0;
+    budget_steps = o.o_budget_steps;
+    buffer_mb = o.o_buffer_mb |? 8.0;
+  }
+
+(* The session meta file: every float as its IEEE-754 bits, so crash
+   recovery rebuilds the exact config the original [open] parsed. *)
+let meta =
+  C.(
+    seal
+      (obj (fun session table panel drift_ratio min_window epoch memory horizon
+                buffer_mb budget_steps ->
+           { session; table; panel; drift_ratio; min_window; epoch; memory;
+             horizon; budget_steps; buffer_mb })
+      |> field "session" string (fun (s : open_spec) -> s.session)
+      |> field "table" Table.codec (fun s -> s.table)
+      |> field "panel" (list string) (fun s -> s.panel)
+      |> field "drift_ratio_bits" float_bits (fun s -> s.drift_ratio)
+      |> field "min_window" int (fun s -> s.min_window)
+      |> field "epoch" int (fun s -> s.epoch)
+      |> field "memory" int (fun s -> s.memory)
+      |> field "horizon_bits" float_bits (fun s -> s.horizon)
+      |> field "buffer_mb_bits" float_bits (fun (s : open_spec) -> s.buffer_mb)
+      |> opt "budget_steps" int (fun s -> s.budget_steps)))
+
+let op_frame op member c =
+  C.(seal (obj Fun.id |> const "op" (Json.String op) |> field member c Fun.id))
+
+let layout_frame = op_frame "layout" "session" C.string
+
+let history_frame = op_frame "history" "session" C.string
+
+let close_frame = op_frame "close" "session" C.string
+
+let detach_frame = op_frame "detach" "session" C.string
+
+let adopt_frame = op_frame "adopt" "session" C.string
+
+let sleep_frame = op_frame "sleep" "ms" (C.int_in ~min:0 ~max:60_000 ())
 
 (* --- decoding --- *)
-
-exception Bad of string
-
-let bad fmt = Printf.ksprintf (fun msg -> raise (Bad msg)) fmt
-
-let req_string name doc =
-  match string_field name doc with
-  | Some s -> s
-  | None -> bad "missing or non-string field %S" name
-
-let req_int name doc =
-  match int_field name doc with
-  | Some i -> i
-  | None -> bad "missing or non-integer field %S" name
-
-let opt_float ~default name doc =
-  match Json.member name doc with
-  | None -> default
-  | Some _ -> (
-      match float_field name doc with
-      | Some f -> f
-      | None -> bad "field %S must be a number" name)
-
-let opt_int ~default name doc =
-  match Json.member name doc with
-  | None -> default
-  | Some (Json.Int i) -> i
-  | Some _ -> bad "field %S must be an integer" name
-
-let opt_int_option name doc =
-  match Json.member name doc with
-  | None -> None
-  | Some (Json.Int i) -> Some i
-  | Some _ -> bad "field %S must be an integer" name
-
-let budget_spec_of doc =
-  {
-    deadline_ms = opt_int_option "deadline_ms" doc;
-    budget_steps = opt_int_option "budget_steps" doc;
-  }
-
-let datatype_of_json doc =
-  let width () = req_int "width" doc in
-  match req_string "type" doc with
-  | "int32" -> Attribute.Int32
-  | "decimal" -> Attribute.Decimal
-  | "date" -> Attribute.Date
-  | "char" -> Attribute.Char (width ())
-  | "varchar" -> Attribute.Varchar (width ())
-  | other -> bad "unknown attribute type %S" other
-
-let table_of_json doc =
-  match doc with
-  | Json.Obj _ ->
-      let name = req_string "name" doc in
-      let rows = req_int "rows" doc in
-      let attributes =
-        match list_field "attributes" doc with
-        | None -> bad "table is missing its \"attributes\" array"
-        | Some attrs ->
-            List.map
-              (fun a ->
-                match a with
-                | Json.Obj _ ->
-                    Attribute.make (req_string "name" a) (datatype_of_json a)
-                | _ -> bad "each table attribute must be an object")
-              attrs
-      in
-      (try Table.make ~name ~attributes ~row_count:rows
-       with Invalid_argument msg -> bad "invalid table: %s" msg)
-  | _ -> bad "field \"table\" must be an object"
-
-let attr_names_of_json doc =
-  match list_field "attributes" doc with
-  | None -> bad "query is missing its \"attributes\" array"
-  | Some names ->
-      List.map
-        (function
-          | Json.String s -> s
-          | _ -> bad "query attributes must be strings")
-        names
-
-let query_of_json table index doc =
-  match doc with
-  | Json.Obj _ ->
-      let names = attr_names_of_json doc in
-      let weight = opt_float ~default:1.0 "weight" doc in
-      let name =
-        match string_field "name" doc with
-        | Some n -> n
-        | None -> Printf.sprintf "Q%d" (index + 1)
-      in
-      let references =
-        try Table.attr_set_of_names table names
-        with Not_found ->
-          bad "query %S references an attribute the table does not have" name
-      in
-      (try Query.make ~weight ~name ~references ()
-       with Invalid_argument msg -> bad "invalid query %S: %s" name msg)
-  | _ -> bad "each query must be an object"
-
-let workload_of_json doc =
-  let table =
-    match Json.member "table" doc with
-    | Some t -> table_of_json t
-    | None -> bad "missing field \"table\""
-  in
-  let queries =
-    match list_field "queries" doc with
-    | None -> bad "missing field \"queries\""
-    | Some qs -> List.mapi (query_of_json table) qs
-  in
-  if queries = [] then bad "a partition request needs at least one query";
-  try Workload.make table queries
-  with Invalid_argument msg -> bad "invalid workload: %s" msg
-
-(* Defaults mirror [Vp_online.Service.default_config]. *)
-let open_spec_of doc =
-  {
-    session = req_string "session" doc;
-    table =
-      (match Json.member "table" doc with
-      | Some t -> table_of_json t
-      | None -> bad "missing field \"table\"");
-    panel =
-      (match list_field "panel" doc with
-      | None -> [ "HillClimb" ]
-      | Some names ->
-          List.map
-            (function
-              | Json.String s -> s
-              | _ -> bad "panel members must be strings")
-            names);
-    drift_ratio = opt_float ~default:2.0 "drift_ratio" doc;
-    min_window = opt_int ~default:8 "min_window" doc;
-    epoch = opt_int ~default:64 "epoch" doc;
-    memory = opt_int ~default:32 "memory" doc;
-    horizon = opt_float ~default:1.0 "horizon" doc;
-    budget_steps = opt_int_option "budget_steps" doc;
-    buffer_mb = opt_float ~default:8.0 "buffer_mb" doc;
-  }
 
 let request_of_json doc =
   match doc with
   | Json.Obj _ -> (
-      try
-        match string_field "op" doc with
-        | None -> Error "missing or non-string field \"op\""
-        | Some op ->
+      match Json.member "op" doc with
+      | Some (Json.String op) -> (
+          try
             Ok
               (match op with
               | "ping" -> Ping
               | "stats" -> Stats
-              | "partition" ->
-                  Partition
-                    {
-                      workload = workload_of_json doc;
-                      algorithm =
-                        (match string_field "algorithm" doc with
-                        | Some a -> a
-                        | None -> "HillClimb");
-                      buffer_mb = opt_float ~default:8.0 "buffer_mb" doc;
-                      budget = budget_spec_of doc;
-                    }
-              | "open" -> Open (open_spec_of doc)
-              | "ingest" ->
-                  let query =
-                    match Json.member "query" doc with
-                    | Some (Json.Obj _ as q) -> q
-                    | Some _ -> bad "field \"query\" must be an object"
-                    | None -> bad "missing field \"query\""
-                  in
-                  Ingest
-                    {
-                      session = req_string "session" doc;
-                      attributes = attr_names_of_json query;
-                      weight = opt_float ~default:1.0 "weight" query;
-                      name = string_field "name" query;
-                      seq =
-                        (match opt_int_option "seq" doc with
-                        | Some s when s < 1 -> bad "\"seq\" must be >= 1"
-                        | s -> s);
-                      budget = budget_spec_of doc;
-                    }
-              | "layout" -> Layout { session = req_string "session" doc }
-              | "history" -> History { session = req_string "session" doc }
-              | "close" -> Close { session = req_string "session" doc }
-              | "detach" -> Detach { session = req_string "session" doc }
-              | "adopt" -> Adopt { session = req_string "session" doc }
+              | "partition" -> Partition (C.decode partition_frame doc)
+              | "open" -> Open (open_spec_of_frame (C.decode open_frame doc))
+              | "ingest" -> Ingest (C.decode ingest_frame doc)
+              | "layout" -> Layout { session = C.decode layout_frame doc }
+              | "history" -> History { session = C.decode history_frame doc }
+              | "close" -> Close { session = C.decode close_frame doc }
+              | "detach" -> Detach { session = C.decode detach_frame doc }
+              | "adopt" -> Adopt { session = C.decode adopt_frame doc }
               | "sessions" -> Session_list
-              | "sleep" ->
-                  let ms = req_int "ms" doc in
-                  if ms < 0 || ms > 60_000 then
-                    bad "\"ms\" must be in 0 .. 60000";
-                  Sleep { ms }
+              | "sleep" -> Sleep { ms = C.decode sleep_frame doc }
               | "shutdown" -> Shutdown
-              | other -> bad "unknown op %S" other)
-      with Bad msg -> Error msg)
+              | other -> C.fail "unknown op %S" other)
+          with C.Error e -> Error (C.error_message e))
+      | _ -> Error "missing or non-string field \"op\"")
   | _ -> Error "request frame must be a JSON object"
 
 (* --- request builders --- *)
@@ -324,183 +301,38 @@ let stats = Json.Obj [ ("op", Json.String "stats") ]
 
 let shutdown = Json.Obj [ ("op", Json.String "shutdown") ]
 
-let sleep ~ms = Json.Obj [ ("op", Json.String "sleep"); ("ms", Json.Int ms) ]
+let sessions_request = Json.Obj [ ("op", Json.String "sessions") ]
 
-let json_of_datatype = function
-  | Attribute.Int32 -> [ ("type", Json.String "int32") ]
-  | Attribute.Decimal -> [ ("type", Json.String "decimal") ]
-  | Attribute.Date -> [ ("type", Json.String "date") ]
-  | Attribute.Char w -> [ ("type", Json.String "char"); ("width", Json.Int w) ]
-  | Attribute.Varchar w ->
-      [ ("type", Json.String "varchar"); ("width", Json.Int w) ]
-
-let table_to_json table =
-  Json.Obj
-    [
-      ("name", Json.String (Table.name table));
-      ("rows", Json.Int (Table.row_count table));
-      ( "attributes",
-        Json.List
-          (Array.to_list
-             (Array.map
-                (fun a ->
-                  Json.Obj
-                    (("name", Json.String (Attribute.name a))
-                    :: json_of_datatype (Attribute.datatype a)))
-                (Table.attributes table))) );
-    ]
-
-let query_to_json table q =
-  Json.Obj
-    [
-      ("name", Json.String (Query.name q));
-      ( "attributes",
-        Json.List
-          (List.map
-             (fun n -> Json.String n)
-             (Table.names_of_attr_set table (Query.references q))) );
-      ("weight", Json.Float (Query.weight q));
-    ]
-
-(* --- open-spec persistence (the session meta file) ---
-
-   The durable registry stores each session's open spec so crash
-   recovery can rebuild the service config without the client
-   re-supplying it. Floats travel as IEEE-754 bit patterns: the restored
-   config must drive the cost model with the {e exact} values the
-   original open parsed off the wire, or post-recovery decisions drift
-   from the uninterrupted run's. *)
-
-let float_bits f = Json.String (Printf.sprintf "%Lx" (Int64.bits_of_float f))
-
-let req_float_bits name doc =
-  match Json.member name doc with
-  | Some (Json.String s) -> (
-      match Int64.of_string_opt ("0x" ^ s) with
-      | Some b -> Int64.float_of_bits b
-      | None -> bad "field %S is not a float bit pattern" name)
-  | _ -> bad "missing or non-string field %S" name
-
-let open_spec_to_json (s : open_spec) =
-  Json.Obj
-    ([
-       ("session", Json.String s.session);
-       ("table", table_to_json s.table);
-       ("panel", Json.List (List.map (fun n -> Json.String n) s.panel));
-       ("drift_ratio_bits", float_bits s.drift_ratio);
-       ("min_window", Json.Int s.min_window);
-       ("epoch", Json.Int s.epoch);
-       ("memory", Json.Int s.memory);
-       ("horizon_bits", float_bits s.horizon);
-       ("buffer_mb_bits", float_bits s.buffer_mb);
-     ]
-    @
-    match s.budget_steps with
-    | Some n -> [ ("budget_steps", Json.Int n) ]
-    | None -> [])
-
-let open_spec_of_json doc =
-  match doc with
-  | Json.Obj _ -> (
-      try
-        Ok
-          {
-            session = req_string "session" doc;
-            table =
-              (match Json.member "table" doc with
-              | Some t -> table_of_json t
-              | None -> bad "missing field \"table\"");
-            panel =
-              (match list_field "panel" doc with
-              | None -> bad "missing field \"panel\""
-              | Some names ->
-                  List.map
-                    (function
-                      | Json.String s -> s
-                      | _ -> bad "panel members must be strings")
-                    names);
-            drift_ratio = req_float_bits "drift_ratio_bits" doc;
-            min_window = req_int "min_window" doc;
-            epoch = req_int "epoch" doc;
-            memory = req_int "memory" doc;
-            horizon = req_float_bits "horizon_bits" doc;
-            budget_steps = opt_int_option "budget_steps" doc;
-            buffer_mb = req_float_bits "buffer_mb_bits" doc;
-          }
-      with Bad msg -> Error msg)
-  | _ -> Error "session meta must be a JSON object"
-
-let budget_fields ?deadline_ms ?budget_steps () =
-  (match deadline_ms with
-  | Some ms -> [ ("deadline_ms", Json.Int ms) ]
-  | None -> [])
-  @
-  match budget_steps with
-  | Some n -> [ ("budget_steps", Json.Int n) ]
-  | None -> []
+let sleep ~ms = C.encode sleep_frame ms
 
 let partition_request ?(algorithm = "HillClimb") ?(buffer_mb = 8.0)
-    ?deadline_ms ?budget_steps w =
-  let table = Workload.table w in
-  Json.Obj
-    ([
-       ("op", Json.String "partition");
-       ("algorithm", Json.String algorithm);
-       ("buffer_mb", Json.Float buffer_mb);
-       ("table", table_to_json table);
-       ( "queries",
-         Json.List
-           (Array.to_list
-              (Array.map (query_to_json table) (Workload.queries w))) );
-     ]
-    @ budget_fields ?deadline_ms ?budget_steps ())
+    ?deadline_ms ?budget_steps workload =
+  let budget = { deadline_ms; budget_steps } in
+  C.encode partition_frame { workload; algorithm; buffer_mb; budget }
 
 let open_request ?panel ?drift_ratio ?min_window ?epoch ?memory ?horizon
     ?budget_steps ?buffer_mb ~session table =
-  let opt name to_json v =
-    match v with Some v -> [ (name, to_json v) ] | None -> []
-  in
-  Json.Obj
-    ([
-       ("op", Json.String "open");
-       ("session", Json.String session);
-       ("table", table_to_json table);
-     ]
-    @ opt "panel"
-        (fun names -> Json.List (List.map (fun n -> Json.String n) names))
-        panel
-    @ opt "drift_ratio" (fun v -> Json.Float v) drift_ratio
-    @ opt "min_window" (fun v -> Json.Int v) min_window
-    @ opt "epoch" (fun v -> Json.Int v) epoch
-    @ opt "memory" (fun v -> Json.Int v) memory
-    @ opt "horizon" (fun v -> Json.Float v) horizon
-    @ opt "budget_steps" (fun v -> Json.Int v) budget_steps
-    @ opt "buffer_mb" (fun v -> Json.Float v) buffer_mb)
+  C.encode open_frame
+    { o_session = session; o_table = table; o_panel = panel;
+      o_drift_ratio = drift_ratio; o_min_window = min_window; o_epoch = epoch;
+      o_memory = memory; o_horizon = horizon; o_budget_steps = budget_steps;
+      o_buffer_mb = buffer_mb }
 
 let ingest_request ?deadline_ms ?budget_steps ?seq ~session table q =
-  Json.Obj
-    ([
-       ("op", Json.String "ingest");
-       ("session", Json.String session);
-       ("query", query_to_json table q);
-     ]
-    @ (match seq with Some s -> [ ("seq", Json.Int s) ] | None -> [])
-    @ budget_fields ?deadline_ms ?budget_steps ())
+  let attributes = Table.names_of_attr_set table (Query.references q) in
+  let budget = { deadline_ms; budget_steps } in
+  C.encode ingest_frame
+    { session; attributes; weight = Query.weight q; name = Some (Query.name q); seq; budget }
 
-let session_only op session =
-  Json.Obj [ ("op", Json.String op); ("session", Json.String session) ]
+let layout_request ~session = C.encode layout_frame session
 
-let layout_request ~session = session_only "layout" session
+let history_request ~session = C.encode history_frame session
 
-let history_request ~session = session_only "history" session
+let close_request ~session = C.encode close_frame session
 
-let close_request ~session = session_only "close" session
+let detach_request ~session = C.encode detach_frame session
 
-let detach_request ~session = session_only "detach" session
-
-let adopt_request ~session = session_only "adopt" session
-
-let sessions_request = Json.Obj [ ("op", Json.String "sessions") ]
+let adopt_request ~session = C.encode adopt_frame session
 
 (* --- replies --- *)
 
@@ -547,31 +379,22 @@ type entrant_summary = {
 
 let reply_winner doc = string_field "winner" doc
 
+let entrant =
+  C.(
+    seal
+      (obj (fun entrant entrant_short cost entrant_status entrant_cost_calls
+                entrant_winner ->
+           let entrant_cost = Option.value cost ~default:Float.nan in
+           { entrant; entrant_short; entrant_cost; entrant_status;
+             entrant_cost_calls; entrant_winner })
+      |> field "name" string (fun e -> e.entrant)
+      |> field "short" string (fun e -> e.entrant_short)
+      |> field "cost" (nullable number) (fun e -> Some e.entrant_cost)
+      |> field "run_status" string (fun e -> e.entrant_status)
+      |> field "cost_calls" int (fun e -> e.entrant_cost_calls)
+      |> field "winner" bool (fun e -> e.entrant_winner)))
+
 let reply_entrants doc =
-  match list_field "entrants" doc with
+  match Json.member "entrants" doc with
+  | Some l -> ( try C.decode (C.list entrant) l with C.Error _ -> [])
   | None -> []
-  | Some l ->
-      List.filter_map
-        (fun e ->
-          match e with
-          | Json.Obj _ ->
-              Option.map
-                (fun name ->
-                  {
-                    entrant = name;
-                    entrant_short =
-                      Option.value ~default:"" (string_field "short" e);
-                    entrant_cost =
-                      Option.value ~default:Float.nan (float_field "cost" e);
-                    entrant_status =
-                      Option.value ~default:"" (string_field "run_status" e);
-                    entrant_cost_calls =
-                      Option.value ~default:0 (int_field "cost_calls" e);
-                    entrant_winner =
-                      (match Json.member "winner" e with
-                      | Some (Json.Bool b) -> b
-                      | _ -> false);
-                  })
-                (string_field "name" e)
-          | _ -> None)
-        l

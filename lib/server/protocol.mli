@@ -8,7 +8,10 @@ open Vp_core
     ["ok"], ["error"] (with an ["error"] message) or ["overloaded"]
     (with a ["retry_after_ms"] hint — the daemon shed the connection
     before reading a single byte). The format reuses {!Vp_observe.Json},
-    so the server stays dependency-free.
+    so the server stays dependency-free, and each frame is one
+    {!Vp_observe.Json.Codec} description: a builder below and
+    {!request_of_json} are its two directions, so they cannot disagree
+    on a byte.
 
     Operations:
     - [ping] — liveness probe.
@@ -65,10 +68,10 @@ val max_depth : int
     callers); [budget_steps] is the deterministic step bound. *)
 type budget_spec = { deadline_ms : int option; budget_steps : int option }
 
-val no_budget : budget_spec
-
 val budget_of_spec : budget_spec -> Vp_robust.Budget.t option
-(** [None] when the spec carries neither bound. *)
+(** [None] when the spec carries neither bound.
+    @raise Invalid_argument on [deadline_ms < 1] or [budget_steps < 0]
+    ({!request_of_json} never yields either). *)
 
 (** Everything an [open] frame may configure about a session. Defaults
     mirror {!Vp_online.Service.default_config}; [buffer_mb] selects the
@@ -89,29 +92,35 @@ type open_spec = {
   buffer_mb : float;
 }
 
+(** A [partition] frame. *)
+type partition = {
+  workload : Workload.t;
+  algorithm : string;
+  buffer_mb : float;
+  budget : budget_spec;
+}
+
+(** An [ingest] frame. *)
+type ingest = {
+  session : string;
+  attributes : string list;
+  weight : float;
+  name : string option;
+  seq : int option;
+      (** Idempotent request id: the 1-based stream position this
+          query should land at. A retry of an already-applied seq is
+          acknowledged ([duplicate:true]) without re-ingesting, so a
+          client that lost a reply — e.g. across a server restart — can
+          resend safely. *)
+  budget : budget_spec;
+}
+
 type request =
   | Ping
   | Stats
-  | Partition of {
-      workload : Workload.t;
-      algorithm : string;
-      buffer_mb : float;
-      budget : budget_spec;
-    }
+  | Partition of partition
   | Open of open_spec
-  | Ingest of {
-      session : string;
-      attributes : string list;
-      weight : float;
-      name : string option;
-      seq : int option;
-          (** Idempotent request id: the 1-based stream position this
-              query should land at. A retry of an already-applied seq is
-              acknowledged ([duplicate:true]) without re-ingesting, so a
-              client that lost a reply — e.g. across a server restart —
-              can resend safely. *)
-      budget : budget_spec;
-    }
+  | Ingest of ingest
   | Layout of { session : string }
   | History of { session : string }
   | Close of { session : string }
@@ -126,7 +135,38 @@ val op_name : request -> string
 
 val request_of_json : Vp_observe.Json.t -> (request, string) result
 (** Decodes one frame. Errors are one-line human-readable messages,
-    suitable for an [error] reply verbatim. *)
+    suitable for an [error] reply verbatim
+    ({!Vp_observe.Json.Codec.error_message}): a field of the frame itself
+    reads e.g. [missing or non-string field "session"], a nested one
+    names its path, e.g. [field "queries[0].weight" must be a number].
+    An out-of-range [deadline_ms] ([< 1]), [budget_steps] ([< 0]),
+    [seq] ([< 1]) or [ms] is refused here, before any session sees
+    it. *)
+
+(** {2 Descriptions}
+
+    Each frame and file shape is one {!Vp_observe.Json.Codec}
+    description; the builders below and {!request_of_json} are derived
+    from them. *)
+
+val budget : (budget_spec, budget_spec) Vp_observe.Json.Codec.members
+(** [deadline_ms] and [budget_steps], flat in [partition] and [ingest]
+    frames. Decoding enforces {!Vp_robust.Budget.create}'s bounds. *)
+
+(** One query as the wire carries it. *)
+type wire_query = {
+  attributes : string list;
+  weight : float;  (** Decimal on the wire; [1.0] when absent. *)
+  name : string option;  (** [Q<i>] where it lands when absent. *)
+}
+
+val wire_query : wire_query Vp_observe.Json.Codec.t
+(** The query objects of [partition] and [ingest] frames. *)
+
+val meta : open_spec Vp_observe.Json.Codec.t
+(** The session meta file ({!Sessions}): the open spec with every float
+    as its IEEE-754 bits, so crash recovery rebuilds the exact config
+    the original [open] parsed. *)
 
 (** {2 Request builders (the client side)} *)
 
@@ -169,18 +209,6 @@ val ingest_request :
   Query.t ->
   Vp_observe.Json.t
 
-(** {2 Open-spec persistence}
-
-    The durable session registry ({!Sessions}) stores each session's
-    open spec on disk so crash recovery can rebuild the service config
-    without the client re-supplying it. Floats are serialized as
-    IEEE-754 bit patterns — the recovered config must be bit-identical
-    or post-recovery decisions drift from the uninterrupted run's. *)
-
-val open_spec_to_json : open_spec -> Vp_observe.Json.t
-
-val open_spec_of_json : Vp_observe.Json.t -> (open_spec, string) result
-
 val layout_request : session:string -> Vp_observe.Json.t
 
 val history_request : session:string -> Vp_observe.Json.t
@@ -219,7 +247,7 @@ val retry_after_ms : Vp_observe.Json.t -> int option
 type entrant_summary = {
   entrant : string;
   entrant_short : string;
-  entrant_cost : float;  (** [nan] when the field is absent. *)
+  entrant_cost : float;  (** [nan] when the reply holds [null]. *)
   entrant_status : string;  (** ["complete"] or ["timed_out"]. *)
   entrant_cost_calls : int;
   entrant_winner : bool;
@@ -229,8 +257,12 @@ val reply_winner : Vp_observe.Json.t -> string option
 (** The winning entrant's algorithm name ([None] on non-portfolio
     replies and pre-v4 servers). *)
 
+val entrant : entrant_summary Vp_observe.Json.Codec.t
+(** One ["entrants"] row; the daemon encodes with it. *)
+
 val reply_entrants : Vp_observe.Json.t -> entrant_summary list
-(** The per-entrant audit of a portfolio reply; [[]] when absent. *)
+(** The per-entrant audit of a portfolio reply; [[]] when absent or
+    malformed. *)
 
 val string_field : string -> Vp_observe.Json.t -> string option
 

@@ -1,5 +1,6 @@
 open Vp_core
 module Json = Vp_observe.Json
+module C = Json.Codec
 module Journal = Vp_robust.Journal
 module Service = Vp_online.Service
 
@@ -113,6 +114,16 @@ let read_file path =
 
 let remove_quietly path = try Sys.remove path with Sys_error _ -> ()
 
+let read_meta path =
+  Option.map
+    (fun content ->
+      match Json.of_string content with
+      | Error msg -> Error msg
+      | Ok doc -> (
+          try Ok (C.decode Protocol.meta doc)
+          with C.Error e -> Error (C.error_message e)))
+    (read_file path)
+
 let rec mkdir_p dir =
   if not (Sys.file_exists dir) then begin
     mkdir_p (Filename.dirname dir);
@@ -158,6 +169,20 @@ let same_schema a b =
 
 (* --- registry creation + the crash-recovery scan --- *)
 
+let on_disk_sessions dir =
+  match Sys.readdir dir with
+  | exception Sys_error _ -> []
+  | files ->
+      List.sort compare
+        (Array.fold_left
+           (fun acc file ->
+             if Filename.check_suffix file ".meta" then
+               match name_of_hex (Filename.chop_suffix file ".meta") with
+               | Some name -> name :: acc
+               | None -> acc
+             else acc)
+           [] files)
+
 let create ?data_dir ?max_resident ?(fsync = Journal.Never) () =
   (match max_resident with
   | Some n when n < 1 -> invalid_arg "Sessions.create: max_resident must be >= 1"
@@ -178,24 +203,14 @@ let create ?data_dir ?max_resident ?(fsync = Journal.Never) () =
   | None -> ()
   | Some dir ->
       mkdir_p dir;
-      Array.iter
-        (fun file ->
-          if Filename.check_suffix file ".meta" then
-            match name_of_hex (Filename.chop_suffix file ".meta") with
-            | None -> ()
-            | Some name -> (
-                match read_file (Filename.concat dir file) with
-                | None -> ()
-                | Some content -> (
-                    match Json.of_string content with
-                    | Error _ -> ()
-                    | Ok doc -> (
-                        match Protocol.open_spec_of_json doc with
-                        | Ok spec when spec.Protocol.session = name ->
-                            Hashtbl.replace t.table name (Spilled spec);
-                            t.recovered <- t.recovered + 1
-                        | Ok _ | Error _ -> ()))))
-        (Sys.readdir dir));
+      List.iter
+        (fun name ->
+          match read_meta (meta_path dir name) with
+          | Some (Ok spec) when spec.Protocol.session = name ->
+              Hashtbl.replace t.table name (Spilled spec);
+              t.recovered <- t.recovered + 1
+          | Some _ | None -> ())
+        (on_disk_sessions dir));
   if t.recovered > 0 && Vp_observe.Switch.stats_on () then
     Vp_observe.Stats.add c_recovered t.recovered;
   locked t (fun () -> publish_locked t);
@@ -203,7 +218,18 @@ let create ?data_dir ?max_resident ?(fsync = Journal.Never) () =
 
 (* --- restore: snapshot + WAL-tail replay, under the registry lock --- *)
 
-let replay_record svc table (key, payload) =
+(* One write-ahead record: the query, bit-exact, and the step budget
+   its ingest ran under (the deadline is wall-clock, so not replayed). *)
+type wal_record = { query : Query.t; budget_steps : int option }
+
+let wal_record =
+  C.(
+    seal
+      (obj (fun query budget_steps -> { query; budget_steps })
+      |> field "q" Service.query (fun r -> r.query)
+      |> opt "budget_steps" (int_in ~min:0 ()) (fun r -> r.budget_steps)))
+
+let replay_record svc (key, payload) =
   match int_of_string_opt key with
   | None -> failwith (Printf.sprintf "bad WAL key %S" key)
   | Some idx ->
@@ -212,21 +238,18 @@ let replay_record svc table (key, payload) =
           failwith
             (Printf.sprintf "WAL gap: record %d after %d ingested" idx
                (Service.ingested svc));
-        match Json.of_string payload with
-        | Error msg -> failwith (Printf.sprintf "bad WAL payload: %s" msg)
-        | Ok doc ->
-            let q =
-              match Json.member "q" doc with
-              | Some qdoc -> Service.query_of_json table qdoc
-              | None -> failwith "WAL record is missing its \"q\" field"
-            in
-            let run () = Service.ingest svc q in
-            (match Json.member "budget_steps" doc with
-            | Some (Json.Int n) ->
-                Vp_robust.Budget.with_current
-                  (Vp_robust.Budget.create ~max_steps:n ())
-                  run
-            | _ -> run ())
+        let r =
+          match Json.of_string payload with
+          | Error msg -> failwith (Printf.sprintf "bad WAL payload: %s" msg)
+          | Ok doc -> C.decode wal_record doc
+        in
+        let run () = Service.ingest svc r.query in
+        match r.budget_steps with
+        | Some n ->
+            Vp_robust.Budget.with_current
+              (Vp_robust.Budget.create ~max_steps:n ())
+              run
+        | None -> run ()
       end
 
 let restore_locked t name (spec : Protocol.open_spec) =
@@ -251,13 +274,12 @@ let restore_locked t name (spec : Protocol.open_spec) =
       | Error msg -> Error msg
       | Ok svc -> (
           let records, _torn = Journal.recover (wal_path dir name) in
-          match
-            List.iter (replay_record svc (Service.table svc)) records
-          with
-          | exception Failure msg ->
-              Error (Printf.sprintf "corrupt WAL for %S: %s" name msg)
-          | exception Service.Corrupt msg ->
-              Error (Printf.sprintf "corrupt WAL for %S: %s" name msg)
+          let corrupt msg =
+            Error (Printf.sprintf "corrupt WAL for %S: %s" name msg)
+          in
+          match List.iter (replay_record svc) records with
+          | exception (Failure msg | Invalid_argument msg) -> corrupt msg
+          | exception C.Error e -> corrupt (C.error_message e)
           | () ->
               let wal = Journal.open_ ~fsync:t.fsync (wal_path dir name) in
               let r =
@@ -417,7 +439,7 @@ let open_session t (spec : Protocol.open_spec) =
                       | None -> None
                       | Some dir ->
                           write_atomic (meta_path dir spec.session)
-                            (Json.to_string (Protocol.open_spec_to_json spec)
+                            (Json.to_string (C.encode Protocol.meta spec)
                             ^ "\n");
                           Some
                             (Journal.open_ ~fsync:t.fsync
@@ -478,32 +500,30 @@ let ingest t session ?seq ?deadline_ms ?budget_steps ~attributes ~weight ?name
                   | Some q -> q
                   | None -> Printf.sprintf "Q%d" (n + 1)
                 in
-                match Query.make ~weight ~name ~references () with
+                match
+                  ( Query.make ~weight ~name ~references (),
+                    Protocol.budget_of_spec
+                      { Protocol.deadline_ms; budget_steps } )
+                with
                 | exception Invalid_argument msg -> Error msg
-                | q ->
+                | q, budget ->
                     (* Write-ahead: the record hits the log before the
                        service mutates, so a crash in between replays the
-                       ingest rather than losing it. *)
+                       ingest rather than losing it. Everything that can
+                       refuse the ingest has run by now: a refused one
+                       is never logged. *)
                     (match r.wal with
                     | None -> ()
                     | Some w ->
                         let payload =
                           Json.to_string
-                            (Json.Obj
-                               (("q", Service.query_to_json q)
-                               ::
-                               (match budget_steps with
-                               | Some s -> [ ("budget_steps", Json.Int s) ]
-                               | None -> [])))
+                            (C.encode wal_record { query = q; budget_steps })
                         in
                         Journal.record w ~key:(string_of_int (n + 1)) ~payload;
                         if Vp_observe.Switch.stats_on () then
                           Vp_observe.Stats.incr c_wal);
                     let run () = Service.ingest svc q in
-                    (match
-                       Protocol.budget_of_spec
-                         { Protocol.deadline_ms; budget_steps }
-                     with
+                    (match budget with
                     | None -> run ()
                     | Some b -> Vp_robust.Budget.with_current b run);
                     Ok
@@ -599,46 +619,23 @@ let adopt t name =
           match Hashtbl.find_opt t.table name with
           | Some _ -> Ok false
           | None -> (
-              match read_file (meta_path dir name) with
+              match read_meta (meta_path dir name) with
               | None ->
                   Error
                     (Printf.sprintf "no on-disk state to adopt for session %S"
                        name)
-              | Some content -> (
-                  match Json.of_string content with
-                  | Error msg ->
-                      Error
-                        (Printf.sprintf "corrupt meta for %S: %s" name msg)
-                  | Ok doc -> (
-                      match Protocol.open_spec_of_json doc with
-                      | Error msg ->
-                          Error
-                            (Printf.sprintf "corrupt meta for %S: %s" name msg)
-                      | Ok spec when spec.Protocol.session <> name ->
-                          Error
-                            (Printf.sprintf
-                               "meta for %S names a different session (%S)"
-                               name spec.Protocol.session)
-                      | Ok spec ->
-                          Hashtbl.replace t.table name (Spilled spec);
-                          publish_locked t;
-                          Ok true))))
+              | Some (Error msg) ->
+                  Error (Printf.sprintf "corrupt meta for %S: %s" name msg)
+              | Some (Ok spec) when spec.Protocol.session <> name ->
+                  Error
+                    (Printf.sprintf "meta for %S names a different session (%S)"
+                       name spec.Protocol.session)
+              | Some (Ok spec) ->
+                  Hashtbl.replace t.table name (Spilled spec);
+                  publish_locked t;
+                  Ok true))
 
 let file_prefix = hex_of_name
-
-let on_disk_sessions dir =
-  match Sys.readdir dir with
-  | exception Sys_error _ -> []
-  | files ->
-      List.sort compare
-        (Array.fold_left
-           (fun acc file ->
-             if Filename.check_suffix file ".meta" then
-               match name_of_hex (Filename.chop_suffix file ".meta") with
-               | Some name -> name :: acc
-               | None -> acc
-             else acc)
-           [] files)
 
 let drain t =
   let names =

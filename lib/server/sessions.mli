@@ -15,12 +15,13 @@
     With a [data_dir], every session becomes crash-tolerant:
 
     - The open spec is persisted to [<name>.meta] (hex-encoded session
-      name, floats as IEEE-754 bit patterns) so recovery can rebuild
-      the service config without the client.
+      name, {!Protocol.meta}) so recovery can rebuild the service
+      config without the client.
     - Every applied ingest is appended to a per-session write-ahead log
       [<name>.wal] {e before} the service mutates — keys are absolute
-      1-based stream indices, payloads the bit-exact query JSON
-      ({!Vp_online.Service.query_to_json}).
+      1-based stream indices, payloads one {!wal_record}. An ingest the
+      session refuses (unknown attribute, invalid query or budget) is
+      never logged.
     - Idle sessions past the [max_resident] cap are {e evicted}: their
       full state is spilled to [<name>.snap] ({!Vp_online.Service.snapshot},
       written atomically: temp + fsync + rename) and the WAL is reset;
@@ -120,7 +121,16 @@ val ingest :
     (the client skipped a query). [budget_steps] is journaled with the
     record and re-applied on replay; [deadline_ms] is not (wall-clock).
     [name] defaults to [Q<position>]. Errors: unknown session, unknown
-    attribute, invalid query, seq gap, corrupt on-disk state. *)
+    attribute, invalid query, a budget {!Vp_robust.Budget.create}
+    refuses, seq gap, corrupt on-disk state (a WAL record replay cannot
+    apply reads [corrupt WAL for "<name>": …]). *)
+
+(** One write-ahead record: the query, bit-exact, and the step budget
+    its ingest ran under. *)
+type wal_record = { query : Vp_core.Query.t; budget_steps : int option }
+
+val wal_record : wal_record Vp_observe.Json.Codec.t
+(** [{"q": {!Vp_online.Service.query}, "budget_steps"?}]. *)
 
 val view : t -> string -> (Vp_online.Service.t -> 'a) -> ('a, string) result
 (** Runs a read under the named session's lock (layout / history /

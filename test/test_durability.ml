@@ -153,6 +153,144 @@ let test_restore_rejects_corruption () =
   | Ok _ -> Alcotest.fail "min_window mismatch restored"
   | Error _ -> ()
 
+(* --- files written by the v1 formats, kept as fixtures ---
+
+   [fixtures/v1/] holds files a daemon of the previous release wrote:
+   two Service snapshots (one carrying the additive [formats] and
+   [format_events] fields, one from before they existed), and a data
+   dir with a session's [.meta], a snapshot and a write-ahead log whose
+   records carry [budget_steps] on odd positions only. Each must load,
+   continue the stream to the same history as an uninterrupted run, and
+   snapshot to the bytes that release wrote at the end of the stream. *)
+
+let fixture name = Filename.concat "fixtures/v1" name
+
+let read_fixture_path path =
+  let ic = open_in_bin path in
+  Fun.protect
+    ~finally:(fun () -> close_in ic)
+    (fun () -> really_input_string ic (in_channel_length ic))
+
+let read_fixture name = read_fixture_path (fixture name)
+
+let test_v1_snapshots_continue () =
+  List.iter
+    (fun (tag, formats, seed, n, k) ->
+      let w =
+        Vp_benchmarks.Synthetic.drift_workload ~seed ~rows:50_000
+          ~attributes:8 ~clusters:3 ~queries:n ~scatter:0.05 ~drift_at:0.5 ()
+      in
+      let config () =
+        let disk =
+          Vp_cost.Disk.with_buffer_size Vp_cost.Disk.default
+            (Vp_cost.Disk.mb 1.0)
+        in
+        Service.default_config ~drift_ratio:2.0 ~min_window:8 ~epoch:64
+          ~memory:32 ~horizon:1.0 ~jobs:1 ~formats ~disk
+          ~panel:[ Vp_algorithms.Hillclimb.algorithm ]
+          ()
+      in
+      let qs = Workload.queries w in
+      let reference = Service.create (config ()) (Workload.table w) in
+      Array.iter (Service.ingest reference) qs;
+      let restored =
+        match
+          Service.restore (config ()) (String.trim (read_fixture (tag ^ ".snap")))
+        with
+        | Ok s -> s
+        | Error msg -> Alcotest.failf "%s: %s" tag msg
+      in
+      Alcotest.(check int) (tag ^ ": restored position") k
+        (Service.ingested restored);
+      for i = k to n - 1 do
+        Service.ingest restored qs.(i)
+      done;
+      Alcotest.(check string)
+        (tag ^ ": history = uninterrupted run")
+        (Service.history reference) (Service.history restored);
+      Alcotest.(check string)
+        (tag ^ ": re-snapshot = the v1 bytes")
+        (read_fixture (tag ^ ".final.snap"))
+        (Service.snapshot restored ^ "\n"))
+    [ ("formats", true, 17L, 120, 60); ("preformats", false, 91L, 50, 25) ]
+
+let fixture_spec table =
+  {
+    Protocol.session = "drift";
+    table;
+    panel = [ "HillClimb" ];
+    drift_ratio = 1.5;
+    min_window = 6;
+    epoch = 20;
+    memory = 24;
+    horizon = 2.5;
+    budget_steps = None;
+    buffer_mb = 4.0;
+  }
+
+(* The budget the fixture's writer attached to ingest [i] (0-based). *)
+let fixture_budget i = if i >= 12 && i mod 2 = 1 then Some 2 else None
+
+let test_v1_data_dir_continues () =
+  let w =
+    match Vp_parser.Workload_parser.parse_file (fixture "workload.sql") with
+    | Ok [ w ] -> w
+    | _ -> Alcotest.fail "fixture workload does not parse"
+  in
+  let table = Workload.table w in
+  let qs = Workload.queries w in
+  let ingest reg i q =
+    Sessions.ingest reg "drift" ~seq:(i + 1) ?budget_steps:(fixture_budget i)
+      ~attributes:(Table.names_of_attr_set table (Query.references q))
+      ~weight:(Query.weight q) ~name:(Query.name q) ()
+  in
+  let files = [ "6472696674.meta"; "6472696674.snap"; "6472696674.wal" ] in
+  with_temp_dir "v1-fixture" (fun dir ->
+      Unix.mkdir dir 0o755;
+      List.iter
+        (fun f ->
+          let oc = open_out_bin (Filename.concat dir f) in
+          output_string oc (read_fixture (Filename.concat "datadir" f));
+          close_out oc)
+        files;
+      let reg = Sessions.create ~data_dir:dir () in
+      Alcotest.(check int) "meta recovered" 1 (Sessions.recovered_count reg);
+      let applied = ref 0 in
+      Array.iteri
+        (fun i q ->
+          if not (unwrap (ingest reg i q)).Sessions.duplicate then incr applied)
+        qs;
+      Alcotest.(check int) "journaled ingests acknowledged" 8 !applied;
+      let reference = Sessions.create () in
+      ignore (unwrap (Sessions.open_session reference (fixture_spec table)));
+      Array.iteri (fun i q -> ignore (unwrap (ingest reference i q))) qs;
+      let history = session_history reg "drift" in
+      Alcotest.(check string) "history = uninterrupted run"
+        (session_history reference "drift") history;
+      Alcotest.(check string) "history = the v1 run" (read_fixture "datadir.history")
+        history;
+      Sessions.drain reg;
+      Alcotest.(check string) "re-snapshot = the v1 bytes"
+        (read_fixture "datadir.final.snap")
+        (read_fixture_path (Filename.concat dir "6472696674.snap")));
+  (* The same life written afresh — open, 12 ingests, drain, then 28
+     more with no drain — leaves the v1 bytes in all three files. *)
+  with_temp_dir "v1-rewrite" (fun dir ->
+      let reg = Sessions.create ~data_dir:dir () in
+      ignore (unwrap (Sessions.open_session reg (fixture_spec table)));
+      Array.iteri (fun i q -> if i < 12 then ignore (unwrap (ingest reg i q))) qs;
+      Sessions.drain reg;
+      let reg = Sessions.create ~data_dir:dir () in
+      Array.iteri
+        (fun i q -> if i >= 12 && i < 40 then ignore (unwrap (ingest reg i q)))
+        qs;
+      List.iter
+        (fun f ->
+          Alcotest.(check string) (f ^ " = the v1 bytes")
+            (read_fixture (Filename.concat "datadir" f))
+            (read_fixture_path (Filename.concat dir f)))
+        files)
+
 (* --- client retry jitter --- *)
 
 let test_retry_jitter_bounds () =
@@ -282,6 +420,71 @@ let test_crash_recovery_every_boundary () =
           (Printf.sprintf "boundary %d: generation" k)
           expect_generation (session_generation reg "s")
       done)
+
+(* --- out-of-range budgets never reach the log ---
+
+   An ingest whose budget [Budget.create] would refuse must be refused
+   before its query is journaled: otherwise a restart replays a query
+   the live session never took (and a negative step bound makes every
+   later replay raise). The probe sends a different query with a bad
+   budget at the next position, then the right one, then dies without
+   a drain; the recovered session must match an uninterrupted run. *)
+
+let test_bad_budget_not_logged () =
+  let t = table () in
+  let qs = Array.of_list (queries ()) in
+  let n = Array.length qs in
+  let expect_history, _ = Lazy.force reference in
+  with_temp_dir "bad-budget" (fun dir ->
+      let doomed = Sessions.create ~data_dir:dir () in
+      ignore (unwrap (Sessions.open_session doomed (spec t)));
+      let names q = Table.names_of_attr_set t (Query.references q) in
+      for i = 0 to 29 do
+        if i = 10 then begin
+          let wrong = qs.(n - 1) in
+          let refused ?deadline_ms ?budget_steps () =
+            match
+              Sessions.ingest doomed "s" ~seq:(i + 1) ?deadline_ms ?budget_steps
+                ~attributes:(names wrong) ~weight:(Query.weight wrong)
+                ~name:"wrong" ()
+            with
+            | Ok _ -> Alcotest.fail "out-of-range budget accepted"
+            | Error _ -> ()
+          in
+          refused ~deadline_ms:0 ();
+          refused ~budget_steps:(-1) ()
+        end;
+        ignore (unwrap (ingest_seq doomed ~session:"s" t i qs.(i)))
+      done;
+      let reg = Sessions.create ~data_dir:dir () in
+      Array.iteri
+        (fun i q -> ignore (unwrap (ingest_seq reg ~session:"s" t i q)))
+        qs;
+      Alcotest.(check string) "history = uninterrupted run" expect_history
+        (session_history reg "s");
+      Sessions.drain reg;
+      let again = Sessions.create ~data_dir:dir () in
+      Alcotest.(check string) "restorable after the probe" expect_history
+        (session_history again "s"));
+  (* A record that replay cannot apply is reported as a corrupt WAL, not
+     raised out of the registry. *)
+  with_temp_dir "bad-record" (fun dir ->
+      let reg = Sessions.create ~data_dir:dir () in
+      ignore (unwrap (Sessions.open_session reg (spec t)));
+      ignore (unwrap (ingest_seq reg ~session:"s" t 0 qs.(0)));
+      let wal =
+        Vp_robust.Journal.open_ ~fsync:Vp_robust.Journal.Never
+          (Filename.concat dir (Sessions.file_prefix "s" ^ ".wal"))
+      in
+      Vp_robust.Journal.record wal ~key:"2"
+        ~payload:{|{"q":{"name":"Q2","refs":[40],"w":"3ff0000000000000"}}|};
+      Vp_robust.Journal.close wal;
+      let next = Sessions.create ~data_dir:dir () in
+      match Sessions.view next "s" Service.ingested with
+      | Ok _ -> Alcotest.fail "unappliable WAL record replayed"
+      | Error msg ->
+          Alcotest.(check bool) ("reported as corrupt: " ^ msg) true
+            (contains msg "corrupt WAL for \"s\""))
 
 (* --- eviction / re-attach under a resident cap --- *)
 
@@ -426,10 +629,16 @@ let suite =
       test_snapshot_restore_boundaries;
     Alcotest.test_case "restore rejects corruption" `Quick
       test_restore_rejects_corruption;
+    Alcotest.test_case "v1 snapshots continue" `Quick
+      test_v1_snapshots_continue;
+    Alcotest.test_case "v1 data dir continues" `Quick
+      test_v1_data_dir_continues;
     Alcotest.test_case "retry jitter bounds" `Quick test_retry_jitter_bounds;
     Alcotest.test_case "seq idempotency" `Quick test_seq_idempotency;
     Alcotest.test_case "crash recovery at every boundary" `Quick
       test_crash_recovery_every_boundary;
+    Alcotest.test_case "out-of-range budget never logged" `Quick
+      test_bad_budget_not_logged;
     Alcotest.test_case "evict/re-attach identity" `Quick
       test_evict_reattach_identity;
     Alcotest.test_case "SIGTERM drain, jobs 1" `Quick (test_sigterm_drain 1);

@@ -37,5 +37,6 @@ let () =
       ("online", Test_online.suite);
       ("server", Test_server.suite);
       ("durability", Test_durability.suite);
+      ("codec", Test_codec.suite);
       ("cluster", Test_cluster.suite);
     ]

@@ -1,7 +1,7 @@
 (* The online layout service (lib/online): replay determinism across
    runs / --jobs / tracing, the pay-off adoption invariant, the
    acceptance-bar win over one-shot optimization on a drifting stream,
-   and the incremental workload/affinity bookkeeping behind it all. *)
+   and the incremental workload bookkeeping behind it all. *)
 
 open Vp_core
 
@@ -149,10 +149,6 @@ let test_service_basics () =
   Alcotest.(check int) "ingest counts" k (Vp_online.Service.ingested s);
   Alcotest.(check int) "workload tracks the stream" k
     (Workload.query_count (Vp_online.Service.workload s));
-  Alcotest.(check bool) "affinity agrees with a rebuild" true
-    (Affinity.equal
-       (Vp_online.Service.affinity s)
-       (Affinity.of_workload (Vp_online.Service.workload s)));
   (* The rest of the stream crosses several growths of the query buffer. *)
   Array.iteri
     (fun i q -> if i >= k then Vp_online.Service.ingest s q)
@@ -167,10 +163,10 @@ let expect_invalid name f =
   | exception Invalid_argument _ -> ()
 
 let test_config_validation () =
-  let mk ?drift_ratio ?min_window ?epoch ?memory ?horizon ?jobs
+  let mk ?drift_ratio ?min_window ?epoch ?memory ?horizon ?budget_steps ?jobs
       ?(panel = [ Vp_algorithms.Hillclimb.algorithm ]) () =
     Vp_online.Service.default_config ?drift_ratio ?min_window ?epoch ?memory
-      ?horizon ?jobs ~disk:seek_disk ~panel ()
+      ?horizon ?budget_steps ?jobs ~disk:seek_disk ~panel ()
   in
   expect_invalid "empty panel" (fun () -> mk ~panel:[] ());
   expect_invalid "drift_ratio 0" (fun () -> mk ~drift_ratio:0.0 ());
@@ -178,6 +174,7 @@ let test_config_validation () =
   expect_invalid "negative epoch" (fun () -> mk ~epoch:(-1) ());
   expect_invalid "negative memory" (fun () -> mk ~memory:(-1) ());
   expect_invalid "horizon 0" (fun () -> mk ~horizon:0.0 ());
+  expect_invalid "negative budget_steps" (fun () -> mk ~budget_steps:(-1) ());
   expect_invalid "jobs 0" (fun () -> mk ~jobs:0 ());
   expect_invalid "drift_at out of range" (fun () ->
       Vp_benchmarks.Synthetic.drift_workload ~attributes:4 ~clusters:2

@@ -253,6 +253,143 @@ let test_protocol_robustness () =
             "no leaked sessions" (Some 0)
             (Protocol.int_field "sessions" stats)))
 
+(* --- decode errors, one malformed frame per row ---
+
+   Each frame carries exactly one defect; the reply text is pinned. A
+   defect in a field of the frame itself reads as it always has; one
+   inside the table, a query or the panel names its path. *)
+
+let frame_table =
+  {|"table":{"name":"t","rows":10,"attributes":[{"name":"a","type":"int32"},{"name":"b","type":"char","width":4}]}|}
+
+let partition_frame ?(queries = {|[{"attributes":["a"]}]|}) extra =
+  Printf.sprintf {|{"op":"partition",%s,"queries":%s%s}|} frame_table queries
+    extra
+
+let with_table table =
+  Printf.sprintf {|{"op":"partition","table":%s,"queries":[{"attributes":["a"]}]}|}
+    table
+
+let malformed_frames =
+  [
+    ({|[1]|}, "request frame must be a JSON object");
+    ({|{}|}, {|missing or non-string field "op"|});
+    ({|{"op":5}|}, {|missing or non-string field "op"|});
+    ({|{"op":"make-coffee"}|}, {|unknown op "make-coffee"|});
+    ({|{"op":"layout"}|}, {|missing or non-string field "session"|});
+    ({|{"op":"history","session":3}|}, {|missing or non-string field "session"|});
+    ({|{"op":"sleep"}|}, {|missing or non-integer field "ms"|});
+    ({|{"op":"sleep","ms":"5"}|}, {|missing or non-integer field "ms"|});
+    ({|{"op":"sleep","ms":60001}|}, {|"ms" must be in 0 .. 60000|});
+    ({|{"op":"sleep","ms":-1}|}, {|"ms" must be in 0 .. 60000|});
+    ( {|{"op":"partition","queries":[{"attributes":["a"]}]}|},
+      {|missing field "table"|} );
+    (with_table "5", {|field "table" must be an object|});
+    ( Printf.sprintf {|{"op":"partition",%s}|} frame_table,
+      {|missing field "queries"|} );
+    (partition_frame ~queries:"[]" "", "a partition request needs at least one query");
+    (partition_frame {|,"buffer_mb":"x"|}, {|field "buffer_mb" must be a number|});
+    (partition_frame {|,"deadline_ms":1.5|}, {|field "deadline_ms" must be an integer|});
+    (partition_frame {|,"budget_steps":"3"|}, {|field "budget_steps" must be an integer|});
+    (* nested: the table *)
+    ( with_table {|{"rows":10,"attributes":[{"name":"a","type":"int32"}]}|},
+      {|missing or non-string field "table.name"|} );
+    ( with_table {|{"name":"t","rows":"x","attributes":[{"name":"a","type":"int32"}]}|},
+      {|missing or non-integer field "table.rows"|} );
+    ( with_table {|{"name":"t","rows":10}|},
+      {|missing field "table.attributes"|} );
+    ( with_table {|{"name":"t","rows":10,"attributes":[5]}|},
+      {|field "table.attributes[0]" must be an object|} );
+    ( with_table {|{"name":"t","rows":10,"attributes":[{"name":"a","type":"blob"}]}|},
+      {|unknown attribute type "blob"|} );
+    ( with_table {|{"name":"t","rows":10,"attributes":[{"name":"a","type":"char"}]}|},
+      {|missing or non-integer field "table.attributes[0].width"|} );
+    ( with_table
+        {|{"name":"t","rows":10,"attributes":[{"name":"a","type":"int32"},{"name":"a","type":"int32"}]}|},
+      {|invalid table: Table.make: duplicate attribute "a"|} );
+    (* nested: the queries *)
+    (partition_frame ~queries:"[5]" "", {|field "queries[0]" must be an object|});
+    ( partition_frame ~queries:{|[{"attributes":[1]}]|} "",
+      {|field "queries[0].attributes[0]" must be a string|} );
+    ( partition_frame ~queries:{|[{"attributes":["a"],"weight":"x"}]|} "",
+      {|field "queries[0].weight" must be a number|} );
+    ( partition_frame ~queries:{|[{"attributes":["zz"]}]|} "",
+      {|query "Q1" references an attribute the table does not have|} );
+    ( partition_frame ~queries:{|[{"attributes":["a"],"weight":-1}]|} "",
+      {|invalid query "Q1": Query.make: Q1 has non-positive weight|} );
+    (* ingest *)
+    ({|{"op":"ingest","session":"s"}|}, {|missing field "query"|});
+    ({|{"op":"ingest","session":"s","query":5}|}, {|field "query" must be an object|});
+    ( {|{"op":"ingest","query":{"attributes":["a"]}}|},
+      {|missing or non-string field "session"|} );
+    ( {|{"op":"ingest","session":"s","query":{"attributes":["a"]},"seq":0}|},
+      {|"seq" must be >= 1|} );
+    ( {|{"op":"ingest","session":"s","query":{"attributes":["a"]},"seq":"1"}|},
+      {|field "seq" must be an integer|} );
+    ( {|{"op":"ingest","session":"s","query":{"weight":2}}|},
+      {|missing field "query.attributes"|} );
+    (* open *)
+    ({|{"op":"open","session":"s"}|}, {|missing field "table"|});
+    ( Printf.sprintf {|{"op":"open",%s}|} frame_table,
+      {|missing or non-string field "session"|} );
+    ( Printf.sprintf {|{"op":"open","session":"s",%s,"min_window":"8"}|} frame_table,
+      {|field "min_window" must be an integer|} );
+    ( Printf.sprintf {|{"op":"open","session":"s",%s,"drift_ratio":true}|} frame_table,
+      {|field "drift_ratio" must be a number|} );
+    ( Printf.sprintf {|{"op":"open","session":"s",%s,"panel":[1]}|} frame_table,
+      {|field "panel[0]" must be a string|} );
+  ]
+
+let test_malformed_frame_table () =
+  List.iter
+    (fun (frame, expected) ->
+      match Json.of_string frame with
+      | Error msg -> Alcotest.failf "row does not parse (%s): %s" msg frame
+      | Ok doc -> (
+          match Protocol.request_of_json doc with
+          | Ok _ -> Alcotest.failf "accepted: %s" frame
+          | Error msg -> Alcotest.(check string) frame expected msg))
+    malformed_frames
+
+(* Budgets outside [Budget.create]'s bounds get a named error reply,
+   and the session takes nothing from them. *)
+let test_out_of_range_budgets () =
+  let w = Lazy.force small_workload in
+  let table = Workload.table w in
+  let q = (Workload.queries w).(0) in
+  with_daemon (fun port ->
+      with_client port (fun c ->
+          ignore (unwrap (Client.open_session c ~session:"s" table));
+          let refused label frame expected =
+            match Client.request c frame with
+            | Error msg -> Alcotest.failf "%s: %s" label msg
+            | Ok reply ->
+                Alcotest.(check (option string)) label (Some expected)
+                  (Protocol.reply_error reply)
+          in
+          refused "ingest deadline_ms 0"
+            (Protocol.ingest_request ~deadline_ms:0 ~seq:1 ~session:"s" table q)
+            {|"deadline_ms" must be >= 1|};
+          refused "ingest budget_steps -1"
+            (Protocol.ingest_request ~budget_steps:(-1) ~seq:1 ~session:"s" table q)
+            {|"budget_steps" must be >= 0|};
+          refused "open budget_steps -1"
+            (Protocol.open_request ~budget_steps:(-1) ~session:"t" table)
+            {|"budget_steps" must be >= 0|};
+          refused "partition deadline_ms -5"
+            (Protocol.partition_request ~deadline_ms:(-5) w)
+            {|"deadline_ms" must be >= 1|};
+          let layout = unwrap (Client.layout c ~session:"s") in
+          Alcotest.(check (option int)) "nothing ingested" (Some 0)
+            (Protocol.int_field "ingested" layout);
+          let stats = unwrap (Client.server_stats c) in
+          Alcotest.(check (option int)) "no session opened" (Some 1)
+            (Protocol.int_field "sessions" stats);
+          ignore (unwrap (Client.ingest ~seq:1 c ~session:"s" table q));
+          let layout = unwrap (Client.layout c ~session:"s") in
+          Alcotest.(check (option int)) "then seq 1 applies" (Some 1)
+            (Protocol.int_field "ingested" layout)))
+
 (* A weight of [1e999] parses as infinity. The daemon must refuse the
    query by name rather than price layouts at an infinite cost. *)
 let test_non_finite_weight () =
@@ -518,6 +655,10 @@ let suite =
       test_concurrent_determinism_traced;
     Alcotest.test_case "protocol robustness (fuzz)" `Quick
       test_protocol_robustness;
+    Alcotest.test_case "malformed frame errors (table)" `Quick
+      test_malformed_frame_table;
+    Alcotest.test_case "out-of-range budgets refused" `Quick
+      test_out_of_range_budgets;
     Alcotest.test_case "non-finite weight rejected" `Quick
       test_non_finite_weight;
     Alcotest.test_case "overload sheds with retry-after" `Quick
