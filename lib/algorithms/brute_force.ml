@@ -27,23 +27,7 @@ let branch_and_bound ~name ~short_name ~order_atoms ~cheapest_first
              "%s: search space B(%d) = %d exceeds %d candidates and no \
               lower bound was provided"
              name m space max_candidates));
-  (* Per-run cost cache: the seed climb re-costs almost the same
-     neighbourhood each iteration, and the enumeration below revisits the
-     seed and climb intermediates. *)
-  let cache = Partitioner.Memo.create () in
-  let cost_of =
-    match delta with
-    | None -> Partitioner.Memo.counted cache oracle
-    | Some s ->
-        (* Successive enumeration leaves differ in the placement of the
-           last few atoms, so [goto] re-costs only the queries touching
-           those; cache keys and hit/miss traffic stay those of the full
-           path. *)
-        fun p ->
-          Partitioner.Memo.counted_via cache oracle
-            ~compute:(fun () -> s.Partitioner.Delta.goto p)
-            p
-  in
+  let cost_of p = Merge_search.evaluate ?delta oracle p in
   (* Under a budget, cost the row layout before anything can tick so the
      incumbent is defined (and never worse than Row) even if the budget is
      exhausted during the seed climb. *)
@@ -54,7 +38,7 @@ let branch_and_bound ~name ~short_name ~order_atoms ~cheapest_first
   in
   (* Seed the incumbent with a greedy bottom-up merge of the atoms. *)
   let seed, _ =
-    Merge_search.climb ~cache ?delta ~budget ~n oracle (Array.to_list atom_arr)
+    Merge_search.climb ?delta ~budget ~n oracle (Array.to_list atom_arr)
   in
   (let seed_cost = cost_of seed in
    if seed_cost < !best_cost then begin
@@ -66,17 +50,34 @@ let branch_and_bound ~name ~short_name ~order_atoms ~cheapest_first
   (* Depth [i]'s child bounds and visiting order sit at [i * m]; a node
      at depth [i] has at most [i + 1] children. *)
   let child_bound = Array.make (m * m) 0.0 and order = Array.make (m * m) 0 in
+  (* A leaf is priced from its blocks: by the session's [cost_blocks]
+     when there is one, else by the full oracle on the built
+     partitioning. Only a new incumbent is built on the delta path. *)
+  let leaf used =
+    let build () =
+      Partitioning.of_groups ~n (Array.to_list (Array.sub blocks 0 used))
+    in
+    match delta with
+    | None ->
+        let candidate = build () in
+        let cost = Partitioner.Counted.cost oracle candidate in
+        if cost < !best_cost then begin
+          best_cost := cost;
+          best := candidate
+        end
+    | Some s ->
+        let cost =
+          Partitioner.Counted.probe oracle (fun () ->
+              s.Partitioner.Delta.cost_blocks blocks used)
+        in
+        if cost < !best_cost then begin
+          best_cost := cost;
+          best := build ()
+        end
+  in
   let rec assign i used =
     Vp_robust.Budget.tick budget;
-    if i = m then begin
-      let groups = Array.to_list (Array.sub blocks 0 used) in
-      let candidate = Partitioning.of_groups ~n groups in
-      let cost = cost_of candidate in
-      if cost < !best_cost then begin
-        best_cost := cost;
-        best := candidate
-      end
-    end
+    if i = m then leaf used
     else
       (* Atom [i] joins one of the [used] blocks or opens block [used]. *)
       match bound with

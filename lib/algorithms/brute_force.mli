@@ -38,7 +38,11 @@ val branch_and_bound :
   Partitioner.t
 (** The one exact-search driver BruteForce and {!Ilp} share: the row
     incumbent, the seed climb, the space guard, the restricted-growth
-    enumeration with memoized leaves, and pruning against the bound.
+    enumeration, and pruning against the bound. With a delta session, a
+    leaf is priced from the enumeration's blocks
+    ([Delta.session.cost_blocks]) and built as a partitioning only when
+    it beats the incumbent; without one, every leaf is built and priced
+    by the full oracle.
     [order_atoms] fixes the branching order of the atoms. With a bound,
     the children of a node are visited in block-index order, or
     cheapest bound first (ties by block index) when [cheapest_first]; a

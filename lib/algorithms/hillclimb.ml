@@ -1,16 +1,11 @@
 open Vp_core
 
-let make ~name ~short_name ~memo =
-  Partitioner.timed_run_delta ~name ~short_name
+let algorithm =
+  Partitioner.timed_run_delta ~name:"HillClimb" ~short_name:"HC"
     (fun ~budget ~delta workload oracle ->
       let n = Table.attribute_count (Workload.table workload) in
-      let cache = if memo then Some (Partitioner.Memo.create ()) else None in
       let start = Partitioning.groups (Partitioning.column n) in
-      Merge_search.climb ?cache ?delta ~budget ~n oracle start)
-
-let algorithm = make ~name:"HillClimb" ~short_name:"HC" ~memo:false
-
-let with_memo = make ~name:"HillClimb+memo" ~short_name:"HCm" ~memo:true
+      Merge_search.climb ?delta ~budget ~n oracle start)
 
 let with_dictionary =
   Partitioner.timed_run_budgeted ~name:"HillClimb+dict" ~short_name:"HCd"

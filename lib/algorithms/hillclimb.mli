@@ -11,15 +11,11 @@
     every candidate of an iteration has one group fewer than the last
     iteration's — so a candidate memo would miss on every lookup; the
     work successive iterations do repeat is per-query, and the request's
-    delta session reuses it. {!with_memo} and {!with_dictionary} keep the
-    two memoizing variants for ablation A1. *)
+    delta session reuses it. {!with_dictionary} keeps the memoizing
+    variant for ablation A1. *)
 
 val algorithm : Vp_core.Partitioner.t
 (** HillClimb without a candidate memo (the default). *)
-
-val with_memo : Vp_core.Partitioner.t
-(** HillClimb with a per-run {!Vp_core.Partitioner.Memo} — ablation A1's
-    "per-run memo" row; same layouts and cost calls as {!algorithm}. *)
 
 val with_dictionary : Vp_core.Partitioner.t
 (** Original HillClimb: memoises candidate partitioning costs in a

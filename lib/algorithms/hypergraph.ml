@@ -59,41 +59,41 @@ let search ~budget ~delta workload oracle =
   in
   let atoms = sort_blocks (Workload.primary_partitions workload) in
   let atom_bits = List.map (fun a -> (a, query_bits a)) atoms in
-  let cache = Partitioner.Memo.create () in
   (* The session stays based at the incumbent: a candidate is priced by
-     [price], a merge or move from there, and only a commit rebases it. *)
-  let cost_of candidate price =
-    match delta with
-    | None -> Partitioner.Memo.counted cache oracle candidate
-    | Some s ->
-        Partitioner.Memo.counted_via cache oracle
-          ~compute:(fun () -> price s candidate)
-          candidate
-  in
-  let goto s p = s.Partitioner.Delta.goto p in
+     [price], a merge or move from there, and only a commit builds the
+     candidate's partitioning and rebases the session. Without a
+     session, the candidate is built and priced in full. *)
+  let blocks = ref atoms in
   (* The start layout is costed before anything can tick, so even a
      zero-step (or already-cancelled) budget answers with a valid
      incumbent. *)
-  let blocks = ref atoms in
   let best = ref (Partitioning.of_groups ~n !blocks) in
-  let best_cost = ref (cost_of !best goto) in
+  let best_cost = ref (Merge_search.evaluate ?delta oracle !best) in
   let commits = ref 0 in
   (* [!best] is always the partitioning of [!blocks], so candidates are
      built from it by merge/split; [blocks] stays in mask order, which
      fixes the search order below. *)
+  let commit candidate cost =
+    best := candidate;
+    best_cost := cost;
+    blocks := sort_blocks (Partitioning.groups candidate);
+    incr commits;
+    true
+  in
   let try_candidate candidate price =
     Vp_robust.Budget.tick budget;
-    let candidate = candidate !best in
-    let cost = cost_of candidate price in
-    if cost < !best_cost then begin
-      best := candidate;
-      best_cost := cost;
-      blocks := sort_blocks (Partitioning.groups candidate);
-      incr commits;
-      Option.iter (fun s -> ignore (goto s candidate : float)) delta;
-      true
-    end
-    else false
+    match delta with
+    | None ->
+        let candidate = candidate !best in
+        let cost = Partitioner.Counted.cost oracle candidate in
+        cost < !best_cost && commit candidate cost
+    | Some s ->
+        let cost = Partitioner.Counted.probe oracle (fun () -> price s) in
+        cost < !best_cost
+        &&
+        let candidate = candidate !best in
+        ignore (s.Partitioner.Delta.goto candidate : float);
+        commit candidate cost
   in
   (* Coarsening: candidate merges in descending connecting-hyperedge
      weight (canonical block order breaks ties), committing the first
@@ -127,7 +127,7 @@ let search ~budget ~delta workload oracle =
          List.iter
            (fun (_, i, j) ->
              let merge p = Partitioning.merge_groups p bs.(i) bs.(j) in
-             let price s _ = s.Partitioner.Delta.cost_merge bs.(i) bs.(j) in
+             let price s = s.Partitioner.Delta.cost_merge bs.(i) bs.(j) in
              if try_candidate merge price then raise Exit)
            pairs
        with Exit ->
@@ -163,7 +163,7 @@ let search ~budget ~delta workload oracle =
                              (Partitioning.split_group p src atom)
                              atom dst
                        in
-                       let price s _ =
+                       let price s =
                          s.Partitioner.Delta.cost_move atom src dst
                        in
                        if try_candidate move price then raise Exit

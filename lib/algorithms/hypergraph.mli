@@ -13,11 +13,11 @@ open Vp_core
 
     With a delta session on the request, the session stays based at
     the incumbent: a merge is priced with the session's [cost_merge],
-    a move of an atom with its [cost_move], and only a commit rebases
-    it ([goto]).
-    Without one, every candidate is re-costed in full. Either way
-    candidates go through the per-run {!Partitioner.Memo}, and the
-    layout, cost bits and search counters are the same. *)
+    a move of an atom with its [cost_move], and only a commit builds
+    the candidate and rebases the session ([goto]). Without one, every
+    candidate is built and re-costed in full. Either way each candidate
+    is one cost call, and the layout, cost bits and search counters are
+    the same. *)
 
 val connectivity_cut : Workload.t -> Partitioning.t -> float
 (** The hypergraph connectivity of a layout:

@@ -34,18 +34,14 @@ let run_with_k ~budget ~delta k workload oracle =
   let same_subgraph g1 g2 =
     attr_label.(Attr_set.min_elt g1) = attr_label.(Attr_set.min_elt g2)
   in
-  (* One cost cache across both phases: phase 2 starts from phase 1's
-     result, so their candidate neighbourhoods overlap. *)
-  let cache = Partitioner.Memo.create () in
   (* Phase 1: merge within subgraphs only. *)
   let intra, iters1 =
-    Merge_search.climb ~allowed:same_subgraph ~cache ?delta ~budget ~n oracle
+    Merge_search.climb ~allowed:same_subgraph ?delta ~budget ~n oracle
       (Array.to_list primaries)
   in
   (* Phase 2: try combining partitions across subgraphs. *)
   let final, iters2 =
-    Merge_search.climb ~cache ?delta ~budget ~n oracle
-      (Partitioning.groups intra)
+    Merge_search.climb ?delta ~budget ~n oracle (Partitioning.groups intra)
   in
   (final, iters1 + iters2)
 

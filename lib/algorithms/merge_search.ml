@@ -7,90 +7,77 @@ type merge = {
   group_b : Attr_set.t;
 }
 
-(* Candidate evaluation, optionally memoized through a per-run search
-   memo, which only ever sees one (workload, disk) instance — the oracle
-   it wraps. With a delta session, the number comes from [session.goto]
-   (rebasing the session at [p]) through [Counted.probe] / [counted_via],
-   so budgets, statistics, fault indices and memo hit/miss sequences are
-   exactly those of the full-cost path. *)
-let evaluator ?cache ?delta oracle =
+(* Candidate evaluation. With a delta session, the number comes from
+   [session.goto] (rebasing the session at [p]) through [Counted.probe],
+   so budgets, statistics and fault indices are exactly those of the
+   full-cost path. *)
+let evaluate ?delta oracle p =
   match delta with
-  | None -> (
-      match cache with
-      | None -> Partitioner.Counted.cost oracle
-      | Some c -> Partitioner.Memo.counted c oracle)
-  | Some s -> (
-      let compute p () = s.Partitioner.Delta.goto p in
-      match cache with
-      | None ->
-          fun p -> Partitioner.Counted.probe oracle (compute p)
-      | Some c ->
-          fun p ->
-            Partitioner.Memo.counted_via c oracle ~compute:(compute p) p)
+  | None -> Partitioner.Counted.cost oracle p
+  | Some s ->
+      Partitioner.Counted.probe oracle (fun () -> s.Partitioner.Delta.goto p)
 
-let best_pair_merge ?(allowed = fun _ _ -> true) ?cache ?delta
+let best_pair_merge ?(allowed = fun _ _ -> true) ?delta
     ?(budget = Vp_robust.Budget.unlimited) ~n oracle groups =
   let arr = Array.of_list groups in
   let k = Array.length arr in
   if k < 2 then None
   else begin
-    (* Rebase the session at the scanned partitioning first: a cache hit
-       on an earlier evaluation may have skipped [goto], leaving the
-       session based elsewhere. Rebasing to the current base is free. *)
+    (* Rebase the session at the scanned partitioning first: the pair
+       peeks below price moves from the base. *)
     let base = Partitioning.of_groups ~n groups in
     (match delta with
     | Some s -> ignore (s.Partitioner.Delta.goto base)
     | None -> ());
-    (* A candidate partitioning is built only when something reads it:
-       the full oracle, the memo key, or a new incumbent. A delta peek
-       without a memo prices the merge from the two groups alone. *)
+    (* The full oracle prices a built candidate; a delta peek prices the
+       merge from the two groups alone. *)
     let pair_cost =
       match delta with
       | None ->
-          let cost_of = evaluator ?cache oracle in
-          fun candidate _ _ -> cost_of (Lazy.force candidate)
-      | Some s -> (
-          let compute i j () = s.Partitioner.Delta.cost_merge arr.(i) arr.(j) in
-          match cache with
-          | None ->
-              fun _ i j -> Partitioner.Counted.probe oracle (compute i j)
-          | Some c ->
-              fun candidate i j ->
-                Partitioner.Memo.counted_via c oracle ~compute:(compute i j)
-                  (Lazy.force candidate))
+          fun i j ->
+            Partitioner.Counted.cost oracle
+              (Partitioning.merge_groups base arr.(i) arr.(j))
+      | Some s ->
+          fun i j ->
+            Partitioner.Counted.probe oracle (fun () ->
+                s.Partitioner.Delta.cost_merge arr.(i) arr.(j))
     in
-    let best = ref None in
+    (* The cheapest pair so far, as indices: the merged partitioning is
+       built once, for the pair that wins the scan. *)
+    let best_i = ref (-1) and best_j = ref (-1) and best_cost = ref infinity in
     for i = 0 to k - 2 do
       for j = i + 1 to k - 1 do
         if allowed arr.(i) arr.(j) then begin
           Vp_robust.Budget.tick budget;
-          let candidate = lazy (Partitioning.merge_groups base arr.(i) arr.(j)) in
-          let cost = pair_cost candidate i j in
-          match !best with
-          | Some m when m.merged_cost <= cost -> ()
-          | _ ->
-              best :=
-                Some
-                  {
-                    merged = Lazy.force candidate;
-                    merged_cost = cost;
-                    group_a = arr.(i);
-                    group_b = arr.(j);
-                  }
+          let cost = pair_cost i j in
+          if !best_i < 0 || not (!best_cost <= cost) then begin
+            best_i := i;
+            best_j := j;
+            best_cost := cost
+          end
         end
       done
     done;
-    !best
+    if !best_i < 0 then None
+    else
+      let a = arr.(!best_i) and b = arr.(!best_j) in
+      Some
+        {
+          merged = Partitioning.merge_groups base a b;
+          merged_cost = !best_cost;
+          group_a = a;
+          group_b = b;
+        }
   end
 
-let climb ?(allowed = fun _ _ -> true) ?cache ?delta
+let climb ?(allowed = fun _ _ -> true) ?delta
     ?(budget = Vp_robust.Budget.unlimited) ~n oracle groups =
   (* A partially scanned neighbourhood may miss the best merge, so on
      exhaustion we abandon the interrupted scan and return the incumbent:
      each committed merge was strictly cheaper, keeping the best-so-far
      cost monotone in the budget. *)
   let rec go groups current current_cost iterations =
-    match best_pair_merge ~allowed ?cache ?delta ~budget ~n oracle groups with
+    match best_pair_merge ~allowed ?delta ~budget ~n oracle groups with
     | Some m when m.merged_cost < current_cost ->
         go (Partitioning.groups m.merged) m.merged m.merged_cost (iterations + 1)
     | Some _ | None -> (current, iterations)
@@ -99,5 +86,5 @@ let climb ?(allowed = fun _ _ -> true) ?cache ?delta
   let start = Partitioning.of_groups ~n groups in
   if Vp_robust.Budget.exhausted budget then (start, 0)
   else
-    let start_cost = evaluator ?cache ?delta oracle start in
+    let start_cost = evaluate ?delta oracle start in
     go groups start start_cost 0

@@ -15,6 +15,7 @@ module Delta = struct
     goto : Partitioning.t -> float;
     cost_merge : Attr_set.t -> Attr_set.t -> float;
     cost_move : Attr_set.t -> Attr_set.t -> Attr_set.t -> float;
+    cost_blocks : Attr_set.t array -> int -> float;
   }
 
   type factory = unit -> session
@@ -113,41 +114,6 @@ module Counted = struct
   let calls o = o.calls
 
   let candidates o = o.candidates
-end
-
-(* Per-run memo hits and misses, merged across runs and domains. *)
-let c_hits = Vp_observe.Stats.counter "cache.hits"
-
-let c_misses = Vp_observe.Stats.counter "cache.misses"
-
-(* One run prices one (workload, disk) instance on one domain, so the
-   partitioning alone is the key and no lock is needed. *)
-module Memo = struct
-  module Tbl = Hashtbl.Make (Partitioning)
-
-  type t = float Tbl.t
-
-  let create () = Tbl.create 64
-
-  (* A hit only notes a candidate; a miss prices through [miss], which
-     counts the cost call. *)
-  let lookup memo oracle p miss =
-    match Tbl.find_opt memo p with
-    | Some v ->
-        if Vp_observe.Switch.stats_on () then Vp_observe.Stats.incr c_hits;
-        Counted.note_candidate oracle;
-        v
-    | None ->
-        if Vp_observe.Switch.stats_on () then Vp_observe.Stats.incr c_misses;
-        let v = miss () in
-        Tbl.add memo p v;
-        v
-
-  let counted memo oracle p =
-    lookup memo oracle p (fun () -> Counted.cost oracle p)
-
-  let counted_via memo oracle ~compute p =
-    lookup memo oracle p (fun () -> Counted.probe oracle compute)
 end
 
 let finish ~budget ~cost_fn ~oracle ~t0 ~algorithm ~short_name ~label

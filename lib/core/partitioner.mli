@@ -62,6 +62,13 @@ module Delta : sig
             [Invalid_argument] exactly where {!Partitioning.split_group}
             or {!Partitioning.merge_groups} would building that
             partitioning. *)
+    cost_blocks : Attr_set.t array -> int -> float;
+        (** [cost_blocks blocks used] is the cost of the partitioning
+            whose groups are [blocks.(0)] .. [blocks.(used - 1)], given in
+            any order — an exact search's enumeration leaf — priced from
+            the blocks alone: no partitioning is built and the base is
+            unchanged. Raises [Invalid_argument] where
+            {!Partitioning.of_groups} would. *)
   }
 
   type factory = unit -> session
@@ -204,38 +211,6 @@ module Counted : sig
   val calls : oracle -> int
 
   val candidates : oracle -> int
-end
-
-(** The per-run search memo: the cost of every candidate one search run
-    has priced, keyed on the partitioning, for searches that revisit
-    layouts. A hit returns exactly the float the oracle returned on the
-    miss, so a search takes the same trajectory with or without a memo.
-    It is the only cost cache above the oracle; below it,
-    [Vp_cost.Io_model.Incremental] sessions keep per-query costs. *)
-module Memo : sig
-  type t
-  (** One search run owns it, on one domain; not domain-safe. *)
-
-  val create : unit -> t
-  (** A fresh, empty memo. *)
-
-  val counted : t -> Counted.oracle -> Partitioning.t -> float
-  (** Memoizes a counted oracle: a miss evaluates through
-      {!Counted.cost} (counting a cost call), a hit only notes a
-      candidate. Hits and misses move the process-wide [cache.hits] /
-      [cache.misses] counters (when {!Vp_observe.Switch.stats_on}), so
-      the counter deltas around a run are exactly its memo hits and
-      misses. *)
-
-  val counted_via :
-    t -> Counted.oracle -> compute:(unit -> float) -> Partitioning.t -> float
-  (** Like {!counted}, but a miss obtains the number from [compute] — an
-      incremental {!Delta.session} probe — through {!Counted.probe},
-      instead of re-pricing the partitioning with the wrapped full
-      oracle. [compute] must return exactly what the full oracle would
-      (the delta oracle's contract), so memo contents, hit/miss
-      sequences and counters stay byte-identical between the delta and
-      full paths. *)
 end
 
 val timed_run :

@@ -180,7 +180,7 @@ let split_group p g sub =
   { p with groups }
 
 (* Mixes every group mask (a multiply-xorshift step per group), so
-   partitionings that differ in any group, however late, hash apart;
+   group arrays that differ in any group, however late, hash apart;
    [Hashtbl.hash] would stop after ten groups. *)
 let hash_groups ~seed groups =
   let h = ref seed in
@@ -189,8 +189,6 @@ let hash_groups ~seed groups =
     h := x lxor (x lsr 29)
   done;
   !h land max_int
-
-let hash p = hash_groups ~seed:p.n p.groups
 
 let equal a b =
   a.n = b.n

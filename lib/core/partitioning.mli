@@ -77,12 +77,9 @@ val equal : t -> t -> bool
 
 val compare : t -> t -> int
 
-val hash : t -> int
-(** A non-negative hash consistent with {!equal} that mixes every group
-    mask, for hash tables keyed on partitionings. *)
-
 val hash_groups : seed:int -> Attr_set.t array -> int
-(** The mix behind {!hash}, for hash tables keyed on group arrays. *)
+(** A non-negative hash that mixes every group mask, for hash tables
+    keyed on group arrays. *)
 
 val is_refinement : t -> t -> bool
 (** [is_refinement fine coarse] is [true] iff every group of [fine] is

@@ -181,6 +181,9 @@ module Incremental = struct
     gblocks : int array;
     gscan : float array;
     qtotal : int array;
+    mutable owner : int array;
+        (* per attribute, its leaf block's lowest attribute; allocated by
+           the first [cost_blocks], so other searches never pay for it *)
     mutable sized : bool;
     mutable gen : int;
     mutable base : Partitioning.t;
@@ -231,6 +234,7 @@ module Incremental = struct
       gblocks = Array.make (n + 2) 0;
       gscan = Array.make (n + 2) 0.0;
       qtotal = Array.make q 0;
+      owner = [||];
       sized = false;
       gen = 0;
       base = Partitioning.row (max 1 n);
@@ -332,7 +336,8 @@ module Incremental = struct
     t.gscan.(x) <- scan_cost t.disk blocks
 
   (* Fills the size tables for [base]. Lazy, so rebases that no move
-     follows (BruteForce's enumeration) never pay for it. *)
+     follows never pay for it, and after [cost_blocks] has borrowed the
+     tables the next move refills them. *)
   let refresh_sizes t =
     if not t.sized then begin
       Array.fill t.gmask 0 (Array.length t.gmask) Attr_set.empty;
@@ -513,12 +518,86 @@ module Incremental = struct
 
   let cost_merge t g1 g2 = cost_move t g1 g1 g2
 
+  (* An enumeration leaf: the partitioning whose groups are the first
+     [used] blocks, in any order. Each block's size, blocks and scan
+     seconds go in the size tables at its lowest attribute, once per
+     call, and [owner] maps every attribute to that slot. A query's
+     blocks are then the slots its attributes map to, as a mask of
+     lowest attributes, which lists them in canonical order; their terms
+     are [sized_cost]'s, added in that order and skipping 0-block
+     partitions as [cost_move]'s fold does, and the weighted total runs
+     in workload order, so the float is [workload_cost]'s. The base and
+     its per-query costs are not read or moved; the size tables stop
+     describing the base. *)
+  let cost_blocks t blocks used =
+    let n = Array.length t.gmask in
+    let cover = ref 0 and ok = ref (used >= 1 && used <= Array.length blocks) in
+    if !ok then
+      for b = 0 to used - 1 do
+        let m = Attr_set.to_mask blocks.(b) in
+        if m = 0 || m land !cover <> 0 then ok := false;
+        cover := !cover lor m
+      done;
+    if not (!ok && !cover = (1 lsl n) - 1) then
+      (* Not a partitioning: [of_groups] raises its own exception. *)
+      ignore
+        (Partitioning.of_groups ~n (Array.to_list (Array.sub blocks 0 used))
+          : Partitioning.t);
+    if Array.length t.owner <> n then t.owner <- Array.make n 0;
+    t.sized <- false;
+    for b = 0 to used - 1 do
+      let m = ref (Attr_set.to_mask blocks.(b)) in
+      let low = Attr_set.lowest_bit_index !m and s = ref 0 in
+      while !m <> 0 do
+        let a = Attr_set.lowest_bit_index !m in
+        t.owner.(a) <- low;
+        s := !s + Table.width t.table a;
+        m := !m land (!m - 1)
+      done;
+      set_size t low !s
+    done;
+    let seek_time = t.disk.seek_time in
+    let acc = ref 0.0 in
+    for i = 0 to Array.length t.refs - 1 do
+      let lows = ref 0 and r = ref (Attr_set.to_mask t.refs.(i)) in
+      while !r <> 0 do
+        lows := !lows lor (1 lsl t.owner.(Attr_set.lowest_bit_index !r));
+        r := !r land (!r - 1)
+      done;
+      let total = ref 0 and l = ref !lows in
+      while !l <> 0 do
+        total := !total + t.gsize.(Attr_set.lowest_bit_index !l);
+        l := !l land (!l - 1)
+      done;
+      let c = ref 0.0 and l = ref !lows in
+      while !l <> 0 do
+        let x = Attr_set.lowest_bit_index !l in
+        let blocks = t.gblocks.(x) in
+        if blocks <> 0 then
+          c :=
+            !c
+            +. seek_time
+               *. float_of_int
+                    (refills t.disk ~blocks ~row_size:t.gsize.(x)
+                       ~total_row_size:!total)
+            +. t.gscan.(x);
+        l := !l land (!l - 1)
+      done;
+      acc := !acc +. (t.weights.(i) *. !c)
+    done;
+    if Vp_observe.Switch.stats_on () then begin
+      Vp_observe.Stats.incr c_delta_evals;
+      Vp_observe.Stats.add c_query_costs (Array.length t.refs)
+    end;
+    !acc
+
   let session t =
     {
       Partitioner.Delta.base_cost = (fun () -> base_cost t);
       goto = (fun p -> goto t p);
       cost_merge = (fun g1 g2 -> cost_merge t g1 g2);
       cost_move = (fun sub src dst -> cost_move t sub src dst);
+      cost_blocks = (fun blocks used -> cost_blocks t blocks used);
     }
 
   let factory disk workload () = session (create disk workload)

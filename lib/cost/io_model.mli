@@ -83,7 +83,9 @@ val oracle : Disk.t -> Workload.t -> Partitioner.cost_fn
     and a per-base table of group sizes, building neither the moved-to
     partitioning nor its group arrays (counted by [cost.merge_folds],
     one add per move, not by [cost.query_costs]); a rebase ({!goto})
-    memoizes query costs on the group arrays. Sessions are
+    memoizes query costs on the group arrays; an exact search's
+    enumeration leaf ({!cost_blocks}) is priced from its blocks with
+    neither. Sessions are
     single-threaded; build one per domain via {!Incremental.factory}. A
     request built without a factory routes algorithms back to full
     re-costing. *)
@@ -122,6 +124,18 @@ module Incremental : sig
       merging two distinct base groups. Raises [Invalid_argument]
       exactly where {!Partitioning.merge_groups} would (e.g.
       self-merge). *)
+
+  val cost_blocks : t -> Attr_set.t array -> int -> float
+  (** [cost_blocks t blocks used] is the cost of the partitioning whose
+      groups are [blocks.(0)] .. [blocks.(used - 1)], in any order — an
+      exact search's enumeration leaf — without building it and without
+      rebasing. Every query is priced from the blocks it reads: each
+      block's size, blocks and scan seconds are resolved once per call,
+      a query's blocks are visited in canonical order with
+      {!query_cost_sized}'s terms, and the weighted total runs in
+      workload order, so the float is {!workload_cost}'s. Counts one
+      [cost.delta_evals] and one [cost.query_costs] per query. Raises
+      [Invalid_argument] where {!Partitioning.of_groups} would. *)
 
   val session : t -> Partitioner.Delta.session
   (** The algorithm-facing view of a session. *)

@@ -34,13 +34,12 @@ let hillclimb_dictionary () =
   Vp_report.Ascii.table
     ~title:
       "Ablation A1: HillClimb candidate-cost memoization (the paper \
-       dropped the original's precomputed dictionary for speed; all three \
+       dropped the original's precomputed dictionary for speed; both \
        variants must find identical layouts)"
     ~headers
     (sweep
        [
          ("HillClimb (no memo, default)", Vp_algorithms.Hillclimb.algorithm);
-         ("HillClimb (per-run memo)", Vp_algorithms.Hillclimb.with_memo);
          ("HillClimb (dictionary)", Vp_algorithms.Hillclimb.with_dictionary);
        ])
 

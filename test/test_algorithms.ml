@@ -93,9 +93,9 @@ let test_autopart_beats_atoms () =
         (r.Partitioner.Response.cost <= oracle atoms +. 1e-9))
     (Lazy.force tpch_workloads)
 
-(* The memo variant and the dictionary variant of HillClimb must find the
-   default's layout at the same cost bits with the same cost calls: a
-   merge-only climb never repeats a candidate, so neither memo hits. *)
+(* The dictionary variant of HillClimb must find the default's layout at
+   the same cost bits with the same cost calls: a merge-only climb never
+   repeats a candidate, so the dictionary never hits. *)
 let test_hillclimb_dictionary_same () =
   List.iter
     (fun w ->
@@ -118,7 +118,7 @@ let test_hillclimb_dictionary_same () =
           Alcotest.(check int) (label ^ " cost calls")
             a.Partitioner.Response.stats.Partitioner.cost_calls
             b.Partitioner.Response.stats.Partitioner.cost_calls)
-        [ Vp_algorithms.Hillclimb.with_memo; Vp_algorithms.Hillclimb.with_dictionary ])
+        [ Vp_algorithms.Hillclimb.with_dictionary ])
     (Lazy.force tpch_workloads)
 
 (* BruteForce with the lower bound must equal BruteForce without it. *)

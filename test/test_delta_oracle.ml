@@ -550,6 +550,108 @@ let test_random_walk () =
         (full_cost w !p) !c)
     (corpus ())
 
+(* --- enumeration leaves ---------------------------------------------- *)
+
+(* [cost_blocks] prices an exact search's leaf from its blocks. Every
+   leaf of a full enumeration of a seven-attribute table (attribute 3 is
+   wider than a block) must cost the full re-cost of [of_groups] of the
+   same blocks, bit for bit: at 50,000 and 0 rows; with the atoms
+   enumerated in index order and in reverse, so blocks arrive out of
+   canonical order, and with the block array reversed too; with stale
+   blocks past [used]; for queries that read one block, every block, and
+   a workload with no query, which reads none. Leaves leave the base
+   alone, a merge peek after them still sees the base's groups, and
+   arrays that are not a partitioning raise what [of_groups] raises. *)
+let test_leaf_pricing () =
+  let s = Attr_set.of_list in
+  let n = 7 in
+  let table rows =
+    Table.make ~name:"leaves" ~row_count:rows
+      ~attributes:
+        [
+          Attribute.make "a" Attribute.Int32;
+          Attribute.make "b" Attribute.Decimal;
+          Attribute.make "c" (Attribute.Char 20);
+          Attribute.make "wide" (Attribute.Varchar 9000);
+          Attribute.make "e" Attribute.Int32;
+          Attribute.make "f" Attribute.Date;
+          Attribute.make "g" (Attribute.Char 3);
+        ]
+  in
+  let query ?weight name refs =
+    Query.make ?weight ~name ~references:(s refs) ()
+  in
+  let queries =
+    [
+      query "all" [ 0; 1; 2; 3; 4; 5; 6 ];
+      query ~weight:2.5 "one" [ 4 ];
+      query ~weight:0.5 "wide" [ 2; 3 ];
+      query ~weight:1.75 "spread" [ 0; 5; 6 ];
+    ]
+  in
+  let base =
+    Partitioning.of_groups ~n [ s [ 0; 1 ]; s [ 2; 3 ]; s [ 4; 5; 6 ] ]
+  in
+  let first used blocks = Array.to_list (Array.sub blocks 0 used) in
+  List.iter
+    (fun (rows, qs) ->
+      let w = Workload.make (table rows) qs in
+      let t = Inc.create disk w in
+      let base_bits = bits (Inc.goto t base) in
+      List.iter
+        (fun (order, atom) ->
+          let leaves = ref 0 in
+          Enumeration.iter_rgs n (fun rgs ->
+              incr leaves;
+              let used = 1 + Array.fold_left max 0 rgs in
+              (* Stale blocks past [used] must be ignored. *)
+              let blocks = Array.make (n + 1) (Attr_set.full n) in
+              Array.fill blocks 0 used Attr_set.empty;
+              Array.iteri
+                (fun i b -> blocks.(b) <- Attr_set.add (atom i) blocks.(b))
+                rgs;
+              let expected =
+                full_cost w (Partitioning.of_groups ~n (first used blocks))
+              in
+              let label =
+                Printf.sprintf "%d rows, %d queries, %s, leaf %d" rows
+                  (List.length qs) order !leaves
+              in
+              check_bits label expected (Inc.cost_blocks t blocks used);
+              let reversed = Array.of_list (List.rev (first used blocks)) in
+              check_bits (label ^ ", blocks reversed") expected
+                (Inc.cost_blocks t reversed used));
+          Alcotest.(check int) "Bell(7) leaves" 877 !leaves)
+        [
+          ("atoms in index order", Fun.id);
+          ("atoms reversed", fun i -> n - 1 - i);
+        ];
+      Alcotest.(check bool)
+        "base unchanged" true
+        (Partitioning.equal (Inc.base t) base);
+      Alcotest.(check int64)
+        "base cost unchanged" base_bits
+        (bits (Inc.base_cost t));
+      let g1 = s [ 0; 1 ] and g2 = s [ 4; 5; 6 ] in
+      check_bits "merge peek after leaves"
+        (full_cost w (Partitioning.merge_groups base g1 g2))
+        (Inc.cost_merge t g1 g2);
+      List.iter
+        (fun (name, blocks, used) ->
+          match Partitioning.of_groups ~n (first used blocks) with
+          | (_ : Partitioning.t) ->
+              Alcotest.fail (name ^ ": of_groups accepted it")
+          | exception e ->
+              Alcotest.check_raises name e (fun () ->
+                  ignore (Inc.cost_blocks t blocks used : float)))
+        [
+          ("overlapping blocks", [| s [ 0; 1; 2; 3 ]; s [ 3; 4; 5; 6 ] |], 2);
+          ("missing attribute", [| s [ 0; 1; 2 ]; s [ 4; 5; 6 ] |], 2);
+          ("empty block", [| s [ 0; 1; 2; 3; 4; 5; 6 ]; Attr_set.empty |], 2);
+          ("no block", [| s [ 0; 1; 2; 3; 4; 5; 6 ] |], 0);
+        ])
+    [ (50_000, queries); (0, queries); (50_000, []) ]
+
 (* --- session closures & factory -------------------------------------- *)
 
 let test_session_closures () =
@@ -576,7 +678,12 @@ let test_session_closures () =
   check_bits "session cost_move" (full_cost w target)
     (s.Partitioner.Delta.cost_move (Attr_set.singleton 1)
        (Attr_set.of_list [ 0; 1 ])
-       (Attr_set.of_list [ 2; 3 ]))
+       (Attr_set.of_list [ 2; 3 ]));
+  check_bits "session cost_blocks" (full_cost w target)
+    (s.Partitioner.Delta.cost_blocks
+       (Partitioning.group_array target |> Array.to_list |> List.rev
+      |> Array.of_list)
+       3)
 
 (* --- qcheck: random workloads, random bases, random moves ------------ *)
 
@@ -593,6 +700,17 @@ let reference_changed_attrs base p =
     p;
   !changed
 
+(* The groups of [p] in a random order. *)
+let shuffled rand p =
+  let a = Partitioning.group_array p in
+  for i = Array.length a - 1 downto 1 do
+    let j = rand (i + 1) in
+    let x = a.(i) in
+    a.(i) <- a.(j);
+    a.(j) <- x
+  done;
+  a
+
 let raises_invalid f =
   match f () with exception Invalid_argument _ -> true | (_ : float) -> false
 
@@ -601,8 +719,11 @@ let raises_invalid f =
    and every move of a random non-empty subset of one group into
    another, must equal the full re-cost of the partitioning built by
    [split_group] and [merge_groups] and leave the base alone, illegal
-   merges and moves must raise, the chain's move must equal the full
-   re-cost of its target and leave the base alone, the ordered walk must
+   merges and moves must raise, each moved-to partitioning priced as an
+   enumeration leaf from its groups in a random order must equal its
+   full re-cost (and the merge peek after it stay exact), the chain's
+   move must equal the full re-cost of its target and leave the base
+   alone, the ordered walk must
    find the reference change set, and [goto] must land on the full
    re-cost. *)
 let prop_random_workloads =
@@ -634,8 +755,13 @@ let prop_random_workloads =
             | sub when Attr_set.is_empty sub -> g1
             | sub -> sub
           in
+          let leaf = moved base sub g1 g2 in
           ok :=
             !ok
+            && bits
+                 (Inc.cost_blocks t (shuffled rand leaf)
+                    (Partitioning.group_count leaf))
+               = bits (full_cost w leaf)
             && bits (Inc.cost_merge t g1 g2)
                = bits (full_cost w (Partitioning.merge_groups base g1 g2))
             && Partitioning.equal (Inc.base t) base
@@ -737,6 +863,8 @@ let suite =
       test_move_inverse;
     Alcotest.test_case "random walk ends at one full re-cost" `Quick
       test_random_walk;
+    Alcotest.test_case "leaf pricing: every leaf = full re-cost" `Quick
+      test_leaf_pricing;
     Alcotest.test_case "session closures mirror the module" `Quick
       test_session_closures;
     Alcotest.test_case "repeated sweeps: one session, 5x fewer re-costs"

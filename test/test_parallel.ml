@@ -1,4 +1,5 @@
-(* vp_parallel: the work pool, Once, the cost cache, and the runner. *)
+(* vp_parallel: the work pool, Once, cost calls per candidate, and the
+   runner. *)
 
 open Vp_core
 
@@ -168,122 +169,45 @@ let test_once_exception_retries () =
       ignore (Vp_parallel.Once.get o));
   Alcotest.(check int) "retry succeeds" 2 (Vp_parallel.Once.get o)
 
-(* --- Partitioner.Memo: the per-run search memo --- *)
+(* --- Cost calls per candidate --- *)
 
-let test_counted_cache () =
-  let w = Testutil.partsupp_workload in
-  let oracle = Partitioner.Counted.make (Vp_cost.Io_model.oracle disk w) in
-  let memo = Partitioner.Memo.create () in
-  let cost_of = Partitioner.Memo.counted memo oracle in
-  let p = Partitioning.column 5 in
-  let first = cost_of p in
-  Alcotest.(check int) "miss counts a call" 1 (Partitioner.Counted.calls oracle);
-  Alcotest.(check (float 0.)) "hit returns the same float" first (cost_of p);
-  Alcotest.(check int) "hit does not call" 1 (Partitioner.Counted.calls oracle);
-  Alcotest.(check int) "hit notes a candidate" 2
-    (Partitioner.Counted.candidates oracle);
-  (* An equal partitioning built another way is the same key. *)
-  let p' = Partitioning.of_groups ~n:5 (List.rev (Partitioning.groups p)) in
-  Alcotest.(check (float 0.)) "equal partitioning hits" first (cost_of p');
-  Alcotest.(check int) "equal partitioning does not call" 1
-    (Partitioner.Counted.calls oracle)
-
-(* Two 12-group partitionings that differ only in their 11th and 12th
-   groups. [Hashtbl.hash] stops after ten meaningful words, so a memo
-   hashing with it would chain every such neighbour of a wide table
-   into one bucket; the memo's hash mixes every group. *)
-let test_counted_cache_late_groups () =
-  let head = List.init 10 Attr_set.singleton in
-  let p1 =
-    Partitioning.of_groups ~n:13
-      (head @ [ Attr_set.of_list [ 10; 11 ]; Attr_set.singleton 12 ])
-  and p2 =
-    Partitioning.of_groups ~n:13
-      (head @ [ Attr_set.singleton 10; Attr_set.of_list [ 11; 12 ] ])
-  in
-  Alcotest.(check bool) "hashes differ" true
-    (Partitioning.hash p1 <> Partitioning.hash p2);
-  let oracle =
-    Partitioner.Counted.make (fun p ->
-        float_of_int (Attr_set.cardinal (Partitioning.group_of p 10)))
-  in
-  let cost_of = Partitioner.Memo.counted (Partitioner.Memo.create ()) oracle in
-  Alcotest.(check (float 0.)) "first" 2.0 (cost_of p1);
-  Alcotest.(check (float 0.)) "second is not served the first's entry" 1.0
-    (cost_of p2);
-  Alcotest.(check int) "two misses" 2 (Partitioner.Counted.calls oracle);
-  Alcotest.(check (float 0.)) "first hits" 2.0 (cost_of p1);
-  Alcotest.(check (float 0.)) "second hits" 1.0 (cost_of p2);
-  Alcotest.(check int) "no further calls" 2 (Partitioner.Counted.calls oracle)
-
-(* An algorithm's memo hits and misses are the [cache.hits] /
-   [cache.misses] counter deltas around its runs. A merge-only
-   climb never meets a candidate twice (each step has one group fewer),
-   so HillClimb and AutoPart keep no memo: they make no memo traffic and
-   every candidate is a cost call. HYRISE, BruteForce, ILP and Hypergraph
-   price every candidate through their memo, so a memo miss is exactly a
-   cost call and a memo hit exactly a candidate without one: the counter
-   deltas must equal those. Over partsupp at SF 1 and the TPC-H line-up
-   under the default setting, HYRISE (whose second phase re-prices its
-   first phase's neighbourhood through the same memo) and BruteForce
-   (which re-prices its seed climb's layouts) must hit; a disconnected
-   counter reads zero. *)
-let test_memo_counters () =
+(* No search keeps a candidate memo, so every candidate a search
+   considers is one cost call: the merge searches (HillClimb, AutoPart,
+   HYRISE), the exact searches (BruteForce, ILP, each leaf priced from
+   its blocks) and Hypergraph, on partsupp at SF 1 and the TPC-H
+   line-up, with and without a delta session. *)
+let test_cost_calls_are_candidates () =
   let workloads =
     Vp_benchmarks.Tpch.workload ~sf:1.0 "partsupp"
     :: Vp_benchmarks.Tpch.workloads ~sf:Vp_experiments.Common.sf
   in
-  let counts () =
-    let s = Vp_observe.Stats.snapshot () in
-    ( Vp_observe.Stats.counter_value s "cache.hits",
-      Vp_observe.Stats.counter_value s "cache.misses" )
-  in
-  let run (a : Partitioner.t) w =
-    let hits0, misses0 = counts () in
-    let r =
-      Partitioner.exec a
-        (Partitioner.Request.make
-           ~delta:(Vp_cost.Io_model.Incremental.factory disk w)
-           ~cost:(Vp_cost.Io_model.oracle disk w) w)
-    in
-    let hits1, misses1 = counts () in
-    (r.Partitioner.Response.stats, hits1 - hits0, misses1 - misses0)
-  in
-  let memo_free (a : Partitioner.t) =
-    List.iter
-      (fun w ->
-        let s, hits, misses = run a w in
-        Alcotest.(check (pair int int))
-          (a.Partitioner.name ^ ": no memo traffic") (0, 0) (hits, misses);
-        Alcotest.(check int)
-          (a.Partitioner.name ^ ": cost calls = candidates")
-          s.Partitioner.candidates s.Partitioner.cost_calls)
-      workloads
-  in
-  let memoized (a : Partitioner.t) =
-    List.fold_left
-      (fun total w ->
-        let s, hits, misses = run a w in
-        Alcotest.(check int)
-          (a.Partitioner.name ^ ": misses = cost calls")
-          s.Partitioner.cost_calls misses;
-        Alcotest.(check int)
-          (a.Partitioner.name ^ ": hits = candidates - cost calls")
-          (s.Partitioner.candidates - s.Partitioner.cost_calls)
-          hits;
-        total + hits)
-      0 workloads
-  in
-  Vp_observe.Switch.with_level Vp_observe.Switch.Stats (fun () ->
-      memo_free Vp_algorithms.Hillclimb.algorithm;
-      memo_free Vp_algorithms.Autopart.algorithm;
-      Alcotest.(check bool) "HYRISE hits its memo" true
-        (memoized Vp_algorithms.Hyrise.algorithm > 0);
-      Alcotest.(check bool) "BruteForce hits its memo" true
-        (memoized (Vp_experiments.Common.brute_force disk) > 0);
+  List.iter
+    (fun (a : Partitioner.t) ->
       List.iter
-        (fun a -> ignore (memoized a))
-        [ Vp_algorithms.Ilp.with_bound disk; Vp_algorithms.Hypergraph.algorithm ])
+        (fun w ->
+          List.iter
+            (fun delta ->
+              let r =
+                Partitioner.exec a
+                  (Partitioner.Request.make ?delta
+                     ~cost:(Vp_cost.Io_model.oracle disk w) w)
+              in
+              let s = r.Partitioner.Response.stats in
+              Alcotest.(check int)
+                (Printf.sprintf "%s %s%s: cost calls = candidates"
+                   a.Partitioner.name (Table.name (Workload.table w))
+                   (if delta = None then "" else " (delta)"))
+                s.Partitioner.candidates s.Partitioner.cost_calls)
+            [ None; Some (Vp_cost.Io_model.Incremental.factory disk w) ])
+        workloads)
+    [
+      Vp_algorithms.Hillclimb.algorithm;
+      Vp_algorithms.Autopart.algorithm;
+      Vp_algorithms.Hyrise.algorithm;
+      Vp_experiments.Common.brute_force disk;
+      Vp_algorithms.Ilp.with_bound disk;
+      Vp_algorithms.Hypergraph.algorithm;
+    ]
 
 (* --- Runner --- *)
 
@@ -320,10 +244,7 @@ let suite =
       test_with_pool_survives_worker_death;
     Alcotest.test_case "once" `Quick test_once;
     Alcotest.test_case "once exception retries" `Quick test_once_exception_retries;
-    Alcotest.test_case "counted cache" `Quick test_counted_cache;
-    Alcotest.test_case "counted cache late groups" `Quick
-      test_counted_cache_late_groups;
-    Alcotest.test_case "memo counters match the memo" `Quick
-      test_memo_counters;
+    Alcotest.test_case "cost calls are candidates" `Quick
+      test_cost_calls_are_candidates;
     Alcotest.test_case "runner ordering" `Quick test_runner_ordering;
   ]

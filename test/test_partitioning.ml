@@ -202,7 +202,6 @@ let same_as_of_groups built groups =
   && Partitioning.to_string built = Partitioning.to_string expected
   && List.equal Attr_set.equal (Partitioning.groups built)
        (Partitioning.groups expected)
-  && Partitioning.hash built = Partitioning.hash expected
 
 let prop_merge_matches_of_groups =
   QCheck2.Test.make ~name:"merge_groups = of_groups of the same groups"

@@ -67,28 +67,6 @@ let test_chart_series_length_mismatch () =
         (Vp_report.Chart.series ~x_label:"k" ~xs:[ "1"; "2" ]
            [ ("a", [ 1.0 ]) ]))
 
-let test_csv_escaping () =
-  Alcotest.(check string) "plain" "a,b" (Vp_report.Csv.line [ "a"; "b" ]);
-  Alcotest.(check string) "comma" "\"a,b\",c"
-    (Vp_report.Csv.line [ "a,b"; "c" ]);
-  Alcotest.(check string) "quote" "\"a\"\"b\"" (Vp_report.Csv.line [ "a\"b" ]);
-  Alcotest.(check string) "newline" "\"a\nb\"" (Vp_report.Csv.line [ "a\nb" ])
-
-let test_csv_to_string () =
-  Alcotest.(check string) "records" "a,b\nc,d\n"
-    (Vp_report.Csv.to_string [ [ "a"; "b" ]; [ "c"; "d" ] ])
-
-let test_csv_write () =
-  let path = Filename.temp_file "vp_test" ".csv" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
-      Vp_report.Csv.write ~path [ [ "x"; "y" ] ];
-      let ic = open_in path in
-      let line = input_line ic in
-      close_in ic;
-      Alcotest.(check string) "written" "x,y" line)
-
 let suite =
   [
     Alcotest.test_case "table renders" `Quick test_table_renders;
@@ -101,9 +79,6 @@ let suite =
     Alcotest.test_case "chart series" `Quick test_chart_series;
     Alcotest.test_case "chart series mismatch" `Quick
       test_chart_series_length_mismatch;
-    Alcotest.test_case "csv escaping" `Quick test_csv_escaping;
-    Alcotest.test_case "csv to_string" `Quick test_csv_to_string;
-    Alcotest.test_case "csv write" `Quick test_csv_write;
   ]
 
 (* --- Workload views --- *)

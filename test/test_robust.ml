@@ -1,11 +1,10 @@
-(* The robustness layer end to end: budget semantics, deterministic retry
-   and fault injection, journal durability, fault-tolerant pools, and
+(* The robustness layer end to end: budget semantics, deterministic fault
+   injection, journal durability, fault-tolerant pools, and
    graceful degradation of the searches and the experiment sweep. *)
 
 open Vp_core
 module Budget = Vp_robust.Budget
 module Fault = Vp_robust.Fault
-module Retry = Vp_robust.Retry
 module Journal = Vp_robust.Journal
 module Mix = Vp_robust.Mix
 
@@ -88,70 +87,6 @@ let test_budget_ambient () =
    with Failure _ -> ());
   Alcotest.(check bool) "restored after raise" false
     (Budget.is_limited (Budget.current ()))
-
-(* {2 Retry} *)
-
-let test_retry_determinism () =
-  let schedule seed =
-    let delays = ref [] in
-    let sleep d = delays := d :: !delays in
-    let calls = ref 0 in
-    let v =
-      Retry.with_backoff ~attempts:4 ~base_delay:0.05 ~max_delay:2.0 ~sleep
-        ~seed (fun attempt ->
-          incr calls;
-          if attempt < 3 then failwith "flaky" else attempt)
-    in
-    Alcotest.(check int) "succeeds on 4th attempt" 3 v;
-    Alcotest.(check int) "4 calls" 4 !calls;
-    List.rev !delays
-  in
-  let d1 = schedule 7 in
-  let d2 = schedule 7 in
-  Alcotest.(check (list (float 0.))) "same seed, same schedule" d1 d2;
-  Alcotest.(check int) "3 sleeps" 3 (List.length d1);
-  List.iteri
-    (fun k d ->
-      let cap = min 2.0 (0.05 *. (2.0 ** float_of_int k)) in
-      Alcotest.(check bool)
-        (Printf.sprintf "delay %d in [cap/2, cap)" k)
-        true
-        (d >= (0.5 *. cap) -. 1e-12 && d < cap))
-    d1;
-  let d3 = schedule 8 in
-  Alcotest.(check bool) "different seed, different jitter" true (d1 <> d3)
-
-let test_retry_policies () =
-  (* Non-retryable exceptions propagate immediately. *)
-  let calls = ref 0 in
-  (match
-     Retry.with_backoff ~attempts:5
-       ~sleep:(fun _ -> ())
-       ~retry_on:(function Failure _ -> false | _ -> true)
-       ~seed:1
-       (fun _ ->
-         incr calls;
-         failwith "fatal")
-   with
-  | _ -> Alcotest.fail "expected Failure"
-  | exception Failure _ -> ());
-  Alcotest.(check int) "no retry on fatal" 1 !calls;
-  (* Exhausted attempts re-raise the last failure. *)
-  let calls = ref 0 in
-  (match
-     Retry.with_backoff ~attempts:3
-       ~sleep:(fun _ -> ())
-       ~seed:1
-       (fun _ ->
-         incr calls;
-         raise Not_found)
-   with
-  | _ -> Alcotest.fail "expected Not_found"
-  | exception Not_found -> ());
-  Alcotest.(check int) "all attempts used" 3 !calls;
-  match Retry.with_backoff ~attempts:0 ~seed:1 (fun _ -> ()) with
-  | _ -> Alcotest.fail "attempts < 1 should be rejected"
-  | exception Invalid_argument _ -> ()
 
 (* {2 Journal} *)
 
@@ -597,14 +532,12 @@ let suite =
   [
     Alcotest.test_case "budget semantics" `Quick test_budget_semantics;
     Alcotest.test_case "budget ambient install" `Quick test_budget_ambient;
-    Alcotest.test_case "retry determinism" `Quick test_retry_determinism;
-    Alcotest.test_case "retry policies" `Quick test_retry_policies;
     Alcotest.test_case "journal roundtrip" `Quick test_journal_roundtrip;
-    Alcotest.test_case "crc32 first use from 4 domains" `Quick
-      test_crc32_first_use_from_domains;
     Alcotest.test_case "journal recover truncation" `Quick
       test_journal_recover;
     Alcotest.test_case "fault decisions" `Quick test_fault_decide;
+    Alcotest.test_case "crc32 first use from 4 domains" `Quick
+      test_crc32_first_use_from_domains;
     Alcotest.test_case "fault plan from env" `Quick test_fault_from_env;
     Alcotest.test_case "pool under faults" `Quick test_pool_faults;
     Alcotest.test_case "cost oracle faults" `Quick test_cost_oracle_faults;
