@@ -248,13 +248,7 @@ let fleet_shed port =
     ~finally:(fun () -> Vp_client.Client.close c)
     (fun () ->
       match Vp_client.Client.server_stats c with
-      | Ok reply -> (
-          match Vp_observe.Json.member "counters" reply with
-          | Some (Vp_observe.Json.Obj fields) -> (
-              match List.assoc_opt "server.shed" fields with
-              | Some (Vp_observe.Json.Int n) -> n
-              | _ -> 0)
-          | _ -> 0)
+      | Ok stats -> Option.value (List.assoc_opt "server.shed" stats.counters) ~default:0
       | Error _ -> 0)
 
 let cluster_handoff () =
@@ -365,16 +359,13 @@ let cluster_handoff () =
       (fun () ->
         let reply, dt =
           time (fun () ->
-              Vp_client.Client.request_retry c
+              Vp_client.Client.call c Vp_server.Protocol.handoff
                 (Vp_observe.Json.Obj
                    [ ("op", Vp_observe.Json.String "cluster_add") ]))
         in
         match reply with
-        | Ok reply when Vp_server.Protocol.reply_status reply = "ok" ->
-            ( Option.value ~default:0
-                (Vp_server.Protocol.int_field "moved" reply),
-              dt )
-        | Ok _ | Error _ -> (0, dt))
+        | Ok h -> (h.moved, dt)
+        | Error _ -> (0, dt))
   in
   let outcomes = List.map Domain.join domains in
   let sum f = List.fold_left (fun a o -> a + f o) 0 outcomes in

@@ -1040,30 +1040,25 @@ let client_cmd =
             (check (Vp_client.Client.ping c));
         if stats then
           print_endline
-            (Vp_observe.Json.to_string (check (Vp_client.Client.server_stats c)));
+            (Vp_observe.Json.to_string
+               (Vp_observe.Json.Codec.encode Vp_server.Protocol.stats_reply
+                  (check (Vp_client.Client.server_stats c))));
         (match partition_table with
         | Some tname ->
             let w = List.hd (workloads_of benchmark sf (Some tname)) in
-            let reply =
+            let r =
               check
                 (Vp_client.Client.partition ~algorithm:client_algo c w)
             in
-            let str name =
-              Option.value ~default:"?"
-                (Vp_server.Protocol.string_field name reply)
-            in
-            Printf.printf "%s on %s: cost %.3f s (%s)\n" (str "algorithm")
-              tname
-              (Option.value ~default:Float.nan
-                 (Vp_server.Protocol.float_field "cost" reply))
-              (str "run_status");
+            Printf.printf "%s on %s: cost %.3f s (%s)\n" r.algorithm tname
+              r.cost r.run_status;
             List.iter
               (fun (e : Vp_server.Protocol.entrant_summary) ->
                 Printf.printf "  %c %-12s %-10s cost %8.3f  cost calls %d\n"
                   (if e.entrant_winner then '*' else ' ')
                   e.entrant e.entrant_status e.entrant_cost
                   e.entrant_cost_calls)
-              (Vp_server.Protocol.reply_entrants reply)
+              (Option.value r.entrants ~default:[])
         | None -> ());
         (match script with
         | Some file ->

@@ -1,5 +1,6 @@
 open Vp_core
 module Json = Vp_observe.Json
+module C = Json.Codec
 module Protocol = Vp_server.Protocol
 module Conn_server = Vp_server.Conn_server
 
@@ -24,10 +25,6 @@ let create ?(host = "127.0.0.1") ?(port = Protocol.default_port)
 let retry_delay_ms ~seed ~index ~retry_after_ms =
   let u = Vp_robust.Mix.u01 ~seed ~site:"client.retry" ~index in
   float_of_int retry_after_ms *. (0.5 +. (0.5 *. u))
-
-let host t = t.host
-
-let port t = t.port
 
 let close_conn c = try Unix.close c.fd with Unix.Unix_error _ -> ()
 
@@ -80,6 +77,11 @@ let read_line c =
 
 let ( let* ) = Result.bind
 
+let decode desc reply =
+  match C.decode desc reply with
+  | v -> Ok v
+  | exception C.Error e -> Error (C.error_message e)
+
 let request t frame =
   let* c = connect t in
   let fail msg =
@@ -97,97 +99,55 @@ let request t frame =
           match Json.of_string line with
           | Error msg -> fail (Printf.sprintf "malformed reply: %s" msg)
           | Ok reply ->
-              if Protocol.reply_status reply = "overloaded" then close t;
+              (match decode Protocol.status reply with
+              | Ok (Overloaded _) -> close t
+              | Ok _ | Error _ -> ());
               Ok reply))
 
 let request_retry ?(attempts = 20) t frame =
   let rec go n =
     let* reply = request t frame in
-    if Protocol.reply_status reply <> "overloaded" then Ok reply
-    else if n <= 1 then
-      Error
-        (Printf.sprintf "server still overloaded after %d attempts" attempts)
-    else begin
-      let ms =
-        match Protocol.retry_after_ms reply with Some ms -> ms | None -> 50
-      in
-      let index = t.retry_draws in
-      t.retry_draws <- index + 1;
-      Unix.sleepf
-        (retry_delay_ms ~seed:t.retry_seed ~index ~retry_after_ms:ms /. 1000.0);
-      go (n - 1)
-    end
+    match decode Protocol.status reply with
+    | Ok (Overloaded _) when n <= 1 ->
+        Error
+          (Printf.sprintf "server still overloaded after %d attempts" attempts)
+    | Ok (Overloaded ms) ->
+        let index = t.retry_draws in
+        t.retry_draws <- index + 1;
+        Unix.sleepf
+          (retry_delay_ms ~seed:t.retry_seed ~index ~retry_after_ms:ms /. 1000.0);
+        go (n - 1)
+    | Ok _ | Error _ -> Ok reply
   in
   go attempts
 
 (* --- typed helpers --- *)
 
-let status_ok reply =
-  match Protocol.reply_status reply with
-  | "ok" -> Ok reply
-  | "error" -> (
-      match Protocol.reply_error reply with
-      | Some msg -> Error msg
-      | None -> Error "server answered an error without a message")
-  | other -> Error (Printf.sprintf "unexpected reply status %S" other)
+(* An ok reply decoded with [desc]; any other status is an [Error]. *)
+let decode_ok desc reply =
+  let* status = decode Protocol.status reply in
+  match status with
+  | Ok_reply -> decode desc reply
+  | Error_reply msg -> Error msg
+  | Overloaded _ -> Error "unexpected reply status \"overloaded\""
 
-let call ?attempts t frame =
-  Result.bind (request_retry ?attempts t frame) status_ok
+let call ?attempts t desc frame =
+  Result.bind (request_retry ?attempts t frame) (decode_ok desc)
 
-let missing name = Printf.sprintf "reply is missing field %S" name
+let ping t = call t Protocol.pong Protocol.ping
 
-let int_of name reply =
-  match Protocol.int_field name reply with
-  | Some i -> Ok i
-  | None -> Error (missing name)
-
-let string_of name reply =
-  match Protocol.string_field name reply with
-  | Some s -> Ok s
-  | None -> Error (missing name)
-
-let ping t =
-  let* reply = call t Protocol.ping in
-  int_of "protocol" reply
-
-let server_stats t = call t Protocol.stats
+let server_stats t = call t Protocol.stats_reply Protocol.stats
 
 let partition ?algorithm ?buffer_mb ?deadline_ms ?budget_steps t w =
-  call t
+  call t Protocol.partitioned
     (Protocol.partition_request ?algorithm ?buffer_mb ?deadline_ms
        ?budget_steps w)
 
-let partition_race ?buffer_mb ?deadline_ms ?budget_steps t w =
-  let* reply =
-    partition ~algorithm:"portfolio" ?buffer_mb ?deadline_ms ?budget_steps t w
-  in
-  match Protocol.reply_winner reply with
-  | Some winner -> Ok (winner, Protocol.reply_entrants reply)
-  | None ->
-      Error "reply carries no race audit (server predates protocol v4?)"
-
-type opened = { created : bool; restored : bool; generation : int }
-
 let open_session ?panel ?drift_ratio ?min_window ?epoch ?memory ?horizon
     ?budget_steps ?buffer_mb t ~session table =
-  let* reply =
-    call t
-      (Protocol.open_request ?panel ?drift_ratio ?min_window ?epoch ?memory
-         ?horizon ?budget_steps ?buffer_mb ~session table)
-  in
-  let* created =
-    match Json.member "created" reply with
-    | Some (Json.Bool b) -> Ok b
-    | _ -> Error (missing "created")
-  in
-  let restored =
-    (* Absent on pre-durability servers: nothing was on disk to restore. *)
-    match Json.member "restored" reply with
-    | Some (Json.Bool b) -> b
-    | _ -> false
-  in
-  let* generation = int_of "generation" reply in
-  Ok { created; restored; generation }
+  call t Protocol.opened
+    (Protocol.open_request ?panel ?drift_ratio ?min_window ?epoch ?memory
+       ?horizon ?budget_steps ?buffer_mb ~session table)
 
 let ingest ?deadline_ms ?budget_steps ?seq t ~session table q =
   let frame =
@@ -202,24 +162,21 @@ let ingest ?deadline_ms ?budget_steps ?seq t ~session table q =
     match request_retry t frame with
     | Error _ when n > 1 -> go (n - 1)
     | result ->
-        let* reply = Result.bind result status_ok in
-        int_of "generation" reply
+        let* reply = result in
+        let* (i : Protocol.ingested) = decode_ok Protocol.ingested reply in
+        Ok i.generation
   in
   go transport_attempts
 
-let layout t ~session = call t (Protocol.layout_request ~session)
+let layout t ~session = call t Protocol.layout_view (Protocol.layout_request ~session)
 
 let history t ~session =
-  let* reply = call t (Protocol.history_request ~session) in
-  string_of "history" reply
+  call t Protocol.history_view (Protocol.history_request ~session)
+  |> Result.map (fun (h : Protocol.history_view) -> h.history)
 
-let close_session t ~session =
-  let* reply = call t (Protocol.close_request ~session) in
-  string_of "history" reply
+let close_session t ~session = call t Protocol.closed (Protocol.close_request ~session)
 
-let shutdown_server t =
-  let* _reply = call t Protocol.shutdown in
-  Ok ()
+let shutdown_server t = call t Protocol.stopping Protocol.shutdown
 
 (* --- batch mode --- *)
 

@@ -1,8 +1,10 @@
 open Vp_core
 
 (** The layout server's client: one TCP connection speaking
-    {!Vp_server.Protocol}, with typed helpers over the raw
-    request/reply exchange.
+    {!Vp_server.Protocol}. {!request} is the raw exchange; {!call} and
+    the typed helpers decode each reply with its one
+    {!Vp_server.Protocol} description, the same one the daemon and the
+    router encode with, and read no member by hand.
 
     A client is cheap and reconnects lazily: the socket is opened on the
     first {!request} and re-opened after the server sheds it (an
@@ -30,10 +32,6 @@ val retry_delay_ms :
     jitter bounds are unit-testable; {!request_retry} draws [index]
     from a per-client counter. *)
 
-val host : t -> string
-
-val port : t -> int
-
 val close : t -> unit
 (** Closes the connection if one is open. The client remains usable
     (the next request reconnects). *)
@@ -55,21 +53,28 @@ val request_retry :
     hanging. *)
 
 val call :
-  ?attempts:int -> t -> Vp_observe.Json.t -> (Vp_observe.Json.t, string) result
-(** {!request_retry}, with any reply but [ok] mapped to [Error] (an
-    [error] reply's message, when it has one). *)
+  ?attempts:int ->
+  t ->
+  'a Vp_observe.Json.Codec.t ->
+  Vp_observe.Json.t ->
+  ('a, string) result
+(** [call c reply frame]: {!request_retry}, then the reply decoded with
+    the [reply] description. Any reply but [ok] is an [Error] (an
+    [error] reply's message), and so is a reply the description does
+    not fit. *)
 
 (** {2 Typed helpers}
 
-    Each sends the corresponding {!Vp_server.Protocol} request (through
-    {!request_retry}) and decodes the interesting part of an [ok] reply;
-    [error] replies map to [Error] with the server's message. *)
+    Each sends the corresponding {!Vp_server.Protocol} request through
+    {!call} and returns the reply decoded with its
+    {!Vp_server.Protocol} description. *)
 
 val ping : t -> (int, string) result
 (** The server's protocol version. *)
 
-val server_stats : t -> (Vp_observe.Json.t, string) result
-(** The raw [stats] reply (counters, gauges, live session count). *)
+val server_stats : t -> (Vp_server.Protocol.stats, string) result
+(** Live session count, counters and gauges (and, from a router, the
+    per-shard session counts). *)
 
 val partition :
   ?algorithm:string ->
@@ -78,33 +83,11 @@ val partition :
   ?budget_steps:int ->
   t ->
   Workload.t ->
-  (Vp_observe.Json.t, string) result
-(** A one-shot panel run; the [ok] reply carries [layout], [cost],
-    [status] and [algorithm] fields (see {!Vp_server.Protocol}).
+  (Vp_server.Protocol.partitioned, string) result
+(** A one-shot panel run: the layout, its cost and the run status.
     [~algorithm:"portfolio"] (protocol v4) races every registered
     entrant server-side; the reply then also carries the [winner] and
-    [entrants] race audit — or use {!partition_race} for the decoded
-    form. *)
-
-val partition_race :
-  ?buffer_mb:float ->
-  ?deadline_ms:int ->
-  ?budget_steps:int ->
-  t ->
-  Workload.t ->
-  (string * Vp_server.Protocol.entrant_summary list, string) result
-(** {!partition} with [~algorithm:"portfolio"], plus decoding of the v4
-    race audit: [Ok (winner, entrants)]. [Error] when the server
-    predates protocol v4 (no audit in the reply). *)
-
-type opened = {
-  created : bool;  (** [false] when re-attaching to an existing session. *)
-  restored : bool;
-      (** The server rebuilt the session from disk (it had been evicted,
-          drained, or left behind by a crash). Always [false] from
-          servers without durability. *)
-  generation : int;
-}
+    the [entrants] race audit. *)
 
 val open_session :
   ?panel:string list ->
@@ -118,7 +101,7 @@ val open_session :
   t ->
   session:string ->
   Table.t ->
-  (opened, string) result
+  (Vp_server.Protocol.opened, string) result
 
 val ingest :
   ?deadline_ms:int ->
@@ -136,7 +119,7 @@ val ingest :
     [seq] the client resends on transport failure (lost reply, server
     restart) instead of giving up. *)
 
-val layout : t -> session:string -> (Vp_observe.Json.t, string) result
+val layout : t -> session:string -> (Vp_server.Protocol.layout_view, string) result
 
 val history : t -> session:string -> (string, string) result
 (** The session's decision history (byte-stable; see

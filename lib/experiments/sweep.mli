@@ -1,6 +1,6 @@
 (** Fault-tolerant execution of a set of experiment cells.
 
-    Where [Vp_parallel.Runner] assumes every task succeeds, a sweep
+    Where [Vp_parallel.Pool.run] assumes every task succeeds, a sweep
     expects trouble and degrades instead of aborting: each cell runs under
     its own {!Vp_robust.Budget}, a crashing or timed-out cell becomes an
     annotated entry in the report rather than a lost run, and completed
@@ -36,7 +36,7 @@ val run :
 
     [timeout_seconds]/[budget_steps] bound {e each cell} (a fresh budget
     per cell; with neither, cells run unbudgeted and behave exactly as
-    under [Runner.run]). [journal_path] enables checkpointing: finished
+    under [Pool.run]). [journal_path] enables checkpointing: finished
     cells (Done and Timeout, not Error) are appended as they complete,
     and cells already present are replayed with [resumed = true].
     [fault] (default {!Vp_robust.Fault.disabled}) is installed as the

@@ -401,6 +401,10 @@ module Codec = struct
       | List l -> List.mapi element l
       | _ -> bad ())
 
+  let assoc c =
+    leaf "object" (fun kvs -> Obj (List.map (fun (k, v) -> (k, c.encode v)) kvs)) (fun bad ->
+      function Obj fields -> List.map (fun (k, j) -> (k, within k c j)) fields | _ -> bad ())
+
   (* [enc o tail] puts this description's members in front of [tail]. *)
   type ('o, 'f) members = {
     enc : 'o -> (string * json) list -> (string * json) list;

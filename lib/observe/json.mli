@@ -113,6 +113,10 @@ module Codec : sig
 
   val list : 'a t -> 'a list t
 
+  val assoc : 'a t -> (string * 'a) list t
+  (** An object read as its members in order, every value of one kind:
+      a [stats] reply's counters. *)
+
   type ('o, 'f) members
   (** Members of an object holding an ['o]; ['f] is what the build
       function still awaits. *)

@@ -1,4 +1,5 @@
 module Json = Vp_observe.Json
+module C = Json.Codec
 module Protocol = Vp_server.Protocol
 module Sessions = Vp_server.Sessions
 module Journal = Vp_robust.Journal
@@ -60,17 +61,11 @@ let rec mkdir_p dir =
 
 (* --- talking to shards: one-shot typed RPCs (control plane) --- *)
 
-let shard_rpc ?attempts port req =
+let shard_rpc ?attempts port reply req =
   let c = Client.create ~port () in
   Fun.protect
     ~finally:(fun () -> Client.close c)
-    (fun () -> Client.call ?attempts c req)
-
-let session_list_of reply =
-  match Json.member "sessions" reply with
-  | Some (Json.List xs) ->
-      List.filter_map (function Json.String s -> Some s | _ -> None) xs
-  | _ -> []
+    (fun () -> Client.call ?attempts c reply req)
 
 (* --- spawning and supervising the fleet --- *)
 
@@ -386,83 +381,60 @@ let aggregate_stats t =
           (v + Option.value (Hashtbl.find_opt table name) ~default:0))
       kvs
   in
-  let ints_of field reply =
-    match Json.member field reply with
-    | Some (Json.Obj kvs) ->
-        List.filter_map
-          (function name, Json.Int v -> Some (name, v) | _ -> None)
-          kvs
-    | _ -> []
-  in
   let sessions = ref 0 and unreachable = ref 0 in
   let per_shard = ref [] in
   List.iter
     (fun (s : shard) ->
       if not s.healthy then incr unreachable
       else
-        match shard_rpc ~attempts:3 s.port Protocol.stats with
+        match shard_rpc ~attempts:3 s.port Protocol.stats_reply Protocol.stats with
         | Error _ -> incr unreachable
         | Ok reply ->
-            let n =
-              Option.value (Protocol.int_field "sessions" reply) ~default:0
-            in
-            sessions := !sessions + n;
-            per_shard := (s.id, Json.Int n) :: !per_shard;
-            bump counters (ints_of "counters" reply);
-            bump gauges (ints_of "gauges" reply))
+            sessions := !sessions + reply.sessions;
+            per_shard := (s.id, reply.sessions) :: !per_shard;
+            bump counters reply.counters;
+            bump gauges reply.gauges)
     (all_shards t);
   (* The router's own probes ride along under their router.* names. *)
   let snap = Vp_observe.Stats.snapshot () in
-  bump counters snap.Vp_observe.Stats.counters;
-  bump gauges snap.Vp_observe.Stats.gauges;
+  bump counters snap.counters;
+  bump gauges snap.gauges;
   let sorted table =
-    Hashtbl.fold (fun name v acc -> (name, Json.Int v) :: acc) table []
+    Hashtbl.fold (fun name v acc -> (name, v) :: acc) table []
     |> List.sort (fun (a, _) (b, _) -> String.compare a b)
   in
-  Protocol.ok_reply
-    [
-      ("sessions", Json.Int !sessions);
-      ("counters", Json.Obj (sorted counters));
-      ("gauges", Json.Obj (sorted gauges));
-      ("shards", Json.Obj (List.rev !per_shard));
-      ("shards_unreachable", Json.Int !unreachable);
-    ]
+  C.encode Protocol.stats_reply
+    {
+      sessions = !sessions;
+      counters = sorted counters;
+      gauges = sorted gauges;
+      shards = Some (List.rev !per_shard);
+      shards_unreachable = Some !unreachable;
+    }
+
+let session_names ?attempts (s : shard) =
+  match shard_rpc ?attempts s.port Protocol.session_list Protocol.sessions_request with
+  | Ok names -> names
+  | Error _ -> []
 
 let aggregate_sessions t =
   let names =
     List.concat_map
-      (fun (s : shard) ->
-        if not s.healthy then []
-        else
-          match shard_rpc ~attempts:3 s.port Protocol.sessions_request with
-          | Ok reply -> session_list_of reply
-          | Error _ -> [])
+      (fun (s : shard) -> if s.healthy then session_names ~attempts:3 s else [])
       (all_shards t)
   in
-  Protocol.ok_reply
-    [
-      ( "sessions",
-        Json.List
-          (List.map (fun n -> Json.String n) (List.sort_uniq compare names)) );
-    ]
+  C.encode Protocol.session_list (List.sort_uniq compare names)
 
 let cluster_info t =
-  let shard_json (s : shard) =
-    Json.Obj
-      [
-        ("id", Json.String s.id);
-        ("port", Json.Int s.port);
-        ("pid", Json.Int s.pid);
-        ("healthy", Json.Bool s.healthy);
-        ("restarts", Json.Int s.restarts);
-      ]
+  let info (s : shard) =
+    { Protocol.id = s.id; port = s.port; pid = s.pid; healthy = s.healthy; restarts = s.restarts }
   in
-  Protocol.ok_reply
-    [
-      ("shards", Json.List (List.map shard_json (all_shards t)));
-      ("replicas", Json.Int Ring.default_replicas);
-      ("reconfiguring", Json.Bool (Atomic.get t.reconfiguring));
-    ]
+  C.encode Protocol.cluster_info
+    {
+      fleet = List.map info (all_shards t);
+      replicas = Ring.default_replicas;
+      reconfiguring = Atomic.get t.reconfiguring;
+    }
 
 (* --- handoff: ring changes move sessions as files --- *)
 
@@ -475,12 +447,10 @@ let move_session_files ~src ~dst name =
         Sys.rename from_path (Filename.concat dst (prefix ^ ext)))
     [ ".meta"; ".snap"; ".wal" ]
 
-let checked_is_ok = function Ok _ -> true | Error _ -> false
-
 (* Moves one spilled session's files into [dest] and has it adopt them. *)
 let hand_off ~src (dest : shard) name ~moved ~errors =
   move_session_files ~src ~dst:dest.dir name;
-  if checked_is_ok (shard_rpc dest.port (Protocol.adopt_request ~session:name))
+  if Result.is_ok (shard_rpc dest.port Protocol.adopted (Protocol.adopt_request ~session:name))
   then begin
     incr moved;
     stat_incr c_handoffs
@@ -488,12 +458,7 @@ let hand_off ~src (dest : shard) name ~moved ~errors =
   else incr errors
 
 let handoff_reply id ~moved ~errors =
-  Protocol.ok_reply
-    [
-      ("shard", Json.String id);
-      ("moved", Json.Int !moved);
-      ("handoff_errors", Json.Int !errors);
-    ]
+  C.encode Protocol.handoff { shard = id; moved = !moved; handoff_errors = !errors }
 
 let with_control t f = Mutex.protect t.control f
 
@@ -562,19 +527,15 @@ let cluster_add t =
                 (fun (l : shard) ->
                   let live = l.healthy && l.pid > 0 in
                   let names =
-                    if live then
-                      match shard_rpc l.port Protocol.sessions_request with
-                      | Ok reply -> session_list_of reply
-                      | Error _ -> []
-                    else Sessions.on_disk_sessions l.dir
+                    if live then session_names l else Sessions.on_disk_sessions l.dir
                   in
                   List.iter
                     (fun name ->
                       if Ring.lookup ring' name = id then begin
                         let detached =
                           if live then
-                            checked_is_ok
-                              (shard_rpc l.port
+                            Result.is_ok
+                              (shard_rpc l.port Protocol.detached
                                  (Protocol.detach_request ~session:name))
                           else true
                         in
@@ -587,27 +548,24 @@ let cluster_add t =
               locked_state t (fun () -> t.ring <- ring');
               handoff_reply id ~moved ~errors))
 
-let cluster_locate t doc =
-  match Json.member "session" doc with
-  | Some (Json.String session) -> (
-      match locked_state t (fun () -> Ring.lookup_opt t.ring session) with
-      | Some id -> Protocol.ok_reply [ ("shard", Json.String id) ]
-      | None -> Protocol.error_reply "the ring is empty")
-  | Some _ | None ->
-      Protocol.error_reply "missing or non-string field \"session\""
+let cluster_locate t session =
+  match locked_state t (fun () -> Ring.lookup_opt t.ring session) with
+  | Some id -> C.encode Protocol.located id
+  | None -> Protocol.error_reply "the ring is empty"
+
+(* [f] of the one member the router reads from a frame, or that
+   member's error. *)
+let with_member m doc f =
+  match C.decode m doc with
+  | v -> f v
+  | exception C.Error e -> error_reply (C.error_message e)
 
 (* --- per-frame dispatch --- *)
 
 (* The ops the router answers itself. *)
-let answer t op doc =
+let answer t op =
   match op with
-  | "ping" ->
-      Protocol.ok_reply
-        [
-          ("protocol", Json.Int Protocol.protocol_version);
-          ("router", Json.Bool true);
-          ("shards", Json.Int (shard_count t));
-        ]
+  | "ping" -> C.encode Protocol.router_pong (shard_count t)
   | "stats" -> aggregate_stats t
   | "sessions" -> aggregate_sessions t
   | "detach" | "adopt" ->
@@ -616,25 +574,22 @@ let answer t op doc =
            "op %S is shard-internal; the router manages session placement" op)
   | "shutdown" ->
       stop t;
-      Protocol.ok_reply [ ("stopping", Json.Bool true) ]
+      C.encode Protocol.stopping ()
   | "cluster_info" -> cluster_info t
-  | "cluster_locate" -> cluster_locate t doc
   | "cluster_add" -> cluster_add t
-  | "cluster_remove" -> (
-      match Json.member "shard" doc with
-      | Some (Json.String id) -> cluster_remove t id
-      | Some _ | None ->
-          Protocol.error_reply "missing or non-string field \"shard\"")
   | other -> Protocol.error_reply (Printf.sprintf "unknown op %S" other)
 
 let dispatch t cache op doc line =
   match op with
-  | "open" | "ingest" | "layout" | "history" | "close" -> (
-      match Json.member "session" doc with
-      | Some (Json.String session) -> forward_session t cache session line
-      | Some _ | None -> error_reply "missing or non-string field \"session\"")
+  | "open" | "ingest" | "layout" | "history" | "close" ->
+      with_member Protocol.session_of doc (fun session ->
+          forward_session t cache session line)
   | "partition" | "sleep" -> forward_rr t cache line
-  | _ -> Json.to_string (answer t op doc)
+  | "cluster_locate" ->
+      with_member Protocol.session_of doc (fun s -> Json.to_string (cluster_locate t s))
+  | "cluster_remove" ->
+      with_member Protocol.shard_of doc (fun id -> Json.to_string (cluster_remove t id))
+  | _ -> Json.to_string (answer t op)
 
 let reply_to_frame t cache line =
   stat_incr c_requests;
@@ -644,8 +599,8 @@ let reply_to_frame t cache line =
   with
   | Error msg -> error_reply (Printf.sprintf "malformed frame: %s" msg)
   | Ok doc -> (
-      match Json.member "op" doc with
-      | Some (Json.String op) ->
+      match Protocol.frame_op doc with
+      | Ok op ->
           let run () = dispatch t cache op doc line in
           let guarded () =
             try run ()
@@ -657,7 +612,7 @@ let reply_to_frame t cache line =
             Vp_observe.Trace.with_span ~name:"router.request"
               ~args:[ ("op", op) ] guarded
           else guarded ()
-      | Some _ | None -> error_reply "missing or non-string field \"op\"")
+      | Error msg -> error_reply msg)
 
 (* One cached connection per shard the client connection talked to. *)
 let connection t () =

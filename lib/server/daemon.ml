@@ -1,5 +1,7 @@
 open Vp_core
 module Json = Vp_observe.Json
+module C = Json.Codec
+module Service = Vp_online.Service
 
 let c_requests = Vp_observe.Stats.counter "server.requests"
 
@@ -32,13 +34,14 @@ let status_string = function
 
 let stats_reply t =
   let snap = Vp_observe.Stats.snapshot () in
-  let ints kvs = Json.Obj (List.map (fun (n, v) -> (n, Json.Int v)) kvs) in
-  Protocol.ok_reply
-    [
-      ("sessions", Json.Int (Sessions.count t.sessions));
-      ("counters", ints snap.Vp_observe.Stats.counters);
-      ("gauges", ints snap.Vp_observe.Stats.gauges);
-    ]
+  C.encode Protocol.stats_reply
+    {
+      sessions = Sessions.count t.sessions;
+      counters = snap.counters;
+      gauges = snap.gauges;
+      shards = None;
+      shards_unreachable = None;
+    }
 
 (* When the request names an algorithm with a disk-aware spelling —
    BruteForce/ILP take the I/O pruning bound, the portfolio takes the
@@ -54,16 +57,15 @@ let resolve_algorithm disk name =
   | "portfolio" -> Some (Vp_algorithms.Portfolio.with_bound disk)
   | _ -> Vp_algorithms.Registry.find_opt name
 
-let entrant_json (e : Partitioner.Response.entrant) =
-  Json.Codec.encode Protocol.entrant
-    {
-      Protocol.entrant = e.entrant;
-      entrant_short = e.entrant_short;
-      entrant_cost = e.entrant_cost;
-      entrant_status = status_string e.entrant_status;
-      entrant_cost_calls = e.entrant_stats.Partitioner.cost_calls;
-      entrant_winner = e.winner;
-    }
+let entrant_summary (e : Partitioner.Response.entrant) =
+  {
+    Protocol.entrant = e.entrant;
+    entrant_short = e.entrant_short;
+    entrant_cost = e.entrant_cost;
+    entrant_status = status_string e.entrant_status;
+    entrant_cost_calls = e.entrant_stats.Partitioner.cost_calls;
+    entrant_winner = e.winner;
+  }
 
 let partition_reply ~workload ~algorithm ~buffer_mb ~budget =
   let disk =
@@ -84,116 +86,65 @@ let partition_reply ~workload ~algorithm ~buffer_mb ~budget =
           ~label:"server" ~delta ~cost workload
       in
       let resp = Partitioner.exec algo request in
-      let race_fields =
-        match resp.Partitioner.Response.provenance.entrants with
-        | [] -> []
+      let winner, entrants =
+        match resp.provenance.entrants with
+        | [] -> (None, None)
         | entrants ->
-            let winner =
-              List.find_opt
-                (fun (e : Partitioner.Response.entrant) -> e.winner)
-                entrants
-            in
-            (match winner with
-            | Some e -> [ ("winner", Json.String e.entrant) ]
-            | None -> [])
-            @ [ ("entrants", Json.List (List.map entrant_json entrants)) ]
+            ( List.find_map
+                (fun (e : Partitioner.Response.entrant) ->
+                  if e.winner then Some e.entrant else None)
+                entrants,
+              Some (List.map entrant_summary entrants) )
       in
-      Protocol.ok_reply
-        ([
-           ( "layout",
-             Protocol.layout_to_json (Workload.table workload)
-               resp.Partitioner.Response.partitioning );
-           ("cost", Json.Float resp.Partitioner.Response.cost);
-           ( "run_status",
-             Json.String (status_string resp.Partitioner.Response.status) );
-           ( "algorithm",
-             Json.String resp.Partitioner.Response.provenance.algorithm );
-           ( "cost_calls",
-             Json.Int resp.Partitioner.Response.stats.Partitioner.cost_calls );
-         ]
-        @ race_fields)
+      C.encode Protocol.partitioned
+        {
+          layout = Protocol.layout_names (Workload.table workload) resp.partitioning;
+          cost = resp.cost;
+          run_status = status_string resp.status;
+          algorithm = resp.provenance.algorithm;
+          cost_calls = resp.stats.cost_calls;
+          winner;
+          entrants;
+        }
 
-let with_named_session t session f =
-  match Sessions.view t.sessions session f with
+(* The session op's reply, or its error. *)
+let answer desc = function
+  | Ok v -> C.encode desc v
   | Error msg -> Protocol.error_reply msg
-  | Ok reply -> reply
 
 let dispatch t req =
   match (req : Protocol.request) with
-  | Ping ->
-      Protocol.ok_reply [ ("protocol", Json.Int Protocol.protocol_version) ]
+  | Ping -> C.encode Protocol.pong Protocol.protocol_version
   | Stats -> stats_reply t
   | Partition { workload; algorithm; buffer_mb; budget } ->
       partition_reply ~workload ~algorithm ~buffer_mb ~budget
-  | Open spec -> (
-      match Sessions.open_session t.sessions spec with
-      | Error msg -> Protocol.error_reply msg
-      | Ok { Sessions.created; restored; generation } ->
-          Protocol.ok_reply
-            [
-              ("created", Json.Bool created);
-              ("restored", Json.Bool restored);
-              ("generation", Json.Int generation);
-            ])
-  | Ingest { session; attributes; weight; name; seq; budget } -> (
-      match
-        Sessions.ingest t.sessions session ?seq
-          ?deadline_ms:budget.Protocol.deadline_ms
-          ?budget_steps:budget.Protocol.budget_steps ~attributes ~weight ?name
-          ()
-      with
-      | Error msg -> Protocol.error_reply msg
-      | Ok { Sessions.ingested; generation; duplicate } ->
-          Protocol.ok_reply
-            [
-              ("ingested", Json.Int ingested);
-              ("generation", Json.Int generation);
-              ("duplicate", Json.Bool duplicate);
-            ])
+  | Open spec -> answer Protocol.opened (Sessions.open_session t.sessions spec)
+  | Ingest { session; attributes; weight; name; seq; budget } ->
+      answer Protocol.ingested
+        (Sessions.ingest t.sessions session ?seq ?deadline_ms:budget.deadline_ms
+           ?budget_steps:budget.budget_steps ~attributes ~weight ?name ())
   | Layout { session } ->
-      with_named_session t session (fun svc ->
-          Protocol.ok_reply
-            [
-              ("generation", Json.Int (Vp_online.Service.generation svc));
-              ("ingested", Json.Int (Vp_online.Service.ingested svc));
-              ( "layout",
-                Protocol.layout_to_json
-                  (Vp_online.Service.table svc)
-                  (Vp_online.Service.layout svc) );
-            ])
+      answer Protocol.layout_view
+        (Sessions.view t.sessions session (fun svc ->
+             {
+               Protocol.generation = Service.generation svc;
+               ingested = Service.ingested svc;
+               layout = Protocol.layout_names (Service.table svc) (Service.layout svc);
+             }))
   | History { session } ->
-      with_named_session t session (fun svc ->
-          Protocol.ok_reply
-            [
-              ("generation", Json.Int (Vp_online.Service.generation svc));
-              ("history", Json.String (Vp_online.Service.history svc));
-            ])
-  | Close { session } -> (
-      match Sessions.close t.sessions session with
-      | Error msg -> Protocol.error_reply msg
-      | Ok history -> Protocol.ok_reply [ ("history", Json.String history) ])
-  | Detach { session } -> (
-      match Sessions.detach t.sessions session with
-      | Error msg -> Protocol.error_reply msg
-      | Ok () -> Protocol.ok_reply [ ("detached", Json.Bool true) ])
-  | Adopt { session } -> (
-      match Sessions.adopt t.sessions session with
-      | Error msg -> Protocol.error_reply msg
-      | Ok fresh -> Protocol.ok_reply [ ("adopted", Json.Bool fresh) ])
-  | Session_list ->
-      Protocol.ok_reply
-        [
-          ( "sessions",
-            Json.List
-              (List.map (fun n -> Json.String n) (Sessions.names t.sessions))
-          );
-        ]
+      answer Protocol.history_view
+        (Sessions.view t.sessions session (fun svc ->
+             { Protocol.generation = Service.generation svc; history = Service.history svc }))
+  | Close { session } -> answer Protocol.closed (Sessions.close t.sessions session)
+  | Detach { session } -> answer Protocol.detached (Sessions.detach t.sessions session)
+  | Adopt { session } -> answer Protocol.adopted (Sessions.adopt t.sessions session)
+  | Session_list -> C.encode Protocol.session_list (Sessions.names t.sessions)
   | Sleep { ms } ->
       Unix.sleepf (float_of_int ms /. 1000.0);
-      Protocol.ok_reply [ ("slept_ms", Json.Int ms) ]
+      C.encode Protocol.slept ms
   | Shutdown ->
       stop t;
-      Protocol.ok_reply [ ("stopping", Json.Bool true) ]
+      C.encode Protocol.stopping ()
 
 let reply_to_frame t line =
   if Vp_observe.Switch.stats_on () then Vp_observe.Stats.incr c_requests;

@@ -101,19 +101,11 @@ let op_name = function
   | Sleep _ -> "sleep"
   | Shutdown -> "shutdown"
 
-(* --- field accessors for the client-side readers --- *)
-
 let string_field name doc =
   match Json.member name doc with Some (Json.String s) -> Some s | _ -> None
 
 let int_field name doc =
   match Json.member name doc with Some (Json.Int i) -> Some i | _ -> None
-
-let float_field name doc =
-  match Json.member name doc with
-  | Some (Json.Float f) -> Some f
-  | Some (Json.Int i) -> Some (float_of_int i)
-  | _ -> None
 
 (* --- descriptions: one per frame and file shape --- *)
 
@@ -265,33 +257,43 @@ let adopt_frame = op_frame "adopt" "session" C.string
 
 let sleep_frame = op_frame "sleep" "ms" (C.int_in ~min:0 ~max:60_000 ())
 
+let member name = C.(seal (obj Fun.id |> field name string Fun.id))
+
+let session_of = member "session"
+
+let shard_of = member "shard"
+
 (* --- decoding --- *)
 
-let request_of_json doc =
-  match doc with
-  | Json.Obj _ -> (
+let frame_op = function
+  | Json.Obj _ as doc -> (
       match Json.member "op" doc with
-      | Some (Json.String op) -> (
-          try
-            Ok
-              (match op with
-              | "ping" -> Ping
-              | "stats" -> Stats
-              | "partition" -> Partition (C.decode partition_frame doc)
-              | "open" -> Open (open_spec_of_frame (C.decode open_frame doc))
-              | "ingest" -> Ingest (C.decode ingest_frame doc)
-              | "layout" -> Layout { session = C.decode layout_frame doc }
-              | "history" -> History { session = C.decode history_frame doc }
-              | "close" -> Close { session = C.decode close_frame doc }
-              | "detach" -> Detach { session = C.decode detach_frame doc }
-              | "adopt" -> Adopt { session = C.decode adopt_frame doc }
-              | "sessions" -> Session_list
-              | "sleep" -> Sleep { ms = C.decode sleep_frame doc }
-              | "shutdown" -> Shutdown
-              | other -> C.fail "unknown op %S" other)
-          with C.Error e -> Error (C.error_message e))
+      | Some (Json.String op) -> Ok op
       | _ -> Error "missing or non-string field \"op\"")
   | _ -> Error "request frame must be a JSON object"
+
+let request_of_json doc =
+  match frame_op doc with
+  | Error msg -> Error msg
+  | Ok op -> (
+      try
+        Ok
+          (match op with
+          | "ping" -> Ping
+          | "stats" -> Stats
+          | "partition" -> Partition (C.decode partition_frame doc)
+          | "open" -> Open (open_spec_of_frame (C.decode open_frame doc))
+          | "ingest" -> Ingest (C.decode ingest_frame doc)
+          | "layout" -> Layout { session = C.decode layout_frame doc }
+          | "history" -> History { session = C.decode history_frame doc }
+          | "close" -> Close { session = C.decode close_frame doc }
+          | "detach" -> Detach { session = C.decode detach_frame doc }
+          | "adopt" -> Adopt { session = C.decode adopt_frame doc }
+          | "sessions" -> Session_list
+          | "sleep" -> Sleep { ms = C.decode sleep_frame doc }
+          | "shutdown" -> Shutdown
+          | other -> C.fail "unknown op %S" other)
+      with C.Error e -> Error (C.error_message e))
 
 (* --- request builders --- *)
 
@@ -334,39 +336,64 @@ let detach_request ~session = C.encode detach_frame session
 
 let adopt_request ~session = C.encode adopt_frame session
 
-(* --- replies --- *)
+(* --- replies: one description per shape --- *)
+
+type status = Ok_reply | Error_reply of string | Overloaded of int
+
+let status =
+  C.(seal (obj (fun status error retry_after_ms ->
+               match (status, error) with
+               | "ok", _ -> Ok_reply
+               | "error", Some msg -> Error_reply msg
+               | "error", None -> fail "server answered an error without a message"
+               | "overloaded", _ -> Overloaded (Option.value retry_after_ms ~default:50)
+               | other, _ -> fail "unexpected reply status %S" other)
+           |> field "status" string (function
+                | Ok_reply -> "ok" | Error_reply _ -> "error" | Overloaded _ -> "overloaded")
+           |> opt "error" string (function Error_reply msg -> Some msg | _ -> None)
+           |> opt "retry_after_ms" int (function Overloaded ms -> Some ms | _ -> None)))
 
 let ok_reply fields = Json.Obj (("status", Json.String "ok") :: fields)
 
-let error_reply msg =
-  Json.Obj
-    [ ("status", Json.String "error"); ("error", Json.String msg) ]
+let error_reply msg = C.encode status (Error_reply msg)
 
-let overloaded_reply ~retry_after_ms =
-  Json.Obj
-    [
-      ("status", Json.String "overloaded");
-      ("retry_after_ms", Json.Int retry_after_ms);
-    ]
+let overloaded_reply ~retry_after_ms = C.encode status (Overloaded retry_after_ms)
 
-let layout_to_json table p =
-  Json.List
-    (List.map
-       (fun group ->
-         Json.List
-           (List.map
-              (fun n -> Json.String n)
-              (Table.names_of_attr_set table group)))
-       (Partitioning.groups p))
+(* An ok reply's members: ["status":"ok"] first, then [build]'s. *)
+let ok build = C.(obj build |> const "status" (Json.String "ok"))
 
-let reply_status doc =
-  match string_field "status" doc with Some s -> s | None -> ""
+let ok_member name c = C.(seal (ok Fun.id |> field name c Fun.id))
 
-let reply_error doc = string_field "error" doc
+let ok_flag name = C.(seal (ok () |> const name (Json.Bool true)))
 
-let retry_after_ms doc = int_field "retry_after_ms" doc
+let pong = ok_member "protocol" C.int
 
-(* --- the v4 race audit --- *)
+let router_pong =
+  C.(seal (ok Fun.id |> const "protocol" (Json.Int protocol_version)
+           |> const "router" (Json.Bool true) |> field "shards" int Fun.id))
+
+type stats = {
+  sessions : int;
+  counters : (string * int) list;
+  gauges : (string * int) list;
+  shards : (string * int) list option;
+  shards_unreachable : int option;
+}
+
+let stats_reply =
+  C.(seal (ok (fun sessions counters gauges shards shards_unreachable ->
+               { sessions; counters; gauges; shards; shards_unreachable })
+           |> field "sessions" int (fun s -> s.sessions)
+           |> field "counters" (assoc int) (fun s -> s.counters)
+           |> field "gauges" (assoc int) (fun s -> s.gauges)
+           |> opt "shards" (assoc int) (fun s -> s.shards)
+           |> opt "shards_unreachable" int (fun s -> s.shards_unreachable)))
+
+let layout = C.(list (list string))
+
+let layout_names table p = List.map (Table.names_of_attr_set table) (Partitioning.groups p)
+
+let layout_to_json table p = C.encode layout (layout_names table p)
 
 type entrant_summary = {
   entrant : string;
@@ -376,8 +403,6 @@ type entrant_summary = {
   entrant_cost_calls : int;
   entrant_winner : bool;
 }
-
-let reply_winner doc = string_field "winner" doc
 
 let entrant =
   C.(
@@ -394,7 +419,95 @@ let entrant =
       |> field "cost_calls" int (fun e -> e.entrant_cost_calls)
       |> field "winner" bool (fun e -> e.entrant_winner)))
 
-let reply_entrants doc =
-  match Json.member "entrants" doc with
-  | Some l -> ( try C.decode (C.list entrant) l with C.Error _ -> [])
-  | None -> []
+type partitioned = {
+  layout : string list list;
+  cost : float;
+  run_status : string;
+  algorithm : string;
+  cost_calls : int;
+  winner : string option;
+  entrants : entrant_summary list option;
+}
+
+let partitioned =
+  C.(seal (ok (fun layout cost run_status algorithm cost_calls winner entrants ->
+               { layout; cost; run_status; algorithm; cost_calls; winner; entrants })
+           |> field "layout" layout (fun (p : partitioned) -> p.layout)
+           |> field "cost" number (fun p -> p.cost)
+           |> field "run_status" string (fun p -> p.run_status)
+           |> field "algorithm" string (fun (p : partitioned) -> p.algorithm)
+           |> field "cost_calls" int (fun p -> p.cost_calls)
+           |> opt "winner" string (fun p -> p.winner)
+           |> opt "entrants" (list entrant) (fun p -> p.entrants)))
+
+type opened = { created : bool; restored : bool; generation : int }
+
+(* [restored] and [duplicate] are absent before v2. *)
+let opened =
+  C.(seal (ok (fun created restored generation -> { created; restored; generation })
+           |> field "created" bool (fun o -> o.created)
+           |> dft "restored" bool false (fun o -> o.restored)
+           |> field "generation" int (fun (o : opened) -> o.generation)))
+
+type ingested = { ingested : int; generation : int; duplicate : bool }
+
+let ingested =
+  C.(seal (ok (fun ingested generation duplicate -> { ingested; generation; duplicate })
+           |> field "ingested" int (fun (i : ingested) -> i.ingested)
+           |> field "generation" int (fun (i : ingested) -> i.generation)
+           |> dft "duplicate" bool false (fun i -> i.duplicate)))
+
+type layout_view = { generation : int; ingested : int; layout : string list list }
+
+let layout_view =
+  C.(seal (ok (fun generation ingested layout -> { generation; ingested; layout })
+           |> field "generation" int (fun (v : layout_view) -> v.generation)
+           |> field "ingested" int (fun (v : layout_view) -> v.ingested)
+           |> field "layout" layout (fun (v : layout_view) -> v.layout)))
+
+type history_view = { generation : int; history : string }
+
+let history_view =
+  C.(seal (ok (fun generation history -> { generation; history })
+           |> field "generation" int (fun (h : history_view) -> h.generation)
+           |> field "history" string (fun h -> h.history)))
+
+let closed = ok_member "history" C.string
+
+let detached = ok_flag "detached"
+
+let adopted = ok_member "adopted" C.bool
+
+let session_list = ok_member "sessions" C.(list string)
+
+let slept = ok_member "slept_ms" C.int
+
+let stopping = ok_flag "stopping"
+
+let located = ok_member "shard" C.string
+
+type shard_info = { id : string; port : int; pid : int; healthy : bool; restarts : int }
+
+type cluster_info = { fleet : shard_info list; replicas : int; reconfiguring : bool }
+
+let cluster_info =
+  let shard =
+    C.(seal (obj (fun id port pid healthy restarts -> { id; port; pid; healthy; restarts })
+             |> field "id" string (fun s -> s.id)
+             |> field "port" int (fun s -> s.port)
+             |> field "pid" int (fun s -> s.pid)
+             |> field "healthy" bool (fun s -> s.healthy)
+             |> field "restarts" int (fun s -> s.restarts)))
+  in
+  C.(seal (ok (fun fleet replicas reconfiguring -> { fleet; replicas; reconfiguring })
+           |> field "shards" (list shard) (fun c -> c.fleet)
+           |> field "replicas" int (fun c -> c.replicas)
+           |> field "reconfiguring" bool (fun c -> c.reconfiguring)))
+
+type handoff = { shard : string; moved : int; handoff_errors : int }
+
+let handoff =
+  C.(seal (ok (fun shard moved handoff_errors -> { shard; moved; handoff_errors })
+           |> field "shard" string (fun h -> h.shard)
+           |> field "moved" int (fun h -> h.moved)
+           |> field "handoff_errors" int (fun h -> h.handoff_errors)))

@@ -8,10 +8,11 @@ open Vp_core
     ["ok"], ["error"] (with an ["error"] message) or ["overloaded"]
     (with a ["retry_after_ms"] hint — the daemon shed the connection
     before reading a single byte). The format reuses {!Vp_observe.Json},
-    so the server stays dependency-free, and each frame is one
-    {!Vp_observe.Json.Codec} description: a builder below and
-    {!request_of_json} are its two directions, so they cannot disagree
-    on a byte.
+    so the server stays dependency-free. Each request frame and each
+    reply is one {!Vp_observe.Json.Codec} description: for a frame, a
+    builder below and {!request_of_json} are its two directions; for a
+    reply, the servers encode and the client decodes with the same
+    value, so neither side can disagree on a byte.
 
     Operations:
     - [ping] — liveness probe.
@@ -133,6 +134,11 @@ type request =
 val op_name : request -> string
 (** The wire name of the operation (span/telemetry label). *)
 
+val frame_op : Vp_observe.Json.t -> (string, string) result
+(** The ["op"] of a frame, or the error reply's text for a frame that
+    is not an object or names no op. The router reads its frames'
+    ops with it, so both servers refuse such frames in the same words. *)
+
 val request_of_json : Vp_observe.Json.t -> (request, string) result
 (** Decodes one frame. Errors are one-line human-readable messages,
     suitable for an [error] reply verbatim
@@ -221,29 +227,61 @@ val adopt_request : session:string -> Vp_observe.Json.t
 
 val sessions_request : Vp_observe.Json.t
 
-(** {2 Reply builders (the server side)} *)
+val session_of : string Vp_observe.Json.Codec.t
+(** A frame's ["session"] member, read alone: the router places session
+    ops and answers [cluster_locate] by it. *)
 
-val ok_reply : (string * Vp_observe.Json.t) list -> Vp_observe.Json.t
+val shard_of : string Vp_observe.Json.Codec.t
+(** The ["shard"] member of the router's [cluster_remove] frame. *)
+
+(** {2 Replies}
+
+    One description per reply shape, with ["status":"ok"] written first
+    as a constant; the daemon and the router encode with it, the client
+    decodes with it. Decoding ignores members a description does not
+    name, so {!pong} also reads the router's {!router_pong}. *)
+
+(** Every reply's envelope. Decoding fails on an unknown status or an
+    [error] without a message; a missing [retry_after_ms] reads as 50. *)
+type status = Ok_reply | Error_reply of string | Overloaded of int
+
+val status : status Vp_observe.Json.Codec.t
 
 val error_reply : string -> Vp_observe.Json.t
 
 val overloaded_reply : retry_after_ms:int -> Vp_observe.Json.t
 
+val ok_reply : (string * Vp_observe.Json.t) list -> Vp_observe.Json.t
+(** An ok reply from a member list, for a caller that rebuilds the
+    daemon's replies outside this library. *)
+
+val pong : int Vp_observe.Json.Codec.t
+(** [ping]: the protocol version. *)
+
+val router_pong : int Vp_observe.Json.Codec.t
+(** The router's [ping]: also ["router":true] and the shard count. *)
+
+(** [stats]. A router adds [shards] (live sessions by shard id) and
+    [shards_unreachable]. *)
+type stats = {
+  sessions : int;
+  counters : (string * int) list;
+  gauges : (string * int) list;
+  shards : (string * int) list option;
+  shards_unreachable : int option;
+}
+
+val stats_reply : stats Vp_observe.Json.Codec.t
+
+val layout : string list list Vp_observe.Json.Codec.t
+(** A layout: its groups' attribute names. *)
+
+val layout_names : Table.t -> Partitioning.t -> string list list
+(** In canonical order. *)
+
 val layout_to_json : Table.t -> Partitioning.t -> Vp_observe.Json.t
-(** The layout as a list of attribute-name groups, canonical order. *)
 
-(** {2 Reply readers (the client side)} *)
-
-val reply_status : Vp_observe.Json.t -> string
-(** The ["status"] field; [""] when absent or non-string. *)
-
-val reply_error : Vp_observe.Json.t -> string option
-
-val retry_after_ms : Vp_observe.Json.t -> int option
-(** The backoff hint of an [overloaded] reply. *)
-
-(** One row of the race audit a v4 portfolio [partition] reply carries
-    in its ["entrants"] array. *)
+(** One row of a portfolio run's race audit. *)
 type entrant_summary = {
   entrant : string;
   entrant_short : string;
@@ -253,20 +291,78 @@ type entrant_summary = {
   entrant_winner : bool;
 }
 
-val reply_winner : Vp_observe.Json.t -> string option
-(** The winning entrant's algorithm name ([None] on non-portfolio
-    replies and pre-v4 servers). *)
-
 val entrant : entrant_summary Vp_observe.Json.Codec.t
-(** One ["entrants"] row; the daemon encodes with it. *)
 
-val reply_entrants : Vp_observe.Json.t -> entrant_summary list
-(** The per-entrant audit of a portfolio reply; [[]] when absent or
-    malformed. *)
+(** [partition]; [winner] and [entrants] only for a portfolio run. *)
+type partitioned = {
+  layout : string list list;
+  cost : float;
+  run_status : string;  (** ["complete"] or ["timed_out"]. *)
+  algorithm : string;
+  cost_calls : int;
+  winner : string option;
+  entrants : entrant_summary list option;
+}
+
+val partitioned : partitioned Vp_observe.Json.Codec.t
+
+(** [open]. [created] is [false] on a re-attach; [restored] is [true]
+    when the session was rebuilt from disk, and [false] when absent
+    (servers before v2). *)
+type opened = { created : bool; restored : bool; generation : int }
+
+val opened : opened Vp_observe.Json.Codec.t
+
+(** [ingest]. [duplicate]: the [seq] was already applied ([false] when
+    absent, before v2). *)
+type ingested = { ingested : int; generation : int; duplicate : bool }
+
+val ingested : ingested Vp_observe.Json.Codec.t
+
+type layout_view = { generation : int; ingested : int; layout : string list list }
+
+val layout_view : layout_view Vp_observe.Json.Codec.t
+
+type history_view = { generation : int; history : string }
+
+val history_view : history_view Vp_observe.Json.Codec.t
+
+val closed : string Vp_observe.Json.Codec.t
+(** [close]: the final history. *)
+
+val detached : unit Vp_observe.Json.Codec.t
+
+val adopted : bool Vp_observe.Json.Codec.t
+(** [false] when the name was already registered. *)
+
+val session_list : string list Vp_observe.Json.Codec.t
+
+val slept : int Vp_observe.Json.Codec.t
+
+val stopping : unit Vp_observe.Json.Codec.t
+(** [shutdown]. *)
+
+(** {3 The router's control replies} *)
+
+type shard_info = { id : string; port : int; pid : int; healthy : bool; restarts : int }
+
+(** [fleet] is the wire's ["shards"]. *)
+type cluster_info = { fleet : shard_info list; replicas : int; reconfiguring : bool }
+
+val cluster_info : cluster_info Vp_observe.Json.Codec.t
+
+val located : string Vp_observe.Json.Codec.t
+(** [cluster_locate]: the owner shard's id. *)
+
+(** [cluster_add] and [cluster_remove]. *)
+type handoff = { shard : string; moved : int; handoff_errors : int }
+
+val handoff : handoff Vp_observe.Json.Codec.t
+
+(** {2 Member readers}
+
+    For callers outside this library that read replies by hand. *)
 
 val string_field : string -> Vp_observe.Json.t -> string option
 
 val int_field : string -> Vp_observe.Json.t -> int option
-
-val float_field : string -> Vp_observe.Json.t -> float option
-(** Accepts both JSON ints and floats. *)

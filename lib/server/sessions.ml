@@ -384,7 +384,7 @@ let maybe_evict t =
 
 (* --- the request-facing operations --- *)
 
-type opened = { created : bool; restored : bool; generation : int }
+type opened = Protocol.opened = { created : bool; restored : bool; generation : int }
 
 let open_session t (spec : Protocol.open_spec) =
   match config_of_spec spec with
@@ -464,7 +464,7 @@ let open_session t (spec : Protocol.open_spec) =
       (match result with Ok _ -> maybe_evict t | Error _ -> ());
       result
 
-type ingested = { ingested : int; generation : int; duplicate : bool }
+type ingested = Protocol.ingested = { ingested : int; generation : int; duplicate : bool }
 
 let ingest t session ?seq ?deadline_ms ?budget_steps ~attributes ~weight ?name
     () =

@@ -78,13 +78,8 @@ val resident_count : t -> int
 val recovered_count : t -> int
 (** Sessions found on disk when the registry was created. *)
 
-type opened = {
-  created : bool;  (** A fresh session was created by this open. *)
-  restored : bool;
-      (** The open had to rebuild state from disk — the session was
-          spilled (evicted, drained, or left by a crash). *)
-  generation : int;
-}
+type opened = Protocol.opened = { created : bool; restored : bool; generation : int }
+(** The [open] reply's record ({!Protocol.opened}). *)
 
 val open_session : t -> Protocol.open_spec -> (opened, string) result
 (** Opens (or re-attaches to) the named session. A fresh name creates a
@@ -94,13 +89,8 @@ val open_session : t -> Protocol.open_spec -> (opened, string) result
     algorithm names and invalid config values are reported as errors,
     and no session is created (a malformed open must not leak state). *)
 
-type ingested = {
-  ingested : int;  (** Stream position after this request. *)
-  generation : int;
-  duplicate : bool;
-      (** The request's [seq] was already applied; nothing was
-          re-ingested. *)
-}
+type ingested = Protocol.ingested = { ingested : int; generation : int; duplicate : bool }
+(** The [ingest] reply's record ({!Protocol.ingested}). *)
 
 val ingest :
   t ->

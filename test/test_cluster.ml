@@ -173,14 +173,19 @@ let small_table () =
     (Vp_benchmarks.Synthetic.workload ~seed:3L ~rows:100_000 ~attributes:8
        ~clusters:3 ~queries:12 ~scatter:0.1 ())
 
+let locate c session =
+  unwrap
+    (Client.call c Protocol.located
+       (Json.Obj
+          [ ("op", Json.String "cluster_locate"); ("session", Json.String session) ]))
+
 let test_router_basics () =
   with_cluster "basics" (fun r port ->
       Alcotest.(check int) "three shards" 3 (Router.shard_count r);
       Testutil.with_client port (fun c ->
-          let pong = unwrap (Client.server_stats c) in
-          Alcotest.(check (option int))
-            "no sessions anywhere" (Some 0)
-            (Protocol.int_field "sessions" pong);
+          Alcotest.(check int)
+            "no sessions anywhere" 0
+            (unwrap (Client.server_stats c)).sessions;
           Alcotest.(check int)
             "ping through the router" Protocol.protocol_version
             (unwrap (Client.ping c));
@@ -191,26 +196,13 @@ let test_router_basics () =
             (fun s ->
               ignore (unwrap (Client.open_session c ~session:s t)))
             [ "alpha"; "bravo"; "charlie" ];
-          let stats = unwrap (Client.server_stats c) in
-          Alcotest.(check (option int))
-            "aggregate counts all sessions" (Some 3)
-            (Protocol.int_field "sessions" stats);
-          let located =
-            unwrap
-              (Client.request_retry c
-                 (Json.Obj
-                    [
-                      ("op", Json.String "cluster_locate");
-                      ("session", Json.String "alpha");
-                    ]))
-          in
-          (match Protocol.string_field "shard" located with
-          | Some id ->
-              Alcotest.(check bool)
-                (Printf.sprintf "locate names a shard (%s)" id)
-                true
-                (contains id "shard-")
-          | None -> Alcotest.fail "cluster_locate without a shard field");
+          Alcotest.(check int)
+            "aggregate counts all sessions" 3
+            (unwrap (Client.server_stats c)).sessions;
+          let id = locate c "alpha" in
+          Alcotest.(check bool)
+            (Printf.sprintf "locate names a shard (%s)" id)
+            true (contains id "shard-");
           (* The shard-management ops never cross the front door. *)
           List.iter
             (fun op ->
@@ -223,14 +215,11 @@ let test_router_basics () =
                      ])
               with
               | Ok reply ->
-                  Alcotest.(check string)
-                    (op ^ " is rejected") "error"
-                    (Protocol.reply_status reply);
                   Alcotest.(check bool)
-                    (op ^ " rejection is explained") true
-                    (match Protocol.reply_error reply with
-                    | Some msg -> contains msg "shard-internal"
-                    | None -> false)
+                    (op ^ " is rejected, explained") true
+                    (match Testutil.status_of reply with
+                    | Error_reply msg -> contains msg "shard-internal"
+                    | _ -> false)
               | Error msg -> Alcotest.failf "%s request failed: %s" op msg)
             [ "detach"; "adopt" ];
           List.iter
@@ -296,20 +285,6 @@ let test_cluster_matches_single_daemon () =
 
 (* --- handoff --- *)
 
-let locate c session =
-  let reply =
-    unwrap
-      (Client.request_retry c
-         (Json.Obj
-            [
-              ("op", Json.String "cluster_locate");
-              ("session", Json.String session);
-            ]))
-  in
-  match Protocol.string_field "shard" reply with
-  | Some id -> id
-  | None -> Alcotest.fail "cluster_locate reply without a shard"
-
 let test_handoff_identity () =
   (* Open on whatever shard the ring picks, ingest half the stream,
      remove that shard from the ring — the session spills, its files
@@ -328,26 +303,17 @@ let test_handoff_identity () =
             ignore (unwrap (Client.ingest ~seq:(j + 1) c ~session table qs.(j)))
           done;
           let owner = locate c session in
-          let reply =
+          let h =
             unwrap
-              (Client.request_retry c
+              (Client.call c Protocol.handoff
                  (Json.Obj
                     [
                       ("op", Json.String "cluster_remove");
                       ("shard", Json.String owner);
                     ]))
           in
-          Alcotest.(check string)
-            "cluster_remove ok" "ok"
-            (Protocol.reply_status reply);
-          Alcotest.(check bool)
-            "the session moved" true
-            (match Protocol.int_field "moved" reply with
-            | Some moved -> moved >= 1
-            | None -> false);
-          Alcotest.(check (option int))
-            "no handoff errors" (Some 0)
-            (Protocol.int_field "handoff_errors" reply);
+          Alcotest.(check bool) "the session moved" true (h.moved >= 1);
+          Alcotest.(check int) "no handoff errors" 0 h.handoff_errors;
           Alcotest.(check int) "fleet shrank" 2 (Router.shard_count r);
           let new_owner = locate c session in
           Alcotest.(check bool)
@@ -363,38 +329,19 @@ let test_handoff_identity () =
 
 (* --- kill -9 and supervised recovery --- *)
 
+let fleet c =
+  (unwrap
+     (Client.call c Protocol.cluster_info
+        (Json.Obj [ ("op", Json.String "cluster_info") ])))
+    .fleet
+
 let shard_pid c id =
-  let info =
-    unwrap (Client.request_retry c (Json.Obj [ ("op", Json.String "cluster_info") ]))
-  in
-  match Json.member "shards" info with
-  | Some (Json.List shards) -> (
-      match
-        List.find_map
-          (fun s ->
-            match (Json.member "id" s, Json.member "pid" s) with
-            | Some (Json.String sid), Some (Json.Int pid) when sid = id ->
-                Some pid
-            | _ -> None)
-          shards
-      with
-      | Some pid -> pid
-      | None -> Alcotest.failf "shard %s not in cluster_info" id)
-  | _ -> Alcotest.fail "cluster_info without a shards list"
+  match List.find_opt (fun (s : Protocol.shard_info) -> s.id = id) (fleet c) with
+  | Some s -> s.pid
+  | None -> Alcotest.failf "shard %s not in cluster_info" id
 
 let restarts_of c =
-  let info =
-    unwrap (Client.request_retry c (Json.Obj [ ("op", Json.String "cluster_info") ]))
-  in
-  match Json.member "shards" info with
-  | Some (Json.List shards) ->
-      List.fold_left
-        (fun acc s ->
-          match Json.member "restarts" s with
-          | Some (Json.Int n) -> acc + n
-          | _ -> acc)
-        0 shards
-  | _ -> 0
+  List.fold_left (fun acc (s : Protocol.shard_info) -> acc + s.restarts) 0 (fleet c)
 
 (* Rides out the whole crash window: sheds while the shard is down
    (already retried inside the client) plus transport errors while the
@@ -460,15 +407,15 @@ let test_router_fuzz () =
           Testutil.expect_error fd "hostile nesting"
             (String.make 200 '[' ^ "\n");
           Testutil.send_raw fd (String.make (Protocol.max_frame_bytes + 4096) 'a');
-          let reply = Testutil.read_reply fd in
-          Alcotest.(check string)
-            "oversized frame answered with a clean error" "error"
-            (Protocol.reply_status reply);
+          Alcotest.check Testutil.status
+            "oversized frame answered with a clean error"
+            (Error_reply (Printf.sprintf "frame exceeds the %d-byte limit" Protocol.max_frame_bytes))
+            (Testutil.status_of (Testutil.read_reply fd));
           Testutil.send_raw fd "\n";
           Testutil.send_raw fd (Json.to_string Protocol.ping ^ "\n");
-          Alcotest.(check string)
-            "connection survives the abuse" "ok"
-            (Protocol.reply_status (Testutil.read_reply fd)));
+          Alcotest.check Testutil.status
+            "connection survives the abuse" Ok_reply
+            (Testutil.status_of (Testutil.read_reply fd)));
       (* Mid-request disconnects, typed and during a ring change. *)
       let fd2 = Testutil.connect_raw port in
       Testutil.send_raw fd2 "{\"op\": \"ing";
@@ -477,14 +424,12 @@ let test_router_fuzz () =
           let fd3 = Testutil.connect_raw port in
           Testutil.send_raw fd3 "{\"op\": \"history\", \"session\": \"gho";
           let add =
-            unwrap
-              (Client.request_retry c
-                 (Json.Obj [ ("op", Json.String "cluster_add") ]))
+            Client.call c Protocol.handoff
+              (Json.Obj [ ("op", Json.String "cluster_add") ])
           in
           Unix.close fd3;
-          Alcotest.(check string)
-            "ring change with a half-dead client" "ok"
-            (Protocol.reply_status add));
+          Alcotest.(check bool)
+            "ring change with a half-dead client" true (Result.is_ok add));
       (* A shard killed under the router mid-conversation: session ops
          to it must shed or recover, never hang or kill the router. *)
       Testutil.with_client port (fun c ->
@@ -506,10 +451,9 @@ let test_router_fuzz () =
             "router alive after the shard crash" Protocol.protocol_version
             (unwrap (Client.ping c));
           ignore (unwrap (Client.close_session c ~session:"victim"));
-          let stats = unwrap (Client.server_stats c) in
-          Alcotest.(check (option int))
-            "no leaked sessions" (Some 0)
-            (Protocol.int_field "sessions" stats)))
+          Alcotest.(check int)
+            "no leaked sessions" 0
+            (unwrap (Client.server_stats c)).sessions))
 
 let suite =
   [

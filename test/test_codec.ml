@@ -159,6 +159,100 @@ let wal_record =
   let+ query = query and+ budget_steps = opt (int_range 0 max_int) in
   { Sessions.query; budget_steps }
 
+(* --- the replies --- *)
+
+let status =
+  oneof
+    [
+      pure Protocol.Ok_reply;
+      map (fun m -> Protocol.Error_reply m) text;
+      map (fun ms -> Protocol.Overloaded ms) int;
+    ]
+
+let counts = list_size (int_range 0 4) (pair text int)
+
+let stats =
+  let+ sessions = int
+  and+ counters = counts
+  and+ gauges = counts
+  and+ shards = opt counts
+  and+ shards_unreachable = opt int in
+  { Protocol.sessions; counters; gauges; shards; shards_unreachable }
+
+let layout = list_size (int_range 0 4) (list_size (int_range 1 4) text)
+
+let partitioned =
+  let+ layout = layout
+  and+ cost = any_float
+  and+ run_status = text
+  and+ algorithm = text
+  and+ cost_calls = int
+  and+ winner = opt text
+  and+ entrants = opt (list_size (int_range 0 3) entrant) in
+  { Protocol.layout; cost; run_status; algorithm; cost_calls; winner; entrants }
+
+let opened =
+  let+ created = bool and+ restored = bool and+ generation = int in
+  { Protocol.created; restored; generation }
+
+let ingested =
+  let+ ingested = int and+ generation = int and+ duplicate = bool in
+  { Protocol.ingested; generation; duplicate }
+
+let layout_view =
+  let+ generation = int and+ ingested = int and+ layout = layout in
+  { Protocol.generation; ingested; layout }
+
+let history_view =
+  let+ generation = int and+ history = string in
+  { Protocol.generation; history }
+
+let cluster_info =
+  let shard =
+    let+ id = text
+    and+ port = int
+    and+ pid = int
+    and+ healthy = bool
+    and+ restarts = int in
+    { Protocol.id; port; pid; healthy; restarts }
+  in
+  let+ fleet = list_size (int_range 0 4) shard
+  and+ replicas = int
+  and+ reconfiguring = bool in
+  { Protocol.fleet; replicas; reconfiguring }
+
+let handoff =
+  let+ shard = text and+ moved = int and+ handoff_errors = int in
+  { Protocol.shard; moved; handoff_errors }
+
+(* A server that answers one request with [reply], verbatim. *)
+let with_canned_server reply f =
+  let sock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Unix.bind sock (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
+  Unix.listen sock 1;
+  let port =
+    match Unix.getsockname sock with Unix.ADDR_INET (_, p) -> p | _ -> assert false
+  in
+  let server =
+    Domain.spawn (fun () ->
+        let fd, _ = Unix.accept sock in
+        ignore (Testutil.read_reply_line fd);
+        Testutil.send_raw fd (reply ^ "\n");
+        Unix.close fd)
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Domain.join server;
+      Unix.close sock)
+    (fun () -> Testutil.with_client port f)
+
+let test_pre_v2_open () =
+  with_canned_server {|{"status":"ok","created":true,"generation":3}|} (fun c ->
+      let o = Testutil.unwrap (Vp_client.Client.open_session c ~session:"s" Testutil.tiny) in
+      Alcotest.(check (triple bool bool int))
+        "no restored member reads as false" (true, false, 3)
+        (o.created, o.restored, o.generation))
+
 (* --- the frames, through their builders --- *)
 
 let decode_frame frame =
@@ -329,4 +423,24 @@ let suite =
     frames_roundtrip;
     snapshot_roundtrip;
     Alcotest.test_case "error paths" `Quick test_error_paths;
+    roundtrip "status" Protocol.status status;
+    roundtrip "pong" Protocol.pong int;
+    roundtrip "router pong" Protocol.router_pong int;
+    roundtrip "stats" Protocol.stats_reply stats;
+    roundtrip "layout" Protocol.layout layout;
+    roundtrip "partitioned" Protocol.partitioned partitioned;
+    roundtrip "opened" Protocol.opened opened;
+    roundtrip "ingested" Protocol.ingested ingested;
+    roundtrip "layout view" Protocol.layout_view layout_view;
+    roundtrip "history view" Protocol.history_view history_view;
+    roundtrip "closed" Protocol.closed string;
+    roundtrip "detached" Protocol.detached unit;
+    roundtrip "adopted" Protocol.adopted bool;
+    roundtrip "session list" Protocol.session_list (list_size (int_range 0 4) text);
+    roundtrip "slept" Protocol.slept int;
+    roundtrip "stopping" Protocol.stopping unit;
+    roundtrip "cluster info" Protocol.cluster_info cluster_info;
+    roundtrip "located" Protocol.located text;
+    roundtrip "handoff" Protocol.handoff handoff;
+    Alcotest.test_case "pre-v2 open reply: restored = false" `Quick test_pre_v2_open;
   ]

@@ -4,9 +4,9 @@
    experiment whose output is a pure function of deterministic costs (no
    wall-clock times in the rendered text, unlike fig1/fig10) is rendered
    three ways — directly, each run cold as its own process would (the
-   shared TPC-H sweep dropped before every run), and through the runner
-   with one and with four jobs sharing one cold sweep — and the outputs
-   must be byte-identical. *)
+   shared TPC-H sweep dropped before every run), and through the domain
+   pool with one and with four jobs sharing one cold sweep — and the
+   outputs must be byte-identical. *)
 
 let sample_ids =
   [
@@ -21,49 +21,31 @@ let direct_outputs () =
       ((Vp_experiments.Registry.find id).Vp_experiments.Registry.run) ())
     sample_ids
 
-let runner_outputs ~jobs =
+let pool_outputs ~jobs =
   let tasks =
-    List.map
-      (fun id ->
-        let e = Vp_experiments.Registry.find id in
-        Vp_parallel.Runner.task ~label:e.Vp_experiments.Registry.id
-          e.Vp_experiments.Registry.run)
-      sample_ids
+    List.map (fun id -> (Vp_experiments.Registry.find id).Vp_experiments.Registry.run) sample_ids
   in
   Vp_experiments.Common.reset_caches ();
-  Vp_parallel.Runner.run ~jobs tasks
+  Vp_parallel.Pool.run_list ~jobs tasks
 
-let test_runner_matches_direct () =
+let test_pool_matches_direct () =
   let direct = direct_outputs () in
   List.iter
     (fun jobs ->
-      let outcomes = runner_outputs ~jobs in
-      Alcotest.(check (list string))
-        (Printf.sprintf "labels in submission order, jobs=%d" jobs)
-        sample_ids
-        (List.map
-           (fun (o : string Vp_parallel.Runner.outcome) -> o.label)
-           outcomes);
       List.iter2
         (fun id (expect, got) ->
           Alcotest.(check string)
             (Printf.sprintf "%s byte-identical, jobs=%d" id jobs)
             expect got)
         sample_ids
-        (List.combine direct
-           (List.map
-              (fun (o : string Vp_parallel.Runner.outcome) -> o.value)
-              outcomes)))
+        (List.combine direct (pool_outputs ~jobs)))
     [ 1; 4 ]
 
 let test_jobs1_equals_jobs4 () =
-  let one = runner_outputs ~jobs:1 in
-  let four = runner_outputs ~jobs:4 in
   List.iter2
-    (fun (a : string Vp_parallel.Runner.outcome)
-         (b : string Vp_parallel.Runner.outcome) ->
-      Alcotest.(check string) (a.label ^ " jobs:1 = jobs:4") a.value b.value)
-    one four
+    (fun id (a, b) -> Alcotest.(check string) (id ^ " jobs:1 = jobs:4") a b)
+    sample_ids
+    (List.combine (pool_outputs ~jobs:1) (pool_outputs ~jobs:4))
 
 (* Observability must be pure observation: a traced run is byte-identical
    to an untraced run. The spans and counters record what happened — they
@@ -113,8 +95,8 @@ let prop_traced_algorithms_identical =
 (* The incremental delta oracle must be invisible end to end: with and
    without a delta factory on the request (full re-costing), every
    registered algorithm produces byte-identical layouts, cost bits,
-   status and provenance over the TPC-H line-up — through the parallel
-   runner at 1 and 4 jobs, traced and untraced. *)
+   status and provenance over the TPC-H line-up — through the domain
+   pool at 1 and 4 jobs, traced and untraced. *)
 
 let render_lineup ~delta ~jobs () =
   let open Vp_core in
@@ -148,14 +130,8 @@ let render_lineup ~delta ~jobs () =
                  Printf.sprintf "timed_out:%d" steps))
     |> String.concat "\n"
   in
-  let tasks =
-    List.map
-      (fun (a : Partitioner.t) ->
-        Vp_parallel.Runner.task ~label:a.Partitioner.name (render_algo a))
-      (Vp_experiments.Common.algorithms_with_baselines disk)
-  in
-  Vp_parallel.Runner.run ~jobs tasks
-  |> List.map (fun (o : string Vp_parallel.Runner.outcome) -> o.value)
+  Vp_parallel.Pool.run_list ~jobs
+    (List.map render_algo (Vp_experiments.Common.algorithms_with_baselines disk))
   |> String.concat "\n"
 
 let test_delta_on_off_byte_identical () =
@@ -175,8 +151,8 @@ let test_delta_on_off_byte_identical () =
 
 let suite =
   [
-    Alcotest.test_case "runner matches direct run" `Quick
-      test_runner_matches_direct;
+    Alcotest.test_case "pool matches direct run" `Quick
+      test_pool_matches_direct;
     Alcotest.test_case "jobs 1 = jobs 4" `Quick test_jobs1_equals_jobs4;
     Alcotest.test_case "traced experiments byte-identical" `Quick
       test_traced_experiments_byte_identical;

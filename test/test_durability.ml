@@ -558,9 +558,9 @@ let test_sigterm_drain jobs () =
           (Client.open_session ~panel:[ "HillClimb" ] ~buffer_mb:1.0 c
              ~session:"s" t)
       in
-      Alcotest.(check bool) "first open creates" true opened.Client.created;
+      Alcotest.(check bool) "first open creates" true opened.Protocol.created;
       Alcotest.(check bool) "nothing to restore yet" false
-        opened.Client.restored;
+        opened.Protocol.restored;
       for i = 0 to 9 do
         ignore (unwrap (Client.ingest ~seq:(i + 1) c ~session:"s" t qs.(i)))
       done;
@@ -612,9 +612,9 @@ let test_sigterm_drain jobs () =
                      c3 ~session:"s" t)
               in
               Alcotest.(check bool) "reopen does not create" false
-                reopened.Client.created;
+                reopened.Protocol.created;
               Alcotest.(check bool) "reopen restores from disk" true
-                reopened.Client.restored;
+                reopened.Protocol.restored;
               for i = 0 to n - 1 do
                 ignore
                   (unwrap (Client.ingest ~seq:(i + 1) c3 ~session:"s" t qs.(i)))

@@ -39,4 +39,5 @@ let () =
       ("durability", Test_durability.suite);
       ("codec", Test_codec.suite);
       ("cluster", Test_cluster.suite);
+      ("replies", Test_replies.suite);
     ]

@@ -1,5 +1,4 @@
-(* vp_parallel: the work pool, Once, cost calls per candidate, and the
-   runner. *)
+(* vp_parallel: the work pool, Once, and cost calls per candidate. *)
 
 open Vp_core
 
@@ -209,29 +208,6 @@ let test_cost_calls_are_candidates () =
       Vp_algorithms.Hypergraph.algorithm;
     ]
 
-(* --- Runner --- *)
-
-let test_runner_ordering () =
-  let tasks =
-    List.init 8 (fun i ->
-        Vp_parallel.Runner.task
-          ~label:(Printf.sprintf "t%d" i)
-          (fun () -> i * 7))
-  in
-  List.iter
-    (fun jobs ->
-      let outcomes = Vp_parallel.Runner.run ~jobs tasks in
-      Alcotest.(check (list (pair string int)))
-        (Printf.sprintf "labelled results in order, jobs=%d" jobs)
-        (List.init 8 (fun i -> (Printf.sprintf "t%d" i, i * 7)))
-        (Vp_parallel.Runner.values outcomes);
-      List.iter
-        (fun (o : int Vp_parallel.Runner.outcome) ->
-          Alcotest.(check bool) "non-negative elapsed" true
-            (o.elapsed_seconds >= 0.0))
-        outcomes)
-    [ 1; 4 ]
-
 let suite =
   [
     Alcotest.test_case "pool ordering" `Quick test_pool_ordering;
@@ -246,5 +222,4 @@ let suite =
     Alcotest.test_case "once exception retries" `Quick test_once_exception_retries;
     Alcotest.test_case "cost calls are candidates" `Quick
       test_cost_calls_are_candidates;
-    Alcotest.test_case "runner ordering" `Quick test_runner_ordering;
   ]

@@ -39,11 +39,8 @@ let test_ping_stats () =
           Alcotest.(check int)
             "protocol version" Protocol.protocol_version
             (unwrap (Client.ping c));
-          let stats = unwrap (Client.server_stats c) in
-          Alcotest.(check string) "ok" "ok" (Protocol.reply_status stats);
-          Alcotest.(check (option int))
-            "no sessions" (Some 0)
-            (Protocol.int_field "sessions" stats)))
+          Alcotest.(check int) "no sessions" 0
+            (unwrap (Client.server_stats c)).sessions))
 
 let test_partition_matches_local () =
   let w = Lazy.force small_workload in
@@ -58,24 +55,14 @@ let test_partition_matches_local () =
           let reply =
             unwrap (Client.partition ~algorithm:"HillClimb" ~buffer_mb:8.0 c w)
           in
-          (match Protocol.float_field "cost" reply with
-          | Some cost ->
-              Alcotest.(check (float 1e-6))
-                "cost matches local exec" local.Partitioner.Response.cost cost
-          | None -> Alcotest.fail "reply has no cost");
-          let expected_layout =
-            Json.to_string
-              (Protocol.layout_to_json (Workload.table w)
-                 local.Partitioner.Response.partitioning)
-          in
-          (match Json.member "layout" reply with
-          | Some l ->
-              Alcotest.(check string)
-                "layout matches local exec" expected_layout (Json.to_string l)
-          | None -> Alcotest.fail "reply has no layout");
-          Alcotest.(check (option string))
-            "status complete" (Some "complete")
-            (Protocol.string_field "run_status" reply)))
+          Alcotest.(check (float 1e-6))
+            "cost matches local exec" local.Partitioner.Response.cost reply.cost;
+          Alcotest.(check (list (list string)))
+            "layout matches local exec"
+            (Protocol.layout_names (Workload.table w)
+               local.Partitioner.Response.partitioning)
+            reply.layout;
+          Alcotest.(check string) "status complete" "complete" reply.run_status))
 
 let test_budget_degrades () =
   let w = Lazy.force small_workload in
@@ -85,12 +72,10 @@ let test_budget_degrades () =
             unwrap
               (Client.partition ~algorithm:"BruteForce" ~budget_steps:5 c w)
           in
-          Alcotest.(check (option string))
-            "tiny budget times out" (Some "timed_out")
-            (Protocol.string_field "run_status" reply);
-          match Json.member "layout" reply with
-          | Some (Json.List (_ :: _)) -> ()
-          | _ -> Alcotest.fail "degraded reply still carries a valid layout"))
+          Alcotest.(check string) "tiny budget times out" "timed_out" reply.run_status;
+          Alcotest.(check bool)
+            "degraded reply still carries a valid layout" true
+            (reply.layout <> [])))
 
 let test_open_validation () =
   let w = Lazy.force small_workload in
@@ -105,18 +90,17 @@ let test_open_validation () =
                 "unknown panel is a clean error" true
                 (contains msg "unknown panel algorithm")
           | Ok _ -> Alcotest.fail "unknown panel algorithm accepted");
-          let stats = unwrap (Client.server_stats c) in
-          Alcotest.(check (option int))
-            "failed open leaks no session" (Some 0)
-            (Protocol.int_field "sessions" stats);
+          Alcotest.(check int)
+            "failed open leaks no session" 0
+            (unwrap (Client.server_stats c)).sessions;
           Alcotest.(check bool)
             "fresh open creates" true
-            (unwrap (Client.open_session c ~session:"s" table)).Client.created;
+            (unwrap (Client.open_session c ~session:"s" table)).Protocol.created;
           let reopened = unwrap (Client.open_session c ~session:"s" table) in
-          Alcotest.(check bool) "re-open reattaches" false reopened.Client.created;
+          Alcotest.(check bool) "re-open reattaches" false reopened.Protocol.created;
           Alcotest.(check bool)
             "re-open of a live session is not a restore" false
-            reopened.Client.restored;
+            reopened.Protocol.restored;
           let other =
             Table.make ~name:"other"
               ~attributes:[ Attribute.make "x" Attribute.Int32 ]
@@ -126,10 +110,9 @@ let test_open_validation () =
           | Error _ -> ()
           | Ok _ -> Alcotest.fail "session reopened with a different table");
           let _hist = unwrap (Client.close_session c ~session:"s") in
-          let stats = unwrap (Client.server_stats c) in
-          Alcotest.(check (option int))
-            "close removes the session" (Some 0)
-            (Protocol.int_field "sessions" stats)))
+          Alcotest.(check int)
+            "close removes the session" 0
+            (unwrap (Client.server_stats c)).sessions))
 
 (* --- the determinism contract --- *)
 
@@ -165,7 +148,7 @@ let replay_over_wire ~server_jobs () =
             let opened =
               unwrap (Client.open_session ~buffer_mb:1.0 c ~session table)
             in
-            if not opened.Client.created then
+            if not opened.Protocol.created then
               Alcotest.failf "session %s existed" session;
             Array.iter
               (fun q -> ignore (unwrap (Client.ingest c ~session table q)))
@@ -229,16 +212,16 @@ let test_protocol_robustness () =
           (* An oversized frame: the reply arrives while we are still
              allowed to finish the line; the connection must survive. *)
           send_raw fd (String.make (Protocol.max_frame_bytes + 4096) 'a');
-          let reply = read_reply fd in
-          Alcotest.(check string)
-            "oversized frame answered with a clean error" "error"
-            (Protocol.reply_status reply);
+          Alcotest.check Testutil.status
+            "oversized frame answered with a clean error"
+            (Error_reply (Printf.sprintf "frame exceeds the %d-byte limit" Protocol.max_frame_bytes))
+            (Testutil.status_of (read_reply fd));
           send_raw fd "\n";
           (* The same connection still serves valid requests. *)
           send_raw fd (Json.to_string Protocol.ping ^ "\n");
-          Alcotest.(check string)
-            "connection survives the abuse" "ok"
-            (Protocol.reply_status (read_reply fd)));
+          Alcotest.check Testutil.status
+            "connection survives the abuse" Ok_reply
+            (Testutil.status_of (read_reply fd)));
       (* Mid-request disconnect: half a frame, then close. *)
       let fd2 = connect_raw port in
       send_raw fd2 "{\"op\": \"part";
@@ -248,10 +231,9 @@ let test_protocol_robustness () =
           Alcotest.(check int)
             "daemon alive after disconnects" Protocol.protocol_version
             (unwrap (Client.ping c));
-          let stats = unwrap (Client.server_stats c) in
-          Alcotest.(check (option int))
-            "no leaked sessions" (Some 0)
-            (Protocol.int_field "sessions" stats)))
+          Alcotest.(check int)
+            "no leaked sessions" 0
+            (unwrap (Client.server_stats c)).sessions))
 
 (* --- decode errors, one malformed frame per row ---
 
@@ -364,8 +346,8 @@ let test_out_of_range_budgets () =
             match Client.request c frame with
             | Error msg -> Alcotest.failf "%s: %s" label msg
             | Ok reply ->
-                Alcotest.(check (option string)) label (Some expected)
-                  (Protocol.reply_error reply)
+                Alcotest.check Testutil.status label (Error_reply expected)
+                  (Testutil.status_of reply)
           in
           refused "ingest deadline_ms 0"
             (Protocol.ingest_request ~deadline_ms:0 ~seq:1 ~session:"s" table q)
@@ -379,16 +361,13 @@ let test_out_of_range_budgets () =
           refused "partition deadline_ms -5"
             (Protocol.partition_request ~deadline_ms:(-5) w)
             {|"deadline_ms" must be >= 1|};
-          let layout = unwrap (Client.layout c ~session:"s") in
-          Alcotest.(check (option int)) "nothing ingested" (Some 0)
-            (Protocol.int_field "ingested" layout);
-          let stats = unwrap (Client.server_stats c) in
-          Alcotest.(check (option int)) "no session opened" (Some 1)
-            (Protocol.int_field "sessions" stats);
+          Alcotest.(check int) "nothing ingested" 0
+            (unwrap (Client.layout c ~session:"s")).ingested;
+          Alcotest.(check int) "no session opened" 1
+            (unwrap (Client.server_stats c)).sessions;
           ignore (unwrap (Client.ingest ~seq:1 c ~session:"s" table q));
-          let layout = unwrap (Client.layout c ~session:"s") in
-          Alcotest.(check (option int)) "then seq 1 applies" (Some 1)
-            (Protocol.int_field "ingested" layout)))
+          Alcotest.(check int) "then seq 1 applies" 1
+            (unwrap (Client.layout c ~session:"s")).ingested))
 
 (* A weight of [1e999] parses as infinity. The daemon must refuse the
    query by name rather than price layouts at an infinite cost. *)
@@ -428,17 +407,13 @@ let test_non_finite_weight () =
         ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
         (fun () ->
           send_raw fd (frame ^ "\n");
-          let reply = read_reply fd in
-          Alcotest.(check string)
-            "infinite weight refused" "error"
-            (Protocol.reply_status reply);
-          match Protocol.reply_error reply with
-          | Some msg ->
+          match Testutil.status_of (read_reply fd) with
+          | Error_reply msg ->
               Alcotest.(check bool)
                 (Printf.sprintf "error names the query: %s" msg)
                 true
                 (contains msg "\"hot\"" && contains msg "non-finite weight")
-          | None -> Alcotest.fail "error reply without a message"))
+          | _ -> Alcotest.fail "infinite weight not refused"))
 
 (* Both servers run on the same connection core; the admission and
    drain tests run against each. [with_server ~jobs ~max_pending f]
@@ -488,36 +463,26 @@ let test_overload_shed () =
           Unix.sleepf 0.1;
           with_client port (fun c ->
               (match Client.request c Protocol.ping with
-              | Ok reply ->
-                  Alcotest.(check string)
-                    (name ^ ": second client is shed")
-                    "overloaded"
-                    (Protocol.reply_status reply);
-                  (match Protocol.retry_after_ms reply with
-                  | Some ms ->
-                      Alcotest.(check bool)
-                        (name ^ ": retry hint")
-                        true (ms > 0)
-                  | None ->
-                      Alcotest.failf
-                        "%s: overloaded reply without retry_after_ms" name)
+              | Ok reply -> (
+                  match Testutil.status_of reply with
+                  | Overloaded ms ->
+                      Alcotest.(check bool) (name ^ ": retry hint") true (ms > 0)
+                  | _ -> Alcotest.failf "%s: second client is not shed" name)
               | Error msg -> Alcotest.failf "%s: shed reply lost: %s" name msg);
               (* Retrying with backoff eventually gets through — the
                  overloaded path degrades, it does not hang. *)
               match Client.request_retry ~attempts:50 c Protocol.ping with
               | Ok reply ->
-                  Alcotest.(check string)
+                  Alcotest.check Testutil.status
                     (name ^ ": retry succeeds once drained")
-                    "ok"
-                    (Protocol.reply_status reply)
+                    Ok_reply (Testutil.status_of reply)
               | Error msg ->
                   Alcotest.failf "%s: retry never got through: %s" name msg);
           match Domain.join sleeper with
           | Ok reply ->
-              Alcotest.(check string)
+              Alcotest.check Testutil.status
                 (name ^ ": sleeper completed")
-                "ok"
-                (Protocol.reply_status reply)
+                Ok_reply (Testutil.status_of reply)
           | Error msg -> Alcotest.failf "%s: sleeper failed: %s" name msg))
     servers
 
@@ -525,10 +490,9 @@ let test_overload_shed () =
 let child_pids c =
   match Client.request c (Json.Obj [ ("op", Json.String "cluster_info") ]) with
   | Ok reply -> (
-      match Json.member "shards" reply with
-      | Some (Json.List shards) ->
-          List.filter_map (fun s -> Protocol.int_field "pid" s) shards
-      | _ -> [])
+      match Json.Codec.decode Protocol.cluster_info reply with
+      | info -> List.map (fun (s : Protocol.shard_info) -> s.pid) info.fleet
+      | exception Json.Codec.Error _ -> [])
   | Error msg -> Alcotest.failf "cluster_info: %s" msg
 
 let test_shutdown_op () =
@@ -615,10 +579,9 @@ let test_script_replay () =
               | Ok [ (table, _hist) ] ->
                   Alcotest.(check string) "one session per table" "widgets"
                     table;
-                  let stats = unwrap (Client.server_stats c) in
-                  Alcotest.(check (option int))
-                    "script sessions closed" (Some 0)
-                    (Protocol.int_field "sessions" stats)
+                  Alcotest.(check int)
+                    "script sessions closed" 0
+                    (unwrap (Client.server_stats c)).sessions
               | Ok entries ->
                   Alcotest.failf "expected 1 table, got %d"
                     (List.length entries))))
@@ -639,6 +602,26 @@ let test_script_parse_error () =
           Alcotest.(check bool)
             (Printf.sprintf "error is line-numbered: %s" msg)
             true (contains msg "line 2"))
+
+(* The same rows over the wire, to a daemon and through a router: the
+   router answers some itself and forwards the rest to its shard, and
+   either way the text is the daemon's. *)
+let test_malformed_frames_over_the_wire () =
+  List.iter
+    (fun (name, with_server) ->
+      with_server ~jobs:2 ~max_pending:8 (fun port _join ->
+          let fd = connect_raw port in
+          Fun.protect
+            ~finally:(fun () -> Unix.close fd)
+            (fun () ->
+              List.iter
+                (fun (frame, expected) ->
+                  send_raw fd (frame ^ "\n");
+                  Alcotest.check Testutil.status (name ^ ": " ^ frame)
+                    (Error_reply expected)
+                    (Testutil.status_of (read_reply fd)))
+                malformed_frames)))
+    servers
 
 let suite =
   [
@@ -668,4 +651,6 @@ let suite =
     Alcotest.test_case "client --script replay" `Quick test_script_replay;
     Alcotest.test_case "client --script parse errors" `Quick
       test_script_parse_error;
+    Alcotest.test_case "malformed frame errors over the wire" `Quick
+      test_malformed_frames_over_the_wire;
   ]

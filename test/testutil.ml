@@ -177,7 +177,7 @@ let send_raw fd s =
   in
   go 0
 
-let read_reply fd =
+let read_reply_line fd =
   let buf = Buffer.create 256 in
   let chunk = Bytes.create 1024 in
   let rec go () =
@@ -195,18 +195,28 @@ let read_reply fd =
             go ())
   in
   go ();
-  match Vp_observe.Json.of_string (Buffer.contents buf) with
+  Buffer.contents buf
+
+let read_reply fd =
+  match Vp_observe.Json.of_string (read_reply_line fd) with
   | Ok doc -> doc
   | Error msg -> Alcotest.failf "unparseable reply: %s" msg
 
+(* A reply's envelope, decoded with [Protocol.status]. *)
+let status_of reply =
+  Vp_observe.Json.Codec.decode Vp_server.Protocol.status reply
+
+let status =
+  Alcotest.testable
+    (fun ppf -> function
+      | Vp_server.Protocol.Ok_reply -> Fmt.string ppf "ok"
+      | Error_reply msg -> Fmt.pf ppf "error %S" msg
+      | Overloaded ms -> Fmt.pf ppf "overloaded %d" ms)
+    ( = )
+
 let expect_error fd what frame =
   send_raw fd frame;
-  let reply = read_reply fd in
-  Alcotest.(check string)
-    (what ^ " answered with a clean error")
-    "error"
-    (Vp_server.Protocol.reply_status reply);
-  match Vp_server.Protocol.reply_error reply with
-  | Some msg ->
+  match status_of (read_reply fd) with
+  | Error_reply msg ->
       Alcotest.(check bool) (what ^ " error is descriptive") true (msg <> "")
-  | None -> Alcotest.failf "%s: error reply without a message" what
+  | _ -> Alcotest.failf "%s: not answered with a clean error" what
