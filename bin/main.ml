@@ -875,7 +875,7 @@ let serve_cmd =
   let run host port jobs max_pending data_dir max_resident fsync =
     (* The daemon multiplexes blocking connection handlers, so its job
        count is a concurrency choice, not a core count — default 4 even
-       on small hosts (see Vp_parallel.Pool's clamp escape hatch). *)
+       on small hosts (see Vp_server.Conn_server). *)
     let jobs = match jobs with Some n -> n | None -> 4 in
     if max_resident <> None && data_dir = None then (
       prerr_endline "vp serve: --max-resident requires --data-dir";
@@ -884,8 +884,14 @@ let serve_cmd =
        are part of the protocol here, so pay for them. *)
     Vp_observe.Switch.(raise_to Stats);
     let d =
-      Vp_server.Daemon.create ~host ~port ~jobs ~max_pending ?data_dir
-        ?max_resident ~fsync ()
+      match
+        Vp_server.Daemon.create ~host ~port ~jobs ~max_pending ?data_dir
+          ?max_resident ~fsync ()
+      with
+      | d -> d
+      | exception Invalid_argument msg ->
+          prerr_endline ("vp serve: " ^ msg);
+          exit 2
     in
     Vp_server.Daemon.install_signal_handlers d;
     Printf.printf
@@ -943,8 +949,14 @@ let cluster_cmd =
     let jobs = match jobs with Some n -> n | None -> 4 in
     Vp_observe.Switch.(raise_to Stats);
     let r =
-      Vp_router.Router.create ~host ~port ~jobs ~max_pending ~shards
-        ~shard_jobs ?max_resident ~fsync ~data_dir ()
+      match
+        Vp_router.Router.create ~host ~port ~jobs ~max_pending ~shards
+          ~shard_jobs ?max_resident ~fsync ~data_dir ()
+      with
+      | r -> r
+      | exception Invalid_argument msg ->
+          prerr_endline ("vp cluster: " ^ msg);
+          exit 2
     in
     Vp_router.Router.install_signal_handlers r;
     Printf.printf

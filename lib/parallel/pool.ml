@@ -69,7 +69,7 @@ let rec worker_loop t =
 let effective_jobs ~jobs =
   min (max 1 jobs) (max 1 (Domain.recommended_domain_count ()))
 
-let create ?(clamp = true) ~jobs () =
+let create ~jobs () =
   let jobs = max 1 jobs in
   let t =
     {
@@ -81,9 +81,10 @@ let create ?(clamp = true) ~jobs () =
       workers = [];
     }
   in
-  let domains = if clamp then effective_jobs ~jobs else jobs in
   t.workers <-
-    List.init (domains - 1) (fun _ -> Domain.spawn (fun () -> worker_loop t));
+    List.init
+      (effective_jobs ~jobs - 1)
+      (fun _ -> Domain.spawn (fun () -> worker_loop t));
   t
 
 let jobs t = t.jobs
@@ -126,27 +127,6 @@ let with_pool ~jobs f =
       let bt = Printexc.get_raw_backtrace () in
       (try shutdown t with _ -> ());
       Printexc.raise_with_backtrace e bt
-
-(* Detached tasks: no batch bookkeeping, no result slot, no ambient-state
-   capture. The worker loop's backstop already contains a stray raise; the
-   explicit [try] here keeps the synchronous fallback path (no workers)
-   equally contained. *)
-let submit t task =
-  let wrapped () =
-    if Vp_observe.Switch.stats_on () then Vp_observe.Stats.incr c_run;
-    try task () with _ -> ()
-  in
-  Mutex.lock t.mutex;
-  if t.workers <> [] && not t.shutting_down then begin
-    if Vp_observe.Switch.stats_on () then Vp_observe.Stats.incr c_queued;
-    Queue.add (Task wrapped) t.queue;
-    Condition.signal t.nonempty;
-    Mutex.unlock t.mutex
-  end
-  else begin
-    Mutex.unlock t.mutex;
-    wrapped ()
-  end
 
 let inject_raw t task =
   Mutex.lock t.mutex;

@@ -34,21 +34,16 @@ val default_jobs : unit -> int
     variable if set to a positive integer, otherwise
     [Domain.recommended_domain_count ()]. *)
 
-val create : ?clamp:bool -> jobs:int -> unit -> t
+val create : jobs:int -> unit -> t
 (** [create ~jobs ()] spawns worker domains ([jobs] is clamped to at least 1);
     the calling domain also executes tasks during {!run}, so up to [jobs]
     tasks run concurrently. [jobs] is an upper bound: the pool never runs
     more domains than [Domain.recommended_domain_count ()], because
     oversubscribing cores makes every stop-the-world minor collection a
     round of context switches in OCaml 5. Results are deterministic
-    regardless of the clamp.
-
-    [~clamp:false] disables the core-count clamp and spawns exactly
-    [jobs - 1] workers. That is only right for tasks that mostly {e block}
-    rather than compute — the layout daemon's connection handlers, parked
-    in [Unix.read] between requests, are the motivating case: a 4-job
-    server on a 1-core host must still multiplex 4 live connections.
-    Leave the default for CPU-bound fan-out. *)
+    regardless of the clamp. (Connections, which block rather than
+    compute, get their domains from [Vp_server.Conn_server], not from a
+    pool.) *)
 
 val jobs : t -> int
 (** The concurrency the pool was created with (always >= 1). *)
@@ -88,20 +83,6 @@ val shutdown : t -> unit
 val with_pool : jobs:int -> (t -> 'a) -> 'a
 (** Creates a pool, runs the function, and shuts the pool down even on
     exceptions. *)
-
-val submit : t -> (unit -> unit) -> unit
-(** Enqueues one {e detached} task: it runs on some worker domain, nobody
-    waits for it, and any exception it raises is swallowed (detached work
-    has no caller to re-raise into — tasks that care report through their
-    own channel, e.g. a socket). When the pool has no worker domains
-    (effective jobs = 1) or is shutting down, the task runs synchronously
-    in the calling domain instead, so [submit] never silently drops work:
-    a single-job pool is a strictly sequential executor, exactly as with
-    {!run}. Unlike {!run} tasks, detached tasks do {e not} inherit the
-    submitter's ambient budget/fault/trace state — a long-lived task (a
-    served connection) must not pin state captured at submission time.
-    This is the connection-multiplexing primitive [Vp_server] builds
-    on. *)
 
 val inject_raw : t -> (unit -> unit) -> unit
 (** Test hook: enqueue a closure that runs {e unprotected} in a worker

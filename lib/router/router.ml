@@ -236,9 +236,18 @@ let create ?host ?(port = Protocol.default_port) ?(jobs = 4)
     ?(max_pending = 64) ?(shards = 3) ?(shard_jobs = 4) ?max_resident
     ?(fsync = Journal.Never) ~data_dir () =
   if jobs < 1 then invalid_arg "Router.create: jobs must be >= 1";
+  (* The supervisor is a domain of its own. *)
+  if jobs > Conn_server.max_jobs - 1 then
+    invalid_arg
+      (Printf.sprintf "Router.create: jobs must be <= %d"
+         (Conn_server.max_jobs - 1));
   if max_pending < 1 then invalid_arg "Router.create: max_pending must be >= 1";
   if shards < 1 then invalid_arg "Router.create: shards must be >= 1";
   if shard_jobs < 1 then invalid_arg "Router.create: shard_jobs must be >= 1";
+  if shard_jobs > Conn_server.max_jobs then
+    invalid_arg
+      (Printf.sprintf "Router.create: shard_jobs must be <= %d"
+         Conn_server.max_jobs);
   let conn =
     Conn_server.create ?host ~port ~jobs ~max_pending ~shed:c_shed ()
   in

@@ -59,14 +59,17 @@ val create :
     {!Vp_server.Daemon.create}) and spawns [shards] (default [3]) shard
     daemons, each on an ephemeral port with data dir
     [data_dir/shard-<i>] — sharding requires durability, which is why
-    [data_dir] is mandatory. [jobs]/[max_pending] size the router's own
-    connection pool and admission bound; [shard_jobs] / [max_resident] /
+    [data_dir] is mandatory. [jobs]/[max_pending] bound the router's own
+    connection domains and admission; [shard_jobs] / [max_resident] /
     [fsync] are passed to every shard, which admits the daemon's default
     [max_pending] connections. The ring places {!Ring.default_replicas}
     points per shard. The calling executable {e must} run
     {!Worker.maybe_run}[ ()] first — shards are re-execs of
     [Sys.executable_name].
-    @raise Invalid_argument on out-of-range sizes.
+    @raise Invalid_argument on out-of-range sizes, before binding:
+    among them [jobs] past {!Vp_server.Conn_server.max_jobs} less one
+    (the supervisor is a domain too) and [shard_jobs] past
+    [Conn_server.max_jobs].
     @raise Failure when a shard fails to come up (everything spawned so
     far is killed first).
     @raise Unix.Unix_error if the address cannot be bound. *)
@@ -82,7 +85,7 @@ val serve : t -> unit
     sessions). Call at most once. *)
 
 val stop : t -> unit
-(** Flag-only, safe from signal handlers and pool workers. *)
+(** Flag-only, safe from signal handlers and connection domains. *)
 
 val install_signal_handlers : t -> unit
 (** {!Vp_server.Conn_server.install_signal_handlers}. *)

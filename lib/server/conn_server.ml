@@ -99,6 +99,28 @@ let too_long =
        (Printf.sprintf "frame exceeds the %d-byte limit"
           Protocol.max_frame_bytes))
 
+(* [Max_domains] in OCaml 5.1's [caml/domain.h], less the accept loop's
+   domain: spawning past it fails. *)
+let max_jobs = (if Sys.word_size = 64 then 128 else 16) - 1
+
+(* Live connection domains of every server in the process. Set on each
+   spawn and exit whatever the switch says: both are rare, and a gauge
+   that missed one would be wrong for the rest of the run. *)
+let g_domains = Vp_observe.Stats.gauge "server.connection_domains"
+
+let domains_lock = Mutex.create ()
+
+let live_domains = ref 0
+
+let count_domains d =
+  Mutex.protect domains_lock (fun () ->
+      live_domains := !live_domains + d;
+      Vp_observe.Stats.set_gauge g_domains !live_domains)
+
+(* A connection domain's mailbox while it is parked: [dispatch] puts the
+   next connection in [next] and signals [wake]. *)
+type slot = { mutable next : Unix.file_descr option; wake : Condition.t }
+
 type t = {
   listen_fd : Unix.file_descr;
   port : int;
@@ -106,12 +128,21 @@ type t = {
   max_pending : int;
   shed : Vp_observe.Stats.counter;
   stopping : bool Atomic.t;
-  (* [lock] guards [in_flight] and [conns]; [idle] is signalled when
-     [in_flight] falls to zero. *)
+  (* [lock] guards every mutable field and [conns]/[queued]; [idle] is
+     signalled when [in_flight] falls to zero. *)
   lock : Mutex.t;
   idle : Condition.t;
   mutable in_flight : int;
   conns : (Unix.file_descr, unit) Hashtbl.t;
+  (* Connection domains: [live] of them (at most [jobs]), at most one
+     [parked] with no connection, the rest serving. [queued] holds
+     admitted connections while [live = jobs] and none is parked. *)
+  mutable live : int;
+  mutable parked : slot option;
+  queued : Unix.file_descr Queue.t;
+  mutable domains : unit Domain.t list;  (* spawned, not yet joined *)
+  mutable exited : int list;  (* ids of [domains] that have returned *)
+  mutable draining : bool;
 }
 
 let create ?(host = "127.0.0.1") ~port ~jobs ~max_pending ~shed () =
@@ -140,6 +171,12 @@ let create ?(host = "127.0.0.1") ~port ~jobs ~max_pending ~shed () =
     idle = Condition.create ();
     in_flight = 0;
     conns = Hashtbl.create 16;
+    live = 0;
+    parked = None;
+    queued = Queue.create ();
+    domains = [];
+    exited = [];
+    draining = false;
   }
 
 let port t = t.port
@@ -198,12 +235,105 @@ let release t fd =
       t.in_flight <- t.in_flight - 1;
       if t.in_flight = 0 then Condition.broadcast t.idle)
 
-let shed t fd =
+let send_overloaded t fd =
   if Vp_observe.Switch.stats_on () then Vp_observe.Stats.incr t.shed;
-  (try write_frame fd overloaded with Unix.Unix_error _ -> ());
+  try write_frame fd overloaded with Unix.Unix_error _ -> ()
+
+let shed t fd =
+  send_overloaded t fd;
   close_quietly fd
 
-let accept_one t pool connection =
+(* Under [lock]: the calling connection domain leaves. *)
+let retire t =
+  t.live <- t.live - 1;
+  t.exited <- (Domain.self () :> int) :: t.exited;
+  count_domains (-1)
+
+(* Under [lock]: the next connection for a domain whose connection
+   ended, or [None] when it should exit — because the server drains or
+   another domain is already parked, so at most one stays idle. *)
+let next_connection t slot =
+  match Queue.take_opt t.queued with
+  | Some fd -> Some fd
+  | None when t.draining || t.parked <> None ->
+      retire t;
+      None
+  | None -> (
+      slot.next <- None;
+      t.parked <- Some slot;
+      while slot.next = None && not t.draining do
+        Condition.wait slot.wake t.lock
+      done;
+      match slot.next with
+      | Some fd -> Some fd
+      | None ->
+          t.parked <- None;
+          retire t;
+          None)
+
+(* A connection domain: serves [fd], then whatever [next_connection]
+   hands it. A raise from a handler ends that connection only. *)
+let rec worker t connection slot fd =
+  (try
+     Fun.protect
+       ~finally:(fun () -> release t fd)
+       (fun () -> serve_connection fd (connection ()))
+   with _ -> ());
+  match Mutex.protect t.lock (fun () -> next_connection t slot) with
+  | Some fd -> worker t connection slot fd
+  | None -> ()
+
+(* Gives the admitted [fd] a connection domain: the parked one, a new
+   one while fewer than [jobs] live, or else a place in [queued]. The
+   parked domain is taken under the lock, here, so two connections
+   accepted back to back never both go to it. *)
+let dispatch t connection fd =
+  let spawn =
+    Mutex.protect t.lock (fun () ->
+        match t.parked with
+        | Some slot ->
+            t.parked <- None;
+            slot.next <- Some fd;
+            Condition.signal slot.wake;
+            false
+        | None when t.live < t.jobs ->
+            t.live <- t.live + 1;
+            count_domains 1;
+            true
+        | None ->
+            Queue.add fd t.queued;
+            false)
+  in
+  if spawn then
+    let slot = { next = None; wake = Condition.create () } in
+    match Domain.spawn (fun () -> worker t connection slot fd) with
+    | d -> Mutex.protect t.lock (fun () -> t.domains <- d :: t.domains)
+    | exception _ ->
+        Mutex.protect t.lock (fun () ->
+            t.live <- t.live - 1;
+            count_domains (-1));
+        send_overloaded t fd;
+        release t fd
+
+(* Joins the connection domains that have exited. *)
+let reap t =
+  let gone =
+    Mutex.protect t.lock (fun () ->
+        match t.exited with
+        | [] -> []
+        | ids ->
+            let gone, kept =
+              List.partition
+                (fun d -> List.mem (Domain.get_id d :> int) ids)
+                t.domains
+            in
+            t.domains <- kept;
+            t.exited <- [];
+            gone)
+  in
+  List.iter Domain.join gone
+
+let accept_one t connection =
   match Unix.accept ~cloexec:true t.listen_fd with
   | exception
       Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) ->
@@ -211,43 +341,41 @@ let accept_one t pool connection =
   | fd, _ ->
       if stopping t then close_quietly fd
       else if not (admit t fd) then shed t fd
-      else
-        Vp_parallel.Pool.submit pool (fun () ->
-            Fun.protect
-              ~finally:(fun () -> release t fd)
-              (fun () -> serve_connection fd (connection ())))
+      else dispatch t connection fd
 
 let drain t =
   close t;
-  Mutex.protect t.lock (fun () ->
-      (* Half-close every in-flight connection's read side so a handler
-         blocked in [Unix.read] sees EOF and winds down. *)
-      Hashtbl.iter
-        (fun fd () ->
-          try Unix.shutdown fd Unix.SHUTDOWN_RECEIVE
-          with Unix.Unix_error _ -> ())
-        t.conns;
-      while t.in_flight > 0 do
-        Condition.wait t.idle t.lock
-      done)
+  let domains =
+    Mutex.protect t.lock (fun () ->
+        (* Half-close every in-flight connection's read side so a
+           handler blocked in [Unix.read] sees EOF and winds down. *)
+        Hashtbl.iter
+          (fun fd () ->
+            try Unix.shutdown fd Unix.SHUTDOWN_RECEIVE
+            with Unix.Unix_error _ -> ())
+          t.conns;
+        while t.in_flight > 0 do
+          Condition.wait t.idle t.lock
+        done;
+        t.draining <- true;
+        Option.iter (fun slot -> Condition.signal slot.wake) t.parked;
+        let ds = t.domains in
+        t.domains <- [];
+        t.exited <- [];
+        ds)
+  in
+  List.iter Domain.join domains
 
 let serve t ~connection ~epilogue =
-  (* [~clamp:false] because connection handlers block in [Unix.read]
-     rather than compute: a 4-job server must multiplex 4 live
-     connections even on a 1-core host, where the clamp would leave the
-     pool workerless and [submit] would serve connections inline in the
-     accept loop (no concurrency, no shedding). *)
-  let pool = Vp_parallel.Pool.create ~clamp:false ~jobs:(t.jobs + 1) () in
   Fun.protect
     ~finally:(fun () ->
       drain t;
-      Fun.protect
-        ~finally:(fun () -> Vp_parallel.Pool.shutdown pool)
-        epilogue)
+      epilogue ())
     (fun () ->
       while not (stopping t) do
-        match Unix.select [ t.listen_fd ] [] [] 0.05 with
+        (match Unix.select [ t.listen_fd ] [] [] 0.05 with
         | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
         | [], _, _ -> ()
-        | _ :: _, _, _ -> accept_one t pool connection
+        | _ :: _, _, _ -> accept_one t connection);
+        reap t
       done)

@@ -2,23 +2,36 @@
     listening, admission, shedding, bounded newline framing and drain.
 
     One [t] owns one listening socket. {!serve} runs the accept loop in
-    the calling domain and hands each admitted connection to a worker
-    of an unclamped {!Vp_parallel.Pool} sized [jobs + 1] (the accept
-    loop is the pool's never-draining helping caller) — thread-per-
-    connection, with OCaml domains as the threads, so [jobs = 1] serves
-    strictly sequentially. A connection reads one request frame at a
-    time and writes the handler's reply before reading the next.
+    the calling domain and gives each admitted connection a connection
+    domain — thread-per-connection, with OCaml domains as the threads.
+    Domains are spawned on demand: a connection goes to the parked
+    domain if there is one, else to a new domain while fewer than
+    [jobs] are live, else it waits in a queue for the first domain
+    whose connection ends. So [jobs] caps concurrent connections and
+    [jobs = 1] serves strictly sequentially. A domain whose connection
+    ends takes the next queued one, or parks, or exits if another
+    domain is already parked: at most one idle domain outlives a burst,
+    because every minor collection stops every domain of the process.
+    The parked domain is claimed under the lock when a connection is
+    accepted, so two connections accepted back to back never both go
+    to it. Exited domains are joined by the accept loop. A connection
+    reads one request frame at a time and writes the handler's reply
+    before reading the next.
+
+    The gauge [server.connection_domains] holds the live connection
+    domains of every server in the process, set on each spawn and exit.
 
     Backpressure is explicit: when [max_pending] connections are already
     in flight, a new connection gets one {!overloaded} frame and is
-    closed before a byte of it is read.
+    closed before a byte of it is read. So does an admitted connection
+    whose domain could not be spawned.
 
     Shutdown is graceful: {!stop} only raises a flag. The accept loop
     notices it within its 50 ms [select] interval, closes the listening
     socket, half-closes every in-flight connection's read side so a
     handler blocked on a read sees EOF, waits on a condition until the
-    in-flight count reaches zero, runs the server's epilogue and joins
-    the pool.
+    in-flight count reaches zero, joins every connection domain and
+    runs the server's epilogue.
 
     Every buffer is bounded: a request frame by
     {!Protocol.max_frame_bytes} (past it the client gets one [error]
@@ -41,6 +54,12 @@ val create :
     defaults to ["127.0.0.1"]. [shed] counts shed connections (under
     {!Vp_observe.Switch}).
     @raise Unix.Unix_error if the address cannot be bound. *)
+
+val max_jobs : int
+(** The largest [jobs] a process can serve with: the runtime's domain
+    limit ([Max_domains], 128 in OCaml 5.1 on 64-bit) less one for the
+    accept loop. A server that runs domains of its own counts them
+    too; {!create} itself does not check. *)
 
 val port : t -> int
 (** The actually bound port (resolves port [0]). *)
@@ -68,11 +87,11 @@ type handler = {
 }
 
 val serve : t -> connection:(unit -> handler) -> epilogue:(unit -> unit) -> unit
-(** Runs the accept loop until {!stop}, calling [connection] on the
-    worker that serves each admitted connection. Then drains as
+(** Runs the accept loop until {!stop}, calling [connection] in the
+    domain that serves each admitted connection. Then drains as
     described above, calling [epilogue] after the last connection ended
-    and before the pool is joined — also when the loop dies by
-    exception. Call at most once. *)
+    and its domain was joined — also when the loop dies by exception.
+    Call at most once. *)
 
 val overloaded : string
 (** The encoded [overloaded] frame with its [retry_after_ms] hint. *)

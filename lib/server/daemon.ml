@@ -12,6 +12,9 @@ type t = { conn : Conn_server.t; jobs : int; sessions : Sessions.t }
 let create ?host ?(port = Protocol.default_port) ?(jobs = 4)
     ?(max_pending = 64) ?data_dir ?max_resident ?fsync () =
   if jobs < 1 then invalid_arg "Daemon.create: jobs must be >= 1";
+  if jobs > Conn_server.max_jobs then
+    invalid_arg
+      (Printf.sprintf "Daemon.create: jobs must be <= %d" Conn_server.max_jobs);
   if max_pending < 1 then invalid_arg "Daemon.create: max_pending must be >= 1";
   let conn =
     Conn_server.create ?host ~port ~jobs ~max_pending ~shed:c_shed ()

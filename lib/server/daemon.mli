@@ -3,9 +3,9 @@
     One daemon owns one {!Conn_server.t} and one {!Sessions.t} registry.
     The shared core listens, admits or sheds connections, frames
     requests and drains; the daemon only decodes each frame and
-    dispatches it. Connections are served thread-per-connection on
-    [jobs] pool workers, so [jobs = 1] serves strictly sequentially,
-    which is what the determinism tests exploit. Past [max_pending]
+    dispatches it. Connections are served thread-per-connection on at
+    most [jobs] connection domains, so [jobs = 1] serves strictly
+    sequentially, which is what the determinism tests exploit. Past [max_pending]
     in-flight connections a new one gets an [overloaded] frame with a
     [retry_after_ms] hint.
 
@@ -15,7 +15,8 @@
     ({!Sessions.drain}).
 
     Instrumentation (under {!Vp_observe.Switch}): counters
-    [server.requests] and [server.shed], gauge [server.active_sessions],
+    [server.requests] and [server.shed], gauges [server.active_sessions]
+    and [server.connection_domains] (the latter set by {!Conn_server}),
     one [server.request] span per decoded frame (args: the op name). *)
 
 type t
@@ -38,8 +39,8 @@ val create :
     write-ahead logging, idle-session spilling and crash recovery — and
     are passed to {!Sessions.create} verbatim (no [data_dir] means the
     pre-durability in-memory registry).
-    @raise Invalid_argument if [jobs < 1], [max_pending < 1] or
-    [max_resident < 1].
+    @raise Invalid_argument if [jobs < 1], [jobs > Conn_server.max_jobs],
+    [max_pending < 1] or [max_resident < 1] — before binding.
     @raise Unix.Unix_error if the address cannot be bound. *)
 
 val port : t -> int

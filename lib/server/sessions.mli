@@ -45,7 +45,7 @@
 
     Registry operations take a global mutex; per-query work only takes
     the session's own lock, so ingests into different sessions run
-    concurrently on different pool workers. Restores run under the
+    concurrently on different connection domains. Restores run under the
     registry lock (a restore must not race another open of the same
     name). *)
 

@@ -623,6 +623,109 @@ let test_malformed_frames_over_the_wire () =
                 malformed_frames)))
     servers
 
+(* --- connection domains on demand --- *)
+
+let connection_domains () =
+  List.assoc "server.connection_domains"
+    (Vp_observe.Stats.snapshot ()).gauges
+
+(* A raw connection whose reads give up after 5 s, so a connection that
+   is never served fails the test instead of hanging it. *)
+let connect_timed port =
+  let fd = connect_raw port in
+  Unix.setsockopt_float fd Unix.SO_RCVTIMEO 5.0;
+  fd
+
+let ping_raw fd = send_raw fd "{\"op\":\"ping\"}\n"
+
+let expect_pong what fd =
+  Alcotest.check Testutil.status what Ok_reply
+    (Testutil.status_of (read_reply fd))
+
+let expect_silent what fd =
+  match Unix.select [ fd ] [] [] 0.3 with
+  | [], _, _ -> ()
+  | _ -> Alcotest.failf "%s: answered while every domain was busy" what
+
+let rec await_domains ~deadline n =
+  if connection_domains () <> n then
+    if Unix.gettimeofday () > deadline then
+      Alcotest.failf "connection domains: %d, expected %d"
+        (connection_domains ()) n
+    else begin
+      Unix.sleepf 0.01;
+      await_domains ~deadline n
+    end
+
+let test_connection_domains () =
+  let all_joined () =
+    Alcotest.(check int) "drain joins every domain" 0 (connection_domains ())
+  in
+  with_daemon ~jobs:4 (fun port ->
+      Alcotest.(check int) "none before a connection" 0 (connection_domains ());
+      with_client port (fun c -> ignore (unwrap (Client.ping c)));
+      Alcotest.(check int) "one after a ping" 1 (connection_domains ());
+      (* Back to back: each accept must take a domain of its own, so the
+         last one is served while the first three stay open. *)
+      let held = List.init 4 (fun _ -> connect_timed port) in
+      List.iteri
+        (fun i fd ->
+          ping_raw fd;
+          expect_pong (Printf.sprintf "held connection %d" (4 - i)) fd)
+        (List.rev held);
+      Alcotest.(check int) "one per held connection" 4 (connection_domains ());
+      let fifth = connect_timed port in
+      ping_raw fifth;
+      expect_silent "fifth connection" fifth;
+      Unix.close (List.hd held);
+      expect_pong "fifth connection once one closed" fifth;
+      Alcotest.(check int) "still capped at jobs" 4 (connection_domains ());
+      List.iter Unix.close (fifth :: List.tl held);
+      await_domains ~deadline:(Unix.gettimeofday () +. 5.0) 1);
+  all_joined ();
+  with_daemon ~jobs:1 (fun port ->
+      let first = connect_timed port and second = connect_timed port in
+      ping_raw first;
+      expect_pong "first connection" first;
+      ping_raw second;
+      expect_silent "second connection" second;
+      Unix.close first;
+      expect_pong "second connection once the first closed" second;
+      Unix.close second);
+  all_joined ()
+
+(* Refused before the socket is bound — the port here is taken, so a
+   check that came later would fail with [EADDRINUSE] instead — and
+   before a domain or a shard is started. *)
+let test_jobs_past_domain_limit () =
+  let max_jobs = Vp_server.Conn_server.max_jobs in
+  let taken = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Fun.protect
+    ~finally:(fun () -> Unix.close taken)
+    (fun () ->
+      Unix.bind taken (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
+      Unix.listen taken 1;
+      let port =
+        match Unix.getsockname taken with
+        | Unix.ADDR_INET (_, p) -> p
+        | Unix.ADDR_UNIX _ -> assert false
+      in
+      let refused what msg f =
+        Alcotest.check_raises what (Invalid_argument msg) (fun () ->
+            ignore (f ()))
+      in
+      refused "daemon jobs"
+        (Printf.sprintf "Daemon.create: jobs must be <= %d" max_jobs)
+        (fun () -> Vp_server.Daemon.create ~port ~jobs:(max_jobs + 1) ());
+      Testutil.with_temp_dir "jobs-limit" (fun dir ->
+          refused "router jobs, counting the supervisor"
+            (Printf.sprintf "Router.create: jobs must be <= %d" (max_jobs - 1))
+            (fun () -> Router.create ~port ~jobs:max_jobs ~data_dir:dir ());
+          refused "shard jobs"
+            (Printf.sprintf "Router.create: shard_jobs must be <= %d" max_jobs)
+            (fun () ->
+              Router.create ~port ~shard_jobs:(max_jobs + 1) ~data_dir:dir ())))
+
 let suite =
   [
     Alcotest.test_case "ping and stats" `Quick test_ping_stats;
@@ -653,4 +756,8 @@ let suite =
       test_script_parse_error;
     Alcotest.test_case "malformed frame errors over the wire" `Quick
       test_malformed_frames_over_the_wire;
+    Alcotest.test_case "connection domains on demand" `Quick
+      test_connection_domains;
+    Alcotest.test_case "jobs past the domain limit refused" `Quick
+      test_jobs_past_domain_limit;
   ]
