@@ -69,24 +69,6 @@ let rec worker_loop t =
 let effective_jobs ~jobs =
   min (max 1 jobs) (max 1 (Domain.recommended_domain_count ()))
 
-let create ~jobs () =
-  let jobs = max 1 jobs in
-  let t =
-    {
-      jobs;
-      mutex = Mutex.create ();
-      nonempty = Condition.create ();
-      queue = Queue.create ();
-      shutting_down = false;
-      workers = [];
-    }
-  in
-  t.workers <-
-    List.init
-      (effective_jobs ~jobs - 1)
-      (fun _ -> Domain.spawn (fun () -> worker_loop t));
-  t
-
 let jobs t = t.jobs
 
 let domain_count t = List.length t.workers + 1
@@ -113,6 +95,30 @@ let shutdown t =
   match !first_exn with
   | Some (e, bt) -> Printexc.raise_with_backtrace e bt
   | None -> ()
+
+let create ~jobs () =
+  let jobs = max 1 jobs in
+  let t =
+    {
+      jobs;
+      mutex = Mutex.create ();
+      nonempty = Condition.create ();
+      queue = Queue.create ();
+      shutting_down = false;
+      workers = [];
+    }
+  in
+  (* A spawn that fails (the runtime's domain limit) must not leave the
+     workers already spawned blocked forever. *)
+  (try
+     for _ = 2 to effective_jobs ~jobs do
+       t.workers <- Domain.spawn (fun () -> worker_loop t) :: t.workers
+     done
+   with e ->
+     let bt = Printexc.get_raw_backtrace () in
+     (try shutdown t with _ -> ());
+     Printexc.raise_with_backtrace e bt);
+  t
 
 (* Not [Fun.protect]: a worker that died re-raises from [shutdown], and
    that exception should arrive bare, not wrapped in [Finally_raised].

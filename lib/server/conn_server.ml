@@ -128,20 +128,19 @@ type t = {
   max_pending : int;
   shed : Vp_observe.Stats.counter;
   stopping : bool Atomic.t;
-  (* [lock] guards every mutable field and [conns]/[queued]; [idle] is
-     signalled when [in_flight] falls to zero. *)
+  (* [lock] guards every mutable field but [domains], and [conns]/[queued];
+     [idle] is signalled when [in_flight] falls to zero. *)
   lock : Mutex.t;
   idle : Condition.t;
   mutable in_flight : int;
   conns : (Unix.file_descr, unit) Hashtbl.t;
-  (* Connection domains: [live] of them (at most [jobs]), at most one
-     [parked] with no connection, the rest serving. [queued] holds
-     admitted connections while [live = jobs] and none is parked. *)
-  mutable live : int;
-  mutable parked : slot option;
+  (* Connection domains: every one spawned, in [domains] (touched by the
+     accept loop only); the [parked] ones have no connection, the rest
+     serve one. [queued] holds admitted connections while all [jobs]
+     domains serve. *)
+  mutable parked : slot list;
   queued : Unix.file_descr Queue.t;
-  mutable domains : unit Domain.t list;  (* spawned, not yet joined *)
-  mutable exited : int list;  (* ids of [domains] that have returned *)
+  mutable domains : unit Domain.t list;
   mutable draining : bool;
 }
 
@@ -171,11 +170,9 @@ let create ?(host = "127.0.0.1") ~port ~jobs ~max_pending ~shed () =
     idle = Condition.create ();
     in_flight = 0;
     conns = Hashtbl.create 16;
-    live = 0;
-    parked = None;
+    parked = [];
     queued = Queue.create ();
     domains = [];
-    exited = [];
     draining = false;
   }
 
@@ -243,33 +240,19 @@ let shed t fd =
   send_overloaded t fd;
   close_quietly fd
 
-(* Under [lock]: the calling connection domain leaves. *)
-let retire t =
-  t.live <- t.live - 1;
-  t.exited <- (Domain.self () :> int) :: t.exited;
-  count_domains (-1)
-
 (* Under [lock]: the next connection for a domain whose connection
-   ended, or [None] when it should exit — because the server drains or
-   another domain is already parked, so at most one stays idle. *)
+   ended — a queued one, else whatever [dispatch] hands it while it is
+   parked — or [None] once the server drains. *)
 let next_connection t slot =
   match Queue.take_opt t.queued with
   | Some fd -> Some fd
-  | None when t.draining || t.parked <> None ->
-      retire t;
-      None
-  | None -> (
+  | None ->
       slot.next <- None;
-      t.parked <- Some slot;
+      t.parked <- slot :: t.parked;
       while slot.next = None && not t.draining do
         Condition.wait slot.wake t.lock
       done;
-      match slot.next with
-      | Some fd -> Some fd
-      | None ->
-          t.parked <- None;
-          retire t;
-          None)
+      slot.next
 
 (* A connection domain: serves [fd], then whatever [next_connection]
    hands it. A raise from a handler ends that connection only. *)
@@ -281,57 +264,36 @@ let rec worker t connection slot fd =
    with _ -> ());
   match Mutex.protect t.lock (fun () -> next_connection t slot) with
   | Some fd -> worker t connection slot fd
-  | None -> ()
+  | None -> count_domains (-1)
 
-(* Gives the admitted [fd] a connection domain: the parked one, a new
-   one while fewer than [jobs] live, or else a place in [queued]. The
-   parked domain is taken under the lock, here, so two connections
+(* Gives the admitted [fd] a connection domain: a parked one, a new one
+   while fewer than [jobs] were spawned, or else a place in [queued].
+   The parked domain is taken under the lock, here, so two connections
    accepted back to back never both go to it. *)
 let dispatch t connection fd =
-  let spawn =
+  let handed =
     Mutex.protect t.lock (fun () ->
         match t.parked with
-        | Some slot ->
-            t.parked <- None;
+        | slot :: rest ->
+            t.parked <- rest;
             slot.next <- Some fd;
             Condition.signal slot.wake;
-            false
-        | None when t.live < t.jobs ->
-            t.live <- t.live + 1;
-            count_domains 1;
             true
-        | None ->
+        | [] when List.length t.domains < t.jobs -> false
+        | [] ->
             Queue.add fd t.queued;
-            false)
+            true)
   in
-  if spawn then
+  if not handed then begin
+    count_domains 1;
     let slot = { next = None; wake = Condition.create () } in
     match Domain.spawn (fun () -> worker t connection slot fd) with
-    | d -> Mutex.protect t.lock (fun () -> t.domains <- d :: t.domains)
+    | d -> t.domains <- d :: t.domains
     | exception _ ->
-        Mutex.protect t.lock (fun () ->
-            t.live <- t.live - 1;
-            count_domains (-1));
+        count_domains (-1);
         send_overloaded t fd;
         release t fd
-
-(* Joins the connection domains that have exited. *)
-let reap t =
-  let gone =
-    Mutex.protect t.lock (fun () ->
-        match t.exited with
-        | [] -> []
-        | ids ->
-            let gone, kept =
-              List.partition
-                (fun d -> List.mem (Domain.get_id d :> int) ids)
-                t.domains
-            in
-            t.domains <- kept;
-            t.exited <- [];
-            gone)
-  in
-  List.iter Domain.join gone
+  end
 
 let accept_one t connection =
   match Unix.accept ~cloexec:true t.listen_fd with
@@ -345,26 +307,21 @@ let accept_one t connection =
 
 let drain t =
   close t;
-  let domains =
-    Mutex.protect t.lock (fun () ->
-        (* Half-close every in-flight connection's read side so a
-           handler blocked in [Unix.read] sees EOF and winds down. *)
-        Hashtbl.iter
-          (fun fd () ->
-            try Unix.shutdown fd Unix.SHUTDOWN_RECEIVE
-            with Unix.Unix_error _ -> ())
-          t.conns;
-        while t.in_flight > 0 do
-          Condition.wait t.idle t.lock
-        done;
-        t.draining <- true;
-        Option.iter (fun slot -> Condition.signal slot.wake) t.parked;
-        let ds = t.domains in
-        t.domains <- [];
-        t.exited <- [];
-        ds)
-  in
-  List.iter Domain.join domains
+  Mutex.protect t.lock (fun () ->
+      (* Half-close every in-flight connection's read side so a handler
+         blocked in [Unix.read] sees EOF and winds down. *)
+      Hashtbl.iter
+        (fun fd () ->
+          try Unix.shutdown fd Unix.SHUTDOWN_RECEIVE
+          with Unix.Unix_error _ -> ())
+        t.conns;
+      while t.in_flight > 0 do
+        Condition.wait t.idle t.lock
+      done;
+      t.draining <- true;
+      List.iter (fun slot -> Condition.signal slot.wake) t.parked);
+  List.iter Domain.join t.domains;
+  t.domains <- []
 
 let serve t ~connection ~epilogue =
   Fun.protect
@@ -373,9 +330,8 @@ let serve t ~connection ~epilogue =
       epilogue ())
     (fun () ->
       while not (stopping t) do
-        (match Unix.select [ t.listen_fd ] [] [] 0.05 with
+        match Unix.select [ t.listen_fd ] [] [] 0.05 with
         | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
         | [], _, _ -> ()
-        | _ :: _, _, _ -> accept_one t connection);
-        reap t
+        | _ :: _, _, _ -> accept_one t connection
       done)

@@ -4,19 +4,19 @@
     One [t] owns one listening socket. {!serve} runs the accept loop in
     the calling domain and gives each admitted connection a connection
     domain — thread-per-connection, with OCaml domains as the threads.
-    Domains are spawned on demand: a connection goes to the parked
+    Domains are spawned on demand: a connection goes to a parked
     domain if there is one, else to a new domain while fewer than
-    [jobs] are live, else it waits in a queue for the first domain
+    [jobs] were spawned, else it waits in a queue for the first domain
     whose connection ends. So [jobs] caps concurrent connections and
     [jobs = 1] serves strictly sequentially. A domain whose connection
-    ends takes the next queued one, or parks, or exits if another
-    domain is already parked: at most one idle domain outlives a burst,
-    because every minor collection stops every domain of the process.
-    The parked domain is claimed under the lock when a connection is
-    accepted, so two connections accepted back to back never both go
-    to it. Exited domains are joined by the accept loop. A connection
-    reads one request frame at a time and writes the handler's reply
-    before reading the next.
+    ends takes the next queued one or parks; domains exit only when
+    the server drains, so a server runs as many connection domains as
+    it has ever served connections at once — none while no client has
+    connected, because every minor collection stops every domain of
+    the process. A parked domain is claimed under the lock when a
+    connection is accepted, so two connections accepted back to back
+    never both go to it. A connection reads one request frame at a
+    time and writes the handler's reply before reading the next.
 
     The gauge [server.connection_domains] holds the live connection
     domains of every server in the process, set on each spawn and exit.
@@ -58,8 +58,11 @@ val create :
 val max_jobs : int
 (** The largest [jobs] a process can serve with: the runtime's domain
     limit ([Max_domains], 128 in OCaml 5.1 on 64-bit) less one for the
-    accept loop. A server that runs domains of its own counts them
-    too; {!create} itself does not check. *)
+    accept loop. A server that runs long-lived domains of its own (the
+    router's supervisor) counts them too; {!create} itself does not
+    check. Domains that handlers spawn for one request (a
+    [Vp_parallel.Pool]) are not counted: near the limit such a spawn
+    can fail, and that request gets an error reply. *)
 
 val port : t -> int
 (** The actually bound port (resolves port [0]). *)

@@ -647,16 +647,6 @@ let expect_silent what fd =
   | [], _, _ -> ()
   | _ -> Alcotest.failf "%s: answered while every domain was busy" what
 
-let rec await_domains ~deadline n =
-  if connection_domains () <> n then
-    if Unix.gettimeofday () > deadline then
-      Alcotest.failf "connection domains: %d, expected %d"
-        (connection_domains ()) n
-    else begin
-      Unix.sleepf 0.01;
-      await_domains ~deadline n
-    end
-
 let test_connection_domains () =
   let all_joined () =
     Alcotest.(check int) "drain joins every domain" 0 (connection_domains ())
@@ -681,7 +671,16 @@ let test_connection_domains () =
       expect_pong "fifth connection once one closed" fifth;
       Alcotest.(check int) "still capped at jobs" 4 (connection_domains ());
       List.iter Unix.close (fifth :: List.tl held);
-      await_domains ~deadline:(Unix.gettimeofday () +. 5.0) 1);
+      (* Domains park when their connection ends and exit only on drain,
+         so the next burst reuses them. *)
+      let again = List.init 4 (fun _ -> connect_timed port) in
+      List.iteri
+        (fun i fd ->
+          ping_raw fd;
+          expect_pong (Printf.sprintf "second burst, connection %d" (4 - i)) fd)
+        (List.rev again);
+      List.iter Unix.close again;
+      Alcotest.(check int) "parked, not exited" 4 (connection_domains ()));
   all_joined ();
   with_daemon ~jobs:1 (fun port ->
       let first = connect_timed port and second = connect_timed port in
@@ -693,6 +692,41 @@ let test_connection_domains () =
       expect_pong "second connection once the first closed" second;
       Unix.close second);
   all_joined ()
+
+(* Short connections arriving two at a time never make a server spawn
+   more than [jobs] domains over its life: every domain that touches a
+   metric keeps its own [Stats] cells for the rest of the process, so
+   domain churn would grow the registry without bound. *)
+let test_connection_domains_bounded () =
+  let module Conn = Vp_server.Conn_server in
+  let conn =
+    Conn.create ~port:0 ~jobs:4 ~max_pending:8
+      ~shed:(Vp_observe.Stats.counter "test.shed") ()
+  in
+  let reply _ = string_of_int (Domain.self () :> int) in
+  let server =
+    Domain.spawn (fun () ->
+        Conn.serve conn
+          ~connection:(fun () -> { Conn.reply; release = ignore })
+          ~epilogue:ignore)
+  in
+  let ids = Hashtbl.create 8 in
+  Fun.protect
+    ~finally:(fun () ->
+      Conn.stop conn;
+      Domain.join server)
+    (fun () ->
+      for _ = 1 to 100 do
+        let pair = List.init 2 (fun _ -> connect_timed (Conn.port conn)) in
+        List.iter ping_raw pair;
+        List.iter
+          (fun fd -> Hashtbl.replace ids (Testutil.read_reply_line fd) ())
+          pair;
+        List.iter Unix.close pair
+      done);
+  let n = Hashtbl.length ids in
+  if n < 2 || n > 4 then
+    Alcotest.failf "200 connections served by %d domains, expected 2 to 4" n
 
 (* Refused before the socket is bound — the port here is taken, so a
    check that came later would fail with [EADDRINUSE] instead — and
@@ -760,4 +794,6 @@ let suite =
       test_connection_domains;
     Alcotest.test_case "jobs past the domain limit refused" `Quick
       test_jobs_past_domain_limit;
+    Alcotest.test_case "connection domains bounded by jobs" `Quick
+      test_connection_domains_bounded;
   ]
