@@ -203,10 +203,12 @@ let test_chrome_trace_golden () =
 
    Every offline entrant of the repo benchmark, on TPC-H lineitem and on
    the 48-attribute synthetic table, under the benchmark's 2,500-step
-   budget with the full and incremental oracles. The cost bit pattern,
-   the layout and the search counters are frozen, so a change to the
-   search bookkeeping (attribute sets, partitioning construction, the
-   per-run memo) that alters any answer or any counter fails here. *)
+   budget with the I/O oracle and its incremental sessions; the
+   heuristics also under the main-memory oracle with no factory. The
+   cost bit pattern, the layout and the search counters are frozen, so
+   a change to the search bookkeeping (attribute sets, partitioning
+   construction, either pricing session) that alters any answer or any
+   counter fails here. *)
 
 let stats_step_budget = 2_500
 
@@ -229,18 +231,31 @@ let stats_wide () =
     ~seed:(Vp_robust.Mix.mix64 (Int64.add 7919L 1L))
     ~attributes:48 ~clusters:8 ~queries:60 ~scatter:0.2 ()
 
-let stats_line key w (a : Partitioner.t) =
-  let cost = Vp_cost.Io_model.oracle disk w in
-  let delta = Vp_cost.Io_model.Incremental.factory disk w in
+let stats_run ?delta ~cost w (a : Partitioner.t) =
   let budget = Vp_robust.Budget.create ~max_steps:stats_step_budget () in
-  let r =
-    Partitioner.exec a (Partitioner.Request.make ~budget ~delta ~cost w)
-  in
+  Partitioner.exec a (Partitioner.Request.make ~budget ?delta ~cost w)
+
+let render_stats key (a : Partitioner.t) (r : Partitioner.Response.t) =
   let s = r.Partitioner.Response.stats in
   Printf.sprintf "%s %s cost=%h cost_calls=%d candidates=%d iterations=%d %s\n"
     key a.Partitioner.name r.Partitioner.Response.cost s.Partitioner.cost_calls
     s.Partitioner.candidates s.Partitioner.iterations
     (Partitioning.to_string r.Partitioner.Response.partitioning)
+
+let stats_line key w a =
+  render_stats key a
+    (stats_run
+       ~delta:(Vp_cost.Io_model.Incremental.factory disk w)
+       ~cost:(Vp_cost.Io_model.oracle disk w)
+       w a)
+
+(* The heuristics under the main-memory model, which has no incremental
+   session: the path a request built without a factory takes. *)
+let memory_stats_line key w a =
+  render_stats ("memory/" ^ key) a
+    (stats_run
+       ~cost:(Vp_cost.Memory_model.oracle Vp_cost.Memory_model.default w)
+       w a)
 
 let test_optimizer_stats_golden () =
   let lineitem = Vp_benchmarks.Tpch.workload ~sf:10.0 "lineitem" in
@@ -248,7 +263,9 @@ let test_optimizer_stats_golden () =
   let actual =
     String.concat ""
       (List.map (stats_line "tpch/lineitem" lineitem) stats_entrants
-      @ List.map (stats_line "wide" wide) stats_heuristics)
+      @ List.map (stats_line "wide" wide) stats_heuristics
+      @ List.map (memory_stats_line "tpch/lineitem" lineitem) stats_heuristics
+      @ List.map (memory_stats_line "wide" wide) stats_heuristics)
   in
   check_golden "optimizer stats" "golden/optimizer_stats.golden.txt" actual
 

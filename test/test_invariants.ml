@@ -148,7 +148,8 @@ let test_budget_monotonicity () =
    oracle stats. If a delta probe skipped a tick, double-charged one, or
    dodged the fault/counter bookkeeping of [Partitioner.Counted], the
    exhaustion point would shift and one of these renderings would
-   diverge. *)
+   diverge. The full path must also invoke its oracle once per counted
+   call: an uncounted invocation (say, pricing a rebase) fails here. *)
 let test_budget_delta_parity () =
   let root = Vp_datagen.Prng.create 0xDE17AL in
   for i = 0 to 14 do
@@ -159,7 +160,11 @@ let test_budget_delta_parity () =
           (fun max_steps ->
             let run enabled =
               let budget = Vp_robust.Budget.create ~max_steps () in
-              let oracle = Vp_cost.Io_model.oracle disk w in
+              let invocations = ref 0 in
+              let oracle p =
+                incr invocations;
+                Vp_cost.Io_model.oracle disk w p
+              in
               let delta =
                 if enabled then Some (Vp_cost.Io_model.Incremental.factory disk w)
                 else None
@@ -168,6 +173,14 @@ let test_budget_delta_parity () =
                 Partitioner.exec a
                   (Partitioner.Request.make ~budget ?delta ~cost:oracle w)
               in
+              (* Without a factory every counted call is one invocation
+                 of the oracle, plus the final cost of the answer. *)
+              if not enabled then
+                Alcotest.(check int)
+                  (Printf.sprintf "%s on pair %d, %d steps: oracle calls"
+                     a.Partitioner.name i max_steps)
+                  (r.Partitioner.Response.stats.Partitioner.cost_calls + 1)
+                  !invocations;
               Printf.sprintf "%s cost=%Lx status=%s calls=%d candidates=%d"
                 (Partitioning.to_string r.Partitioner.Response.partitioning)
                 (Int64.bits_of_float r.Partitioner.Response.cost)
