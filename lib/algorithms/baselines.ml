@@ -1,10 +1,11 @@
 open Vp_core
 
 let row =
-  Partitioner.timed_run ~name:"Row" ~short_name:"Row" (fun workload _oracle ->
+  Partitioner.timed_run ~name:"Row" ~short_name:"Row"
+    (fun ~budget:_ ~delta:_ workload _oracle ->
       (Partitioning.row (Table.attribute_count (Workload.table workload)), 0))
 
 let column =
   Partitioner.timed_run ~name:"Column" ~short_name:"Col"
-    (fun workload _oracle ->
+    (fun ~budget:_ ~delta:_ workload _oracle ->
       (Partitioning.column (Table.attribute_count (Workload.table workload)), 0))

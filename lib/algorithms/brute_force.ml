@@ -4,7 +4,7 @@ type lower_bound = Attr_set.t array -> Vp_cost.Bounds.search
 
 let branch_and_bound ~name ~short_name ~order_atoms ~cheapest_first
     ?(use_atoms = true) ?(max_candidates = 5_000_000) ?lower_bound () =
-  Partitioner.timed_run_delta ~name ~short_name
+  Partitioner.timed_run ~name ~short_name
   @@ fun ~budget ~delta workload oracle ->
   let n = Table.attribute_count (Workload.table workload) in
   let atom_arr =
@@ -27,7 +27,7 @@ let branch_and_bound ~name ~short_name ~order_atoms ~cheapest_first
              "%s: search space B(%d) = %d exceeds %d candidates and no \
               lower bound was provided"
              name m space max_candidates));
-  let cost_of p = Merge_search.evaluate ?delta oracle p in
+  let cost_of p = Merge_search.evaluate ~delta oracle p in
   (* Under a budget, cost the row layout before anything can tick so the
      incumbent is defined (and never worse than Row) even if the budget is
      exhausted during the seed climb. *)
@@ -38,7 +38,7 @@ let branch_and_bound ~name ~short_name ~order_atoms ~cheapest_first
   in
   (* Seed the incumbent with a greedy bottom-up merge of the atoms. *)
   let seed, _ =
-    Merge_search.climb ?delta ~budget ~n oracle (Array.to_list atom_arr)
+    Merge_search.climb ~delta ~budget ~n oracle (Array.to_list atom_arr)
   in
   (let seed_cost = cost_of seed in
    if seed_cost < !best_cost then begin
@@ -50,30 +50,18 @@ let branch_and_bound ~name ~short_name ~order_atoms ~cheapest_first
   (* Depth [i]'s child bounds and visiting order sit at [i * m]; a node
      at depth [i] has at most [i + 1] children. *)
   let child_bound = Array.make (m * m) 0.0 and order = Array.make (m * m) 0 in
-  (* A leaf is priced from its blocks: by the session's [cost_blocks]
-     when there is one, else by the full oracle on the built
-     partitioning. Only a new incumbent is built on the delta path. *)
+  (* A leaf is priced from its blocks by the session's [cost_blocks];
+     only a new incumbent is built here. *)
   let leaf used =
-    let build () =
-      Partitioning.of_groups ~n (Array.to_list (Array.sub blocks 0 used))
+    let cost =
+      Partitioner.Counted.probe oracle (fun () ->
+          delta.Partitioner.Delta.cost_blocks blocks used)
     in
-    match delta with
-    | None ->
-        let candidate = build () in
-        let cost = Partitioner.Counted.cost oracle candidate in
-        if cost < !best_cost then begin
-          best_cost := cost;
-          best := candidate
-        end
-    | Some s ->
-        let cost =
-          Partitioner.Counted.probe oracle (fun () ->
-              s.Partitioner.Delta.cost_blocks blocks used)
-        in
-        if cost < !best_cost then begin
-          best_cost := cost;
-          best := build ()
-        end
+    if cost < !best_cost then begin
+      best_cost := cost;
+      best :=
+        Partitioning.of_groups ~n (Array.to_list (Array.sub blocks 0 used))
+    end
   in
   let rec assign i used =
     Vp_robust.Budget.tick budget;

@@ -38,11 +38,10 @@ val branch_and_bound :
   Partitioner.t
 (** The one exact-search driver BruteForce and {!Ilp} share: the row
     incumbent, the seed climb, the space guard, the restricted-growth
-    enumeration, and pruning against the bound. With a delta session, a
-    leaf is priced from the enumeration's blocks
-    ([Delta.session.cost_blocks]) and built as a partitioning only when
-    it beats the incumbent; without one, every leaf is built and priced
-    by the full oracle.
+    enumeration, and pruning against the bound. A leaf is priced from
+    the enumeration's blocks by the request's session
+    ([Delta.session.cost_blocks]) and built here only when it beats the
+    incumbent.
     [order_atoms] fixes the branching order of the atoms. With a bound,
     the children of a node are visited in block-index order, or
     cheapest bound first (ties by block index) when [cheapest_first]; a

@@ -1,15 +1,15 @@
 open Vp_core
 
 let algorithm =
-  Partitioner.timed_run_delta ~name:"HillClimb" ~short_name:"HC"
+  Partitioner.timed_run ~name:"HillClimb" ~short_name:"HC"
     (fun ~budget ~delta workload oracle ->
       let n = Table.attribute_count (Workload.table workload) in
       let start = Partitioning.groups (Partitioning.column n) in
-      Merge_search.climb ?delta ~budget ~n oracle start)
+      Merge_search.climb ~delta ~budget ~n oracle start)
 
 let with_dictionary =
-  Partitioner.timed_run_budgeted ~name:"HillClimb+dict" ~short_name:"HCd"
-    (fun ~budget workload oracle ->
+  Partitioner.timed_run ~name:"HillClimb+dict" ~short_name:"HCd"
+    (fun ~budget ~delta:_ workload oracle ->
       let n = Table.attribute_count (Workload.table workload) in
       (* Dictionary of evaluated candidate costs, keyed by the canonical
          partitioning. Mimics the original algorithm's column-group cost

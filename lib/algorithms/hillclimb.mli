@@ -10,8 +10,8 @@
     memo at all. A merge-only climb never proposes the same layout twice —
     every candidate of an iteration has one group fewer than the last
     iteration's — so a candidate memo would miss on every lookup; the
-    work successive iterations do repeat is per-query, and the request's
-    delta session reuses it. {!with_dictionary} keeps the memoizing
+    work successive iterations do repeat is per-query, and an
+    incremental session on the request reuses it. {!with_dictionary} keeps the memoizing
     variant for ablation A1. *)
 
 val algorithm : Vp_core.Partitioner.t

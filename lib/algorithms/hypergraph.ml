@@ -19,8 +19,8 @@ open Vp_core
 
    Hyperedge weights come from query bitsets: one per atom, built once
    per search, and one per block, built at the start of each coarsening
-   or refinement round. With a delta session, merges and moves are both
-   priced by the session's one fold from the incumbent. *)
+   or refinement round. Merges and moves are both priced by the
+   request's session from the incumbent. *)
 
 let connectivity_cut workload partitioning =
   let queries = Workload.queries workload in
@@ -61,14 +61,13 @@ let search ~budget ~delta workload oracle =
   let atom_bits = List.map (fun a -> (a, query_bits a)) atoms in
   (* The session stays based at the incumbent: a candidate is priced by
      [price], a merge or move from there, and only a commit builds the
-     candidate's partitioning and rebases the session. Without a
-     session, the candidate is built and priced in full. *)
+     candidate's partitioning and rebases the session. *)
   let blocks = ref atoms in
   (* The start layout is costed before anything can tick, so even a
      zero-step (or already-cancelled) budget answers with a valid
      incumbent. *)
   let best = ref (Partitioning.of_groups ~n !blocks) in
-  let best_cost = ref (Merge_search.evaluate ?delta oracle !best) in
+  let best_cost = ref (Merge_search.evaluate ~delta oracle !best) in
   let commits = ref 0 in
   (* [!best] is always the partitioning of [!blocks], so candidates are
      built from it by merge/split; [blocks] stays in mask order, which
@@ -82,18 +81,12 @@ let search ~budget ~delta workload oracle =
   in
   let try_candidate candidate price =
     Vp_robust.Budget.tick budget;
-    match delta with
-    | None ->
-        let candidate = candidate !best in
-        let cost = Partitioner.Counted.cost oracle candidate in
-        cost < !best_cost && commit candidate cost
-    | Some s ->
-        let cost = Partitioner.Counted.probe oracle (fun () -> price s) in
-        cost < !best_cost
-        &&
-        let candidate = candidate !best in
-        ignore (s.Partitioner.Delta.goto candidate : float);
-        commit candidate cost
+    let cost = Partitioner.Counted.probe oracle price in
+    cost < !best_cost
+    &&
+    let candidate = candidate !best in
+    delta.Partitioner.Delta.goto candidate;
+    commit candidate cost
   in
   (* Coarsening: candidate merges in descending connecting-hyperedge
      weight (canonical block order breaks ties), committing the first
@@ -127,7 +120,7 @@ let search ~budget ~delta workload oracle =
          List.iter
            (fun (_, i, j) ->
              let merge p = Partitioning.merge_groups p bs.(i) bs.(j) in
-             let price s = s.Partitioner.Delta.cost_merge bs.(i) bs.(j) in
+             let price () = delta.Partitioner.Delta.cost_merge bs.(i) bs.(j) in
              if try_candidate merge price then raise Exit)
            pairs
        with Exit ->
@@ -163,8 +156,8 @@ let search ~budget ~delta workload oracle =
                              (Partitioning.split_group p src atom)
                              atom dst
                        in
-                       let price s =
-                         s.Partitioner.Delta.cost_move atom src dst
+                       let price () =
+                         delta.Partitioner.Delta.cost_move atom src dst
                        in
                        if try_candidate move price then raise Exit
                      end)
@@ -187,9 +180,6 @@ let search ~budget ~delta workload oracle =
    with Vp_robust.Budget.Exhausted -> ());
   (!best, !commits)
 
-let make () =
-  Partitioner.timed_run_delta ~name:"Hypergraph" ~short_name:"HG"
-    (fun ~budget ~delta workload oracle ->
-      search ~budget ~delta workload oracle)
+let make () = Partitioner.timed_run ~name:"Hypergraph" ~short_name:"HG" search
 
 let algorithm = make ()

@@ -11,13 +11,11 @@ open Vp_core
     and only true cost improvements are committed — so the result never
     costs more than the atom layout it starts from, under any budget.
 
-    With a delta session on the request, the session stays based at
-    the incumbent: a merge is priced with the session's [cost_merge],
-    a move of an atom with its [cost_move], and only a commit builds
-    the candidate and rebases the session ([goto]). Without one, every
-    candidate is built and re-costed in full. Either way each candidate
-    is one cost call, and the layout, cost bits and search counters are
-    the same. *)
+    The request's session stays based at the incumbent: a merge is
+    priced with the session's [cost_merge], a move of an atom with its
+    [cost_move], and only a commit builds the candidate and rebases the
+    session ([goto]). Each candidate is one cost call, and the layout,
+    cost bits and search counters do not depend on the session. *)
 
 val connectivity_cut : Workload.t -> Partitioning.t -> float
 (** The hypergraph connectivity of a layout:

@@ -1,6 +1,6 @@
 open Vp_core
 
-let run_with_k ~budget ~delta k workload oracle =
+let run_with_k k ~budget ~delta workload oracle =
   let table = Workload.table workload in
   let n = Table.attribute_count table in
   let primaries = Array.of_list (Workload.primary_partitions workload) in
@@ -36,24 +36,20 @@ let run_with_k ~budget ~delta k workload oracle =
   in
   (* Phase 1: merge within subgraphs only. *)
   let intra, iters1 =
-    Merge_search.climb ~allowed:same_subgraph ?delta ~budget ~n oracle
+    Merge_search.climb ~allowed:same_subgraph ~delta ~budget ~n oracle
       (Array.to_list primaries)
   in
   (* Phase 2: try combining partitions across subgraphs. *)
   let final, iters2 =
-    Merge_search.climb ?delta ~budget ~n oracle (Partitioning.groups intra)
+    Merge_search.climb ~delta ~budget ~n oracle (Partitioning.groups intra)
   in
   (final, iters1 + iters2)
 
 let with_k k =
   if k <= 0 then invalid_arg "Hyrise.with_k: k <= 0";
-  Partitioner.timed_run_delta
+  Partitioner.timed_run
     ~name:(Printf.sprintf "HYRISE(k=%d)" k)
-    ~short_name:"HY"
-    (fun ~budget ~delta workload oracle ->
-      run_with_k ~budget ~delta k workload oracle)
+    ~short_name:"HY" (run_with_k k)
 
 let algorithm =
-  Partitioner.timed_run_delta ~name:"HYRISE" ~short_name:"HY"
-    (fun ~budget ~delta workload oracle ->
-      run_with_k ~budget ~delta 4 workload oracle)
+  Partitioner.timed_run ~name:"HYRISE" ~short_name:"HY" (run_with_k 4)

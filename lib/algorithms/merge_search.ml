@@ -7,49 +7,34 @@ type merge = {
   group_b : Attr_set.t;
 }
 
-(* Candidate evaluation. With a delta session, the number comes from
-   [session.goto] (rebasing the session at [p]) through [Counted.probe],
-   so budgets, statistics and fault indices are exactly those of the
-   full-cost path. *)
-let evaluate ?delta oracle p =
-  match delta with
-  | None -> Partitioner.Counted.cost oracle p
-  | Some s ->
-      Partitioner.Counted.probe oracle (fun () -> s.Partitioner.Delta.goto p)
+(* One counted cost call on a built partitioning, which leaves the
+   session based there. *)
+let evaluate ~delta oracle p =
+  Partitioner.Counted.probe oracle (fun () ->
+      delta.Partitioner.Delta.goto p;
+      delta.Partitioner.Delta.base_cost ())
 
-let best_pair_merge ?(allowed = fun _ _ -> true) ?delta
+let best_pair_merge ?(allowed = fun _ _ -> true) ~delta
     ?(budget = Vp_robust.Budget.unlimited) ~n oracle groups =
   let arr = Array.of_list groups in
   let k = Array.length arr in
   if k < 2 then None
   else begin
     (* Rebase the session at the scanned partitioning first: the pair
-       peeks below price moves from the base. *)
+       peeks below price merges from the base. *)
     let base = Partitioning.of_groups ~n groups in
-    (match delta with
-    | Some s -> ignore (s.Partitioner.Delta.goto base)
-    | None -> ());
-    (* The full oracle prices a built candidate; a delta peek prices the
-       merge from the two groups alone. *)
-    let pair_cost =
-      match delta with
-      | None ->
-          fun i j ->
-            Partitioner.Counted.cost oracle
-              (Partitioning.merge_groups base arr.(i) arr.(j))
-      | Some s ->
-          fun i j ->
-            Partitioner.Counted.probe oracle (fun () ->
-                s.Partitioner.Delta.cost_merge arr.(i) arr.(j))
-    in
-    (* The cheapest pair so far, as indices: the merged partitioning is
-       built once, for the pair that wins the scan. *)
+    delta.Partitioner.Delta.goto base;
+    (* The cheapest pair so far, as indices: the scan builds no
+       partitioning of its own, only the winner's. *)
     let best_i = ref (-1) and best_j = ref (-1) and best_cost = ref infinity in
     for i = 0 to k - 2 do
       for j = i + 1 to k - 1 do
         if allowed arr.(i) arr.(j) then begin
           Vp_robust.Budget.tick budget;
-          let cost = pair_cost i j in
+          let cost =
+            Partitioner.Counted.probe oracle (fun () ->
+                delta.Partitioner.Delta.cost_merge arr.(i) arr.(j))
+          in
           if !best_i < 0 || not (!best_cost <= cost) then begin
             best_i := i;
             best_j := j;
@@ -70,14 +55,14 @@ let best_pair_merge ?(allowed = fun _ _ -> true) ?delta
         }
   end
 
-let climb ?(allowed = fun _ _ -> true) ?delta
+let climb ?(allowed = fun _ _ -> true) ~delta
     ?(budget = Vp_robust.Budget.unlimited) ~n oracle groups =
   (* A partially scanned neighbourhood may miss the best merge, so on
      exhaustion we abandon the interrupted scan and return the incumbent:
      each committed merge was strictly cheaper, keeping the best-so-far
      cost monotone in the budget. *)
   let rec go groups current current_cost iterations =
-    match best_pair_merge ~allowed ?delta ~budget ~n oracle groups with
+    match best_pair_merge ~allowed ~delta ~budget ~n oracle groups with
     | Some m when m.merged_cost < current_cost ->
         go (Partitioning.groups m.merged) m.merged m.merged_cost (iterations + 1)
     | Some _ | None -> (current, iterations)
@@ -86,5 +71,5 @@ let climb ?(allowed = fun _ _ -> true) ?delta
   let start = Partitioning.of_groups ~n groups in
   if Vp_robust.Budget.exhausted budget then (start, 0)
   else
-    let start_cost = evaluate ?delta oracle start in
+    let start_cost = evaluate ~delta oracle start in
     go groups start start_cost 0

@@ -12,39 +12,37 @@ type merge = {
 }
 
 val evaluate :
-  ?delta:Partitioner.Delta.session ->
+  delta:Partitioner.Delta.session ->
   Partitioner.Counted.oracle ->
   Partitioning.t ->
   float
-(** One counted cost call on a built partitioning: the full oracle
-    ({!Partitioner.Counted.cost}), or with [delta] the session's [goto]
-    through {!Partitioner.Counted.probe}, which leaves the session based
-    at the partitioning. *)
+(** One counted cost call on a built partitioning: the session's [goto]
+    then [base_cost] through {!Partitioner.Counted.probe}, which leaves
+    the session based at the partitioning. *)
 
 val best_pair_merge :
   ?allowed:(Attr_set.t -> Attr_set.t -> bool) ->
-  ?delta:Partitioner.Delta.session ->
+  delta:Partitioner.Delta.session ->
   ?budget:Vp_robust.Budget.t ->
   n:int ->
   Partitioner.Counted.oracle ->
   Attr_set.t list ->
   merge option
-(** [best_pair_merge ~n oracle groups] evaluates every pair of groups and
-    returns the cheapest resulting partitioning, or [None] when fewer than
-    two groups (or no allowed pair) remain. [allowed] filters candidate
-    pairs (HYRISE uses it to restrict merging within a subgraph). Ties go
-    to the earliest pair in canonical group order. Every allowed pair is
-    one cost call: a merge-only climb never meets a candidate twice (each
-    iteration has one group fewer), so no search keeps a candidate memo.
+(** [best_pair_merge ~delta ~n oracle groups] evaluates every pair of
+    groups and returns the cheapest resulting partitioning, or [None]
+    when fewer than two groups (or no allowed pair) remain. [allowed]
+    filters candidate pairs (HYRISE uses it to restrict merging within a
+    subgraph). Ties go to the earliest pair in canonical group order.
+    Every allowed pair is one cost call: a merge-only climb never meets
+    a candidate twice (each iteration has one group fewer), so no search
+    keeps a candidate memo.
 
-    Without [delta], each pair is [Partitioning.merge_groups] of the
-    scanned partitioning, built in O(k) and priced by the full oracle.
-    With [delta], the scan first rebases the session at the scanned
-    partitioning, then prices each pair with [Delta.session.cost_merge]
-    through {!Partitioner.Counted.probe}, building nothing. Either way
-    the merged partitioning is built once, for the winning pair. Ticks,
-    counters and fault indices are byte-identical between the two
-    paths, and so are the costs (the delta oracle's contract).
+    The scan first rebases [delta] at the scanned partitioning, which
+    prices nothing, then prices each pair with
+    [Delta.session.cost_merge] through {!Partitioner.Counted.probe}. The
+    merged partitioning of the winning pair is built once here; an
+    incremental session builds none for the others, the reference
+    session ({!Partitioner.Delta.full}) one per pair.
 
     Each allowed pair ticks [budget] (default
     {!Vp_robust.Budget.unlimited}) before evaluation, so exhaustion
@@ -52,7 +50,7 @@ val best_pair_merge :
 
 val climb :
   ?allowed:(Attr_set.t -> Attr_set.t -> bool) ->
-  ?delta:Partitioner.Delta.session ->
+  delta:Partitioner.Delta.session ->
   ?budget:Vp_robust.Budget.t ->
   n:int ->
   Partitioner.Counted.oracle ->

@@ -133,8 +133,8 @@ let budgeted_refine ~budget ~n ~matrix ~order workload oracle =
   (!best, !splits)
 
 let algorithm =
-  Partitioner.timed_run_budgeted ~name:"Navathe" ~short_name:"Na"
-    (fun ~budget workload oracle ->
+  Partitioner.timed_run ~name:"Navathe" ~short_name:"Na"
+    (fun ~budget ~delta:_ workload oracle ->
       let n = Table.attribute_count (Workload.table workload) in
       let matrix = Affinity.of_workload workload in
       let order = Bond_energy.order matrix in

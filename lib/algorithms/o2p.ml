@@ -103,7 +103,7 @@ let full_order state n =
   Array.append state.order (Array.of_list rest)
 
 let algorithm =
-  Partitioner.timed_run_delta ~name:"O2P" ~short_name:"O2P"
+  Partitioner.timed_run ~name:"O2P" ~short_name:"O2P"
     (fun ~budget ~delta workload oracle ->
       let n = Table.attribute_count (Workload.table workload) in
       (* Replay the queries as an arrival stream to build the incremental
@@ -117,14 +117,7 @@ let algorithm =
            budgeted run keeps a cost incumbent over the deterministic
            sequence of committed states, seeded with the unsplit table
            (= the row layout) before any tick. *)
-        let price =
-          match delta with
-          | None -> fun p -> Partitioner.Counted.cost oracle p
-          | Some s ->
-              fun p ->
-                Partitioner.Counted.probe oracle (fun () ->
-                    s.Partitioner.Delta.goto p)
-        in
+        let price = Merge_search.evaluate ~delta oracle in
         let initial = [ { start = 0; len = Array.length order } ] in
         let best = ref (partitioning_of_segments ~n order initial) in
         let best_cost = ref (price !best) in

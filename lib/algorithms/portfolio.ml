@@ -63,7 +63,7 @@ let run_race ~jobs ~entrants ~floor_of (request : Partitioner.Request.t) =
     let req =
       Partitioner.Request.make ~budget
         ?label:request.Partitioner.Request.label
-        ?delta:request.Partitioner.Request.delta
+        ~delta:request.Partitioner.Request.delta
         ~cost:request.Partitioner.Request.cost workload
     in
     match Partitioner.exec a req with

@@ -67,10 +67,10 @@ let with_threshold ?(max_candidates = 4096) threshold =
     invalid_arg "Trojan.with_threshold: threshold outside [0, 1]";
   if max_candidates <= 0 then
     invalid_arg "Trojan.with_threshold: max_candidates <= 0";
-  Partitioner.timed_run_budgeted
+  Partitioner.timed_run
     ~name:(Printf.sprintf "Trojan(t=%.2f)" threshold)
     ~short_name:"Tr"
-    (fun ~budget workload oracle ->
+    (fun ~budget ~delta:_ workload oracle ->
       if not (Vp_robust.Budget.is_limited budget) then
         run ~threshold ~max_candidates workload oracle
       else begin
@@ -106,8 +106,8 @@ let with_threshold ?(max_candidates = 4096) threshold =
 let default_thresholds = [ 1.0; 0.9; 0.7; 0.5; 0.3 ]
 
 let algorithm =
-  Partitioner.timed_run_budgeted ~name:"Trojan" ~short_name:"Tr"
-    (fun ~budget workload oracle ->
+  Partitioner.timed_run ~name:"Trojan" ~short_name:"Tr"
+    (fun ~budget ~delta:_ workload oracle ->
       let best = ref None in
       (* Under a budget — or any cancellable one, which can exhaust at its
          very first tick — seed the incumbent with the row layout (priced

@@ -12,13 +12,36 @@ type status = Complete | Timed_out of { steps : int; elapsed_seconds : float }
 module Delta = struct
   type session = {
     base_cost : unit -> float;
-    goto : Partitioning.t -> float;
+    goto : Partitioning.t -> unit;
     cost_merge : Attr_set.t -> Attr_set.t -> float;
     cost_move : Attr_set.t -> Attr_set.t -> Attr_set.t -> float;
     cost_blocks : Attr_set.t array -> int -> float;
   }
 
   type factory = unit -> session
+
+  (* Every answer builds the candidate and prices it with one call of
+     [cost]; a rebase only records the base. *)
+  let full ~n cost () =
+    let base = ref (Partitioning.row n) in
+    {
+      base_cost = (fun () -> cost !base);
+      goto = (fun p -> base := p);
+      cost_merge =
+        (fun g1 g2 -> cost (Partitioning.merge_groups !base g1 g2));
+      cost_move =
+        (fun sub src dst ->
+          let from =
+            if Attr_set.equal sub src then !base
+            else Partitioning.split_group !base src sub
+          in
+          cost (Partitioning.merge_groups from sub dst));
+      cost_blocks =
+        (fun blocks used ->
+          cost
+            (Partitioning.of_groups ~n
+               (Array.to_list (Array.sub blocks 0 used))));
+    }
 end
 
 module Request = struct
@@ -27,16 +50,20 @@ module Request = struct
     cost : cost_fn;
     budget : Vp_robust.Budget.t option;
     label : string option;
-    delta : Delta.factory option;
+    delta : Delta.factory;
     cancel : bool Atomic.t option;
   }
 
   let make ?budget ?cancel ?label ?delta ~cost workload =
+    let delta =
+      match delta with
+      | Some f -> f
+      | None ->
+          Delta.full ~n:(Table.attribute_count (Workload.table workload)) cost
+    in
     { workload; cost; budget; label; delta; cancel }
 
   let workload r = r.workload
-
-  let delta r = r.delta
 
   let cancel r = r.cancel
 
@@ -77,7 +104,7 @@ module Response = struct
   }
 
   (* The one and only constructor: [t] is private, so every producer —
-     the [timed_run*] builders and the portfolio — goes through here and
+     the [timed_run] builder and the portfolio — goes through here and
      cannot leave the provenance half-initialized. *)
   let make ~partitioning ~cost ~stats ~status ~algorithm ~short_name ?label
       ?(entrants = []) () =
@@ -138,7 +165,7 @@ let finish ~budget ~cost_fn ~oracle ~t0 ~algorithm ~short_name ~label
 
 let c_algo_runs = Vp_observe.Stats.counter "algo.runs"
 
-let run_builder ~name ~short_name ~session body =
+let timed_run ~name ~short_name body =
   let span_name = "algo:" ^ name in
   let exec (request : Request.t) =
     let go () =
@@ -148,7 +175,8 @@ let run_builder ~name ~short_name ~session body =
       let t0 = Unix.gettimeofday () in
       finish ~budget ~cost_fn:request.Request.cost ~oracle ~t0 ~algorithm:name
         ~short_name ~label:request.Request.label
-        (body ~budget ~delta:(session request) request.Request.workload oracle)
+        (body ~budget ~delta:(request.Request.delta ()) request.Request.workload
+           oracle)
     in
     (* The span args are only built on the traced path; untraced runs take
        the one-branch fast path through [go] directly. *)
@@ -164,17 +192,3 @@ let run_builder ~name ~short_name ~session body =
     else go ()
   in
   { name; short_name; exec }
-
-let timed_run_budgeted ~name ~short_name body =
-  run_builder ~name ~short_name
-    ~session:(fun _ -> None)
-    (fun ~budget ~delta:_ workload oracle -> body ~budget workload oracle)
-
-let timed_run_delta ~name ~short_name body =
-  run_builder ~name ~short_name
-    ~session:(fun r -> Option.map (fun f -> f ()) (Request.delta r))
-    body
-
-let timed_run ~name ~short_name body =
-  timed_run_budgeted ~name ~short_name (fun ~budget:_ workload oracle ->
-      body workload oracle)

@@ -28,27 +28,30 @@ type status =
           DESIGN.md "Degradation contract"); [steps] and
           [elapsed_seconds] describe the budget at exhaustion. *)
 
-(** Incremental cost-delta sessions (DESIGN.md section 12). A session is
-    based at one partitioning and answers "what would the full workload
-    cost be after this one move?" by re-pricing only the queries whose
-    touched-partition set changes. Implemented by
-    [Vp_cost.Io_model.Incremental]; the type lives here so algorithm
-    neighbor loops can consume it without a dependency on [lib/cost].
+(** Pricing sessions (DESIGN.md section 12): the one way a search prices
+    a candidate. A session is based at one partitioning and answers
+    "what would the full workload cost be after this one move?". Two
+    implementations exist: [Vp_cost.Io_model.Incremental], which
+    re-prices only the queries whose touched-partition set changes, and
+    the reference session {!full}, which builds the candidate and calls
+    the plain cost oracle. The type lives here so algorithm neighbor
+    loops can consume it without a dependency on [lib/cost].
 
-    Every cost a session returns is bit-identical to a full re-cost of
-    the moved-to partitioning: per-query costs are cached, only affected
-    queries are recomputed, and the workload total is re-summed over all
-    queries in the oracle's order — so float non-associativity never
-    shows through, and search trajectories (hence layouts) match the
-    full-cost path exactly. *)
+    Every cost a session returns is bit-identical to the cost oracle on
+    the moved-to partitioning: an incremental session caches per-query
+    costs, recomputes only affected queries and re-sums the workload
+    total over all queries in the oracle's order — so float
+    non-associativity never shows through, and search trajectories
+    (hence layouts) do not depend on which session a request carries. *)
 module Delta : sig
   type session = {
     base_cost : unit -> float;
         (** Cost of the current base partitioning. *)
-    goto : Partitioning.t -> float;
-        (** Rebase the session at an arbitrary partitioning and return
-            its cost. Queries whose referenced-group set is unchanged
-            from the previous base are not re-costed. *)
+    goto : Partitioning.t -> unit;
+        (** Rebase the session at an arbitrary partitioning, pricing
+            nothing a caller sees. An incremental session re-costs only
+            the queries whose referenced-group set changed; the
+            reference session only records the base. *)
     cost_merge : Attr_set.t -> Attr_set.t -> float;
         (** Cost after merging two (distinct) base groups: [cost_move g1
             g1 g2]. The base is unchanged. Raises [Invalid_argument]
@@ -57,16 +60,13 @@ module Delta : sig
         (** [cost_move sub src dst] is the cost after moving [sub], a
             non-empty subset of base group [src], into base group [dst];
             [sub = src] is the merge of [src] and [dst]. The base is
-            unchanged: only the queries touching [src] or [dst] are
-            re-priced, each with one fold over its base groups. Raises
-            [Invalid_argument] exactly where {!Partitioning.split_group}
-            or {!Partitioning.merge_groups} would building that
-            partitioning. *)
+            unchanged. Raises [Invalid_argument] exactly where
+            {!Partitioning.split_group} or {!Partitioning.merge_groups}
+            would building that partitioning. *)
     cost_blocks : Attr_set.t array -> int -> float;
         (** [cost_blocks blocks used] is the cost of the partitioning
             whose groups are [blocks.(0)] .. [blocks.(used - 1)], given in
-            any order — an exact search's enumeration leaf — priced from
-            the blocks alone: no partitioning is built and the base is
+            any order — an exact search's enumeration leaf. The base is
             unchanged. Raises [Invalid_argument] where
             {!Partitioning.of_groups} would. *)
   }
@@ -74,12 +74,22 @@ module Delta : sig
   type factory = unit -> session
   (** Sessions are single-threaded scratch state; a factory lets each
       worker domain (or each algorithm run) build its own. *)
+
+  val full : n:int -> cost_fn -> factory
+  (** [full ~n cost] is the reference session over [n] attributes, based
+      at the row layout until its first [goto]: [base_cost],
+      [cost_merge], [cost_move] and [cost_blocks] each build the
+      candidate ({!Partitioning.merge_groups},
+      {!Partitioning.split_group}, {!Partitioning.of_groups}) and call
+      [cost] on it exactly once; [goto] calls it never. It is what a
+      request built without a factory carries, and the answer every
+      incremental session is tested against. *)
 end
 
 (** What a partitioner is asked to do: one record instead of the
     optional-argument soup that accreted on [run] across releases. Build
     one with {!Request.make}; unspecified fields keep today's ambient
-    behaviour (ambient budget, no label, full re-costing). *)
+    behaviour (ambient budget, no label, the reference session). *)
 module Request : sig
   type t = {
     workload : Workload.t;
@@ -89,12 +99,9 @@ module Request : sig
     label : string option;
         (** Instrumentation tag, echoed into the response provenance and
             (on traced runs) the algorithm span's args. *)
-    delta : Delta.factory option;
-        (** Optional incremental-oracle factory. Must price exactly the
-            same cost model as [cost]; algorithms built with
-            {!timed_run_delta} use it for neighbor probes when present;
-            without one they re-cost every probe in full through
-            [cost]. *)
+    delta : Delta.factory;
+        (** The sessions every search of the run prices through. Must
+            price exactly the same cost model as [cost]. *)
     cancel : bool Atomic.t option;
         (** Optional shared cancellation signal. It is attached to the
             effective budget ({!Vp_robust.Budget.with_cancel}), so it is
@@ -112,11 +119,10 @@ module Request : sig
     cost:cost_fn ->
     Workload.t ->
     t
+  (** [delta] defaults to [Delta.full ~n cost], [n] being the workload
+      table's attribute count. *)
 
   val workload : t -> Workload.t
-
-  val delta : t -> Delta.factory option
-  (** The request's delta factory, if any. *)
 
   val cancel : t -> bool Atomic.t option
 
@@ -195,15 +201,17 @@ module Counted : sig
   val make : cost_fn -> oracle
 
   val cost : oracle -> Partitioning.t -> float
-  (** Evaluates and counts one cost call. *)
+  (** Evaluates and counts one cost call on the wrapped oracle: the
+      pricing of searches that never use a session (Navathe, Trojan,
+      HillClimb+dict). *)
 
   val probe : oracle -> (unit -> float) -> float
   (** [probe o thunk] accounts one cost evaluation — same fault site,
       same call/candidate counters, same order as {!cost} — but obtains
-      the number from [thunk] (an incremental {!Delta.session} probe)
-      instead of the wrapped full oracle. Using [probe] for delta
-      evaluations keeps budgets, statistics and fault-injection indices
-      byte-identical between the delta and full-cost paths. *)
+      the number from [thunk] (a {!Delta.session} answer). Every session
+      probe goes through here, so budgets, statistics and
+      fault-injection indices are byte-identical whichever session
+      answers. *)
 
   val note_candidate : oracle -> unit
   (** Records a candidate that was considered without a (new) cost call. *)
@@ -216,39 +224,20 @@ end
 val timed_run :
   name:string ->
   short_name:string ->
-  (Workload.t -> Counted.oracle -> Partitioning.t * int) ->
+  (budget:Vp_robust.Budget.t ->
+  delta:Delta.session ->
+  Workload.t ->
+  Counted.oracle ->
+  Partitioning.t * int) ->
   t
 (** Builds a {!t} from an implementation body that returns the chosen
-    partitioning and its iteration count; timing, final-cost evaluation and
-    statistics are handled here. The body ignores budgets; the result is
-    still tagged {!Timed_out} if the effective budget was exhausted (e.g.
-    by fault injection) while it ran. *)
-
-val timed_run_budgeted :
-  name:string ->
-  short_name:string ->
-  (budget:Vp_robust.Budget.t ->
-  Workload.t ->
-  Counted.oracle ->
-  Partitioning.t * int) ->
-  t
-(** Like {!timed_run}, but the body receives the effective budget (the
-    request's budget, else the ambient one) and is expected to
-    {!Vp_robust.Budget.tick} as it searches, returning its best-so-far
-    partitioning when the budget runs out. *)
-
-val timed_run_delta :
-  name:string ->
-  short_name:string ->
-  (budget:Vp_robust.Budget.t ->
-  delta:Delta.session option ->
-  Workload.t ->
-  Counted.oracle ->
-  Partitioning.t * int) ->
-  t
-(** Like {!timed_run_budgeted}, but the body additionally receives a
-    fresh delta session built from the request's factory — [None] when
-    the request has no factory, in which case the body must fall back to
-    full re-costing through the counted oracle. Delta probes must go
-    through {!Counted.probe} so the two paths stay observationally
-    identical. *)
+    partitioning and its iteration count; timing, final-cost evaluation
+    and statistics are handled here. The body receives the effective
+    budget (the request's budget, else the ambient one), which it is
+    expected to {!Vp_robust.Budget.tick} as it searches, returning its
+    best-so-far partitioning when the budget runs out; a body that
+    ignores it is still tagged {!Timed_out} if the budget was exhausted
+    (e.g. by fault injection) while it ran. It also receives a fresh
+    session from the request's factory; every session probe goes
+    through {!Counted.probe}, so statistics, budgets and fault indices
+    do not depend on which session the request carries. *)

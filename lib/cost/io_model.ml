@@ -594,7 +594,7 @@ module Incremental = struct
   let session t =
     {
       Partitioner.Delta.base_cost = (fun () -> base_cost t);
-      goto = (fun p -> goto t p);
+      goto = (fun p -> ignore (goto t p : float));
       cost_merge = (fun g1 g2 -> cost_merge t g1 g2);
       cost_move = (fun sub src dst -> cost_move t sub src dst);
       cost_blocks = (fun blocks used -> cost_blocks t blocks used);

@@ -87,8 +87,8 @@ val oracle : Disk.t -> Workload.t -> Partitioner.cost_fn
     enumeration leaf ({!cost_blocks}) is priced from its blocks with
     neither. Sessions are
     single-threaded; build one per domain via {!Incremental.factory}. A
-    request built without a factory routes algorithms back to full
-    re-costing. *)
+    request built without a factory prices through the reference session
+    {!Partitioner.Delta.full} instead. *)
 module Incremental : sig
   type t
   (** A mutable delta session: base partitioning + cached per-query

@@ -654,36 +654,67 @@ let test_leaf_pricing () =
 
 (* --- session closures & factory -------------------------------------- *)
 
+(* Both sessions, the incremental one and the reference, answer every
+   operation with the full re-cost's bits; the reference calls its
+   oracle once per answer and never on a rebase. *)
 let test_session_closures () =
   let w = Vp_benchmarks.Tpch.workload ~sf:1.0 "partsupp" in
   let n = Table.attribute_count (Workload.table w) in
-  let s = (Vp_cost.Io_model.Incremental.factory disk w) () in
+  let calls = ref 0 in
+  let counted p =
+    incr calls;
+    full_cost w p
+  in
   let p =
     Partitioning.of_groups ~n
       [ Attr_set.of_list [ 0; 1 ]; Attr_set.of_list [ 2; 3 ]; Attr_set.singleton 4 ]
   in
-  check_bits "session goto" (full_cost w p) (s.Partitioner.Delta.goto p);
-  check_bits "session base_cost" (full_cost w p)
-    (s.Partitioner.Delta.base_cost ());
-  check_bits "session cost_merge"
-    (full_cost w
-       (Partitioning.merge_groups p (Attr_set.of_list [ 0; 1 ])
-          (Attr_set.singleton 4)))
-    (s.Partitioner.Delta.cost_merge (Attr_set.of_list [ 0; 1 ])
-       (Attr_set.singleton 4));
   let target =
     Partitioning.of_groups ~n
       [ Attr_set.singleton 0; Attr_set.of_list [ 1; 2; 3 ]; Attr_set.singleton 4 ]
   in
-  check_bits "session cost_move" (full_cost w target)
-    (s.Partitioner.Delta.cost_move (Attr_set.singleton 1)
-       (Attr_set.of_list [ 0; 1 ])
-       (Attr_set.of_list [ 2; 3 ]));
-  check_bits "session cost_blocks" (full_cost w target)
-    (s.Partitioner.Delta.cost_blocks
-       (Partitioning.group_array target |> Array.to_list |> List.rev
-      |> Array.of_list)
-       3)
+  List.iter
+    (fun (name, factory, oracle_calls) ->
+      let s = factory () in
+      let check what expected answer =
+        let before = !calls in
+        check_bits (name ^ " " ^ what) expected (answer ());
+        Alcotest.(check int)
+          (name ^ " " ^ what ^ " oracle calls")
+          oracle_calls (!calls - before)
+      in
+      let before = !calls in
+      s.Partitioner.Delta.goto p;
+      Alcotest.(check int) (name ^ " goto oracle calls") 0 (!calls - before);
+      check "base_cost" (full_cost w p) s.Partitioner.Delta.base_cost;
+      check "cost_merge"
+        (full_cost w
+           (Partitioning.merge_groups p (Attr_set.of_list [ 0; 1 ])
+              (Attr_set.singleton 4)))
+        (fun () ->
+          s.Partitioner.Delta.cost_merge (Attr_set.of_list [ 0; 1 ])
+            (Attr_set.singleton 4));
+      check "cost_move" (full_cost w target) (fun () ->
+          s.Partitioner.Delta.cost_move (Attr_set.singleton 1)
+            (Attr_set.of_list [ 0; 1 ])
+            (Attr_set.of_list [ 2; 3 ]));
+      check "cost_move of a whole group"
+        (full_cost w
+           (Partitioning.merge_groups p (Attr_set.of_list [ 2; 3 ])
+              (Attr_set.singleton 4)))
+        (fun () ->
+          s.Partitioner.Delta.cost_move (Attr_set.of_list [ 2; 3 ])
+            (Attr_set.of_list [ 2; 3 ])
+            (Attr_set.singleton 4));
+      check "cost_blocks" (full_cost w target) (fun () ->
+          s.Partitioner.Delta.cost_blocks
+            (Partitioning.group_array target |> Array.to_list |> List.rev
+           |> Array.of_list)
+            3))
+    [
+      ("incremental", Vp_cost.Io_model.Incremental.factory disk w, 0);
+      ("reference", Partitioner.Delta.full ~n counted, 1);
+    ]
 
 (* --- qcheck: random workloads, random bases, random moves ------------ *)
 
