@@ -1,7 +1,10 @@
 (* Write-local, merge-on-read metrics. Each (metric, domain) pair owns a
    private cell holding Atomics; increments never contend, and a snapshot
-   folds over all cells ever registered. The registry mutex guards only
-   interning and cell registration (both rare), never the hot path. *)
+   folds over all cells ever registered. A domain that exits hands its
+   cell table to the next domain to start, so the cells are bounded by
+   the domains alive at once. The registry mutex guards only interning,
+   cell registration and table hand-over (all rare), never the hot
+   path. *)
 
 let bucket_count = 64
 
@@ -71,11 +74,32 @@ let gauge name = intern name Kgauge
 
 let histogram name = intern name Khistogram
 
-(* This domain's cell table, metric id -> cell. Created lazily; the cell is
-   registered under the metric so snapshots from other domains see it, and
-   it survives the domain's death (counts are never lost). *)
+(* Cell tables of exited domains, waiting for a domain to take them over;
+   registry mutex. *)
+let free_tables : (int, cell) Hashtbl.t list ref = ref []
+
+(* This domain's cell table, metric id -> cell: an exited domain's table
+   if one is free, else a new one. A cell is registered under its metric
+   so snapshots from other domains see it, and its counts outlive the
+   domain. Each cell keeps one writer at a time — its table passes on
+   only once the domain that wrote it has exited — so counts stay
+   exact. *)
 let dls : (int, cell) Hashtbl.t Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> Hashtbl.create 16)
+  Domain.DLS.new_key (fun () ->
+      Mutex.lock registry_mutex;
+      let tbl =
+        match !free_tables with
+        | tbl :: rest ->
+            free_tables := rest;
+            tbl
+        | [] -> Hashtbl.create 16
+      in
+      Mutex.unlock registry_mutex;
+      Domain.at_exit (fun () ->
+          Mutex.lock registry_mutex;
+          free_tables := tbl :: !free_tables;
+          Mutex.unlock registry_mutex);
+      tbl)
 
 let cell_of (m : metric) =
   let tbl = Domain.DLS.get dls in
@@ -180,6 +204,16 @@ let snapshot () =
 
 let counter_value snap name =
   match List.assoc_opt name snap.counters with Some v -> v | None -> 0
+
+let cell_count name =
+  Mutex.lock registry_mutex;
+  let n =
+    match Hashtbl.find_opt metrics name with
+    | Some m -> List.length m.cells
+    | None -> 0
+  in
+  Mutex.unlock registry_mutex;
+  n
 
 let quantile s q =
   if q < 0.0 || q > 1.0 || Float.is_nan q then

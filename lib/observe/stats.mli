@@ -8,7 +8,10 @@
     and {!snapshot} merges the cells by summing them, so counts recorded
     inside pool worker domains are always visible from the main domain.
     Cells outlive their domain: a worker that exits leaves its counts in
-    the registry.
+    the registry, and hands its cells to the next domain to start, so a
+    metric holds at most one cell per domain alive at once (plus the
+    tables of exited domains not yet taken over), however many domains
+    a process spawns over its life.
 
     Merging is a sum of non-negative per-domain subtotals, so it is
     associative and commutative: any grouping of the same increments over
@@ -63,6 +66,10 @@ val snapshot : unit -> snapshot
 
 val counter_value : snapshot -> string -> int
 (** The merged value of a counter in a snapshot; 0 if absent. *)
+
+val cell_count : string -> int
+(** The number of per-domain cells registered under the named metric; 0
+    if no such metric is interned. *)
 
 val quantile : summary -> float -> float
 (** [quantile s q] for [q] in [[0, 1]]: the representative value of the

@@ -110,6 +110,42 @@ let prop_counter_merge_split_invariant =
       in
       observed = total)
 
+(* Domains spawned and joined one at a time take over each other's
+   cells: the totals stay exact and the registry does not grow with the
+   number of domains a process has spawned. The domains are spawned
+   directly, since a pool on a one-core host spawns none. *)
+let test_exited_domain_cells_reused () =
+  let c = Stats.counter "test.obs.reuse"
+  and h = Stats.histogram "test.obs.reuse_hist" in
+  let hist () =
+    match
+      List.assoc_opt "test.obs.reuse_hist" (Stats.snapshot ()).Stats.histograms
+    with
+    | Some s -> (s.Stats.count, s.Stats.sum)
+    | None -> (0, 0.0)
+  in
+  let count0, sum0 = hist () in
+  let observed =
+    delta "test.obs.reuse" (fun () ->
+        for _ = 1 to 300 do
+          Domain.join
+            (Domain.spawn (fun () ->
+                 Stats.incr c;
+                 Stats.observe h 0.5))
+        done)
+  in
+  let count1, sum1 = hist () in
+  Alcotest.(check int) "counter total" 300 observed;
+  Alcotest.(check int) "histogram count" 300 (count1 - count0);
+  Alcotest.(check (float 0.0)) "histogram sum" 150.0 (sum1 -. sum0);
+  List.iter
+    (fun name ->
+      let cells = Stats.cell_count name in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %d cells <= 2" name cells)
+        true (cells <= 2))
+    [ "test.obs.reuse"; "test.obs.reuse_hist" ]
+
 (* --- property: histogram quantiles are monotone in rank --- *)
 
 let prop_quantile_monotone =
@@ -328,6 +364,8 @@ let suite =
     Alcotest.test_case "histogram summary" `Quick test_histogram_summary;
     Alcotest.test_case "quantile edges" `Quick test_quantile_edges;
     Testutil.qtest prop_counter_merge_split_invariant;
+    Alcotest.test_case "exited domains' cells reused" `Quick
+      test_exited_domain_cells_reused;
     Testutil.qtest prop_quantile_monotone;
     Testutil.qtest prop_json_roundtrip;
     Alcotest.test_case "pool counters visible in main snapshot" `Quick
