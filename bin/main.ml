@@ -102,8 +102,9 @@ let jobs_of = function
   | Some n -> n
   | None -> Vp_parallel.Pool.default_jobs ()
 
-(* The HDD model prices like [vp partition]: the plain I/O oracle plus
-   incremental delta sessions for neighbour probes. *)
+(* Every command's request: under the HDD model the plain I/O oracle
+   plus incremental sessions, under the main-memory model its oracle
+   with the reference session. *)
 let request_of model disk w =
   match model with
   | `Hdd ->
@@ -172,11 +173,7 @@ let partition_cmd =
     List.iter
       (fun w ->
         let tbl = Workload.table w in
-        let oracle = Vp_cost.Io_model.oracle disk w in
-        let delta = Vp_cost.Io_model.Incremental.factory disk w in
-        let r =
-          Partitioner.exec algo (Partitioner.Request.make ~delta ~cost:oracle w)
-        in
+        let r = Partitioner.exec algo (request_of `Hdd disk w) in
         Format.printf "@[<v>%s on %s (%d rows, %d queries):@,  layout: %a@,"
           algo.Partitioner.name (Table.name tbl) (Table.row_count tbl)
           (Workload.query_count w)
@@ -479,11 +476,8 @@ let simulate_cmd =
            build virtual (accounting-only) files and replay the scan
            schedule — identical I/O stats in fixed memory. *)
         let retain = Table.row_count tbl <= 2_000_000 in
-        let oracle = Vp_cost.Io_model.oracle disk w in
-        let delta = Vp_cost.Io_model.Incremental.factory disk w in
         let layout =
-          (Partitioner.exec algo
-             (Partitioner.Request.make ~delta ~cost:oracle w))
+          (Partitioner.exec algo (request_of `Hdd disk w))
             .Partitioner.Response.partitioning
         in
         let db =
@@ -615,12 +609,8 @@ let workload_cmd =
             if Workload.query_count w = 0 then
               Format.printf "%s: no queries, skipped@." (Table.name tbl)
             else begin
-              let oracle = Vp_cost.Io_model.oracle disk w in
-              let delta = Vp_cost.Io_model.Incremental.factory disk w in
-              let r =
-                Partitioner.exec algo
-                  (Partitioner.Request.make ~delta ~cost:oracle w)
-              in
+              let request = request_of `Hdd disk w in
+              let r = Partitioner.exec algo request in
               let n = Table.attribute_count tbl in
               Format.printf
                 "@[<v>%s (%d rows, %d queries):@,  %s layout: %a@,  cost \
@@ -629,8 +619,8 @@ let workload_cmd =
                 algo.Partitioner.name
                 (Partitioning.pp_named tbl)
                 r.Partitioner.Response.partitioning r.Partitioner.Response.cost
-                (oracle (Partitioning.row n))
-                (oracle (Partitioning.column n));
+                (request.Partitioner.Request.cost (Partitioning.row n))
+                (request.Partitioner.Request.cost (Partitioning.column n));
               if ddl then
                 print_string
                   (Vp_report.Ddl.emit tbl r.Partitioner.Response.partitioning)
