@@ -77,7 +77,7 @@ val oracle : Disk.t -> Workload.t -> Partitioner.cost_fn
     weighted total over all queries in {!workload_cost}'s exact fold
     order. Every cost returned is therefore bit-identical to
     [workload_cost disk w p'] of the moved-to partitioning: search
-    trajectories, and hence layouts, match the full-cost path byte for
+    trajectories, and hence layouts, match the reference session's byte for
     byte. A session keeps each query's referenced groups under the base.
     A move folds each affected query's cost straight from those groups
     and a per-base table of group sizes, building neither the moved-to
