@@ -235,7 +235,8 @@ let bruteforce_scale () =
           (i + 1) t15 t12;
         (t12, t15))
   in
-  let t12 = median (List.map fst rounds) and t15 = median (List.map snd rounds) in
+  let t12 = median (List.map fst rounds)
+  and t15 = median (List.map snd rounds) in
   report ~ok:(t15 <= t12)
     "BruteForce Bell(11): 15-attribute delta median %.3f s (gate <= \
      12-attribute full median %.3f s, %d rounds)"

@@ -11,8 +11,8 @@
     every candidate of an iteration has one group fewer than the last
     iteration's — so a candidate memo would miss on every lookup; the
     work successive iterations do repeat is per-query, and an
-    incremental session on the request reuses it. {!with_dictionary} keeps the memoizing
-    variant for ablation A1. *)
+    incremental session on the request reuses it. {!with_dictionary}
+    keeps the memoizing variant for ablation A1. *)
 
 val algorithm : Vp_core.Partitioner.t
 (** HillClimb without a candidate memo (the default). *)
