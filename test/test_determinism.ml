@@ -93,10 +93,10 @@ let prop_traced_algorithms_identical =
         off on)
 
 (* The incremental delta oracle must be invisible end to end: with and
-   without a delta factory on the request (full re-costing), every
-   registered algorithm produces byte-identical layouts, cost bits,
-   status and provenance over the TPC-H line-up — through the domain
-   pool at 1 and 4 jobs, traced and untraced. *)
+   without a delta factory on the request (the reference session's
+   full re-costing), every registered algorithm produces byte-identical
+   layouts, cost bits, status and provenance over the TPC-H line-up —
+   through the domain pool at 1 and 4 jobs, traced and untraced. *)
 
 let render_lineup ~delta ~jobs () =
   let open Vp_core in

@@ -148,8 +148,9 @@ let test_budget_monotonicity () =
    oracle stats. If a delta probe skipped a tick, double-charged one, or
    dodged the fault/counter bookkeeping of [Partitioner.Counted], the
    exhaustion point would shift and one of these renderings would
-   diverge. The full path must also invoke its oracle once per counted
-   call: an uncounted invocation (say, pricing a rebase) fails here. *)
+   diverge. The full path (the reference session) must also invoke its
+   oracle once per counted call: an uncounted invocation (say, pricing
+   a rebase) fails here. *)
 let test_budget_delta_parity () =
   let root = Vp_datagen.Prng.create 0xDE17AL in
   for i = 0 to 14 do
