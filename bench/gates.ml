@@ -209,11 +209,12 @@ let median xs =
 let bruteforce_scale () =
   let disk = Vp_cost.Disk.default in
   let algo = Vp_algorithms.Brute_force.make () in
-  let run ?delta w =
-    let request =
-      Partitioner.Request.make ?delta ~cost:(Vp_cost.Io_model.oracle disk w) w
-    in
-    snd (time (fun () -> Partitioner.exec algo request))
+  let run request = snd (time (fun () -> Partitioner.exec algo request)) in
+  (* The 12-attribute side prices through the reference session. *)
+  let full w =
+    let cost = Vp_cost.Io_model.oracle disk w in
+    let n = Table.attribute_count (Workload.table w) in
+    Partitioner.Request.make ~delta:(Partitioner.Delta.full ~n cost) ~cost w
   in
   let w12 =
     Vp_benchmarks.Synthetic.workload ~seed:1L ~rows:100_000 ~attributes:12
@@ -225,10 +226,8 @@ let bruteforce_scale () =
   in
   let rounds =
     List.init bruteforce_repeats (fun i ->
-        let t12 = run w12 in
-        let t15 =
-          run ~delta:(Vp_cost.Io_model.Incremental.factory disk w15) w15
-        in
+        let t12 = run (full w12) in
+        let t15 = run (Vp_cost.Io_model.request disk w15) in
         Printf.printf
           "     BruteForce Bell(11) round %d: 15-attribute delta %.3f s, \
            12-attribute full %.3f s\n%!"

@@ -102,18 +102,11 @@ let jobs_of = function
   | Some n -> n
   | None -> Vp_parallel.Pool.default_jobs ()
 
-(* Every command's request: under the HDD model the plain I/O oracle
-   plus incremental sessions, under the main-memory model its oracle
-   with the reference session. *)
+(* Every command's request, built by the chosen cost model. *)
 let request_of model disk w =
   match model with
-  | `Hdd ->
-      Partitioner.Request.make
-        ~delta:(Vp_cost.Io_model.Incremental.factory disk w)
-        ~cost:(Vp_cost.Io_model.oracle disk w) w
-  | `Mm ->
-      Partitioner.Request.make
-        ~cost:(Vp_cost.Memory_model.oracle Vp_cost.Memory_model.default w) w
+  | `Hdd -> Vp_cost.Io_model.request disk w
+  | `Mm -> Vp_cost.Memory_model.request Vp_cost.Memory_model.default w
 
 let table_arg =
   Arg.(
@@ -212,13 +205,7 @@ let compare_cmd =
       | `Mm ->
           (* BruteForce needs the matching admissible bound. *)
           Vp_algorithms.Registry.six
-          @ [
-              Vp_algorithms.Brute_force.make
-                ~lower_bound:(fun w ->
-                  Vp_cost.Bounds.memory_brute_force
-                    Vp_cost.Memory_model.default w)
-                ();
-            ]
+          @ [ Vp_experiments.Common.memory_brute_force ]
           @ Vp_algorithms.Registry.baselines
     in
     (* Fan the (algorithm x table) grid across worker domains; the pool
@@ -227,31 +214,7 @@ let compare_cmd =
     let runs =
       Vp_parallel.Pool.with_pool ~jobs:(jobs_of jobs) @@ fun pool ->
       Vp_parallel.Pool.map pool
-        (fun (algo : Partitioner.t) ->
-          let per_table =
-            List.map
-              (fun workload ->
-                {
-                  Vp_experiments.Common.workload;
-                  result =
-                    Partitioner.exec algo (request_of model disk workload);
-                })
-              workloads
-          in
-          {
-            Vp_experiments.Common.algo;
-            per_table;
-            total_cost =
-              List.fold_left
-                (fun acc (r : Vp_experiments.Common.table_run) ->
-                  acc +. r.result.Partitioner.Response.cost)
-                0.0 per_table;
-            optimization_time =
-              List.fold_left
-                (fun acc (r : Vp_experiments.Common.table_run) ->
-                  acc +. r.result.Partitioner.Response.stats.Partitioner.elapsed_seconds)
-                0.0 per_table;
-          })
+        (Vp_experiments.Common.run_algorithm (request_of model disk) workloads)
         algos
     in
     let rows =

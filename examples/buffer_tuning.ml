@@ -26,9 +26,9 @@ let () =
           Vp_cost.Disk.with_buffer_size Vp_cost.Disk.default
             (Vp_cost.Disk.mb mb)
         in
-        let oracle = Vp_cost.Io_model.oracle disk workload in
-        let r = Partitioner.exec hillclimb (Partitioner.Request.make ~cost:oracle workload) in
-        let column = oracle (Partitioning.column n) in
+        let request = Vp_cost.Io_model.request disk workload in
+        let r = Partitioner.exec hillclimb request in
+        let column = request.cost (Partitioning.column n) in
         let ratio = r.Partitioner.Response.cost /. column in
         Format.printf "  %-10s %-12.2f %-12.2f %-10.3f %d@."
           (Printf.sprintf "%g MB" mb)

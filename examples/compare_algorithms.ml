@@ -23,11 +23,10 @@ let () =
     Vp_algorithms.Registry.with_brute_force ~brute_force ()
     @ Vp_algorithms.Registry.baselines
   in
-  let oracle = Vp_cost.Io_model.oracle disk workload in
   let rows =
     List.map
       (fun (a : Partitioner.t) ->
-        let r = Partitioner.exec a (Partitioner.Request.make ~cost:oracle workload) in
+        let r = Partitioner.exec a (Vp_cost.Io_model.request disk workload) in
         [
           a.Partitioner.name;
           Printf.sprintf "%.3f" r.Partitioner.Response.cost;

@@ -40,9 +40,9 @@ let () =
         Format.printf "      %a@." (Partitioning.pp_named table) layout)
     evolution;
   (* Contrast the final online layout against offline HillClimb. *)
-  let oracle = Vp_cost.Io_model.oracle disk workload in
-  let final = (Partitioner.exec Vp_algorithms.O2p.algorithm (Partitioner.Request.make ~cost:oracle workload)) in
-  let hc = Partitioner.exec Vp_algorithms.Hillclimb.algorithm (Partitioner.Request.make ~cost:oracle workload) in
+  let request = Vp_cost.Io_model.request disk workload in
+  let final = Partitioner.exec Vp_algorithms.O2p.algorithm request in
+  let hc = Partitioner.exec Vp_algorithms.Hillclimb.algorithm request in
   Format.printf "@.final O2P cost:      %8.2f s@." final.Partitioner.Response.cost;
   Format.printf "offline HillClimb:   %8.2f s (the price of being online)@."
     hc.Partitioner.Response.cost

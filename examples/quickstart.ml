@@ -43,9 +43,8 @@ let () =
   let workload = Workload.make partsupp [ q1; q2 ] in
   (* 3. Pick a cost model (the paper's testbed disk) and an algorithm. *)
   let disk = Vp_cost.Disk.default in
-  let oracle = Vp_cost.Io_model.oracle disk workload in
   let hillclimb = Vp_algorithms.Hillclimb.algorithm in
-  let result = Partitioner.exec hillclimb (Partitioner.Request.make ~cost:oracle workload) in
+  let result = Partitioner.exec hillclimb (Vp_cost.Io_model.request disk workload) in
   (* 4. Inspect the result. *)
   Format.printf "HillClimb layout: %a@."
     (Partitioning.pp_named partsupp)

@@ -27,9 +27,8 @@ let () =
     table_name sf
     (Vp_stream.Source.row_count source);
   let n = Table.attribute_count table in
-  let oracle = Vp_cost.Io_model.oracle disk workload in
   let hc =
-    (Partitioner.exec Vp_algorithms.Hillclimb.algorithm (Partitioner.Request.make ~cost:oracle workload))
+    (Partitioner.exec Vp_algorithms.Hillclimb.algorithm (Vp_cost.Io_model.request disk workload))
       .Partitioner.Response.partitioning
   in
   let layouts =

@@ -27,7 +27,7 @@ let branch_and_bound ~name ~short_name ~order_atoms ~cheapest_first
              "%s: search space B(%d) = %d exceeds %d candidates and no \
               lower bound was provided"
              name m space max_candidates));
-  let cost_of p = Merge_search.evaluate ~delta oracle p in
+  let cost_of p = Partitioner.Counted.evaluate ~delta oracle p in
   (* Under a budget, cost the row layout before anything can tick so the
      incumbent is defined (and never worse than Row) even if the budget is
      exhausted during the seed climb. *)

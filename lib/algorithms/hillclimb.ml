@@ -9,7 +9,7 @@ let algorithm =
 
 let with_dictionary =
   Partitioner.timed_run ~name:"HillClimb+dict" ~short_name:"HCd"
-    (fun ~budget ~delta:_ workload oracle ->
+    (fun ~budget ~delta workload oracle ->
       let n = Table.attribute_count (Workload.table workload) in
       (* Dictionary of evaluated candidate costs, keyed by the canonical
          partitioning. Mimics the original algorithm's column-group cost
@@ -23,7 +23,7 @@ let with_dictionary =
             Partitioner.Counted.note_candidate oracle;
             c
         | None ->
-            let c = Partitioner.Counted.cost oracle p in
+            let c = Partitioner.Counted.evaluate ~delta oracle p in
             Hashtbl.add dictionary key c;
             c
       in

@@ -19,5 +19,6 @@ val algorithm : Vp_core.Partitioner.t
 
 val with_dictionary : Vp_core.Partitioner.t
 (** Original HillClimb: memoises candidate partitioning costs in a
-    dictionary keyed by the partitioning. Finds the same layouts; kept as
-    an independent implementation to cross-check {!algorithm}. *)
+    dictionary keyed by the partitioning; a miss is priced through the
+    request's session. Finds the same layouts; kept as an independent
+    implementation to cross-check {!algorithm}. *)

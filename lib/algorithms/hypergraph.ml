@@ -67,7 +67,7 @@ let search ~budget ~delta workload oracle =
      zero-step (or already-cancelled) budget answers with a valid
      incumbent. *)
   let best = ref (Partitioning.of_groups ~n !blocks) in
-  let best_cost = ref (Merge_search.evaluate ~delta oracle !best) in
+  let best_cost = ref (Partitioner.Counted.evaluate ~delta oracle !best) in
   let commits = ref 0 in
   (* [!best] is always the partitioning of [!blocks], so candidates are
      built from it by merge/split; [blocks] stays in mask order, which

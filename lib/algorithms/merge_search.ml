@@ -7,13 +7,6 @@ type merge = {
   group_b : Attr_set.t;
 }
 
-(* One counted cost call on a built partitioning, which leaves the
-   session based there. *)
-let evaluate ~delta oracle p =
-  Partitioner.Counted.probe oracle (fun () ->
-      delta.Partitioner.Delta.goto p;
-      delta.Partitioner.Delta.base_cost ())
-
 let best_pair_merge ?(allowed = fun _ _ -> true) ~delta
     ?(budget = Vp_robust.Budget.unlimited) ~n oracle groups =
   let arr = Array.of_list groups in
@@ -71,5 +64,5 @@ let climb ?(allowed = fun _ _ -> true) ~delta
   let start = Partitioning.of_groups ~n groups in
   if Vp_robust.Budget.exhausted budget then (start, 0)
   else
-    let start_cost = evaluate ~delta oracle start in
+    let start_cost = Partitioner.Counted.evaluate ~delta oracle start in
     go groups start start_cost 0

@@ -11,15 +11,6 @@ type merge = {
   group_b : Attr_set.t;
 }
 
-val evaluate :
-  delta:Partitioner.Delta.session ->
-  Partitioner.Counted.oracle ->
-  Partitioning.t ->
-  float
-(** One counted cost call on a built partitioning: the session's [goto]
-    then [base_cost] through {!Partitioner.Counted.probe}, which leaves
-    the session based at the partitioning. *)
-
 val best_pair_merge :
   ?allowed:(Attr_set.t -> Attr_set.t -> bool) ->
   delta:Partitioner.Delta.session ->
@@ -57,8 +48,9 @@ val climb :
   Attr_set.t list ->
   Partitioning.t * int
 (** Greedy merging to a local optimum: repeatedly apply the best pairwise
-    merge while it strictly improves the cost. Returns the final
-    partitioning and the number of merge iterations performed.
+    merge while it strictly improves the cost. The start is priced with
+    {!Partitioner.Counted.evaluate}. Returns the final partitioning and
+    the number of merge iterations performed.
 
     When [budget] exhausts, returns the best partitioning committed so far
     (at worst the starting one) instead of raising: a merge found by a

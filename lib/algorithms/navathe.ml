@@ -96,10 +96,10 @@ let is_affinity_clique ?(reference = `Mean_positive) matrix set =
    timeline is deterministic, so a larger budget sees a superset of
    states and can only do better. Unbudgeted runs take the original
    recursion untouched. *)
-let budgeted_refine ~budget ~n ~matrix ~order workload oracle =
+let budgeted_refine ~budget ~delta ~n ~matrix ~order workload oracle =
   let whole = Partitioning.of_groups ~n [ segment_set order 0 n ] in
   let best = ref whole in
-  let best_cost = ref (Partitioner.Counted.cost oracle whole) in
+  let best_cost = ref (Partitioner.Counted.evaluate ~delta oracle whole) in
   let splits = ref 0 in
   let finished = ref [] in
   let queue = Queue.create () in
@@ -122,7 +122,7 @@ let budgeted_refine ~budget ~n ~matrix ~order workload oracle =
                !finished queue
            in
            let candidate = Partitioning.of_groups ~n groups in
-           let cost = Partitioner.Counted.cost oracle candidate in
+           let cost = Partitioner.Counted.evaluate ~delta oracle candidate in
            if cost < !best_cost then begin
              best := candidate;
              best_cost := cost
@@ -134,12 +134,12 @@ let budgeted_refine ~budget ~n ~matrix ~order workload oracle =
 
 let algorithm =
   Partitioner.timed_run ~name:"Navathe" ~short_name:"Na"
-    (fun ~budget ~delta:_ workload oracle ->
+    (fun ~budget ~delta workload oracle ->
       let n = Table.attribute_count (Workload.table workload) in
       let matrix = Affinity.of_workload workload in
       let order = Bond_energy.order matrix in
       if Vp_robust.Budget.is_limited budget then
-        budgeted_refine ~budget ~n ~matrix ~order workload oracle
+        budgeted_refine ~budget ~delta ~n ~matrix ~order workload oracle
       else begin
         let splits = ref 0 in
         let rec refine start len acc =

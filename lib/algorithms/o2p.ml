@@ -117,7 +117,7 @@ let algorithm =
            budgeted run keeps a cost incumbent over the deterministic
            sequence of committed states, seeded with the unsplit table
            (= the row layout) before any tick. *)
-        let price = Merge_search.evaluate ~delta oracle in
+        let price = Partitioner.Counted.evaluate ~delta oracle in
         let initial = [ { start = 0; len = Array.length order } ] in
         let best = ref (partitioning_of_segments ~n order initial) in
         let best_cost = ref (price !best) in

@@ -61,10 +61,7 @@ let run_race ~jobs ~entrants ~floor_of (request : Partitioner.Request.t) =
     let a = entrant_arr.(i) in
     let budget = Vp_robust.Budget.spawn ~cancel:cancels.(i) outer in
     let req =
-      Partitioner.Request.make ~budget
-        ?label:request.Partitioner.Request.label
-        ~delta:request.Partitioner.Request.delta
-        ~cost:request.Partitioner.Request.cost workload
+      { request with Partitioner.Request.budget = Some budget; cancel = None }
     in
     match Partitioner.exec a req with
     | r ->

@@ -20,18 +20,19 @@ type t = private {
 val build :
   replicas:int ->
   algorithm:Partitioner.t ->
-  cost_factory:(Workload.t -> Partitioner.cost_fn) ->
+  request:(Workload.t -> Partitioner.Request.t) ->
   Workload.t ->
   t
 (** Groups the queries, then runs [algorithm] once per group on the
-    sub-workload of that group's queries (costed by [cost_factory] applied
-    to the sub-workload).
+    request [request] builds for the sub-workload of that group's
+    queries (a cost model's [request]).
     @raise Invalid_argument if [replicas <= 0]. *)
 
 val workload_cost :
-  cost_factory:(Workload.t -> Partitioner.cost_fn) -> Workload.t -> t -> float
+  request:(Workload.t -> Partitioner.Request.t) -> Workload.t -> t -> float
 (** Total weighted cost with every query executed against its own group's
-    replica. *)
+    replica, each group priced by the cost of [request]'s request for
+    it. *)
 
 val storage_factor : Workload.t -> t -> float
 (** Bytes stored across all replicas relative to a single copy of the

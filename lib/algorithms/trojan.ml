@@ -70,7 +70,7 @@ let with_threshold ?(max_candidates = 4096) threshold =
   Partitioner.timed_run
     ~name:(Printf.sprintf "Trojan(t=%.2f)" threshold)
     ~short_name:"Tr"
-    (fun ~budget ~delta:_ workload oracle ->
+    (fun ~budget ~delta workload oracle ->
       if not (Vp_robust.Budget.is_limited budget) then
         run ~threshold ~max_candidates workload oracle
       else begin
@@ -80,7 +80,7 @@ let with_threshold ?(max_candidates = 4096) threshold =
            and beats it. *)
         let n = Table.attribute_count (Workload.table workload) in
         let row = Partitioning.row n in
-        let row_cost = Partitioner.Counted.cost oracle row in
+        let row_cost = Partitioner.Counted.evaluate ~delta oracle row in
         match run ~budget ~threshold ~max_candidates workload oracle with
         | p, iterations -> (
             (* Pricing the knapsack solution is a budget step too; the
@@ -89,7 +89,7 @@ let with_threshold ?(max_candidates = 4096) threshold =
                cover raises in an arm body). *)
             match
               Vp_robust.Budget.tick budget;
-              Partitioner.Counted.cost oracle p
+              Partitioner.Counted.evaluate ~delta oracle p
             with
             | cost when cost < row_cost -> (p, iterations)
             | _ -> (row, iterations)
@@ -107,7 +107,7 @@ let default_thresholds = [ 1.0; 0.9; 0.7; 0.5; 0.3 ]
 
 let algorithm =
   Partitioner.timed_run ~name:"Trojan" ~short_name:"Tr"
-    (fun ~budget ~delta:_ workload oracle ->
+    (fun ~budget ~delta workload oracle ->
       let best = ref None in
       (* Under a budget — or any cancellable one, which can exhaust at its
          very first tick — seed the incumbent with the row layout (priced
@@ -120,7 +120,7 @@ let algorithm =
       then begin
         let n = Table.attribute_count (Workload.table workload) in
         let row = Partitioning.row n in
-        best := Some (row, Partitioner.Counted.cost oracle row)
+        best := Some (row, Partitioner.Counted.evaluate ~delta oracle row)
       end;
       (try
          List.iter
@@ -132,7 +132,7 @@ let algorithm =
                 probe; the surrounding [try] keeps the incumbent on
                 exhaustion. *)
              Vp_robust.Budget.tick budget;
-             let cost = Partitioner.Counted.cost oracle p in
+             let cost = Partitioner.Counted.evaluate ~delta oracle p in
              match !best with
              | Some (_, c) when c <= cost -> ()
              | _ -> best := Some (p, cost))

@@ -54,13 +54,7 @@ module Request = struct
     cancel : bool Atomic.t option;
   }
 
-  let make ?budget ?cancel ?label ?delta ~cost workload =
-    let delta =
-      match delta with
-      | Some f -> f
-      | None ->
-          Delta.full ~n:(Table.attribute_count (Workload.table workload)) cost
-    in
+  let make ?budget ?cancel ?label ~delta ~cost workload =
     { workload; cost; budget; label; delta; cancel }
 
   let workload r = r.workload
@@ -122,9 +116,9 @@ type t = { name : string; short_name : string; exec : Request.t -> Response.t }
 let exec t request = t.exec request
 
 module Counted = struct
-  type oracle = { f : cost_fn; mutable calls : int; mutable candidates : int }
+  type oracle = { mutable calls : int; mutable candidates : int }
 
-  let make f = { f; calls = 0; candidates = 0 }
+  let make () = { calls = 0; candidates = 0 }
 
   let probe o thunk =
     (let fault = Vp_robust.Fault.current () in
@@ -134,7 +128,12 @@ module Counted = struct
     o.candidates <- o.candidates + 1;
     thunk ()
 
-  let cost o p = probe o (fun () -> o.f p)
+  (* One counted cost call on a built partitioning, which leaves the
+     session based there. *)
+  let evaluate ~delta o p =
+    probe o (fun () ->
+        delta.Delta.goto p;
+        delta.Delta.base_cost ())
 
   let note_candidate o = o.candidates <- o.candidates + 1
 
@@ -171,7 +170,7 @@ let timed_run ~name ~short_name body =
     let go () =
       if Vp_observe.Switch.stats_on () then Vp_observe.Stats.incr c_algo_runs;
       let budget = Request.effective_budget request in
-      let oracle = Counted.make request.Request.cost in
+      let oracle = Counted.make () in
       let t0 = Unix.gettimeofday () in
       finish ~budget ~cost_fn:request.Request.cost ~oracle ~t0 ~algorithm:name
         ~short_name ~label:request.Request.label

@@ -1,13 +1,14 @@
 (** The common interface every vertical partitioning algorithm implements,
     plus instrumentation shared by all of them.
 
-    Algorithms receive a {!Request.t} — the workload, a cost oracle, an
-    optional budget and an optional instrumentation label — and return a
-    {!Response.t}: a {!Partitioning.t} with run statistics, a degradation
-    status and provenance. The cost oracle abstracts the cost model (disk
-    I/O or main-memory), so the same algorithm code runs under every
-    model — the paper's "unified setting" — and the oracle a caller
-    constructs is where the disk profile is chosen. *)
+    Algorithms receive a {!Request.t} — the workload, a cost oracle and
+    the pricing sessions of the same model, an optional budget and label
+    — and return a {!Response.t}: a {!Partitioning.t} with run
+    statistics, a degradation status and provenance. The request
+    abstracts the cost model, so the same algorithm code runs under
+    every model — the paper's "unified setting" — and each model builds
+    its own requests ([Vp_cost.Io_model.request], ...), so the model
+    decides which session prices a search. *)
 
 type cost_fn = Partitioning.t -> float
 (** Estimated workload cost of a candidate partitioning. Lower is better.
@@ -81,15 +82,16 @@ module Delta : sig
       [cost_merge], [cost_move] and [cost_blocks] each build the
       candidate ({!Partitioning.merge_groups},
       {!Partitioning.split_group}, {!Partitioning.of_groups}) and call
-      [cost] on it exactly once; [goto] calls it never. It is what a
-      request built without a factory carries, and the answer every
-      incremental session is tested against. *)
+      [cost] on it exactly once; [goto] calls it never. It is the
+      session of the memory and selection models' requests, and the
+      answer every incremental session is tested against. *)
 end
 
 (** What a partitioner is asked to do: one record instead of the
-    optional-argument soup that accreted on [run] across releases. Build
-    one with {!Request.make}; unspecified fields keep today's ambient
-    behaviour (ambient budget, no label, the reference session). *)
+    optional-argument soup that accreted on [run] across releases. A
+    cost model builds it with {!make}; unspecified optional fields keep
+    the ambient behaviour (ambient budget, no label, no cancellation).
+    There is no default session. *)
 module Request : sig
   type t = {
     workload : Workload.t;
@@ -115,12 +117,14 @@ module Request : sig
     ?budget:Vp_robust.Budget.t ->
     ?cancel:bool Atomic.t ->
     ?label:string ->
-    ?delta:Delta.factory ->
+    delta:Delta.factory ->
     cost:cost_fn ->
     Workload.t ->
     t
-  (** [delta] defaults to [Delta.full ~n cost], [n] being the workload
-      table's attribute count. *)
+  (** [delta] and [cost] must price the same model. Outside [lib/cost]
+      and the tests, requests come from a cost model's [request]
+      function, which pairs the two; a copy with another budget is made
+      with the record [with] syntax. *)
 
   val workload : t -> Workload.t
 
@@ -191,27 +195,29 @@ val exec : t -> Request.t -> Response.t
     optional-argument [run] shim that predated {!Request.t} is gone;
     budgets and labels travel in the request. *)
 
-(** A counting wrapper around a cost oracle, used by algorithm
-    implementations to fill in {!stats} without threading counters
-    manually. Each evaluation is also a fault-injection site
-    ([site:"cost"]) under the ambient {!Vp_robust.Fault.current} plan. *)
+(** The counters behind {!stats}, so algorithm implementations need not
+    thread them by hand. Every cost evaluation of a search goes through
+    {!probe} and is also a fault-injection site ([site:"cost"]) under
+    the ambient {!Vp_robust.Fault.current} plan. The numbers come from
+    the run's {!Delta.session}; there is no other pricing primitive. *)
 module Counted : sig
   type oracle
 
-  val make : cost_fn -> oracle
-
-  val cost : oracle -> Partitioning.t -> float
-  (** Evaluates and counts one cost call on the wrapped oracle: the
-      pricing of searches that never use a session (Navathe, Trojan,
-      HillClimb+dict). *)
+  val make : unit -> oracle
 
   val probe : oracle -> (unit -> float) -> float
-  (** [probe o thunk] accounts one cost evaluation — same fault site,
-      same call/candidate counters, same order as {!cost} — but obtains
-      the number from [thunk] (a {!Delta.session} answer). Every session
-      probe goes through here, so budgets, statistics and
+  (** [probe o thunk] accounts one cost evaluation — fault site, then
+      the call and candidate counters — and obtains the number from
+      [thunk] (a {!Delta.session} answer), so budgets, statistics and
       fault-injection indices are byte-identical whichever session
       answers. *)
+
+  val evaluate : delta:Delta.session -> oracle -> Partitioning.t -> float
+  (** [evaluate ~delta o p] prices a built partitioning: one {!probe} of
+      the session's [goto p] then [base_cost], which leaves the session
+      based at [p]. The one way a search prices a candidate it has
+      built (Navathe, Trojan, HillClimb+dict, a climb's start, an exact
+      search's incumbent). *)
 
   val note_candidate : oracle -> unit
   (** Records a candidate that was considered without a (new) cost call. *)

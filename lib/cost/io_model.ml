@@ -603,6 +603,11 @@ module Incremental = struct
   let factory disk workload () = session (create disk workload)
 end
 
+let request ?budget ?label disk workload =
+  Partitioner.Request.make ?budget ?label
+    ~delta:(Incremental.factory disk workload)
+    ~cost:(oracle disk workload) workload
+
 let pmv_cost disk workload =
   let table = Workload.table workload in
   let rows = Table.row_count table in

@@ -86,9 +86,8 @@ val oracle : Disk.t -> Workload.t -> Partitioner.cost_fn
     memoizes query costs on the group arrays; an exact search's
     enumeration leaf ({!cost_blocks}) is priced from its blocks with
     neither. Sessions are
-    single-threaded; build one per domain via {!Incremental.factory}. A
-    request built without a factory prices through the reference session
-    {!Partitioner.Delta.full} instead. *)
+    single-threaded; build one per domain via {!Incremental.factory}.
+    {!request} pairs the factory with {!oracle}. *)
 module Incremental : sig
   type t
   (** A mutable delta session: base partitioning + cached per-query
@@ -141,10 +140,20 @@ module Incremental : sig
   (** The algorithm-facing view of a session. *)
 
   val factory : Disk.t -> Workload.t -> Partitioner.Delta.factory
-  (** [factory disk w] makes fresh sessions for
-      {!Partitioner.Request.make}'s [?delta]; it must be paired with a
-      cost oracle pricing the same [disk] and [w]. *)
+  (** [factory disk w] makes fresh sessions pricing [disk] and [w]; each
+      run of a {!request} builds its own, in the domain that runs it. *)
 end
+
+val request :
+  ?budget:Vp_robust.Budget.t ->
+  ?label:string ->
+  Disk.t ->
+  Workload.t ->
+  Partitioner.Request.t
+(** [request disk w] prices [w] under this model: {!oracle} for the
+    final cost, {!Incremental.factory} for every search's session. Every
+    I/O-model optimization is built here, so all run the incremental
+    path. *)
 
 val pmv_cost : Disk.t -> Workload.t -> float
 (** Cost of the perfect-materialized-views layout: each query reads one

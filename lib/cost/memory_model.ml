@@ -30,3 +30,9 @@ let workload_cost m workload partitioning =
     (Workload.queries workload)
 
 let oracle m workload = workload_cost m workload
+
+let request m workload =
+  let cost = oracle m workload in
+  let n = Table.attribute_count (Workload.table workload) in
+  Partitioner.Request.make ~delta:(Partitioner.Delta.full ~n cost) ~cost
+    workload

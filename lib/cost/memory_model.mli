@@ -29,3 +29,8 @@ val query_cost : t -> Table.t -> Partitioning.t -> Query.t -> float
 val workload_cost : t -> Workload.t -> Partitioning.t -> float
 
 val oracle : t -> Workload.t -> Partitioner.cost_fn
+
+val request : t -> Workload.t -> Partitioner.Request.t
+(** [request m w] pairs {!oracle} with the reference session
+    {!Partitioner.Delta.full}: this model has no incremental session, so
+    a search builds and costs each candidate in full. *)

@@ -70,6 +70,12 @@ let workload_cost disk workload selection_of partitioning =
 let oracle disk workload selection_of =
   workload_cost disk workload selection_of
 
+let request disk workload selection_of =
+  let cost = oracle disk workload selection_of in
+  let n = Table.attribute_count (Workload.table workload) in
+  Partitioner.Request.make ~delta:(Partitioner.Delta.full ~n cost) ~cost
+    workload
+
 let crossover_selectivity (disk : Disk.t) ~rows ~row_size =
   let full = scan_partition disk ~rows ~row_size ~total_row_size:row_size in
   full /. (float_of_int rows *. (disk.seek_time +. (float_of_int disk.block_size /. disk.read_bandwidth)))

@@ -42,6 +42,11 @@ val workload_cost :
 val oracle :
   Disk.t -> Workload.t -> (Query.t -> selection option) -> Partitioner.cost_fn
 
+val request :
+  Disk.t -> Workload.t -> (Query.t -> selection option) -> Partitioner.Request.t
+(** [request disk w selection_of] pairs {!oracle} with the reference
+    session {!Partitioner.Delta.full}, as {!Memory_model.request} does. *)
+
 val crossover_selectivity : Disk.t -> rows:int -> row_size:int -> float
 (** The selectivity at which per-match random fetches of a partition with
     the given row size cost exactly as much as scanning it:

@@ -9,6 +9,12 @@ let brute_force profile =
     ~lower_bound:(fun w -> Vp_cost.Bounds.io_brute_force profile w)
     ()
 
+let memory_brute_force =
+  Vp_algorithms.Brute_force.make
+    ~lower_bound:(fun w ->
+      Vp_cost.Bounds.memory_brute_force Vp_cost.Memory_model.default w)
+    ()
+
 let algorithms profile =
   Vp_algorithms.Registry.with_brute_force ~brute_force:(brute_force profile) ()
 
@@ -24,34 +30,27 @@ type algo_run = {
   optimization_time : float;
 }
 
+let run_algorithm request_of workloads (algo : Partitioner.t) =
+  let per_table =
+    List.map
+      (fun workload ->
+        { workload; result = Partitioner.exec algo (request_of workload) })
+      workloads
+  in
+  {
+    algo;
+    per_table;
+    total_cost =
+      List.fold_left (fun acc r -> acc +. r.result.Partitioner.Response.cost) 0.0 per_table;
+    optimization_time =
+      List.fold_left
+        (fun acc r ->
+          acc +. r.result.Partitioner.Response.stats.Partitioner.elapsed_seconds)
+        0.0 per_table;
+  }
+
 let run_algorithms_on profile workloads algos =
-  List.map
-    (fun (algo : Partitioner.t) ->
-      let per_table =
-        List.map
-          (fun workload ->
-            let oracle = Vp_cost.Io_model.oracle profile workload in
-            let delta = Vp_cost.Io_model.Incremental.factory profile workload in
-            {
-              workload;
-              result =
-                Partitioner.exec algo
-                  (Partitioner.Request.make ~delta ~cost:oracle workload);
-            })
-          workloads
-      in
-      {
-        algo;
-        per_table;
-        total_cost =
-          List.fold_left (fun acc r -> acc +. r.result.Partitioner.Response.cost) 0.0 per_table;
-        optimization_time =
-          List.fold_left
-            (fun acc r ->
-              acc +. r.result.Partitioner.Response.stats.Partitioner.elapsed_seconds)
-            0.0 per_table;
-      })
-    algos
+  List.map (run_algorithm (Vp_cost.Io_model.request profile) workloads) algos
 
 (* Once, not lazy: experiments run concurrently on several domains, and
    OCaml's lazy is not safe to force from more than one domain. *)

@@ -15,6 +15,9 @@ val disk : Vp_cost.Disk.t
 val brute_force : Vp_cost.Disk.t -> Partitioner.t
 (** BruteForce with the I/O-model lower bound for the given profile. *)
 
+val memory_brute_force : Partitioner.t
+(** BruteForce with the lower bound of the default main-memory model. *)
+
 val algorithms : Vp_cost.Disk.t -> Partitioner.t list
 (** AutoPart, HillClimb, HYRISE, Navathe, O2P, Trojan, BruteForce — the
     paper's Figure 3 order. *)
@@ -42,6 +45,12 @@ val tpch_runs : unit -> algo_run list
 val reset_caches : unit -> unit
 (** Drops the memoized TPC-H sweep, so the next computation starts cold
     (benchmark harness only). *)
+
+val run_algorithm :
+  (Workload.t -> Partitioner.Request.t) -> Workload.t list -> Partitioner.t ->
+  algo_run
+(** [run_algorithm request_of workloads algo] runs [algo] on
+    [request_of w] (a cost model's [request]) for each workload. *)
 
 val run_algorithms_on :
   Vp_cost.Disk.t -> Workload.t list -> Partitioner.t list -> algo_run list

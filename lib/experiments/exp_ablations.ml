@@ -14,8 +14,7 @@ let sweep algos =
       let cost = ref 0.0 and time = ref 0.0 and calls = ref 0 in
       List.iter
         (fun w ->
-          let oracle = Vp_cost.Io_model.oracle Common.disk w in
-          let r = Partitioner.exec a (Partitioner.Request.make ~cost:oracle w) in
+          let r = Partitioner.exec a (Vp_cost.Io_model.request Common.disk w) in
           cost := !cost +. r.Partitioner.Response.cost;
           time := !time +. r.Partitioner.Response.stats.Partitioner.elapsed_seconds;
           calls := !calls + r.Partitioner.Response.stats.Partitioner.cost_calls)
@@ -107,12 +106,11 @@ let weighted_workloads () =
           (fun w0 ->
             let w = transform w0 in
             let n = Table.attribute_count (Workload.table w) in
-            let oracle = Vp_cost.Io_model.oracle Common.disk w in
-            let r = Partitioner.exec hillclimb (Partitioner.Request.make ~cost:oracle w) in
+            let request = Vp_cost.Io_model.request Common.disk w in
+            let r = Partitioner.exec hillclimb request in
             layout_cost := !layout_cost +. r.Partitioner.Response.cost;
-            column_cost := !column_cost +. oracle (Partitioning.column n);
-            let base_oracle = Vp_cost.Io_model.oracle Common.disk w0 in
-            let base = Partitioner.exec hillclimb (Partitioner.Request.make ~cost:base_oracle w0) in
+            column_cost := !column_cost +. request.cost (Partitioning.column n);
+            let base = Partitioner.exec hillclimb (Vp_cost.Io_model.request Common.disk w0) in
             if
               not
                 (Partitioning.equal r.Partitioner.Response.partitioning

@@ -37,8 +37,7 @@ let layout_for name workload =
   | "Column" -> Partitioning.column n
   | algo_name ->
       let a = Vp_algorithms.Registry.find algo_name in
-      let oracle = Vp_cost.Io_model.oracle sim_disk workload in
-      (Partitioner.exec a (Partitioner.Request.make ~cost:oracle workload)).Partitioner.Response.partitioning
+      (Partitioner.exec a (Vp_cost.Io_model.request sim_disk workload)).Partitioner.Response.partitioning
 
 let drop_excluded workload =
   Workload.make (Workload.table workload)

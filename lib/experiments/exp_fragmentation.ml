@@ -16,10 +16,10 @@ let improvement_over_column disk workloads =
   List.iter
     (fun w ->
       let n = Table.attribute_count (Workload.table w) in
-      let oracle = Vp_cost.Io_model.oracle disk w in
-      let r = Partitioner.exec hillclimb (Partitioner.Request.make ~cost:oracle w) in
+      let request = Vp_cost.Io_model.request disk w in
+      let r = Partitioner.exec hillclimb request in
       layout := !layout +. r.Partitioner.Response.cost;
-      column := !column +. oracle (Partitioning.column n))
+      column := !column +. request.cost (Partitioning.column n))
     workloads;
   (!column -. !layout) /. !column
 

@@ -3,15 +3,15 @@
 
 open Vp_core
 
-let improvement_over_column ~cost_of workloads (a : Partitioner.t) =
+let improvement_over_column ~request_of workloads (a : Partitioner.t) =
   let layout = ref 0.0 and column = ref 0.0 in
   List.iter
     (fun w ->
       let n = Table.attribute_count (Workload.table w) in
-      let oracle = cost_of w in
-      let r = Partitioner.exec a (Partitioner.Request.make ~cost:oracle w) in
+      let request = request_of w in
+      let r = Partitioner.exec a request in
       layout := !layout +. r.Partitioner.Response.cost;
-      column := !column +. oracle (Partitioning.column n))
+      column := !column +. request.cost (Partitioning.column n))
     workloads;
   (!column -. !layout) /. !column
 
@@ -29,14 +29,14 @@ let algos () =
 let table5 () =
   let tpch = Vp_benchmarks.Tpch.workloads ~sf:Common.sf in
   let ssb = Vp_benchmarks.Ssb.workloads ~sf:Common.sf in
-  let io w = Vp_cost.Io_model.oracle Common.disk w in
+  let io = Vp_cost.Io_model.request Common.disk in
   let rows =
     List.map
       (fun (a : Partitioner.t) ->
         [
           a.Partitioner.name;
-          Vp_report.Ascii.percent (improvement_over_column ~cost_of:io tpch a);
-          Vp_report.Ascii.percent (improvement_over_column ~cost_of:io ssb a);
+          Vp_report.Ascii.percent (improvement_over_column ~request_of:io tpch a);
+          Vp_report.Ascii.percent (improvement_over_column ~request_of:io ssb a);
         ])
       (algos ())
   in
@@ -53,18 +53,13 @@ let table5 () =
 
 let table6 () =
   let tpch = Vp_benchmarks.Tpch.workloads ~sf:Common.sf in
-  let io w = Vp_cost.Io_model.oracle Common.disk w in
-  let mm_model = Vp_cost.Memory_model.default in
-  let mm w = Vp_cost.Memory_model.oracle mm_model w in
+  let io = Vp_cost.Io_model.request Common.disk in
+  let mm = Vp_cost.Memory_model.request Vp_cost.Memory_model.default in
   (* BruteForce under the memory model needs the matching lower bound. *)
   let algos_mm =
     List.map
       (fun name ->
-        if name = "BruteForce" then
-          Vp_algorithms.Brute_force.make
-            ~lower_bound:(fun w ->
-              Vp_cost.Bounds.memory_brute_force mm_model w)
-            ()
+        if name = "BruteForce" then Common.memory_brute_force
         else Vp_algorithms.Registry.find name)
       algo_order
   in
@@ -74,9 +69,9 @@ let table6 () =
         [
           a_io.Partitioner.name;
           Vp_report.Ascii.percent
-            (improvement_over_column ~cost_of:io tpch a_io);
+            (improvement_over_column ~request_of:io tpch a_io);
           Vp_report.Ascii.percent
-            (improvement_over_column ~cost_of:mm tpch a_mm);
+            (improvement_over_column ~request_of:mm tpch a_mm);
         ])
       (algos ()) algos_mm
   in

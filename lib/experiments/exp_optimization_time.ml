@@ -62,8 +62,7 @@ let fig2 () =
                       table_name
                   in
                   if Workload.query_count w > 0 then begin
-                    let oracle = Vp_cost.Io_model.oracle Common.disk w in
-                    let r = Partitioner.exec a (Partitioner.Request.make ~cost:oracle w) in
+                    let r = Partitioner.exec a (Vp_cost.Io_model.request Common.disk w) in
                     total := !total +. r.stats.Partitioner.elapsed_seconds
                   end)
                 Vp_benchmarks.Tpch.table_names;

@@ -23,11 +23,8 @@ let singles () =
   @ Vp_algorithms.Registry.baselines
 
 let run_budgeted (algo : Partitioner.t) workload =
-  let oracle = Vp_cost.Io_model.oracle Common.disk workload in
-  let delta = Vp_cost.Io_model.Incremental.factory Common.disk workload in
   let budget = Vp_robust.Budget.create ~max_steps:steps () in
-  Partitioner.exec algo
-    (Partitioner.Request.make ~budget ~delta ~cost:oracle workload)
+  Partitioner.exec algo (Vp_cost.Io_model.request ~budget Common.disk workload)
 
 let race () =
   let workloads = Vp_benchmarks.Tpch.workloads ~sf:Common.sf in

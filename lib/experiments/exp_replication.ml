@@ -12,15 +12,14 @@
 open Vp_core
 
 let run_for (algorithm : Partitioner.t) replicas =
-  let cost_factory w = Vp_cost.Io_model.oracle Common.disk w in
+  let request = Vp_cost.Io_model.request Common.disk in
   List.fold_left
     (fun (cost, storage_bytes) workload ->
       let t =
-        Vp_algorithms.Replication.build ~replicas ~algorithm ~cost_factory
-          workload
+        Vp_algorithms.Replication.build ~replicas ~algorithm ~request workload
       in
       let table = Workload.table workload in
-      ( cost +. Vp_algorithms.Replication.workload_cost ~cost_factory workload t,
+      ( cost +. Vp_algorithms.Replication.workload_cost ~request workload t,
         storage_bytes
         +. (float_of_int (Table.row_count table * Table.row_size table)
            *. Vp_algorithms.Replication.storage_factor workload t) ))

@@ -30,17 +30,17 @@ let run () =
     else None
   in
   let hillclimb = Vp_algorithms.Registry.find "HillClimb" in
-  let base_oracle = Vp_cost.Io_model.oracle disk workload in
   let base_layout =
-    (Partitioner.exec hillclimb (Partitioner.Request.make ~cost:base_oracle workload)).Partitioner.Response.partitioning
+    (Partitioner.exec hillclimb (Vp_cost.Io_model.request disk workload)).Partitioner.Response.partitioning
   in
   let rows =
     List.map
       (fun selectivity ->
-        let oracle =
-          Vp_cost.Selection_model.oracle disk workload (selection selectivity)
+        let request =
+          Vp_cost.Selection_model.request disk workload (selection selectivity)
         in
-        let r = Partitioner.exec hillclimb (Partitioner.Request.make ~cost:oracle workload) in
+        let oracle = request.cost in
+        let r = Partitioner.exec hillclimb request in
         let same =
           Partitioning.equal r.Partitioner.Response.partitioning base_layout
         in

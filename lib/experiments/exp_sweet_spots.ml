@@ -9,8 +9,7 @@ open Vp_core
 let reoptimized_cost profile (a : Partitioner.t) workloads =
   List.fold_left
     (fun acc w ->
-      let oracle = Vp_cost.Io_model.oracle profile w in
-      let r = Partitioner.exec a (Partitioner.Request.make ~cost:oracle w) in
+      let r = Partitioner.exec a (Vp_cost.Io_model.request profile w) in
       acc +. r.Partitioner.Response.cost)
     0.0 workloads
 

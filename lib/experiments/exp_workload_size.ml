@@ -16,9 +16,9 @@ let fig7 () =
         let w = Vp_benchmarks.Tpch.workload_prefix ~sf:Common.sf ~k table_name in
         if Workload.query_count w > 0 then begin
           let n = Table.attribute_count (Workload.table w) in
-          let oracle = Vp_cost.Io_model.oracle Common.disk w in
-          let r = Partitioner.exec a (Partitioner.Request.make ~cost:oracle w) in
-          column_cost := !column_cost +. oracle (Partitioning.column n);
+          let request = Vp_cost.Io_model.request Common.disk w in
+          let r = Partitioner.exec a request in
+          column_cost := !column_cost +. request.cost (Partitioning.column n);
           layout_cost := !layout_cost +. r.Partitioner.Response.cost
         end)
       Vp_benchmarks.Tpch.table_names;
@@ -48,8 +48,7 @@ let table3 () =
            let w = lineitem_prefix k in
            if Workload.query_count w = 0 then "-"
            else begin
-             let oracle = Vp_cost.Io_model.oracle Common.disk w in
-             let r = Partitioner.exec a (Partitioner.Request.make ~cost:oracle w) in
+             let r = Partitioner.exec a (Vp_cost.Io_model.request Common.disk w) in
              Vp_report.Ascii.percent
                (Vp_metrics.Measures.unnecessary_data_read Common.disk w
                   r.Partitioner.Response.partitioning)
@@ -73,8 +72,7 @@ let table4 () =
            let w = lineitem_prefix k in
            if Workload.query_count w = 0 then "-"
            else begin
-             let oracle = Vp_cost.Io_model.oracle Common.disk w in
-             let r = Partitioner.exec hillclimb (Partitioner.Request.make ~cost:oracle w) in
+             let r = Partitioner.exec hillclimb (Vp_cost.Io_model.request Common.disk w) in
              Vp_report.Ascii.float3
                (Vp_metrics.Measures.avg_tuple_reconstruction_joins w
                   r.Partitioner.Response.partitioning)

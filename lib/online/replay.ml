@@ -48,11 +48,8 @@ let run ~(config : Service.config) ?oneshot ?warmup w =
      batch system has seen at layout time — and never look again. *)
   let prefix = Workload.prefix w warmup in
   let oneshot_layout =
-    let oracle = Vp_cost.Io_model.oracle disk prefix in
-    let delta = Vp_cost.Io_model.Incremental.factory disk prefix in
     (Partitioner.exec oneshot
-       (Partitioner.Request.make ~label:"online:oneshot" ~delta ~cost:oracle
-          prefix))
+       (Vp_cost.Io_model.request ~label:"online:oneshot" disk prefix))
       .Partitioner.Response.partitioning
   in
   let service = Service.create config table in

@@ -198,19 +198,14 @@ let reoptimize t ~trigger =
     Vp_parallel.Pool.with_pool ~jobs @@ fun pool ->
     Vp_parallel.Pool.map pool
       (fun (algo : Partitioner.t) ->
-        let oracle = Vp_cost.Io_model.oracle disk w in
-        (* One session per (algo, run): the factory is invoked inside the
-           worker domain, so sessions are never shared across domains. *)
-        let delta = Vp_cost.Io_model.Incremental.factory disk w in
-        let request =
-          match budget_steps with
-          | Some max_steps ->
-              Partitioner.Request.make
-                ~budget:(Vp_robust.Budget.create ~max_steps ())
-                ~label ~delta ~cost:oracle w
-          | None -> Partitioner.Request.make ~label ~delta ~cost:oracle w
+        (* One request, hence one session, per (algo, run), built inside
+           the worker domain: sessions are never shared across domains. *)
+        let budget =
+          Option.map
+            (fun max_steps -> Vp_robust.Budget.create ~max_steps ())
+            budget_steps
         in
-        Partitioner.exec algo request)
+        Partitioner.exec algo (Vp_cost.Io_model.request ?budget ~label disk w))
       panel
   in
   let responses =

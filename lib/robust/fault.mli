@@ -9,7 +9,7 @@
     results.
 
     Injection points are wired into the two places failures matter:
-    {!Partitioner.Counted.cost} (site ["cost"], index = call number) and
+    {!Partitioner.Counted.probe} (site ["cost"], index = call number) and
     the [Vp_parallel.Pool] task boundary (site ["pool:<label>"], index =
     submission position). Everything is a no-op when the plan is
     {!disabled} — the production default. *)

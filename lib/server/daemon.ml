@@ -81,12 +81,10 @@ let partition_reply ~workload ~algorithm ~buffer_mb ~budget =
         (Printf.sprintf "unknown algorithm %S (try: %s)" algorithm
            (String.concat ", " Vp_algorithms.Registry.names))
   | Some algo ->
-      let cost = Vp_cost.Io_model.oracle disk workload in
-      let delta = Vp_cost.Io_model.Incremental.factory disk workload in
       let request =
-        Partitioner.Request.make
+        Vp_cost.Io_model.request
           ?budget:(Protocol.budget_of_spec budget)
-          ~label:"server" ~delta ~cost workload
+          ~label:"server" disk workload
       in
       let resp = Partitioner.exec algo request in
       let winner, entrants =

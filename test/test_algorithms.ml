@@ -20,7 +20,7 @@ let test_validity_on_tpch () =
       let oracle = Vp_cost.Io_model.oracle disk w in
       List.iter
         (fun (a : Partitioner.t) ->
-          let r = Partitioner.exec a (Partitioner.Request.make ~cost:oracle w) in
+          let r = Partitioner.exec a (Testutil.request ~cost:oracle w) in
           Alcotest.(check bool)
             (Printf.sprintf "%s on %s valid" a.Partitioner.name
                (Table.name (Workload.table w)))
@@ -40,7 +40,7 @@ let test_validity_past_62_queries () =
   let oracle = Vp_cost.Io_model.oracle disk w in
   List.iter
     (fun (a : Partitioner.t) ->
-      let r = Partitioner.exec a (Partitioner.Request.make ~cost:oracle w) in
+      let r = Partitioner.exec a (Testutil.request ~cost:oracle w) in
       Alcotest.(check bool)
         (Printf.sprintf "%s on 70 queries valid" a.Partitioner.name)
         true
@@ -55,7 +55,7 @@ let test_cost_is_consistent () =
   let oracle = Vp_cost.Io_model.oracle disk w in
   List.iter
     (fun (a : Partitioner.t) ->
-      let r = Partitioner.exec a (Partitioner.Request.make ~cost:oracle w) in
+      let r = Partitioner.exec a (Testutil.request ~cost:oracle w) in
       Alcotest.(check (Testutil.close ~eps:1e-9 ()))
         (a.Partitioner.name ^ " cost matches oracle")
         (oracle r.Partitioner.Response.partitioning)
@@ -69,7 +69,7 @@ let test_hillclimb_beats_column () =
     (fun w ->
       let n = Table.attribute_count (Workload.table w) in
       let oracle = Vp_cost.Io_model.oracle disk w in
-      let r = Partitioner.exec Vp_algorithms.Hillclimb.algorithm (Partitioner.Request.make ~cost:oracle w) in
+      let r = Partitioner.exec Vp_algorithms.Hillclimb.algorithm (Testutil.request ~cost:oracle w) in
       Alcotest.(check bool)
         (Table.name (Workload.table w))
         true
@@ -86,7 +86,7 @@ let test_autopart_beats_atoms () =
       let atoms =
         Partitioning.of_groups ~n (Workload.primary_partitions w)
       in
-      let r = Partitioner.exec Vp_algorithms.Autopart.algorithm (Partitioner.Request.make ~cost:oracle w) in
+      let r = Partitioner.exec Vp_algorithms.Autopart.algorithm (Testutil.request ~cost:oracle w) in
       Alcotest.(check bool)
         (Table.name (Workload.table w))
         true
@@ -100,7 +100,7 @@ let test_hillclimb_dictionary_same () =
   List.iter
     (fun w ->
       let oracle = Vp_cost.Io_model.oracle disk w in
-      let run a = Partitioner.exec a (Partitioner.Request.make ~cost:oracle w) in
+      let run a = Partitioner.exec a (Testutil.request ~cost:oracle w) in
       let a = run Vp_algorithms.Hillclimb.algorithm in
       List.iter
         (fun (variant : Partitioner.t) ->
@@ -127,11 +127,11 @@ let test_brute_force_bound_exactness () =
     (fun table_name ->
       let w = Vp_benchmarks.Tpch.workload ~sf:1.0 table_name in
       let oracle = Vp_cost.Io_model.oracle disk w in
-      let with_lb = Partitioner.exec brute_force (Partitioner.Request.make ~cost:oracle w) in
+      let with_lb = Partitioner.exec brute_force (Testutil.request ~cost:oracle w) in
       let without_lb =
         Partitioner.exec
           (Vp_algorithms.Brute_force.make ())
-          (Partitioner.Request.make ~cost:oracle w)
+          (Testutil.request ~cost:oracle w)
       in
       Alcotest.(check (Testutil.close ~eps:1e-9 ()))
         (table_name ^ " same optimal cost")
@@ -146,13 +146,13 @@ let test_brute_force_atoms_lossless () =
     (fun table_name ->
       let w = Vp_benchmarks.Tpch.workload ~sf:1.0 table_name in
       let oracle = Vp_cost.Io_model.oracle disk w in
-      let atoms = Partitioner.exec brute_force (Partitioner.Request.make ~cost:oracle w) in
+      let atoms = Partitioner.exec brute_force (Testutil.request ~cost:oracle w) in
       let raw =
         Partitioner.exec
           (Vp_algorithms.Brute_force.make ~use_atoms:false
              ~lower_bound:(fun w -> Vp_cost.Bounds.io_brute_force disk w)
              ())
-          (Partitioner.Request.make ~cost:oracle w)
+          (Testutil.request ~cost:oracle w)
       in
       Alcotest.(check (Testutil.close ~eps:1e-9 ()))
         (table_name ^ " atoms = raw")
@@ -164,10 +164,10 @@ let test_brute_force_optimal_on_tpch () =
   List.iter
     (fun w ->
       let oracle = Vp_cost.Io_model.oracle disk w in
-      let bf = (Partitioner.exec brute_force (Partitioner.Request.make ~cost:oracle w)).Partitioner.Response.cost in
+      let bf = (Partitioner.exec brute_force (Testutil.request ~cost:oracle w)).Partitioner.Response.cost in
       List.iter
         (fun (a : Partitioner.t) ->
-          let r = Partitioner.exec a (Partitioner.Request.make ~cost:oracle w) in
+          let r = Partitioner.exec a (Testutil.request ~cost:oracle w) in
           Alcotest.(check bool)
             (Printf.sprintf "BF <= %s on %s" a.Partitioner.name
                (Table.name (Workload.table w)))
@@ -185,7 +185,7 @@ let test_brute_force_refuses_huge_space () =
   in
   Alcotest.(check bool)
     "raises" true
-    (match Partitioner.exec tiny_budget (Partitioner.Request.make ~cost:oracle w) with
+    (match Partitioner.exec tiny_budget (Testutil.request ~cost:oracle w) with
     | _ -> false
     | exception Invalid_argument _ -> true)
 
@@ -194,7 +194,7 @@ let test_brute_force_refuses_huge_space () =
 let test_o2p_online_consistent () =
   let w = Vp_benchmarks.Tpch.workload ~sf:1.0 "orders" in
   let oracle = Vp_cost.Io_model.oracle disk w in
-  let offline = Partitioner.exec Vp_algorithms.O2p.algorithm (Partitioner.Request.make ~cost:oracle w) in
+  let offline = Partitioner.exec Vp_algorithms.O2p.algorithm (Testutil.request ~cost:oracle w) in
   let online =
     Vp_algorithms.O2p.online w (fun prefix -> Vp_cost.Io_model.oracle disk prefix)
   in
@@ -215,7 +215,7 @@ let test_no_waste_from_unreferenced () =
         List.iter
           (fun name ->
             let a = Vp_algorithms.Registry.find name in
-            let r = Partitioner.exec a (Partitioner.Request.make ~cost:oracle w) in
+            let r = Partitioner.exec a (Testutil.request ~cost:oracle w) in
             List.iter
               (fun g ->
                 if Attr_set.intersects g unref then
@@ -236,7 +236,7 @@ let test_stats_populated () =
   let oracle = Vp_cost.Io_model.oracle disk w in
   List.iter
     (fun (a : Partitioner.t) ->
-      let r = Partitioner.exec a (Partitioner.Request.make ~cost:oracle w) in
+      let r = Partitioner.exec a (Testutil.request ~cost:oracle w) in
       Alcotest.(check bool)
         (a.Partitioner.name ^ " non-negative time")
         true
@@ -260,10 +260,10 @@ let prop_brute_force_optimal_random =
       let raw =
         Vp_algorithms.Brute_force.make ~use_atoms:false ()
       in
-      let bf = (Partitioner.exec raw (Partitioner.Request.make ~cost:oracle w)).Partitioner.Response.cost in
+      let bf = (Partitioner.exec raw (Testutil.request ~cost:oracle w)).Partitioner.Response.cost in
       List.for_all
         (fun (a : Partitioner.t) ->
-          let r = Partitioner.exec a (Partitioner.Request.make ~cost:oracle w) in
+          let r = Partitioner.exec a (Testutil.request ~cost:oracle w) in
           bf <= r.Partitioner.Response.cost +. 1e-9)
         (Vp_algorithms.Registry.six @ Vp_algorithms.Registry.baselines))
 
@@ -274,7 +274,7 @@ let prop_all_valid_random =
       let oracle = Vp_cost.Io_model.oracle disk w in
       List.for_all
         (fun (a : Partitioner.t) ->
-          let r = Partitioner.exec a (Partitioner.Request.make ~cost:oracle w) in
+          let r = Partitioner.exec a (Testutil.request ~cost:oracle w) in
           Testutil.valid_partitioning_of_workload r.Partitioner.Response.partitioning w)
         all_algorithms)
 
@@ -286,13 +286,13 @@ let prop_brute_force_atoms_lossless_random =
       let atoms =
         (Partitioner.exec
            (Vp_algorithms.Brute_force.make ())
-           (Partitioner.Request.make ~cost:oracle w))
+           (Testutil.request ~cost:oracle w))
           .Partitioner.Response.cost
       in
       let raw =
         (Partitioner.exec
            (Vp_algorithms.Brute_force.make ~use_atoms:false ())
-           (Partitioner.Request.make ~cost:oracle w))
+           (Testutil.request ~cost:oracle w))
           .Partitioner.Response.cost
       in
       Float.abs (atoms -. raw) < 1e-9)

@@ -356,7 +356,7 @@ let test_creation_time_paper_ballpark () =
     List.fold_left
       (fun acc w ->
         let oracle = Vp_cost.Io_model.oracle disk w in
-        let r = Partitioner.exec Vp_algorithms.Hillclimb.algorithm (Partitioner.Request.make ~cost:oracle w) in
+        let r = Partitioner.exec Vp_algorithms.Hillclimb.algorithm (Testutil.request ~cost:oracle w) in
         acc
         +. Vp_cost.Io_model.creation_time disk (Workload.table w)
              r.Partitioner.Response.partitioning)

@@ -859,7 +859,7 @@ let test_repeated_sweep () =
             (fun (w, delta) ->
               let r =
                 Partitioner.exec Vp_algorithms.Hillclimb.algorithm
-                  (Partitioner.Request.make ?delta
+                  (Testutil.request ?delta
                      ~cost:(Vp_cost.Io_model.oracle disk w) w)
               in
               Printf.sprintf "%s %s %Lx"

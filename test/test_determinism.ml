@@ -79,7 +79,7 @@ let prop_traced_algorithms_identical =
             List.map
               (fun (a : Vp_core.Partitioner.t) ->
                 let oracle = Vp_cost.Io_model.oracle disk w in
-                let r = Vp_core.Partitioner.exec a (Vp_core.Partitioner.Request.make ~cost:oracle w) in
+                let r = Vp_core.Partitioner.exec a (Testutil.request ~cost:oracle w) in
                 ( a.Vp_core.Partitioner.name,
                   Int64.bits_of_float r.Vp_core.Partitioner.Response.cost,
                   r.Vp_core.Partitioner.Response.partitioning ))
@@ -112,7 +112,7 @@ let render_lineup ~delta ~jobs () =
            in
            let r =
              Partitioner.exec a
-               (Partitioner.Request.make ~label:"determinism" ?delta
+               (Testutil.request ~label:"determinism" ?delta
                   ~cost:oracle w)
            in
            let p = r.Partitioner.Response.provenance in

@@ -117,23 +117,22 @@ let test_grouping_similar_together () =
 
 (* --- Replication --- *)
 
-let cost_factory w = Vp_cost.Io_model.oracle disk w
+let request w = Testutil.request ~cost:(Vp_cost.Io_model.oracle disk w) w
 
 let test_replication_single_equals_plain () =
   let w = Vp_benchmarks.Tpch.workload ~sf:1.0 "customer" in
   let hillclimb = Vp_algorithms.Registry.find "HillClimb" in
   let t =
     Vp_algorithms.Replication.build ~replicas:1 ~algorithm:hillclimb
-      ~cost_factory w
+      ~request w
   in
   let plain =
-    Partitioner.exec hillclimb
-      (Partitioner.Request.make ~cost:(cost_factory w) w)
+    Partitioner.exec hillclimb (request w)
   in
   Alcotest.(check int) "one replica" 1 (Vp_algorithms.Replication.replica_count t);
   Alcotest.(check (Testutil.close ~eps:1e-9 ()))
     "same cost" plain.Partitioner.Response.cost
-    (Vp_algorithms.Replication.workload_cost ~cost_factory w t)
+    (Vp_algorithms.Replication.workload_cost ~request w t)
 
 let test_replication_monotone_improvement () =
   let w = Vp_benchmarks.Tpch.workload ~sf:1.0 "lineitem" in
@@ -141,9 +140,9 @@ let test_replication_monotone_improvement () =
   let cost r =
     let t =
       Vp_algorithms.Replication.build ~replicas:r ~algorithm:hillclimb
-        ~cost_factory w
+        ~request w
     in
-    Vp_algorithms.Replication.workload_cost ~cost_factory w t
+    Vp_algorithms.Replication.workload_cost ~request w t
   in
   let pmv = Vp_cost.Io_model.pmv_cost disk w in
   let c1 = cost 1 and c4 = cost 4 in
@@ -155,7 +154,7 @@ let test_replication_storage_factor () =
   let hillclimb = Vp_algorithms.Registry.find "HillClimb" in
   let t =
     Vp_algorithms.Replication.build ~replicas:3 ~algorithm:hillclimb
-      ~cost_factory w
+      ~request w
   in
   Alcotest.(check (float 0.0)) "3 copies"
     (float_of_int (Vp_algorithms.Replication.replica_count t))
@@ -168,7 +167,7 @@ let test_replication_validation () =
       ignore
         (Vp_algorithms.Replication.build ~replicas:0
            ~algorithm:(Vp_algorithms.Registry.find "HillClimb")
-           ~cost_factory w))
+           ~request w))
 
 let suite =
   [
@@ -280,7 +279,7 @@ let test_autopart_replicated_budget_one_is_disjoint () =
   (* Without slack the search degenerates to plain AutoPart. *)
   let plain =
     (Partitioner.exec Vp_algorithms.Autopart.algorithm
-       (Partitioner.Request.make ~cost:(Vp_cost.Io_model.oracle disk w) w))
+       (Testutil.request ~cost:(Vp_cost.Io_model.oracle disk w) w))
       .Partitioner.Response.cost
   in
   Alcotest.(check (Testutil.close ~eps:1e-6 ())) "same cost" plain r.cost

@@ -11,7 +11,7 @@ let layout_of algo_name table_name =
   let w = Vp_benchmarks.Tpch.workload ~sf:10.0 table_name in
   let a = Vp_algorithms.Registry.find algo_name in
   let oracle = Vp_cost.Io_model.oracle disk w in
-  (Workload.table w, (Partitioner.exec a (Partitioner.Request.make ~cost:oracle w)).Partitioner.Response.partitioning)
+  (Workload.table w, (Partitioner.exec a (Testutil.request ~cost:oracle w)).Partitioner.Response.partitioning)
 
 let check_layout algo_name table_name expected_groups =
   let table, got = layout_of algo_name table_name in
@@ -78,7 +78,7 @@ let test_hillclimb_class_agrees () =
       let cost name =
         (Partitioner.exec
            (Vp_algorithms.Registry.find name)
-           (Partitioner.Request.make ~cost:oracle w))
+           (Testutil.request ~cost:oracle w))
           .Partitioner.Response.cost
       in
       let hc = cost "HillClimb" in
@@ -110,7 +110,7 @@ let test_ssb_validity () =
       let oracle = Vp_cost.Io_model.oracle disk w in
       List.iter
         (fun (a : Partitioner.t) ->
-          let r = Partitioner.exec a (Partitioner.Request.make ~cost:oracle w) in
+          let r = Partitioner.exec a (Testutil.request ~cost:oracle w) in
           Alcotest.(check bool)
             (Printf.sprintf "%s on ssb %s" a.Partitioner.name
                (Table.name (Workload.table w)))
@@ -204,7 +204,7 @@ let test_chrome_trace_golden () =
    Every offline entrant of the repo benchmark, on TPC-H lineitem and on
    the 48-attribute synthetic table, under the benchmark's 2,500-step
    budget with the I/O oracle and its incremental sessions; the
-   heuristics also under the main-memory oracle with no factory. The
+   heuristics also under the main-memory oracle on the reference session. The
    cost bit pattern, the layout and the search counters are frozen, so
    a change to the search bookkeeping (attribute sets, partitioning
    construction, either pricing session) that alters any answer or any
@@ -233,7 +233,7 @@ let stats_wide () =
 
 let stats_run ?delta ~cost w (a : Partitioner.t) =
   let budget = Vp_robust.Budget.create ~max_steps:stats_step_budget () in
-  Partitioner.exec a (Partitioner.Request.make ~budget ?delta ~cost w)
+  Partitioner.exec a (Testutil.request ~budget ?delta ~cost w)
 
 let render_stats key (a : Partitioner.t) (r : Partitioner.Response.t) =
   let s = r.Partitioner.Response.stats in
@@ -250,7 +250,7 @@ let stats_line key w a =
        w a)
 
 (* The heuristics under the main-memory model, which has no incremental
-   session: the path a request built without a factory takes. *)
+   session: its requests carry the reference session, as these do. *)
 let memory_stats_line key w a =
   render_stats ("memory/" ^ key) a
     (stats_run
@@ -305,12 +305,39 @@ let test_optimizer_counters_golden () =
   check_golden "optimizer counters" "golden/optimizer_counters.golden.txt"
     actual
 
+(* A request from [Io_model.request] prices every search through its
+   incremental session, including the searches that price partitionings
+   they have built themselves: under the counters' budget only the final
+   cost of the answer calls the oracle. *)
+let test_one_oracle_call () =
+  let w = Vp_benchmarks.Tpch.workload ~sf:10.0 "lineitem" in
+  let value () =
+    Vp_observe.Stats.(counter_value (snapshot ()) "cost.oracle_calls")
+  in
+  List.iter
+    (fun (a : Partitioner.t) ->
+      Vp_observe.Switch.with_level Vp_observe.Switch.Stats (fun () ->
+          let before = value () in
+          let budget =
+            Vp_robust.Budget.create ~max_steps:stats_step_budget ()
+          in
+          ignore (Partitioner.exec a (Vp_cost.Io_model.request ~budget disk w));
+          Alcotest.(check int)
+            (a.Partitioner.name ^ " on lineitem: oracle calls")
+            1
+            (value () - before)))
+    [
+      Vp_algorithms.Navathe.algorithm;
+      Vp_algorithms.Trojan.algorithm;
+      Vp_algorithms.Hillclimb.with_dictionary;
+    ]
+
 (* --- exact searches golden ---
 
    The two branch-and-bound searches and Hypergraph on every TPC-H and
    SSB table of the benchmark's offline line-up, with the I/O bound and
    the request shape of "optimizer stats", plus BruteForce under the
-   main-memory model and its bound (no delta factory) on every TPC-H
+   main-memory model and its bound (reference session) on every TPC-H
    table. Each line is an "optimizer stats" line followed by the
    query re-cost, merge fold and budget step deltas of the run, so a change to the
    search drivers or their bounds that alters any answer, any counter or
@@ -324,7 +351,7 @@ let exact_line key w (a : Partitioner.t) ~cost ?delta () =
       let before = List.map value exact_counters in
       let budget = Vp_robust.Budget.create ~max_steps:stats_step_budget () in
       let r =
-        Partitioner.exec a (Partitioner.Request.make ~budget ?delta ~cost w)
+        Partitioner.exec a (Testutil.request ~budget ?delta ~cost w)
       in
       let s = r.Partitioner.Response.stats in
       let deltas =
@@ -442,7 +469,7 @@ let storage_table_lines table_name =
   let hillclimb =
     (Partitioner.exec
        (Vp_algorithms.Registry.find "HillClimb")
-       (Partitioner.Request.make ~cost:(Vp_cost.Io_model.oracle disk w) w))
+       (Testutil.request ~cost:(Vp_cost.Io_model.oracle disk w) w))
       .Partitioner.Response.partitioning
   in
   let b = Buffer.create 4096 in
@@ -563,6 +590,8 @@ let suite =
     Alcotest.test_case "chrome trace export" `Quick test_chrome_trace_golden;
     Alcotest.test_case "optimizer stats" `Quick test_optimizer_stats_golden;
     Alcotest.test_case "optimizer counters" `Quick test_optimizer_counters_golden;
+    Alcotest.test_case "one oracle call per request" `Quick
+      test_one_oracle_call;
     Alcotest.test_case "exact searches" `Quick test_exact_searches_golden;
     Alcotest.test_case "storage digests" `Quick test_storage_digests_golden;
   ]

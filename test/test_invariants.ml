@@ -69,7 +69,7 @@ let test_algorithms_return_valid_partitionings () =
     List.iter
       (fun (a : Partitioner.t) ->
         let ctx = Printf.sprintf "%s on pair %d" a.Partitioner.name i in
-        let r = Partitioner.exec a (Partitioner.Request.make ~cost:oracle w) in
+        let r = Partitioner.exec a (Testutil.request ~cost:oracle w) in
         check_valid_partitioning ~ctx w r.Partitioner.Response.partitioning;
         Alcotest.(check (float 0.))
           (ctx ^ ": reported cost matches the oracle")
@@ -142,68 +142,81 @@ let test_budget_monotonicity () =
         ])
   done
 
-(* Delta probes must charge the budget exactly like full re-costs: under
-   any step budget, the delta and full paths must agree on layout, cost
-   bits, status (including the step count at exhaustion) AND the counted
-   oracle stats. If a delta probe skipped a tick, double-charged one, or
-   dodged the fault/counter bookkeeping of [Partitioner.Counted], the
-   exhaustion point would shift and one of these renderings would
-   diverge. The full path (the reference session) must also invoke its
-   oracle once per counted call: an uncounted invocation (say, pricing
-   a rebase) fails here. *)
+(* The I/O model's requests must price exactly like the reference
+   session under any step budget: for every registry entrant (plus
+   HillClimb+dict and the bounded exact searches), a run on
+   [Io_model.request] and a run on an explicit [Delta.full] request must
+   agree on layout, cost bits, status (including the step count at
+   exhaustion) AND the counted stats. If an incremental probe skipped a
+   tick, double-charged one, or dodged the fault/counter bookkeeping of
+   [Partitioner.Counted], the exhaustion point would shift and one of
+   these renderings would diverge. The reference session must also
+   invoke its oracle once per counted call: an uncounted invocation
+   (say, pricing a rebase) fails here. *)
 let test_budget_delta_parity () =
   let root = Vp_datagen.Prng.create 0xDE17AL in
   for i = 0 to 14 do
     let w = random_workload root i in
+    let n = Table.attribute_count (Workload.table w) in
     List.iter
       (fun (a : Partitioner.t) ->
         List.iter
           (fun max_steps ->
-            let run enabled =
+            let run io =
               let budget = Vp_robust.Budget.create ~max_steps () in
-              let invocations = ref 0 in
+              (* Atomic: a portfolio race prices on several domains. *)
+              let invocations = Atomic.make 0 in
               let oracle p =
-                incr invocations;
+                Atomic.incr invocations;
                 Vp_cost.Io_model.oracle disk w p
               in
-              let delta =
-                if enabled then Some (Vp_cost.Io_model.Incremental.factory disk w)
-                else None
+              let request =
+                if io then Vp_cost.Io_model.request ~budget disk w
+                else
+                  Partitioner.Request.make ~budget
+                    ~delta:(Partitioner.Delta.full ~n oracle)
+                    ~cost:oracle w
               in
-              let r =
-                Partitioner.exec a
-                  (Partitioner.Request.make ~budget ?delta ~cost:oracle w)
+              let r = Partitioner.exec a request in
+              let s = r.Partitioner.Response.stats in
+              (* On the reference session every counted call is one
+                 invocation of the oracle, plus the final cost of each
+                 answer: one, or one per entrant of a portfolio race. *)
+              let answers =
+                max 1
+                  (List.length
+                     r.Partitioner.Response.provenance.Partitioner.Response
+                       .entrants)
               in
-              (* Without a factory every counted call is one invocation
-                 of the oracle, plus the final cost of the answer. *)
-              if not enabled then
+              if not io then
                 Alcotest.(check int)
                   (Printf.sprintf "%s on pair %d, %d steps: oracle calls"
                      a.Partitioner.name i max_steps)
-                  (r.Partitioner.Response.stats.Partitioner.cost_calls + 1)
-                  !invocations;
-              Printf.sprintf "%s cost=%Lx status=%s calls=%d candidates=%d"
+                  (s.Partitioner.cost_calls + answers)
+                  (Atomic.get invocations);
+              Printf.sprintf
+                "%s cost=%Lx status=%s calls=%d candidates=%d iterations=%d"
                 (Partitioning.to_string r.Partitioner.Response.partitioning)
                 (Int64.bits_of_float r.Partitioner.Response.cost)
                 (match r.Partitioner.Response.status with
                 | Partitioner.Complete -> "complete"
                 | Partitioner.Timed_out { steps; _ } ->
                     Printf.sprintf "timed_out:%d" steps)
-                r.Partitioner.Response.stats.Partitioner.cost_calls
-                r.Partitioner.Response.stats.Partitioner.candidates
+                s.Partitioner.cost_calls s.Partitioner.candidates
+                s.Partitioner.iterations
             in
             let full = run false in
-            let with_delta = run true in
+            let incremental = run true in
             Alcotest.(check string)
-              (Printf.sprintf "%s on pair %d, %d steps: delta = full"
+              (Printf.sprintf "%s on pair %d, %d steps: request = full"
                  a.Partitioner.name i max_steps)
-              full with_delta)
+              full incremental)
           budget_ladder)
-      (Vp_algorithms.Registry.six
+      (Vp_algorithms.Registry.all
       @ [
+          Vp_algorithms.Hillclimb.with_dictionary;
           Vp_experiments.Common.brute_force disk;
           Vp_algorithms.Ilp.with_bound disk;
-          Vp_algorithms.Hypergraph.algorithm;
         ])
   done
 

@@ -162,7 +162,7 @@ let test_distance_from_pmv_all_algorithms_tpch () =
       let oracle = Vp_cost.Io_model.oracle disk w in
       List.iter
         (fun (a : Vp_core.Partitioner.t) ->
-          let r = Vp_core.Partitioner.exec a (Vp_core.Partitioner.Request.make ~cost:oracle w) in
+          let r = Vp_core.Partitioner.exec a (Testutil.request ~cost:oracle w) in
           let d =
             Vp_metrics.Measures.distance_from_pmv disk w
               r.Vp_core.Partitioner.Response.partitioning

@@ -204,7 +204,7 @@ let test_exec_provenance () =
     (fun (algo : Partitioner.t) ->
       let r =
         Partitioner.exec algo
-          (Partitioner.Request.make ~label:"prov-test" ~cost:oracle w)
+          (Testutil.request ~label:"prov-test" ~cost:oracle w)
       in
       Alcotest.(check string)
         (algo.Partitioner.name ^ " provenance algorithm")

@@ -188,7 +188,7 @@ let test_cost_calls_are_candidates () =
             (fun delta ->
               let r =
                 Partitioner.exec a
-                  (Partitioner.Request.make ?delta
+                  (Testutil.request ?delta
                      ~cost:(Vp_cost.Io_model.oracle disk w) w)
               in
               let s = r.Partitioner.Response.stats in

@@ -194,7 +194,7 @@ let test_roundtrip_through_algorithms () =
   | [ w ] ->
       let disk = Vp_cost.Disk.default in
       let oracle = Vp_cost.Io_model.oracle disk w in
-      let r = Partitioner.exec Vp_algorithms.Hillclimb.algorithm (Partitioner.Request.make ~cost:oracle w) in
+      let r = Partitioner.exec Vp_algorithms.Hillclimb.algorithm (Testutil.request ~cost:oracle w) in
       let expected =
         Partitioning.of_names (Workload.table w)
           [ [ "PartKey"; "SuppKey" ]; [ "AvailQty"; "SupplyCost" ]; [ "Comment" ] ]

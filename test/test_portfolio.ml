@@ -105,7 +105,7 @@ let test_cancelled_before_start () =
         let cancel = Atomic.make true in
         let r =
           Partitioner.exec a
-            (Partitioner.Request.make ~cancel ~cost:oracle w)
+            (Testutil.request ~cancel ~cost:oracle w)
         in
         Alcotest.(check bool)
           (ctx ^ ": valid best-so-far layout") true
@@ -140,7 +140,7 @@ let test_cancelled_mid_run () =
         in
         let r =
           Partitioner.exec a
-            (Partitioner.Request.make ~cancel ~cost:tripwire w)
+            (Testutil.request ~cancel ~cost:tripwire w)
         in
         Alcotest.(check bool)
           (ctx ^ ": valid best-so-far layout") true
@@ -209,7 +209,7 @@ let test_ilp_matches_brute_force () =
   for i = 0 to 11 do
     let w = random_workload ~n_max:10 root i in
     let oracle = Vp_cost.Io_model.oracle disk w in
-    let run a = Partitioner.exec a (Partitioner.Request.make ~cost:oracle w) in
+    let run a = Partitioner.exec a (Testutil.request ~cost:oracle w) in
     let ri = run ilp and rb = run bf in
     Alcotest.(check string)
       (Printf.sprintf "pair %d: ILP cost = BruteForce cost (bits)" i)
@@ -237,7 +237,7 @@ let hypergraph_valid_and_never_above_atoms =
       let oracle = Vp_cost.Io_model.oracle disk w in
       let r =
         Partitioner.exec Vp_algorithms.Hypergraph.algorithm
-          (Partitioner.Request.make ~cost:oracle w)
+          (Testutil.request ~cost:oracle w)
       in
       Testutil.valid_partitioning_of_workload
         r.Partitioner.Response.partitioning w

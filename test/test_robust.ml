@@ -312,7 +312,7 @@ let test_cost_oracle_faults () =
   let exhaust = Fault.create ~exhaust_rate:0.9 ~seed:5 () in
   let r =
     Budget.with_current (Budget.create ()) (fun () ->
-        Fault.with_current exhaust (fun () -> Partitioner.exec hc (Partitioner.Request.make ~cost:oracle w)))
+        Fault.with_current exhaust (fun () -> Partitioner.exec hc (Testutil.request ~cost:oracle w)))
   in
   (match r.Partitioner.Response.status with
   | Partitioner.Timed_out _ -> ()
@@ -321,14 +321,14 @@ let test_cost_oracle_faults () =
     (Testutil.valid_partitioning_of_workload r.Partitioner.Response.partitioning w);
   (* Without an ambient budget, Exhaust_budget has nothing to exhaust and
      the run completes untouched. *)
-  let r2 = Fault.with_current exhaust (fun () -> Partitioner.exec hc (Partitioner.Request.make ~cost:oracle w)) in
+  let r2 = Fault.with_current exhaust (fun () -> Partitioner.exec hc (Testutil.request ~cost:oracle w)) in
   (match r2.Partitioner.Response.status with
   | Partitioner.Complete -> ()
   | Partitioner.Timed_out _ ->
       Alcotest.fail "unlimited ambient budget cannot be exhausted");
   (* An exception-injecting plan surfaces Injected to the caller. *)
   let explode = Fault.create ~exn_rate:1.0 ~seed:5 () in
-  match Fault.with_current explode (fun () -> Partitioner.exec hc (Partitioner.Request.make ~cost:oracle w)) with
+  match Fault.with_current explode (fun () -> Partitioner.exec hc (Testutil.request ~cost:oracle w)) with
   | _ -> Alcotest.fail "expected Injected"
   | exception Fault.Injected _ -> ()
 
@@ -370,7 +370,7 @@ let test_brute_force_deadline () =
   let oracle = Vp_cost.Io_model.oracle disk w in
   let bf = Vp_experiments.Common.brute_force disk in
   let budget = Budget.create ~deadline_seconds:1.0 () in
-  let r = Partitioner.exec bf (Partitioner.Request.make ~budget ~cost:oracle w) in
+  let r = Partitioner.exec bf (Testutil.request ~budget ~cost:oracle w) in
   (match r.Partitioner.Response.status with
   | Partitioner.Timed_out _ -> ()
   | Partitioner.Complete ->

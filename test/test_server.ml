@@ -48,7 +48,7 @@ let test_partition_matches_local () =
   let oracle = Vp_cost.Io_model.oracle disk w in
   let local =
     Partitioner.exec Vp_algorithms.Hillclimb.algorithm
-      (Partitioner.Request.make ~cost:oracle w)
+      (Testutil.request ~cost:oracle w)
   in
   with_daemon (fun port ->
       with_client port (fun c ->

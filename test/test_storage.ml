@@ -534,7 +534,7 @@ let test_creation_streamed_schedule () =
 
 let test_creation_allocation_flat () =
   let disk = Vp_cost.Disk.default in
-  let allocated sf =
+  let reading sf =
     let table = Vp_benchmarks.Tpch.table ~sf "customer" in
     let source = Vp_stream.Source.of_rowgen gen table in
     let layout = creation_layout table in
@@ -542,6 +542,11 @@ let test_creation_allocation_flat () =
     ignore (Vp_storage.Creation.transform ~disk table source layout);
     Gc.allocated_bytes () -. before
   in
+  (* Inside the full suite, after earlier tests' domain pools have come
+     and gone, one reading has taken in ~1.8 MB the transform did not
+     allocate. Such a stray count lands in one window, not in both, so
+     each SF keeps the smaller of two readings. *)
+  let allocated sf = Float.min (reading sf) (reading sf) in
   (* The first transform also pays one-off initialisation. *)
   ignore (allocated 0.01);
   let sf100 = allocated 100.0 in

@@ -313,7 +313,7 @@ let test_navathe_contiguity () =
   let position = Array.make (Array.length order) 0 in
   Array.iteri (fun pos attr -> position.(attr) <- pos) order;
   let oracle = Vp_cost.Io_model.oracle Vp_cost.Disk.default w in
-  let r = Partitioner.exec Vp_algorithms.Navathe.algorithm (Partitioner.Request.make ~cost:oracle w) in
+  let r = Partitioner.exec Vp_algorithms.Navathe.algorithm (Testutil.request ~cost:oracle w) in
   List.iter
     (fun g ->
       let positions =

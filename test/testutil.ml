@@ -44,6 +44,16 @@ let tiny =
         Attribute.make "c" (Attribute.Char 20);
       ]
 
+(* --- requests --- *)
+
+(* A request priced through the reference session [Delta.full] over
+   [cost], unless [delta] gives another factory. Outside the cost models
+   no request has a default session; the tests build theirs here. *)
+let request ?budget ?cancel ?label ?delta ~cost w =
+  let n = Table.attribute_count (Workload.table w) in
+  let delta = Option.value delta ~default:(Partitioner.Delta.full ~n cost) in
+  Partitioner.Request.make ?budget ?cancel ?label ~delta ~cost w
+
 (* --- qcheck generators --- *)
 
 let gen_partitioning n =
